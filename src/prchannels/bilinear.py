@@ -7,13 +7,20 @@ smallest-singular-vector solve.  The symmetric engine minimizes the norm of a
 map applied to ``x (x) y + y (x) x`` relative to the norm of that symmetric
 product; for fixed ``x`` the objective is real-linear in ``y``, so each half
 step is an exact generalized smallest-singular solve restricted to the range
-of the normalizer.  All solves go through singular value decompositions, never
-through normal equations, so vanishing minima resolve to machine precision.
+of the normalizer ``v -> x v^* + v x^*``.  That normalizer's spectrum has a
+closed form, so it is whitened by one Householder reflector instead of a
+decomposition; every remaining solve is a singular value decomposition, never
+normal equations, so vanishing minima resolve to machine precision.  The
+decompositions are thin whenever the matrix has at least as many rows as
+columns, and full otherwise, where the last right singular vector must still
+span a null direction.
 
-Both engines are deterministic functions of the configured seed: restart ``r``
-draws from ``default_rng([seed, tag, r])``, restarts stop early once a
-witness-grade minimum is found, and the reported pair is the best seen so far
-(lowest restart index on ties).
+Both engines build their half-step matrices by contracting a stacked operator
+array once per step, not by summing Kronecker products.  They are
+deterministic functions of the configured seed: restart ``r`` draws from
+``default_rng([seed, tag, r])``, restarts stop early once a witness-grade
+minimum is found, and the reported pair is the best seen so far (lowest
+restart index on ties).
 """
 
 from __future__ import annotations
@@ -65,28 +72,53 @@ class OracleConfig:
             raise ValueError("oracle configuration values must be positive")
 
 
-def smallest_generalized(L: np.ndarray, N: np.ndarray, cutoff: float = 1e-12):
-    """Minimize ``||L v||^2 / ||N v||^2`` over real v with ``N v != 0``.
+def _symmetric_whitener(x: np.ndarray):
+    """Whitener of the normalizer ``v -> x v^* + v x^*`` in ``[Re v; Im v]`` coordinates.
 
-    Returns ``(value, v)`` with ``||N v|| = 1``, or ``(None, None)`` when
-    ``N`` vanishes.
+    The normalizer scales the real direction of ``x`` by ``2 ||x||``, kills
+    ``i x``, and scales the complex orthogonal complement of ``x`` by
+    ``sqrt(2) ||x||``.  Returns the real ``2n x (2n - 1)`` matrix ``W`` whose
+    image under the normalizer has orthonormal columns spanning its range,
+    or None when ``x`` vanishes.
     """
-    _, sn, vnt = np.linalg.svd(N, full_matrices=False)
-    if sn.size == 0 or sn[0] <= 0.0:
+    n = x.size
+    nrm = float(np.sqrt(np.vdot(x, x).real))
+    if nrm == 0.0:
+        return None
+    xh = x / nrm
+    # Householder reflector H = I - 2 w w^* / ||w||^2 with w = xh - alpha e1 and
+    # alpha = -xh[0] / |xh[0]|, so ||w||^2 = 2 + 2 |xh[0]| never cancels.  Its
+    # last n - 1 columns are an orthonormal basis of the complement of xh.
+    a0 = abs(xh[0])
+    w = xh.copy()
+    w[0] += xh[0] / a0 if a0 > 0.0 else 1.0
+    c = 1.0 / (np.sqrt(2.0) * nrm)
+    # Complex columns: xh / (2 ||x||), then c H[:, 1:], then i c H[:, 1:].
+    B = np.empty((n, 2 * n - 1), dtype=complex)
+    B[:, 0] = xh / (2.0 * nrm)
+    Q = B[:, 1:n]
+    np.multiply.outer(w, w[1:].conj(), out=Q)
+    Q *= -c / (1.0 + a0)
+    B.reshape(-1)[2 * n :: 2 * n] += c  # the identity part of H[:, 1:], at B[j, j]
+    np.multiply(Q, 1j, out=B[:, n:])
+    return np.concatenate((B.real, B.imag))
+
+
+def smallest_generalized(L: np.ndarray, x: np.ndarray):
+    """Minimize ``||L v||^2 / ||x v^* + v x^*||_F^2`` over real ``v = [Re; Im]``.
+
+    Returns ``(value, v)`` with the symmetric product of unit Frobenius norm,
+    or ``(None, None)`` when ``x`` vanishes.  When ``L`` has fewer rows than
+    the whitened space has dimensions the minimum is zero.
+    """
+    W = _symmetric_whitener(x)
+    if W is None:
         return None, None
-    keep = sn > cutoff * sn[0]
-    if not np.any(keep):
-        return None, None
-    W = vnt[keep].T / sn[keep]  # columns map whitened coords back to v
     M = L @ W
-    k = W.shape[1]
-    _, sm, vmt = np.linalg.svd(M, full_matrices=True)
-    if M.shape[0] < k:
-        val = 0.0
-    else:
-        val = float(sm[-1]) ** 2
-    v = W @ vmt[-1]
-    return val, v
+    wide = M.shape[0] < M.shape[1]
+    _, sm, vmt = np.linalg.svd(M, full_matrices=wide)
+    val = 0.0 if wide else float(sm[-1]) ** 2
+    return val, W @ vmt[-1]
 
 
 def _rand_unit(rng, n: int, field: str) -> np.ndarray:
@@ -100,9 +132,29 @@ def _rand_unit(rng, n: int, field: str) -> np.ndarray:
     return v / nrm
 
 
-def _block_real(C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
-    """Real matrix of v -> C1 Re(v) + C2 Im(v) in stacked [Re; Im] coordinates."""
-    return np.block([[C1.real, C2.real], [C1.imag, C2.imag]])
+def _block_real(out: np.ndarray, P1: np.ndarray, P2: np.ndarray) -> None:
+    """Fill ``out`` with the real matrix of v -> P1 conj(v) + P2 v in stacked [Re; Im] coordinates."""
+    rows, cols = P1.shape
+    np.add(P1.real, P2.real, out=out[:rows, :cols])
+    np.subtract(P1.imag, P2.imag, out=out[:rows, cols:])
+    np.add(P1.imag, P2.imag, out=out[rows:, :cols])
+    np.subtract(P2.real, P1.real, out=out[rows:, cols:])
+
+
+def _fixed_x_matrix(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_i kron(A_i x, conj(A_i))`` for operators stacked as ``A[i]``.
+
+    It sends conj(y) to the objective's vector at fixed x.
+    """
+    _, m, n = A.shape
+    return ((A @ x).T @ A.conj().reshape(len(A), m * n)).reshape(m * m, n)
+
+
+def _fixed_y_matrix(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_i kron(A_i, conj(A_i y))``: sends x to the objective's vector at fixed y."""
+    _, m, n = A.shape
+    M = ((A @ y).conj().T @ A.reshape(len(A), m * n)).reshape(m, m, n)
+    return M.transpose(1, 0, 2).reshape(m * m, n)
 
 
 def minimize_simple_pair(kraus, field: str, cfg: OracleConfig, dim_in: int):
@@ -111,6 +163,13 @@ def minimize_simple_pair(kraus, field: str, cfg: OracleConfig, dim_in: int):
     For real channels the search stays over real vectors.  Returns the best
     ``(value, x, y)`` over all restarts.
     """
+    A = np.stack(kraus)
+    if field == REAL:
+        A = A.real
+    _, m, n = A.shape
+    # Each half-step matrix has m^2 rows and n columns; with fewer rows than
+    # columns only the full decomposition yields a null vector.
+    full = m * m < n
     best = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([abs(int(cfg.seed)), 0x51, r]))
@@ -119,17 +178,9 @@ def minimize_simple_pair(kraus, field: str, cfg: OracleConfig, dim_in: int):
         prev = np.inf
         val = np.inf
         for it in range(cfg.max_iters):
-            # Fixed x: the map sends conj(y) through sum_i kron(A_i x, conj(A_i)).
-            My = sum(np.kron((A @ x)[:, None], A.conj()) for A in kraus)
-            if field == REAL:
-                My = My.real
-            _, _, vh1 = np.linalg.svd(My)
+            _, _, vh1 = np.linalg.svd(_fixed_x_matrix(A, x), full_matrices=full)
             y = np.array(vh1[-1])  # the solve yields conj(y); undo the conjugation
-            # Fixed y: the map sends x through sum_i kron(A_i, conj(A_i y)).
-            Mx = sum(np.kron(A, (A @ y).conj()[:, None]) for A in kraus)
-            if field == REAL:
-                Mx = Mx.real
-            _, s2, vh2 = np.linalg.svd(Mx)
+            _, s2, vh2 = np.linalg.svd(_fixed_y_matrix(A, y), full_matrices=full)
             x = vh2[-1].conj()
             val = float(s2[-1]) ** 2
             if val < _SUCCESS or prev - val <= 0.0:
@@ -153,7 +204,7 @@ def minimize_symmetric_pair(pair_maps, dim: int, cfg: OracleConfig):
     with the pair normalized so the symmetric product has unit Frobenius
     norm, or None when every restart degenerated.
     """
-    eye = np.eye(dim)
+    L = None
     best = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([abs(int(cfg.seed)), 0x52, r]))
@@ -163,11 +214,10 @@ def minimize_symmetric_pair(pair_maps, dim: int, cfg: OracleConfig):
         val = np.inf
         for it in range(cfg.max_iters):
             P1, P2 = pair_maps(x)
-            L = _block_real(P1 + P2, 1j * (P2 - P1))
-            D1 = np.kron(x[:, None], eye)  # sends conj(v) to vec(x v^*)
-            D2 = np.kron(eye, x.conj()[:, None])  # sends v to vec(v x^*)
-            N = _block_real(D1 + D2, 1j * (D2 - D1))
-            step_val, vt = smallest_generalized(L, N)
+            if L is None:
+                L = np.empty((2 * P1.shape[0], 2 * dim))
+            _block_real(L, P1, P2)
+            step_val, vt = smallest_generalized(L, x)
             if vt is None:
                 x = _rand_unit(rng, dim, COMPLEX)
                 continue

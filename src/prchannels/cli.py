@@ -36,13 +36,12 @@ from .deciders import (
     decide_rank1,
     decide_rank2,
     necessary_inner_product_check,
+    oracle_verdict,
     scalar_relative_spectrum,
     simple_tensor_oracle,
     symmetric_tensor_oracle,
-    TensorWitness,
     PRVerdict,
     EmptyCertificate,
-    ORACLE_WITNESS,
     ORACLE_NO_WITNESS,
     _to_state_witness,
 )
@@ -124,20 +123,7 @@ def _restricted_verdict(ch, method, cfg, tol):
         return verdict
     if method == "oracle":
         oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
-        outcome = oracle(ch, cfg, tol)
-        if isinstance(outcome, TensorWitness):
-            return PRVerdict(
-                NOT_PR,
-                ORACLE_WITNESS,
-                outcome,
-                state_witness=_to_state_witness(ch, outcome.x, outcome.y, tol),
-                residuals={},
-            )
-        status = PR if getattr(outcome, "exact", False) else LIKELY_PR
-        return PRVerdict(
-            status, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor,
-            residuals={},
-        )
+        return oracle_verdict(ch, oracle(ch, cfg, tol), tol)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -73,6 +73,7 @@ __all__ = [
     "NoWitness",
     "PRVerdict",
     "decide",
+    "oracle_verdict",
     "decide_rank1",
     "decide_rank2",
     "scalar_relative_spectrum",
@@ -382,6 +383,13 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
     return None
 
 
+def _natural_representation(kraus) -> np.ndarray:
+    """``sum_i A_i (x) conj(A_i)``: row ``(a, b)``, column ``(c, d)`` holds ``sum_i A_i[a, c] conj(A_i[b, d])``."""
+    A = np.stack(kraus)
+    _, m, n = A.shape
+    return np.einsum("iac,ibd->abcd", A, A.conj()).reshape(m * m, n * n)
+
+
 def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
     """Search for unit x, y with the simple tensor ``x (x) y`` annihilated.
 
@@ -393,7 +401,7 @@ def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, to
     """
     cfg = cfg or OracleConfig()
     n = ch.dim_in
-    K = sum(np.kron(A, A.conj()) for A in ch.kraus)
+    K = _natural_representation(ch.kraus)
     if ch.field == REAL:
         K = K.real
     s = np.linalg.svd(K, compute_uv=False)
@@ -423,6 +431,26 @@ def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, to
     return NoWitness(floor=float(np.sqrt(max(val, 0.0))), exact=False)
 
 
+def _channel_pair_maps(K: np.ndarray, n: int):
+    """Pair maps of the symmetric product through the natural representation ``K``.
+
+    ``K`` acts on ``vec(s t^T) = s (x) t``.  The left map fixes ``s = u`` and
+    leaves ``t = conj(v)``; the right map fixes ``t = conj(u)`` and leaves
+    ``s = v``.  Each is one matrix-vector product with ``K`` viewed as a
+    ``(rows, n, n)`` array.
+    """
+    rows = K.shape[0]
+    left_slot = K.reshape(rows, n, n).transpose(0, 2, 1).reshape(rows * n, n)
+    right_slot = K.reshape(rows * n, n)
+
+    def pair_maps(u):
+        left = (left_slot @ u).reshape(rows, n)  # acts on conj(v)
+        right = (right_slot @ u.conj()).reshape(rows, n)  # acts on v
+        return left, right
+
+    return pair_maps
+
+
 def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
     """Search for x, y with the symmetric product ``x (x) y + y (x) x`` annihilated.
 
@@ -433,15 +461,7 @@ def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None,
         raise WrongField("the symmetric-product oracle is a complex-field test")
     cfg = cfg or OracleConfig()
     n = ch.dim_in
-    eye = np.eye(n)
-    channel_mat = sum(np.kron(A, A.conj()) for A in ch.kraus)
-
-    def pair_maps(u):
-        left = channel_mat @ np.kron(u[:, None], eye)  # acts on conj(v)
-        right = channel_mat @ np.kron(eye, u.conj()[:, None])  # acts on v
-        return left, right
-
-    result = minimize_symmetric_pair(pair_maps, n, cfg)
+    result = minimize_symmetric_pair(_channel_pair_maps(_natural_representation(ch.kraus), n), n, cfg)
     if result is None:
         return NoWitness(floor=float("inf"), exact=False)
     val, x, y = result
@@ -463,6 +483,32 @@ def is_skew_commutative(u_list, v_list, tol: Tolerance = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(total)) <= tol.residual_abs * scale
 
 
+def oracle_verdict(ch: QuantumChannel, outcome, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
+    """Verdict of a tensor-oracle outcome on ``ch``.
+
+    A :class:`TensorWitness` gives NOT_PR with its re-verified tensor
+    residual and, where derivable, an equal-image pure-state pair.  A
+    :class:`NoWitness` gives PR when it is exact (trivial kernel) and
+    LIKELY_PR otherwise, carrying the observed floor.
+    """
+    if isinstance(outcome, TensorWitness):
+        if outcome.kind == SIMPLE:
+            product = _outer(outcome.x, outcome.y)
+        else:
+            product = _symmetric_product(outcome.x, outcome.y)
+        return PRVerdict(
+            NOT_PR,
+            ORACLE_WITNESS,
+            outcome,
+            state_witness=_to_state_witness(ch, outcome.x, outcome.y, tol),
+            residuals={"tensor": float(np.linalg.norm(apply(ch, product)))},
+        )
+    status = PR if outcome.exact else LIKELY_PR
+    return PRVerdict(
+        status, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor, residuals={}
+    )
+
+
 def decide(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
     """Full phase-retrievability dispatcher.
 
@@ -474,6 +520,10 @@ def decide(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance =
     cfg = cfg or OracleConfig()
     r = choi_rank(ch, tol)
     if r == 0:
+        if ch.dim_in == 1:
+            # C^1 has a single pure state, so no map can collide two of them;
+            # the verdict is as exact as the rank-one stage's.
+            return PRVerdict(PR, RANK1, EmptyCertificate(), residuals={})
         # The zero map collides every pair of states.
         e1 = np.zeros(ch.dim_in, dtype=complex)
         e1[0] = 1.0
@@ -506,41 +556,8 @@ def decide(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance =
     if r == 2:
         return decide_rank2(ch, tol)
 
-    if ch.field == REAL:
-        outcome = simple_tensor_oracle(ch, cfg, tol)
-        if isinstance(outcome, TensorWitness):
-            return PRVerdict(
-                NOT_PR,
-                ORACLE_WITNESS,
-                outcome,
-                state_witness=_to_state_witness(ch, outcome.x, outcome.y, tol),
-                residuals={"tensor": float(np.linalg.norm(apply(ch, _outer(outcome.x, outcome.y))))},
-            )
-        if outcome.exact:
-            # Trivial kernel: the channel is injective on all matrices.
-            return PRVerdict(
-                PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor,
-                residuals={},
-            )
-        return PRVerdict(
-            LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor,
-            residuals={},
-        )
-
-    outcome = symmetric_tensor_oracle(ch, cfg, tol)
-    if isinstance(outcome, TensorWitness):
-        res = float(np.linalg.norm(apply(ch, _symmetric_product(outcome.x, outcome.y))))
-        return PRVerdict(
-            NOT_PR,
-            ORACLE_WITNESS,
-            outcome,
-            state_witness=_to_state_witness(ch, outcome.x, outcome.y, tol),
-            residuals={"tensor": res},
-        )
-    return PRVerdict(
-        LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor,
-        residuals={},
-    )
+    oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
+    return oracle_verdict(ch, oracle(ch, cfg, tol), tol)
 
 
 def verify_certificate(ch: QuantumChannel, verdict: PRVerdict, tol: Tolerance = DEFAULT_TOL) -> dict:

@@ -54,6 +54,17 @@ def test_check_method_restrictions():
     assert res.returncode == 1
 
 
+def test_check_method_oracle_reports_residuals():
+    res = run_cli(
+        "check", str(FIXTURES / "example_2_6.json"), "--method", "oracle", "--restarts", "16", "--output", "json"
+    )
+    assert res.returncode == 1
+    verdict = json.loads(res.stdout)["verdict"]
+    assert verdict["method"] == "ORACLE_WITNESS"
+    assert len(verdict["residuals"]) > 0
+    assert verdict["residuals"]["tensor"] <= 1e-7
+
+
 def test_malformed_json_is_input_error():
     bad = FIXTURES / ".." / "fixtures" / "does_not_exist.json"
     assert run_cli("check", str(bad)).returncode == 3

@@ -275,3 +275,11 @@ def test_zero_channel_is_not_pr():
     verdict = decide(ch)
     assert verdict.status == NOT_PR
     assert isinstance(verdict.certificate, StateWitness)
+
+
+def test_zero_channel_on_one_dimensional_input_is_pr():
+    # C^1 has a single pure state, so nothing can collide with it.
+    ch = QuantumChannel(1, 1, [np.zeros((1, 1), dtype=complex)], COMPLEX)
+    verdict = decide(ch)
+    assert verdict.status == PR
+    assert verdict.state_witness is None

@@ -1,0 +1,121 @@
+"""Frozen verdict corpus: status, method and floor of ``decide`` on fixed inputs.
+
+The channels are rebuilt here from fixed seeds; their golden verdicts live in
+``data/verdict_corpus.json``.  A refactor or optimization of the deciders
+must keep every status and method, and every floor to a relative 1e-8.  An
+intended change of a verdict is made by regenerating the file with
+
+    PYTHONPATH=src python tests/test_verdict_corpus.py --write
+
+and listing the changed items where the change is described.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from prchannels import COMPLEX, REAL, OracleConfig, QuantumChannel, decide, fixture
+from prchannels.constructors import orthogonal_projection_channel, projector_channel_from_frame
+from prchannels.frames import Frame
+
+from helpers import rand_matrix, random_cptp, random_unitary
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "verdict_corpus.json"
+# Reduced search budget: enough restarts for the witnesses of the short
+# frames and pinchings, few enough that the whole corpus runs in seconds.
+CFG = OracleConfig(restarts=16, seed=3)
+FLOOR_RTOL = 1e-8
+
+
+def _rng(tag: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([0xC0C, tag]))
+
+
+def _conjugated(ch: QuantumChannel, rng) -> QuantumChannel:
+    U = random_unitary(ch.dim_out, ch.field, rng)
+    W = random_unitary(ch.dim_in, ch.field, rng)
+    return QuantumChannel(ch.dim_in, ch.dim_out, [U @ A @ W for A in ch.kraus], ch.field)
+
+
+def _frame_channel(n: int, N: int, field: str, rng) -> QuantumChannel:
+    V = rand_matrix(rng, N, n, field)
+    return projector_channel_from_frame(Frame(dim=n, vectors=V, field=field))
+
+
+def corpus():
+    """``(key, channel)`` for every corpus item, in a fixed order."""
+    items = []
+    rng = _rng(1)
+    # Complex channels with a trivial Hermitian kernel: full searches, LIKELY_PR.
+    for instance in range(2):
+        for n in (3, 4, 5, 6):
+            for r, m in ((3, n), (4, n + 2)):
+                key = f"trivial_kernel/complex-{n}x{m}-r{r}#{instance}"
+                items.append((key, random_cptp(n, m, r, COMPLEX, rng)))
+    # Frame channels whose kernel is wide, so the minimizers run to the end.
+    rng = _rng(2)
+    for n, N in ((3, 7), (3, 8), (4, 12), (4, 13)):
+        items.append((f"wide_kernel/complex-{n}-N{N}", _frame_channel(n, N, COMPLEX, rng)))
+    for n in (3, 4, 5):
+        for instance in range(2):
+            items.append((f"wide_kernel/real-{n}-N{2 * n - 1}#{instance}", _frame_channel(n, 2 * n - 1, REAL, rng)))
+    # Pinchings with three or more blocks: the oracle finds the witness.
+    rng = _rng(3)
+    for field in (COMPLEX, REAL):
+        for dims in ((1, 1, 1), (1, 2, 1), (2, 2, 2), (1, 1, 1, 1), (2, 1, 2)):
+            ch = orthogonal_projection_channel(dims).channel
+            ch = QuantumChannel(ch.dim_in, ch.dim_out, ch.kraus, field)
+            items.append((f"pinch/{field}-{dims}", _conjugated(ch, rng)))
+    # Short frames, too short for phase retrieval.
+    rng = _rng(4)
+    for n, lengths in ((3, (3, 4)), (4, (4, 5)), (5, (5, 6))):
+        for N in lengths:
+            items.append((f"short_frame/real-{n}-N{N}", _frame_channel(n, N, REAL, rng)))
+    for n, lengths in ((3, (4, 5)), (4, (5, 6, 8))):
+        for N in lengths:
+            items.append((f"short_frame/complex-{n}-N{N}", _frame_channel(n, N, COMPLEX, rng)))
+    ex = fixture("example_2_6")
+    items.append(("example_2_6", ex))
+    items.append(("example_2_6/unitary", _conjugated(ex, _rng(5))))
+    # Inputs settled before the minimizers: rank 1, exact rank 2, the screen,
+    # trivial real kernels and the zero map.
+    rng = _rng(6)
+    items.append(("rank1/complex-2x3", QuantumChannel(2, 3, [rand_matrix(rng, 3, 2, COMPLEX)], COMPLEX)))
+    items.append(("rank2/complex-3x3", random_cptp(3, 3, 2, COMPLEX, rng)))
+    items.append(("rank2/real-3x4", random_cptp(3, 4, 2, REAL, rng)))
+    items.append(("dephasing", fixture("dephasing")))
+    items.append(("example_2_11", fixture("example_2_11")))
+    items.append(("example_2_11/unitary", _conjugated(fixture("example_2_11"), rng)))
+    for n, r in ((3, 3), (4, 4), (6, 3)):
+        items.append((f"trivial_kernel/real-{n}-r{r}", random_cptp(n, n, r, REAL, rng)))
+    items.append(("zero/2x2", QuantumChannel(2, 2, [np.zeros((2, 2), dtype=complex)], COMPLEX)))
+    return items
+
+
+def record(ch: QuantumChannel) -> dict:
+    v = decide(ch, CFG)
+    return {"status": v.status, "method": v.method, "floor": v.floor}
+
+
+def test_verdict_corpus_unchanged():
+    golden = json.loads(GOLDEN.read_text())
+    items = corpus()
+    assert [key for key, _ in items] == list(golden)
+    mismatches = []
+    for key, ch in items:
+        got, want = record(ch), golden[key]
+        same_floor = (got["floor"] is None) == (want["floor"] is None) and (
+            got["floor"] is None or abs(got["floor"] - want["floor"]) <= FLOOR_RTOL * abs(want["floor"])
+        )
+        if (got["status"], got["method"]) != (want["status"], want["method"]) or not same_floor:
+            mismatches.append(f"{key}: got {got}, want {want}")
+    assert not mismatches, "\n".join(mismatches)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_verdict_corpus.py --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({key: record(ch) for key, ch in corpus()}, indent=1) + "\n")
