@@ -1,10 +1,10 @@
 """Phase-retrievability analysis and synthesis for finite-dimensional quantum channels.
 
 The package decides whether a channel given in Kraus form separates pure
-states: exactly for Choi rank up to two, and one-sidedly with machine
-checkable certificates beyond that.  It also constructs channels that do
-phase retrieval with a minimal number of rank-one observables, plus the
-matching negative examples.
+states: exactly for Choi rank up to two and for a trivial Hermitian kernel,
+and one-sidedly with machine checkable certificates otherwise.  It also
+constructs channels that do phase retrieval with a minimal number of
+rank-one observables, plus the matching negative examples.
 """
 
 from . import errors
@@ -44,6 +44,7 @@ from .deciders import (
     StateWitness,
     TensorWitness,
     decide,
+    decide_method,
     decide_rank1,
     decide_rank2,
     is_skew_commutative,

@@ -27,24 +27,7 @@ from .constructors import (
     rank2_injective_plus_rankone,
     rankr_positive_construction,
 )
-from .deciders import (
-    LIKELY_PR,
-    NOT_FINITE,
-    NOT_PR,
-    PR,
-    decide,
-    decide_rank1,
-    decide_rank2,
-    necessary_inner_product_check,
-    oracle_verdict,
-    scalar_relative_spectrum,
-    simple_tensor_oracle,
-    symmetric_tensor_oracle,
-    PRVerdict,
-    EmptyCertificate,
-    ORACLE_NO_WITNESS,
-    _to_state_witness,
-)
+from .deciders import LIKELY_PR, METHODS, NOT_FINITE, NOT_PR, PR, decide, decide_method, scalar_relative_spectrum
 from .errors import ChannelAnalysisError
 from .frames import LIKELY_YES, NO, YES, is_phase_retrievable_frame, parseval_normalize, Frame
 from .linalg import REAL, Tolerance
@@ -102,31 +85,6 @@ def _print_validation(report) -> None:
     print(f"choi rank: {report.choi_rank}")
 
 
-def _restricted_verdict(ch, method, cfg, tol):
-    """Apply the pipeline restriction requested through --method."""
-    if method == "full":
-        return decide(ch, cfg, tol)
-    if method == "exact":
-        from .channels import choi_rank
-
-        r = choi_rank(ch, tol)
-        if r == 1:
-            return decide_rank1(ch, tol)
-        if r == 2:
-            return decide_rank2(ch, tol)
-        raise ValueError(f"--method exact needs Choi rank <= 2, channel has rank {r}")
-    if method == "necessary":
-        verdict = necessary_inner_product_check(ch, tol)
-        if verdict is None:
-            return PRVerdict(LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(), residuals={})
-        verdict.state_witness = _to_state_witness(ch, verdict.certificate.x, verdict.certificate.y, tol)
-        return verdict
-    if method == "oracle":
-        oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
-        return oracle_verdict(ch, oracle(ch, cfg, tol), tol)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def run_check(args) -> int:
     try:
         ch = serialize.channel_from_json(_load_json(args.input))
@@ -135,7 +93,7 @@ def run_check(args) -> int:
     tol = _tolerance(args)
     cfg = _oracle_config(args)
     try:
-        verdict = _restricted_verdict(ch, args.method, cfg, tol)
+        verdict = decide_method(ch, args.method, cfg, tol)
     except (ChannelAnalysisError, ValueError) as exc:
         return _fail_input(str(exc))
     report = validate(ch, tol)
@@ -164,7 +122,7 @@ def run_check(args) -> int:
     return _STATUS_EXIT[verdict.status]
 
 
-def _verify_claim(result, cfg, tol) -> tuple[PRVerdict, bool]:
+def _verify_claim(result, cfg, tol):
     verdict = decide(result.channel, cfg, tol)
     if result.claimed_status == PR:
         ok = verdict.status == PR or (
@@ -357,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("input")
     p_check.add_argument(
         "--method",
-        choices=("full", "exact", "necessary", "oracle"),
+        choices=tuple(METHODS),
         default="full",
         help="restrict the decision pipeline",
     )

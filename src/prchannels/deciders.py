@@ -1,16 +1,26 @@
 """Phase-retrievability verdicts for quantum channels.
 
-The decision logic is stratified by Choi rank.  Rank one is always
-retrievable.  Rank two is decided exactly: the channel fails precisely when
-some ``lam`` makes both ``A1 + lam A2`` and ``-conj(lam) A1 + A2``
-non-injective, so the two pencil singular sets are computed and intersected
-after reflecting the second one.  Higher ranks get a necessary-condition
-screen built on scalar relative joint spectra, then a one-sided numeric
-oracle: a minimizer that searches for an annihilated simple tensor (real
-field) or an annihilated symmetric product (complex field).  A found witness
-certifies NOT_PR; absence of a witness is only "likely" retrievable, except
-when the vectorized channel map has a trivial kernel, which proves outright
-injectivity.
+:func:`decide` runs one ordered stage table, and the first stage that settles
+the channel gives the verdict:
+
+1. Choi rank 0 or 1: conjugation by one operator, PR exactly when it is
+   injective.
+2. Necessary screen: two points ``lam, mu`` of a scalar relative joint
+   spectrum with ``1 + <lam, mu> = 0`` certify NOT_PR.
+3. Exact Choi rank 2: the channel fails precisely when some ``lam`` makes
+   both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the two
+   pencil singular sets are computed and intersected after reflecting the
+   second one.
+4. Hermitian kernel, on both fields: a trivial kernel of the natural
+   representation ``K = sum_i A_i (x) conj(A_i)`` proves PR, since no
+   nonzero ``xx* - yy*`` is annihilated (Bandeira, Cahill, Mixon, Nelson,
+   "Saving phase", ACHA 2014).
+5. One-sided oracle: a minimizer searches for an annihilated simple tensor
+   (real field) or symmetric product (complex field).  A found witness
+   certifies NOT_PR; absence of a witness is only LIKELY_PR.
+
+``check --method`` runs named sub-lists of the table (:data:`METHODS`), and
+every stage reads one per-call record holding the Choi matrix and its rank.
 
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
@@ -25,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
-from .channels import QuantumChannel, apply, choi_matrix, choi_rank, minimal_kraus_from_choi
+from .channels import QuantumChannel, apply, choi_matrix, minimal_kraus_from_choi
 from .errors import DimensionMismatch, NotFinite, NotSquare, WrongField, WrongRank
 from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, kernel_basis, numerical_rank
 from .spectra import SpectrumPoint, pencil_singular_set
@@ -39,6 +49,7 @@ RANK2_EXACT = "RANK2_EXACT"
 NECESSARY_VIOLATION = "NECESSARY_VIOLATION"
 ORACLE_WITNESS = "ORACLE_WITNESS"
 ORACLE_NO_WITNESS = "ORACLE_NO_WITNESS"
+NECESSARY_PASS = "NECESSARY_PASS"
 
 SIMPLE = "simple"
 SYMMETRIC = "symmetric"
@@ -62,6 +73,7 @@ __all__ = [
     "NECESSARY_VIOLATION",
     "ORACLE_WITNESS",
     "ORACLE_NO_WITNESS",
+    "NECESSARY_PASS",
     "SIMPLE",
     "SYMMETRIC",
     "NOT_FINITE",
@@ -72,7 +84,9 @@ __all__ = [
     "EmptyCertificate",
     "NoWitness",
     "PRVerdict",
+    "METHODS",
     "decide",
+    "decide_method",
     "oracle_verdict",
     "decide_rank1",
     "decide_rank2",
@@ -133,12 +147,10 @@ class EmptyCertificate:
 class NoWitness:
     """Oracle outcome when no annihilated tensor was found.
 
-    ``floor`` is the smallest residual norm observed; ``exact`` marks the
-    trivial-kernel fast path, where the absence of a witness is a theorem.
+    ``floor`` is the smallest residual norm observed.
     """
 
     floor: float
-    exact: bool = False
 
 
 @dataclass
@@ -190,20 +202,46 @@ def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tol
     return StateWitness(u, v)
 
 
+class _ChannelRecord:
+    """What every stage of one call reads: the channel, its Choi matrix and Choi rank."""
+
+    def __init__(self, ch: QuantumChannel, tol: Tolerance):
+        self.ch = ch
+        self.tol = tol
+        self.choi = choi_matrix(ch)
+        self.rank = numerical_rank(self.choi, tol)
+
+
+def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """Choi rank 0 or 1: conjugation by one operator A, PR exactly when A is injective.
+
+    Every listed operator is a multiple of A (of A = 0 at rank 0), so the
+    stacked family has the kernel of A.
+    """
+    if rec.rank > 1:
+        return None
+    ch = rec.ch
+    stack = np.vstack(ch.kraus).real if ch.field == REAL else np.vstack(ch.kraus)
+    # C^1 has a single pure state, so even the zero map collides none.
+    if ch.dim_in == 1 or numerical_rank(stack, rec.tol) == ch.dim_in:
+        return PRVerdict(PR, RANK1, EmptyCertificate(), residuals={})
+    # A z = 0 for the last right singular vector z, so A (u + z) = A (u - z)
+    # for the first one, u, a unit vector orthogonal to z.
+    _, _, vh = np.linalg.svd(stack)
+    u, z = vh[0].conj().astype(complex), vh[-1].conj().astype(complex)
+    sw = StateWitness((u + z) / np.sqrt(2.0), (u - z) / np.sqrt(2.0))
+    state = float(np.linalg.norm(apply(ch, _outer(sw.x, sw.x)) - apply(ch, _outer(sw.y, sw.y))))
+    # The zero map keeps its ORACLE_WITNESS label, for serialized verdicts.
+    method = RANK1 if rec.rank else ORACLE_WITNESS
+    return PRVerdict(NOT_PR, method, sw, state_witness=sw, residuals={"state": state})
+
+
 def decide_rank1(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
-    """Choi rank 1 means conjugation by a single isometry-like operator: always PR."""
-    if choi_rank(ch, tol) != 1:
+    """Choi rank 1: PR when the single Kraus operator is injective, else NOT_PR with a state pair."""
+    rec = _ChannelRecord(ch, tol)
+    if rec.rank != 1:
         raise WrongRank("channel does not have Choi rank 1")
-    return PRVerdict(PR, RANK1, EmptyCertificate(), residuals={})
-
-
-def _rank2_pair(ch: QuantumChannel, tol: Tolerance):
-    if len(ch.kraus) == 2:
-        return ch.kraus[0], ch.kraus[1]
-    reduced = minimal_kraus_from_choi(choi_matrix(ch), ch.dim_in, ch.dim_out, tol, field=ch.field)
-    if len(reduced.kraus) != 2:
-        raise WrongRank("Choi-rank-2 reduction did not yield two operators")
-    return reduced.kraus[0], reduced.kraus[1]
+    return _low_rank_stage(rec)
 
 
 def _smallest_right_vector(M: np.ndarray) -> np.ndarray:
@@ -219,9 +257,23 @@ def decide_rank2(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
     holomorphically as ``A2 + mu A1`` and reflected through ``lam = -conj(mu)``.
     The channel is PR exactly when the reflected set misses S1.
     """
-    if choi_rank(ch, tol) != 2:
+    rec = _ChannelRecord(ch, tol)
+    if rec.rank != 2:
         raise WrongRank("channel does not have Choi rank 2")
-    A1, A2 = _rank2_pair(ch, tol)
+    return _rank2_stage(rec)
+
+
+def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """Exact Choi rank 2 (see :func:`decide_rank2`); None at any other rank."""
+    if rec.rank != 2:
+        return None
+    ch, tol = rec.ch, rec.tol
+    pair = ch.kraus
+    if len(pair) != 2:
+        pair = minimal_kraus_from_choi(rec.choi, ch.dim_in, ch.dim_out, tol, field=ch.field).kraus
+        if len(pair) != 2:
+            raise WrongRank("Choi-rank-2 reduction did not yield two operators")
+    A1, A2 = pair
 
     if ch.dim_out < ch.dim_in:
         # Every pencil has a kernel; lam = 0 already clashes.
@@ -232,28 +284,19 @@ def decide_rank2(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
     s1 = pencil_singular_set(A1, A2, tol)
     t = pencil_singular_set(A2, A1, tol)
 
+    reflected = [-np.conj(mu) for mu in t.roots]
     if s1.is_all and t.is_all:
         clash = 0.0
     elif s1.is_all:
-        if not t.roots:
-            return PRVerdict(PR, RANK2_EXACT, EmptyCertificate(), residuals={})
-        clash = -np.conj(t.roots[0])
+        clash = reflected[0] if reflected else None
     elif t.is_all:
-        if not s1.roots:
-            return PRVerdict(PR, RANK2_EXACT, EmptyCertificate(), residuals={})
-        clash = s1.roots[0]
+        clash = s1.roots[0] if s1.roots else None
     else:
-        reflected = [-np.conj(mu) for mu in t.roots]
-        clash = None
-        for lam in s1.roots:
-            for lam2 in reflected:
-                if abs(lam - lam2) <= tol.root_cluster:
-                    clash = lam
-                    break
-            if clash is not None:
-                break
-        if clash is None:
-            return PRVerdict(PR, RANK2_EXACT, EmptyCertificate(), residuals={})
+        clash = next(
+            (lam for lam in s1.roots if any(abs(lam - lam2) <= tol.root_cluster for lam2 in reflected)), None
+        )
+    if clash is None:
+        return PRVerdict(PR, RANK2_EXACT, EmptyCertificate(), residuals={})
 
     x = _smallest_right_vector(A1 + clash * A2)
     y = _smallest_right_vector(-np.conj(clash) * A1 + A2)
@@ -360,8 +403,9 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
     """Necessary condition: no pair lam, mu in any scalar spectrum may satisfy
     ``1 + <lam, mu> = 0``.
 
-    Returns a NOT_PR verdict on the first violation, None when the check
-    passes.  Raises :class:`NotFinite` when some spectrum is a continuum.
+    Returns a NOT_PR verdict on the first violation, with an equal-image
+    pure-state pair where one can be derived, and None when the check passes.
+    Raises :class:`NotFinite` when some spectrum is a continuum.
     """
     if ch.dim_in != ch.dim_out:
         raise NotSquare("the inner-product check needs square Kraus operators")
@@ -378,6 +422,7 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
                         NOT_PR,
                         NECESSARY_VIOLATION,
                         InnerProductViolation(j, p.lam, q.lam, p.witness, q.witness),
+                        state_witness=_to_state_witness(ch, p.witness, q.witness, tol),
                         residuals={"inner_product": abs(ip), "tensor": tensor_res},
                     )
     return None
@@ -393,42 +438,17 @@ def _natural_representation(kraus) -> np.ndarray:
 def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
     """Search for unit x, y with the simple tensor ``x (x) y`` annihilated.
 
-    Fast paths: a trivial kernel of the vectorized channel map settles the
-    question exactly, and a one-dimensional kernel spanned by a rank-one
-    matrix yields an exact witness.  Otherwise multistart alternating
-    minimization runs; a witness is returned when the minimum drops below
-    ``residual_abs`` squared.
+    Multistart alternating minimization; a witness is returned when the
+    minimum drops below ``residual_abs`` squared.  The exact kernel paths are
+    a stage of :func:`decide`, ahead of this search.
     """
     cfg = cfg or OracleConfig()
-    n = ch.dim_in
-    K = _natural_representation(ch.kraus)
-    if ch.field == REAL:
-        K = K.real
-    s = np.linalg.svd(K, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    nullity = int(np.count_nonzero(s <= tol.rank_rel * smax)) if smax > 0 else K.shape[1]
-    if nullity == 0:
-        return NoWitness(floor=float(s[-1]), exact=True)
-    if nullity == 1:
-        _, _, vh = np.linalg.svd(K)
-        z = vh[-1].conj()
-        Z = z.reshape(n, n)
-        zu, zs, zvh = np.linalg.svd(Z)
-        if zs.size > 1 and zs[1] <= 1e-8 * zs[0]:
-            x = zu[:, 0]
-            y = zvh[0].conj()
-            if ch.field == REAL:
-                x, y = x.real.astype(complex), y.real.astype(complex)
-            x = x / np.linalg.norm(x)
-            y = y / np.linalg.norm(y)
-            if np.linalg.norm(apply(ch, _outer(x, y))) <= tol.residual_abs:
-                return TensorWitness(x, y, SIMPLE)
-    val, x, y = minimize_simple_pair(ch.kraus, ch.field, cfg, n)
+    val, x, y = minimize_simple_pair(ch.kraus, ch.field, cfg, ch.dim_in)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if val < tol.residual_abs**2:
         return TensorWitness(x, y, SIMPLE)
-    return NoWitness(floor=float(np.sqrt(max(val, 0.0))), exact=False)
+    return NoWitness(floor=float(np.sqrt(max(val, 0.0))))
 
 
 def _channel_pair_maps(K: np.ndarray, n: int):
@@ -463,11 +483,11 @@ def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None,
     n = ch.dim_in
     result = minimize_symmetric_pair(_channel_pair_maps(_natural_representation(ch.kraus), n), n, cfg)
     if result is None:
-        return NoWitness(floor=float("inf"), exact=False)
+        return NoWitness(floor=float("inf"))
     val, x, y = result
     if val < tol.residual_abs**2:
         return TensorWitness(x, y, SYMMETRIC)
-    return NoWitness(floor=float(np.sqrt(max(val, 0.0))), exact=False)
+    return NoWitness(floor=float(np.sqrt(max(val, 0.0))))
 
 
 def is_skew_commutative(u_list, v_list, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -488,8 +508,7 @@ def oracle_verdict(ch: QuantumChannel, outcome, tol: Tolerance = DEFAULT_TOL) ->
 
     A :class:`TensorWitness` gives NOT_PR with its re-verified tensor
     residual and, where derivable, an equal-image pure-state pair.  A
-    :class:`NoWitness` gives PR when it is exact (trivial kernel) and
-    LIKELY_PR otherwise, carrying the observed floor.
+    :class:`NoWitness` gives LIKELY_PR carrying the observed floor.
     """
     if isinstance(outcome, TensorWitness):
         if outcome.kind == SIMPLE:
@@ -503,61 +522,94 @@ def oracle_verdict(ch: QuantumChannel, outcome, tol: Tolerance = DEFAULT_TOL) ->
             state_witness=_to_state_witness(ch, outcome.x, outcome.y, tol),
             residuals={"tensor": float(np.linalg.norm(apply(ch, product)))},
         )
-    status = PR if outcome.exact else LIKELY_PR
     return PRVerdict(
-        status, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor, residuals={}
+        LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor, residuals={}
     )
 
 
-def decide(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
-    """Full phase-retrievability dispatcher.
+def _screen_verdict(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    return necessary_inner_product_check(rec.ch, rec.tol)
 
-    Rank 1 and 2 are decided exactly.  Rank 3 and above run the necessary
-    inner-product screen when the operators are square, then the field's
-    tensor oracle.  NOT_PR verdicts carry re-verifiable certificates and an
-    equal-image pure-state pair whenever one can be derived.
+
+def _screen_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    # In the pipeline the screen runs on square families of three or more
+    # listed operators, whatever the Choi rank; a continuum spectrum leaves
+    # the channel to the stages after it.
+    ch = rec.ch
+    if len(ch.kraus) < 3 or ch.dim_in != ch.dim_out:
+        return None
+    try:
+        return _screen_verdict(rec)
+    except NotFinite:
+        return None
+
+
+def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """Hermitian kernel of ``K = sum_i A_i (x) conj(A_i)``, on both fields.
+
+    Nullity ``n^2 - rank(K)`` 0 proves PR with floor ``sigma_min(K)``; nullity 1
+    spanned by a rank-one ``x y*`` gives NOT_PR with the simple tensor ``(x, y)``.
     """
-    cfg = cfg or OracleConfig()
-    r = choi_rank(ch, tol)
-    if r == 0:
-        if ch.dim_in == 1:
-            # C^1 has a single pure state, so no map can collide two of them;
-            # the verdict is as exact as the rank-one stage's.
-            return PRVerdict(PR, RANK1, EmptyCertificate(), residuals={})
-        # The zero map collides every pair of states.
-        e1 = np.zeros(ch.dim_in, dtype=complex)
-        e1[0] = 1.0
-        e2 = np.zeros(ch.dim_in, dtype=complex)
-        e2[min(1, ch.dim_in - 1)] = 1.0
-        return PRVerdict(
-            NOT_PR,
-            ORACLE_WITNESS,
-            StateWitness(e1, e2),
-            state_witness=StateWitness(e1, e2),
-            residuals={"state": 0.0},
-        )
-    if r == 1:
-        return decide_rank1(ch, tol)
+    ch, tol, n, m = rec.ch, rec.tol, rec.ch.dim_in, rec.ch.dim_out
+    # K realigns the Choi matrix: C[(c, a), (d, b)] = K[(a, b), (c, d)].
+    K = rec.choi.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
+    if ch.field == REAL:
+        K = K.real
+    s = np.linalg.svd(K, compute_uv=False)
+    nullity = n * n - (int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0 else 0)
+    if nullity == 0:
+        floor = float(s[-1])
+        return PRVerdict(PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=floor), floor=floor, residuals={})
+    if nullity == 1:
+        # Singular vectors of a real K are real: the witness is on the field.
+        _, _, vh = np.linalg.svd(K)
+        zu, zs, zvh = np.linalg.svd(vh[-1].conj().reshape(n, n))
+        if zs.size > 1 and zs[1] <= 1e-8 * zs[0]:
+            x, y = zu[:, 0].astype(complex), zvh[0].conj().astype(complex)
+            if np.linalg.norm(apply(ch, _outer(x, y))) <= tol.residual_abs:
+                return oracle_verdict(ch, TensorWitness(x, y, SIMPLE), tol)
+    return None
 
-    # The inner-product screen applies to any square family of three or more
-    # listed operators, whatever the Choi rank; a violation is a sound NOT_PR
-    # certificate and can never contradict the exact rank-2 decision below.
-    if len(ch.kraus) >= 3 and ch.dim_in == ch.dim_out:
-        try:
-            violation = necessary_inner_product_check(ch, tol)
-        except (NotFinite, NotSquare):
-            violation = None
-        if violation is not None:
-            violation.state_witness = _to_state_witness(
-                ch, violation.certificate.x, violation.certificate.y, tol
-            )
-            return violation
 
-    if r == 2:
-        return decide_rank2(ch, tol)
+def _oracle_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
+    oracle = simple_tensor_oracle if rec.ch.field == REAL else symmetric_tensor_oracle
+    return oracle_verdict(rec.ch, oracle(rec.ch, cfg, rec.tol), rec.tol)
 
-    oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
-    return oracle_verdict(ch, oracle(ch, cfg, tol), tol)
+
+# The stage table: ``decide`` runs "full", ``check --method`` any entry.  A
+# stage returns a verdict, or None to pass the channel on.
+METHODS = {
+    "full": (_low_rank_stage, _screen_stage, _rank2_stage, _kernel_stage, _oracle_stage),
+    "exact": (_low_rank_stage, _rank2_stage),
+    # Alone, the screen runs on any square family and its errors propagate.
+    "necessary": (_screen_verdict,),
+    "oracle": (_kernel_stage, _oracle_stage),
+}
+
+
+def decide(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
+    """Full phase-retrievability dispatcher: every stage of ``METHODS["full"]`` in order.
+
+    NOT_PR verdicts carry re-verifiable certificates and an equal-image
+    pure-state pair whenever one can be derived.
+    """
+    return decide_method(ch, "full", cfg, tol)
+
+
+def decide_method(
+    ch: QuantumChannel, method: str, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL
+) -> PRVerdict:
+    """Verdict of the first stage of ``METHODS[method]`` that settles ``ch`` (``check --method``).
+
+    ``exact`` raises :class:`WrongRank` when the Choi-rank stages do not
+    settle the channel; ``necessary`` reports a pass of the screen as
+    LIKELY_PR with method NECESSARY_PASS.
+    """
+    rec, cfg = _ChannelRecord(ch, tol), cfg or OracleConfig()
+    verdict = next((v for stage in METHODS[method] if (v := stage(rec, cfg)) is not None), None)
+    if verdict is None and method == "exact":
+        raise WrongRank(f"the exact stages need Choi rank <= 2, channel has rank {rec.rank}")
+    return verdict or PRVerdict(LIKELY_PR, NECESSARY_PASS, EmptyCertificate(), residuals={})
 
 
 def verify_certificate(ch: QuantumChannel, verdict: PRVerdict, tol: Tolerance = DEFAULT_TOL) -> dict:

@@ -118,33 +118,16 @@ def _det_poly_square(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.fft.fft(vals) / k
 
 
-def _cluster_roots(cands, radius):
-    """Group candidates within ``radius`` of each other; returns list of clusters."""
+def _cluster_roots(items, radius, root=lambda z: z):
+    """Greedy clusters: each item joins the first cluster whose first root lies within ``radius``."""
     clusters = []
-    for z in cands:
-        placed = False
+    for item in items:
         for cl in clusters:
-            if abs(z - cl[0]) <= radius:
-                cl.append(z)
-                placed = True
+            if abs(root(item) - root(cl[0])) <= radius:
+                cl.append(item)
                 break
-        if not placed:
-            clusters.append([z])
-    return clusters
-
-
-def _cluster_pairs(pairs, radius):
-    """Like :func:`_cluster_roots` but for (root, score) pairs, clustered on the root."""
-    clusters = []
-    for lam, sv in pairs:
-        placed = False
-        for cl in clusters:
-            if abs(lam - cl[0][0]) <= radius:
-                cl.append((lam, sv))
-                placed = True
-                break
-        if not placed:
-            clusters.append([(lam, sv)])
+        else:
+            clusters.append([item])
     return clusters
 
 
@@ -227,7 +210,7 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         if (sv := smallest_singular_value(Pn + lam * Qn)) <= margin
     ]
     kept = []
-    for cl in _cluster_pairs(verified, tol.root_cluster):
+    for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
         lam_best, _ = min(cl, key=lambda pair: pair[1])
         kept.append(lam_best)
     kept.sort(key=lambda z: (z.real, z.imag))

@@ -54,6 +54,20 @@ def test_check_method_restrictions():
     assert res.returncode == 1
 
 
+def test_check_method_necessary_pass_has_its_own_label():
+    res = run_cli("check", str(FIXTURES / "identity2.json"), "--method", "necessary", "--output", "json")
+    assert res.returncode == 2
+    verdict = json.loads(res.stdout)["verdict"]
+    assert verdict["status"] == "LIKELY_PR" and verdict["method"] == "NECESSARY_PASS"
+
+
+def test_check_method_oracle_runs_kernel_stage():
+    res = run_cli("check", str(FIXTURES / "identity2.json"), "--method", "oracle", "--output", "json")
+    assert res.returncode == 0
+    verdict = json.loads(res.stdout)["verdict"]
+    assert verdict["status"] == "PR" and verdict["floor"] == pytest.approx(1.0)
+
+
 def test_check_method_oracle_reports_residuals():
     res = run_cli(
         "check", str(FIXTURES / "example_2_6.json"), "--method", "oracle", "--restarts", "16", "--output", "json"

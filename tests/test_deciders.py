@@ -24,7 +24,7 @@ from prchannels import (
     symmetric_tensor_oracle,
     verify_certificate,
 )
-from prchannels.deciders import NECESSARY_VIOLATION, ORACLE_WITNESS, RANK1, RANK2_EXACT
+from prchannels.deciders import NECESSARY_VIOLATION, ORACLE_NO_WITNESS, ORACLE_WITNESS, RANK1, RANK2_EXACT
 from prchannels.errors import NotSquare, WrongField, WrongRank
 from prchannels.serialize import dumps, verdict_to_json
 
@@ -48,6 +48,23 @@ def test_decide_rank1():
     assert verdict.status == PR and verdict.method == RANK1
     with pytest.raises(WrongRank):
         decide_rank1(fixture("dephasing"))
+
+
+def test_rank1_non_injective_is_not_pr():
+    # [[1, 0]] maps (e1 + e2)/sqrt2 and (e1 - e2)/sqrt2 to the same 0.5.
+    ch = QuantumChannel(2, 1, [[[1, 0]]])
+    for verdict in (decide(ch), decide_rank1(ch)):
+        assert verdict.status == NOT_PR and verdict.method == RANK1
+        res = verify_certificate(ch, verdict)
+        assert res["state"] <= 1e-12 and res["separation"] >= 0.05
+    # Two listed copies of a singular real operator: still Choi rank 1.
+    P = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    ch = QuantumChannel(3, 3, [P / np.sqrt(2), P / np.sqrt(2)], REAL)
+    verdict = decide(ch)
+    assert verdict.status == NOT_PR and verdict.method == RANK1
+    assert np.all(verdict.state_witness.x.imag == 0) and np.all(verdict.state_witness.y.imag == 0)
+    res = verify_certificate(ch, verdict)
+    assert res["state"] <= 1e-12 and res["separation"] >= 0.05
 
 
 def test_decide_rank2_dephasing():
@@ -149,10 +166,37 @@ def test_necessary_check_dephasing_and_identity():
     assert necessary_inner_product_check(fixture("identity", 2)) is None
 
 
-def test_simple_oracle_identity_fast_path():
-    outcome = simple_tensor_oracle(fixture("identity", 2))
-    assert isinstance(outcome, NoWitness) and outcome.exact
-    assert outcome.floor == pytest.approx(1.0)
+def _natural_sigma_min(ch):
+    K = sum(np.kron(A, A.conj()) for A in ch.kraus)
+    return np.linalg.svd(K, compute_uv=False)[-1]
+
+
+def test_trivial_kernel_real_is_pr_with_sigma_min_floor():
+    ch = random_cptp(3, 3, 3, REAL, np.random.default_rng(4))
+    verdict = decide(ch)
+    assert verdict.status == PR and verdict.method == ORACLE_NO_WITNESS
+    assert verdict.floor == pytest.approx(_natural_sigma_min(ch), rel=1e-10)
+
+
+def test_trivial_kernel_complex_is_pr():
+    # An injective natural representation proves PR on the complex field too,
+    # without running the symmetric-product search.
+    ch = random_cptp(3, 3, 3, COMPLEX, np.random.default_rng(1))
+    verdict = decide(ch)
+    assert verdict.status == PR and verdict.method == ORACLE_NO_WITNESS
+    assert verdict.floor == pytest.approx(_natural_sigma_min(ch), rel=1e-10)
+
+
+def test_wide_real_map_is_not_pr():
+    # K is 4 x 9, so its kernel has dimension at least 5: the nullity is
+    # counted among the n^2 columns, not among min(m^2, n^2) singular values.
+    rng = np.random.default_rng(0)
+    ch = QuantumChannel(3, 2, [rng.normal(size=(2, 3)) for _ in range(3)], REAL)
+    verdict = decide(ch)
+    assert verdict.status == NOT_PR
+    res = verify_certificate(ch, verdict)
+    assert res["tensor"] <= 1e-8
+    assert res["state"] <= 1e-8 and res["separation"] >= 0.05
 
 
 def test_simple_oracle_no_witness_on_projector_channel():

@@ -48,7 +48,7 @@ def corpus():
     """``(key, channel)`` for every corpus item, in a fixed order."""
     items = []
     rng = _rng(1)
-    # Complex channels with a trivial Hermitian kernel: full searches, LIKELY_PR.
+    # Complex channels with a trivial Hermitian kernel: PR from the kernel stage.
     for instance in range(2):
         for n in (3, 4, 5, 6):
             for r, m in ((3, n), (4, n + 2)):
