@@ -37,8 +37,8 @@ import numpy as np
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
 from .channels import QuantumChannel, apply, choi_matrix, minimal_kraus_from_choi
 from .errors import DimensionMismatch, NotFinite, NotSquare, WrongField, WrongRank
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, kernel_basis, numerical_rank
-from .spectra import SpectrumPoint, pencil_singular_set
+from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, numerical_rank
+from .spectra import SpectrumPoint, _pencil_points, pencil_singular_set
 
 PR = "PR"
 NOT_PR = "NOT_PR"
@@ -231,9 +231,7 @@ def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     u, z = vh[0].conj().astype(complex), vh[-1].conj().astype(complex)
     sw = StateWitness((u + z) / np.sqrt(2.0), (u - z) / np.sqrt(2.0))
     state = float(np.linalg.norm(apply(ch, _outer(sw.x, sw.x)) - apply(ch, _outer(sw.y, sw.y))))
-    # The zero map keeps its ORACLE_WITNESS label, for serialized verdicts.
-    method = RANK1 if rec.rank else ORACLE_WITNESS
-    return PRVerdict(NOT_PR, method, sw, state_witness=sw, residuals={"state": state})
+    return PRVerdict(NOT_PR, RANK1, sw, state_witness=sw, residuals={"state": state})
 
 
 def decide_rank1(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
@@ -319,7 +317,7 @@ class _Continuum(Exception):
     pass
 
 
-def _refine_spectrum(Aj, coords_done, remaining, V, tol, probe_rng):
+def _refine_spectrum(Aj, coords_done, remaining, V, tol, j):
     """Depth-first refinement of the joint kernel across coordinate pencils.
 
     Coordinates whose restricted pencil has a finite singular set are consumed
@@ -336,27 +334,32 @@ def _refine_spectrum(Aj, coords_done, remaining, V, tol, probe_rng):
         if ss.is_all:
             continue
         rest = remaining[:pos] + remaining[pos + 1 :]
-        for root in ss.roots:
-            R = (Ai - root * Aj) @ V
-            kern = kernel_basis(R, tol)
-            if not kern:
-                kern = [_smallest_right_vector(R)]
-            W = np.column_stack(kern)
-            yield from _refine_spectrum(
-                Aj, {**coords_done, idx: root}, rest, V @ W, tol, probe_rng
-            )
+        for root, W in zip(ss.roots, _root_kernels(Ai, Aj, V, ss.roots, tol)):
+            yield from _refine_spectrum(Aj, {**coords_done, idx: root}, rest, V @ W, tol, j)
         return
     # Every remaining coordinate pencil is singular on all of the plane.
     # Probe a few random points of the first one: a persistent joint kernel
     # certifies a continuum of spectrum points.
     idx, Ai = remaining[0]
-    hits = 0
-    for _ in range(3):
-        lam = complex(probe_rng.normal(), probe_rng.normal())
-        R = (Ai - lam * Aj) @ V
-        if numerical_rank(R, tol) < V.shape[1]:
-            hits += 1
+    rng = np.random.default_rng(np.random.SeedSequence([0x9B, j]))
+    lams = [complex(rng.normal(), rng.normal()) for _ in range(3)]
+    s = np.linalg.svd(_pencil_points(Ai, -Aj, lams) @ V, compute_uv=False)
+    hits = sum(int(np.count_nonzero(sk > tol.rank_rel * sk[0])) < V.shape[1] for sk in s)
     raise _Continuum(f"coordinate {idx} stays singular at {hits}/3 random probes")
+
+
+def _root_kernels(Ai, Aj, V, roots, tol):
+    """For each root, the kernel of ``(Ai - root Aj) V`` as orthonormal columns.
+
+    One stacked SVD; per root the same columns as :func:`kernel_basis`, or the
+    smallest right singular vector when that kernel is numerically trivial.
+    """
+    if not roots:
+        return
+    _, s, vh = np.linalg.svd(_pencil_points(Ai, -Aj, roots) @ V)
+    for sk, vhk in zip(s, vh):
+        kern = vhk[sk <= tol.rank_rel * sk[0]]
+        yield np.ascontiguousarray((kern if kern.size else vhk[-1:]).conj().T)
 
 
 def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAULT_TOL):
@@ -375,21 +378,27 @@ def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAUL
     n = ch.dim_in
     if not others:
         return []
-    probe_rng = np.random.default_rng(np.random.SeedSequence([0x9B, j]))
-    points = []
     try:
-        for coords, V in _refine_spectrum(Aj, {}, others, np.eye(n, dtype=complex), tol, probe_rng):
-            lam = np.array([coords[i] for i, _ in others], dtype=complex)
-            stack = np.vstack([Ai - coords[i] * Aj for i, Ai in others])
-            witness = _smallest_right_vector(stack)
-            scale = max(1.0, max(np.linalg.norm(Ai) for _, Ai in others))
-            if np.linalg.norm(stack @ witness) > tol.residual_abs * scale:
-                witness = V[:, 0] / np.linalg.norm(V[:, 0])
-                if np.linalg.norm(stack @ witness) > tol.residual_abs * scale:
-                    continue
-            points.append(SpectrumPoint(lam=lam, witness=witness))
+        found = list(_refine_spectrum(Aj, {}, others, np.eye(n, dtype=complex), tol, j))
     except _Continuum:
         return NOT_FINITE
+
+    if not found:
+        return []
+    # One witness candidate per point from one stacked SVD: the smallest right
+    # singular vector of the stacked residual operators.
+    stacks = np.array([np.vstack([Ai - coords[i] * Aj for i, Ai in others]) for coords, _ in found])
+    _, _, vh = np.linalg.svd(stacks)
+    scale = max(1.0, max(np.linalg.norm(Ai) for _, Ai in others))
+    points = []
+    for (coords, V), stack, vhp in zip(found, stacks, vh):
+        lam = np.array([coords[i] for i, _ in others], dtype=complex)
+        witness = vhp[-1].conj()
+        if np.linalg.norm(stack @ witness) > tol.residual_abs * scale:
+            witness = V[:, 0] / np.linalg.norm(V[:, 0])
+            if np.linalg.norm(stack @ witness) > tol.residual_abs * scale:
+                continue
+        points.append(SpectrumPoint(lam=lam, witness=witness))
 
     deduped: list[SpectrumPoint] = []
     for p in points:

@@ -8,11 +8,21 @@ only if the smallest singular value of the pencil at that point actually
 vanishes.  Common zeros of all minors are contained in the zeros of any single
 nonzero minor, so the construction never misses a true singular point while
 the verification step removes the spurious ones.
+
+The matrices are tiny, so the cost is in the number of LAPACK calls, not in
+their size.  Every evaluation of a pencil at several points is one stacked
+call: one ``det`` over the interpolation nodes of a polynomial, one values-only
+SVD over all candidate roots, one over the three degeneracy probes.  Stacked
+and looped calls give the same bits slice by slice, so the results are those
+of the point-by-point evaluation.  The guard matrix and the probe points depend
+only on the seed and the pencil's shape; they are drawn once per shape and
+shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +36,6 @@ from .linalg import (
     kernel_basis,
     numerical_rank,
     poly_roots,
-    smallest_singular_value,
     trim_polynomial,
 )
 
@@ -108,12 +117,30 @@ def in_relative_spectrum(a_ops, b_ops, lam, tol: Tolerance = DEFAULT_TOL):
     return True, kern[0]
 
 
+def _pencil_points(P: np.ndarray, Q: np.ndarray, lams) -> np.ndarray:
+    """``P + lam Q`` for every ``lam``, stacked along a new first axis.
+
+    Elementwise the same bits as ``P + lam * Q`` with a Python scalar ``lam``,
+    except that numpy rounds a one-element array-by-array product differently,
+    so a single point keeps the scalar form.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    if lams.size == 1:
+        return (P + complex(lams[0]) * Q)[None]
+    return P + lams[:, None, None] * Q
+
+
+def _smallest_singular_values(P: np.ndarray, Q: np.ndarray, lams) -> np.ndarray:
+    """Smallest singular value of ``P + lam Q`` (at least as many rows as columns) for every ``lam``."""
+    return np.linalg.svd(_pencil_points(P, Q, lams), compute_uv=False)[:, -1]
+
+
 def _det_poly_square(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Ascending coefficients of det(P + lam Q) by interpolation at roots of unity."""
     n = P.shape[0]
     k = n + 1
     nodes = np.exp(2j * np.pi * np.arange(k) / k)
-    vals = np.array([np.linalg.det(P + t * Q) for t in nodes])
+    vals = np.linalg.det(_pencil_points(P, Q, nodes))
     # vals[j] = sum_t c_t * exp(+2 pi i j t / k), so the forward FFT recovers c.
     return np.fft.fft(vals) / k
 
@@ -144,6 +171,21 @@ def _significant_poly(coeffs, floor: float = 1e-12):
     return c
 
 
+@lru_cache(maxsize=64)
+def _seeded_draws(seed: int, n: int, m: int):
+    """The guard matrix R (n x m) and three probe points, read-only.
+
+    Drawn in the engine's original order: R's real part, its imaginary part,
+    then the probes (used only when every minor sits at noise level).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC7]))
+    R = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    probes = np.array([complex(rng.normal(), rng.normal()) for _ in range(3)])
+    R.flags.writeable = False
+    probes.flags.writeable = False
+    return R, probes
+
+
 def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> SingularSet:
     """The set of ``lam`` at which the tall pencil ``P + lam Q`` is not injective.
 
@@ -163,7 +205,7 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
     Pn = Pm / scale
     Qn = Qm / scale
     margin = 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
-    rng = np.random.default_rng(np.random.SeedSequence([abs(int(seed)), 0x5EC7]))
+    R, probes = _seeded_draws(abs(int(seed)), n, m)
 
     # First nonzero maximal minor, lexicographic row-subset order.
     first_poly = None
@@ -177,17 +219,16 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
 
     # Guard: det(R (P + lam Q)) is, by Cauchy-Binet, a random linear
     # combination of all maximal minors.
-    R = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    guard_poly = _significant_poly(_det_poly_square(R @ Pn, R @ Qn))
+    guard_coeffs = _det_poly_square(R @ Pn, R @ Qn)
+    guard_poly = _significant_poly(guard_coeffs)
 
     if first_poly is None and guard_poly is None:
         # Every minor sits at noise level.  Confirm the degeneracy with a few
         # random probes; a full-rank probe means the minors were genuinely
         # tiny, in which case their noisy roots are still usable candidates.
-        probes = [complex(rng.normal(), rng.normal()) for _ in range(3)]
-        if all(smallest_singular_value(Pn + lam * Qn) <= margin for lam in probes):
+        if np.all(_smallest_singular_values(Pn, Qn, probes) <= margin):
             return SingularSet(ALL_OF_C, [])
-        guard_poly = trim_polynomial(_det_poly_square(R @ Pn, R @ Qn))
+        guard_poly = trim_polynomial(guard_coeffs)
         if guard_poly.size == 0:
             return SingularSet(FINITE, [])
 
@@ -204,11 +245,8 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         if len(cl) > 1:
             candidates.append(complex(np.mean(cl)))
 
-    verified = [
-        (lam, sv)
-        for lam in candidates
-        if (sv := smallest_singular_value(Pn + lam * Qn)) <= margin
-    ]
+    svs = _smallest_singular_values(Pn, Qn, candidates) if candidates else []
+    verified = [(lam, float(sv)) for lam, sv in zip(candidates, svs) if sv <= margin]
     kept = []
     for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
         lam_best, _ = min(cl, key=lambda pair: pair[1])

@@ -3,6 +3,7 @@ import pytest
 
 from prchannels import (
     COMPLEX,
+    DEFAULT_TOL,
     NOT_FINITE,
     NOT_PR,
     PR,
@@ -18,17 +19,26 @@ from prchannels import (
     decide_rank2,
     fixture,
     is_skew_commutative,
+    kernel_basis,
     necessary_inner_product_check,
+    pencil_singular_set,
     scalar_relative_spectrum,
     simple_tensor_oracle,
     symmetric_tensor_oracle,
     verify_certificate,
 )
-from prchannels.deciders import NECESSARY_VIOLATION, ORACLE_NO_WITNESS, ORACLE_WITNESS, RANK1, RANK2_EXACT
+from prchannels.deciders import (
+    NECESSARY_VIOLATION,
+    ORACLE_NO_WITNESS,
+    ORACLE_WITNESS,
+    RANK1,
+    RANK2_EXACT,
+    _root_kernels,
+)
 from prchannels.errors import NotSquare, WrongField, WrongRank
 from prchannels.serialize import dumps, verdict_to_json
 
-from helpers import random_cptp, random_unitary, rho
+from helpers import rand_matrix, random_cptp, random_unitary, rho
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -141,6 +151,103 @@ def test_scalar_relative_spectrum_continuum():
     P = np.diag([1.0, 0.0]).astype(complex)
     ch = QuantumChannel(2, 2, [P, P], COMPLEX)
     assert scalar_relative_spectrum(ch, 0) is NOT_FINITE
+
+
+class _ReferenceContinuum(Exception):
+    pass
+
+
+def _reference_refine(Aj, coords_done, remaining, V, branches):
+    """Point-by-point refinement: one kernel SVD per root."""
+    if V.shape[1] == 0:
+        return
+    if not remaining:
+        yield coords_done, V
+        return
+    for pos, (idx, Ai) in enumerate(remaining):
+        ss = pencil_singular_set(Ai @ V, -(Aj @ V))
+        if ss.is_all:
+            continue
+        rest = remaining[:pos] + remaining[pos + 1 :]
+        for root in ss.roots:
+            R = (Ai - root * Aj) @ V
+            kern = kernel_basis(R)
+            branches.add("kernel_fallback" if not kern else f"kernel_dim_{min(len(kern), 2)}")
+            if not kern:
+                kern = [np.linalg.svd(R)[2][-1].conj()]
+            yield from _reference_refine(Aj, {**coords_done, idx: root}, rest, V @ np.column_stack(kern), branches)
+        return
+    raise _ReferenceContinuum
+
+
+def _reference_spectrum(ch, j, branches):
+    """Point-by-point scalar relative spectrum: one witness SVD per point."""
+    ops = ch.kraus
+    Aj = ops[j]
+    others = [(i, ops[i]) for i in range(len(ops)) if i != j]
+    points = []
+    try:
+        for coords, V in _reference_refine(Aj, {}, others, np.eye(ch.dim_in, dtype=complex), branches):
+            lam = np.array([coords[i] for i, _ in others], dtype=complex)
+            stack = np.vstack([Ai - coords[i] * Aj for i, Ai in others])
+            witness = np.linalg.svd(stack)[2][-1].conj()
+            scale = max(1.0, max(np.linalg.norm(Ai) for _, Ai in others))
+            if np.linalg.norm(stack @ witness) > 1e-8 * scale:
+                witness = V[:, 0] / np.linalg.norm(V[:, 0])
+                if np.linalg.norm(stack @ witness) > 1e-8 * scale:
+                    continue
+            points.append((lam, witness))
+    except _ReferenceContinuum:
+        return NOT_FINITE
+    deduped = []
+    for lam, w in points:
+        if not any(np.all(np.abs(lam - q) <= 1e-7) for q, _ in deduped):
+            deduped.append((lam, w))
+    deduped.sort(key=lambda p: tuple((z.real, z.imag) for z in p[0]))
+    return deduped
+
+
+def test_scalar_relative_spectrum_matches_pointwise_reference():
+    rng = np.random.default_rng(31)
+    channels = [fixture("example_2_11"), QuantumChannel(2, 2, [np.diag([1.0, 0.0])] * 2, COMPLEX)]
+    for n in (1, 2, 3, 4):
+        for field in (COMPLEX, REAL):
+            # A shared kernel direction plus the identity: finite nonempty spectra.
+            D = np.diag([1.0] * (n - 1) + [0.0])
+            channels.append(QuantumChannel(n, n, [rand_matrix(rng, n, n, field) @ D + np.eye(n) for _ in range(3)], field))
+            # Simultaneously diagonalizable with repeated eigenvalues: kernels of dimension 2.
+            S = rand_matrix(rng, n, n, field)
+            diag = [np.diag(rng.integers(-1, 2, size=n).astype(complex)) + (k == 0) * np.eye(n) for k in range(3)]
+            channels.append(QuantumChannel(n, n, [S @ d @ np.linalg.inv(S) for d in diag], field))
+    branches = set()
+    for ch in channels:
+        for j in range(len(ch.kraus)):
+            expected = _reference_spectrum(ch, j, branches)
+            got = scalar_relative_spectrum(ch, j)
+            if expected is NOT_FINITE:
+                assert got is NOT_FINITE
+                continue
+            assert len(got) == len(expected)
+            for p, (lam, witness) in zip(got, expected):
+                assert np.array_equal(p.lam, lam) and np.array_equal(p.witness, witness)
+    assert branches >= {"kernel_fallback", "kernel_dim_1", "kernel_dim_2"}
+
+
+def test_root_kernels_match_kernel_basis():
+    # Bitwise, per root: the numerical kernel, or the smallest right singular
+    # vector when the kernel is trivial (the off-pencil point 0.3 + 0.1j).
+    rng = np.random.default_rng(32)
+    for n, k in ((1, 1), (2, 1), (3, 2), (4, 4)):
+        Ai, Aj = rand_matrix(rng, n, n, COMPLEX), rand_matrix(rng, n, n, COMPLEX)
+        V = rand_matrix(rng, n, k, COMPLEX)
+        pencil_roots = pencil_singular_set(Ai @ V, -(Aj @ V)).roots
+        for roots in (pencil_roots, pencil_roots + [0.3 + 0.1j], [0.3 + 0.1j]):
+            got = list(_root_kernels(Ai, Aj, V, roots, DEFAULT_TOL))
+            assert len(got) == len(roots)
+            for root, W in zip(roots, got):
+                R = (Ai - root * Aj) @ V
+                kern = kernel_basis(R) or [np.linalg.svd(R)[2][-1].conj()]
+                assert np.array_equal(W, np.column_stack(kern))
 
 
 def test_scalar_relative_spectrum_requires_square():
@@ -318,6 +425,8 @@ def test_zero_channel_is_not_pr():
     ch = QuantumChannel(2, 2, [np.zeros((2, 2), dtype=complex)], COMPLEX)
     verdict = decide(ch)
     assert verdict.status == NOT_PR
+    # Settled by the rank 0/1 stage: no oracle runs.
+    assert verdict.method == RANK1
     assert isinstance(verdict.certificate, StateWitness)
 
 
