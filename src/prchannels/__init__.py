@@ -1,8 +1,9 @@
 """Phase-retrievability analysis and synthesis for finite-dimensional quantum channels.
 
 The package decides whether a channel given in Kraus form separates pure
-states: exactly for Choi rank up to two and for a trivial Hermitian kernel,
-and one-sidedly with machine checkable certificates otherwise.  It also
+states: exactly for Choi rank up to two and for a Hermitian kernel of
+dimension at most one, and one-sidedly with machine checkable certificates
+otherwise.  Complex frames are decided as their measurement channels.  It also
 constructs channels that do phase retrieval with a minimal number of
 rank-one observables, plus the matching negative examples.
 """

@@ -11,16 +11,19 @@ the channel gives the verdict:
    both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the two
    pencil singular sets are computed and intersected after reflecting the
    second one.
-4. Hermitian kernel, on both fields: a trivial kernel of the natural
-   representation ``K = sum_i A_i (x) conj(A_i)`` proves PR, since no
-   nonzero ``xx* - yy*`` is annihilated (Bandeira, Cahill, Mixon, Nelson,
-   "Saving phase", ACHA 2014).
+4. Hermitian kernel, on both fields: the channel fails precisely when some
+   nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on the
+   real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA 2014).
+   Kernel dimension 0 proves PR.  At dimension 1 the spanning matrix decides
+   exactly: at most one positive and one negative eigenvalue gives NOT_PR
+   with ``(x, y)`` read off its eigenvectors, any other signature gives PR.
 5. One-sided oracle: a minimizer searches for an annihilated simple tensor
    (real field) or symmetric product (complex field).  A found witness
    certifies NOT_PR; absence of a witness is only LIKELY_PR.
 
 ``check --method`` runs named sub-lists of the table (:data:`METHODS`), and
-every stage reads one per-call record holding the Choi matrix and its rank.
+every stage reads one per-call record holding the Choi matrix, its rank and
+the natural representation ``K = sum_i A_i (x) conj(A_i)``.
 
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
@@ -30,6 +33,7 @@ pure states with identical images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -50,6 +54,7 @@ NECESSARY_VIOLATION = "NECESSARY_VIOLATION"
 ORACLE_WITNESS = "ORACLE_WITNESS"
 ORACLE_NO_WITNESS = "ORACLE_NO_WITNESS"
 NECESSARY_PASS = "NECESSARY_PASS"
+HERMITIAN_KERNEL = "HERMITIAN_KERNEL"
 
 SIMPLE = "simple"
 SYMMETRIC = "symmetric"
@@ -74,6 +79,7 @@ __all__ = [
     "ORACLE_WITNESS",
     "ORACLE_NO_WITNESS",
     "NECESSARY_PASS",
+    "HERMITIAN_KERNEL",
     "SIMPLE",
     "SYMMETRIC",
     "NOT_FINITE",
@@ -203,13 +209,16 @@ def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tol
 
 
 class _ChannelRecord:
-    """What every stage of one call reads: the channel, its Choi matrix and Choi rank."""
+    """What every stage of one call reads: the channel, its Choi matrix and Choi rank,
+    and the natural representation ``K`` (real on the real field)."""
 
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
         self.tol = tol
         self.choi = choi_matrix(ch)
         self.rank = numerical_rank(self.choi, tol)
+        K = _natural_representation(ch.kraus)
+        self.K = K.real if ch.field == REAL else K
 
 
 def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
@@ -438,10 +447,15 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
 
 
 def _natural_representation(kraus) -> np.ndarray:
-    """``sum_i A_i (x) conj(A_i)``: row ``(a, b)``, column ``(c, d)`` holds ``sum_i A_i[a, c] conj(A_i[b, d])``."""
+    """``sum_i A_i (x) conj(A_i)``: row ``(a, b)``, column ``(c, d)`` holds ``sum_i A_i[a, c] conj(A_i[b, d])``.
+
+    One product of the flattened operators gives the entries indexed
+    ``((a, c), (b, d))``; a transpose realigns them.
+    """
     A = np.stack(kraus)
-    _, m, n = A.shape
-    return np.einsum("iac,ibd->abcd", A, A.conj()).reshape(m * m, n * n)
+    r, m, n = A.shape
+    F = A.reshape(r, m * n)
+    return (F.T @ F.conj()).reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
 
 
 def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
@@ -553,30 +567,76 @@ def _screen_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
         return None
 
 
-def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
-    """Hermitian kernel of ``K = sum_i A_i (x) conj(A_i)``, on both fields.
+@lru_cache(maxsize=16)
+def _hermitian_basis(n: int, field: str) -> np.ndarray:
+    """Frobenius-orthonormal basis of Herm(n) (Sym(n) on the real field) as columns ``vec(B)``, read-only.
 
-    Nullity ``n^2 - rank(K)`` 0 proves PR with floor ``sigma_min(K)``; nullity 1
-    spanned by a rank-one ``x y*`` gives NOT_PR with the simple tensor ``(x, y)``.
+    The diagonal units, ``(E_ab + E_ba)/sqrt(2)`` and, on the complex field,
+    ``i (E_ba - E_ab)/sqrt(2)`` for ``a < b``.  Built once per shape: ``K``
+    times it combines ``K``'s columns into the restriction to Herm(n).
     """
-    ch, tol, n, m = rec.ch, rec.tol, rec.ch.dim_in, rec.ch.dim_out
-    # K realigns the Choi matrix: C[(c, a), (d, b)] = K[(a, b), (c, d)].
-    K = rec.choi.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
-    if ch.field == REAL:
-        K = K.real
-    s = np.linalg.svd(K, compute_uv=False)
-    nullity = n * n - (int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0 else 0)
-    if nullity == 0:
+    eye = np.eye(n * n)
+    a, b = np.triu_indices(n, 1)
+    ab, ba = a * n + b, b * n + a
+    cols = [eye[:, :: n + 1], (eye[:, ab] + eye[:, ba]) / np.sqrt(2.0)]
+    if field == COMPLEX:
+        cols.append(1j * (eye[:, ba] - eye[:, ab]) / np.sqrt(2.0))
+    T = np.hstack(cols)
+    T.flags.writeable = False
+    return T
+
+
+def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """Kernel of the channel on Herm(n) (complex field) or Sym(n) (real field).
+
+    The channel fails precisely when a nonzero ``H = xx* - yy*`` lies in this
+    kernel.  One values-only SVD of the restriction gives its dimension d and
+    singular values; ``sigma_r`` is the smallest one kept.
+
+    d = 0 proves PR with floor ``sigma_min``.  d = 1 with n >= 2 is decided by
+    the unit spanning matrix ``H1`` with eigenvalues ``l1 >= ... >= ln``:
+
+    * ``x = sqrt(|l1|) p`` and ``y = sqrt(|ln|) q`` from the extreme eigenvectors
+      give NOT_PR when ``Phi(xx* - yy*)`` vanishes relative to
+      ``sum_i ||A_i||_F^2``, which holds when ``H1`` has at most one positive
+      and one negative eigenvalue.
+    * Otherwise ``gamma = max(l2, -l_{n-1}) > 0`` proves PR with floor
+      ``sigma_r gamma / sqrt(2)``.  A unit H of bad signature has ``l2 <= 0``
+      and ``l_{n-1} >= 0``; write ``H = c H1 + Hp`` with ``Hp`` orthogonal to
+      ``H1``.  By Weyl's inequality ``|c| gamma <= ||Hp||_2 <= ||Hp||_F``, and
+      ``c^2 + ||Hp||_F^2 = 1``, so ``||Hp||_F >= gamma / sqrt(1 + gamma^2)``
+      and ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``,
+      at least the floor since ``gamma <= 1``.
+
+    Anything else is left to the oracle.
+    """
+    ch, tol, n = rec.ch, rec.tol, rec.ch.dim_in
+    T = _hermitian_basis(n, ch.field)
+    M = rec.K @ T
+    if ch.field == COMPLEX:
+        # Real and imaginary rows keep the norms of the complex images.
+        M = np.concatenate((M.real, M.imag))
+    s = np.linalg.svd(M, compute_uv=False)
+    rank = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0 else 0
+    d = M.shape[1] - rank
+    if d == 0:
         floor = float(s[-1])
-        return PRVerdict(PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    if nullity == 1:
-        # Singular vectors of a real K are real: the witness is on the field.
-        _, _, vh = np.linalg.svd(K)
-        zu, zs, zvh = np.linalg.svd(vh[-1].conj().reshape(n, n))
-        if zs.size > 1 and zs[1] <= 1e-8 * zs[0]:
-            x, y = zu[:, 0].astype(complex), zvh[0].conj().astype(complex)
-            if np.linalg.norm(apply(ch, _outer(x, y))) <= tol.residual_abs:
-                return oracle_verdict(ch, TensorWitness(x, y, SIMPLE), tol)
+        return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
+    if d > 1 or n < 2:
+        return None
+    # A real M has real singular vectors: on the real field H1, p and q are real.
+    w, v = np.linalg.eigh((T @ np.linalg.svd(M)[2][-1]).reshape(n, n))
+    x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
+    res = float(np.linalg.norm(apply(ch, _outer(x, x) - _outer(y, y))))
+    # The Choi trace is sum_i ||A_i||_F^2.
+    if res <= tol.residual_abs * rec.choi.trace().real:
+        # The symmetric product of ((x + y)/sqrt2, (x - y)/sqrt2) is xx* - yy*.
+        cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
+        return PRVerdict(NOT_PR, HERMITIAN_KERNEL, cert, state_witness=StateWitness(x, y), residuals={"tensor": res})
+    gamma = max(w[-2], -w[1])
+    if gamma > tol.residual_abs:
+        floor = float(s[rank - 1] * gamma / np.sqrt(2.0))
+        return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
     return None
 
 

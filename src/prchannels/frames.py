@@ -1,12 +1,13 @@
 """Vector frames: bounds, Parseval normalization, complement property, retrievability.
 
 Phase retrievability of a real frame is decided exactly through the
-complement property.  For complex frames the decision problem is
-semialgebraic, so the test is one sided: a failure is certified by an
-explicit pair of vectors with identical phaseless measurements, while success
-is only ever reported as "likely".  The complex search runs over differences
-of rank-one projections written as symmetric products, which reduces it to
-the same alternating bilinear minimization used by the channel oracles.
+complement property.  A complex frame is decided by :func:`decide` on its
+measurement channel ``X -> sum_j (f_j* X f_j) e_j e_j*``, which separates
+pure states exactly when the frame does.  That is exact whenever the
+channel's Hermitian kernel has dimension at most one (for instance ``n^2 - 1``
+or more generic vectors); beyond it the test is one sided: a failure is
+certified by an explicit pair of vectors with identical phaseless
+measurements, while success is only reported as "likely".
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bilinear import OracleConfig, minimize_symmetric_pair
+# minimize_symmetric_pair is not called here; perfbench's tracer checks this binding.
+from .bilinear import OracleConfig, minimize_symmetric_pair  # noqa: F401
+from .channels import QuantumChannel
+from .deciders import NOT_PR, PR, decide
 from .errors import NotAFrame, TooManyVectors
 from .linalg import (
     COMPLEX,
@@ -153,36 +157,27 @@ def complement_property(f: Frame, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _failing_bipartition(f, tol) is None
 
 
-def _measurements(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.abs(vectors.conj() @ x) ** 2
+def _measurement_channel(f: Frame) -> QuantumChannel:
+    """The channel ``X -> sum_j (f_j* X f_j) e_j e_j*`` of the unit-normalized nonzero vectors.
 
-
-def _frame_pair_maps(vectors: np.ndarray):
-    """Real-linear measurement map of the symmetric product against each vector."""
-
-    def pair_maps(u):
-        alpha = vectors.conj() @ u
-        left = alpha[:, None] * vectors  # acts on conj(v)
-        right = alpha.conj()[:, None] * vectors.conj()  # acts on v
-        return left, right
-
-    return pair_maps
+    Its Kraus operators are ``e_j f_j*``.  Rescaling a vector rescales one
+    measurement, so the channel separates pure states exactly when the frame
+    does.
+    """
+    V = f.vectors[np.any(f.vectors != 0, axis=1)]
+    kraus = [np.outer(e, v.conj()) / np.linalg.norm(v) for e, v in zip(np.eye(len(V)), V)]
+    return QuantumChannel(f.dim, len(V), kraus, f.field)
 
 
 def _real_no_witness(f: Frame, tol: Tolerance):
-    """Explicit equal-measurement pair from a failing bipartition (real case)."""
+    """Explicit equal-measurement pair from a failing bipartition of a real frame."""
     V = f.vectors
-    if not _is_frame(f, tol):
-        u = kernel_basis(V.conj(), tol)[0]
-        return u, 2.0 * u
     side, comp = _failing_bipartition(f, tol)
     u = kernel_basis(V[side].conj(), tol)[0]
     v = kernel_basis(V[comp].conj(), tol)[0] if comp else np.zeros(f.dim, dtype=complex)
     x = u + v
     y = u - v
-    if f.field == REAL:
-        x, y = x.real.astype(complex), y.real.astype(complex)
-    return x, y
+    return x.real.astype(complex), y.real.astype(complex)
 
 
 def is_phase_retrievable_frame(
@@ -190,11 +185,10 @@ def is_phase_retrievable_frame(
 ) -> FrameReport:
     """Full frame report with a phase-retrievability verdict.
 
-    Real frames are decided exactly.  Complex frames get NO with a verified
-    witness when the bilinear search finds a pair of vectors with equal
-    phaseless measurements, and LIKELY_YES otherwise.
+    Real frames are decided exactly.  Complex frames take the verdict of
+    :func:`decide` on their measurement channel: PR gives YES, NOT_PR gives NO
+    with its state pair as witness, and LIKELY_PR gives LIKELY_YES.
     """
-    cfg = oracle_cfg or OracleConfig()
     V = f.vectors
     n = f.dim
     lo, hi = frame_bounds(f)
@@ -219,24 +213,13 @@ def is_phase_retrievable_frame(
         x, y = _real_no_witness(f, tol)
         return FrameReport(True, lo, hi, is_parseval, cp, NO, (x, y))
 
-    result = minimize_symmetric_pair(_frame_pair_maps(V), n, cfg)
-    if result is not None:
-        val, u, v = result
-        if val < tol.residual_abs**2:
-            x = (u + v) / 2.0
-            y = (u - v) / 2.0
-            # Joint rescale so the projection difference has unit norm.
-            diff = np.outer(x, x.conj()) - np.outer(y, y.conj())
-            s = np.linalg.norm(diff)
-            if s > 0:
-                x = x / np.sqrt(s)
-                y = y / np.sqrt(s)
-            gap = float(
-                np.sum((_measurements(V, x) - _measurements(V, y)) ** 2)
-            )
-            if gap < tol.residual_abs**2:
-                return FrameReport(True, lo, hi, is_parseval, cp, NO, (x, y))
-    return FrameReport(True, lo, hi, is_parseval, cp, LIKELY_YES, None)
+    verdict = decide(_measurement_channel(f), oracle_cfg, tol)
+    if verdict.status == NOT_PR:
+        x, y = verdict.state_witness.x, verdict.state_witness.y
+        # Joint rescale so the projection difference has unit norm.
+        s = np.sqrt(np.linalg.norm(np.outer(x, x.conj()) - np.outer(y, y.conj())))
+        return FrameReport(True, lo, hi, is_parseval, cp, NO, (x / s, y / s))
+    return FrameReport(True, lo, hi, is_parseval, cp, YES if verdict.status == PR else LIKELY_YES, None)
 
 
 def random_generic_frame(n: int, N: int, field: str = COMPLEX, seed: int = 0) -> Frame:

@@ -30,12 +30,10 @@ import numpy as np
 from .errors import ConstraintViolated, DimensionMismatch
 from .linalg import (
     DEFAULT_TOL,
-    ZERO_POLY,
     Tolerance,
     as_matrix,
     kernel_basis,
     numerical_rank,
-    poly_roots,
     trim_polynomial,
 )
 
@@ -234,11 +232,9 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
 
     candidates = []
     for poly in (first_poly, guard_poly):
-        if poly is None or poly.size <= 1:
-            continue
-        roots = poly_roots(poly)
-        if roots is not ZERO_POLY:
-            candidates.extend(roots)
+        # Already trimmed, so a nonconstant poly solves as it stands.
+        if poly is not None and poly.size > 1:
+            candidates.extend(complex(r) for r in np.polynomial.polynomial.polyroots(poly))
     # Centroids of loose clusters recover multiple roots whose companion
     # eigenvalues split symmetrically around the true location.
     for cl in _cluster_roots(candidates, 1e-4):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from prchannels import COMPLEX, REAL, QuantumChannel
+from prchannels import COMPLEX, REAL, QuantumChannel, verify_certificate
 from prchannels.linalg import psd_inv_sqrt
 
 
@@ -37,3 +37,30 @@ def random_unitary(n, field, rng):
 def rho(x):
     x = np.asarray(x, dtype=complex)
     return np.outer(x, x.conj())
+
+
+def antisymmetric_kernel_channel(rng):
+    """Real 2 -> 3 channel with ``sum_i A_i J A_i^T = 0`` for the antisymmetric J.
+
+    ``A J A^T`` is the cross product of A's two columns, written as an
+    antisymmetric matrix; the third operator's columns ``u`` and ``(t x u)/|u|^2``
+    with ``u`` orthogonal to ``t`` have cross product ``t``, the negated sum of
+    the first two.
+    """
+    A1, A2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    t = -(np.cross(*A1.T) + np.cross(*A2.T))
+    u = np.cross(t, rng.normal(size=3))
+    A3 = np.column_stack([u, np.cross(t, u) / (u @ u)])
+    return QuantumChannel(2, 3, [A1, A2, A3], REAL)
+
+
+def assert_relative_certificate(ch, verdict, rtol=1e-8):
+    """A symmetric-product NOT_PR certificate and its state pair re-verify relative to sum_i ||A_i||_F^2."""
+    scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
+    res = verify_certificate(ch, verdict)
+    cert, sw = verdict.certificate, verdict.state_witness
+    sym = np.outer(cert.x, cert.y.conj()) + np.outer(cert.y, cert.x.conj())
+    assert res["tensor"] <= rtol * scale * np.linalg.norm(sym)
+    nx, ny = np.linalg.norm(sw.x) ** 2, np.linalg.norm(sw.y) ** 2
+    assert res["state"] <= rtol * scale * (nx + ny)
+    assert res["separation"] >= 0.05 * max(nx, ny)

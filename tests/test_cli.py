@@ -69,14 +69,20 @@ def test_check_method_oracle_runs_kernel_stage():
 
 
 def test_check_method_oracle_reports_residuals():
+    # Dephasing has a two-dimensional Hermitian kernel, so the oracle runs.
     res = run_cli(
-        "check", str(FIXTURES / "example_2_6.json"), "--method", "oracle", "--restarts", "16", "--output", "json"
+        "check", str(FIXTURES / "dephasing.json"), "--method", "oracle", "--restarts", "16", "--output", "json"
     )
     assert res.returncode == 1
     verdict = json.loads(res.stdout)["verdict"]
     assert verdict["method"] == "ORACLE_WITNESS"
     assert len(verdict["residuals"]) > 0
     assert verdict["residuals"]["tensor"] <= 1e-7
+    # example_2_6 has a one-dimensional kernel: the kernel stage settles it.
+    res = run_cli("check", str(FIXTURES / "example_2_6.json"), "--method", "oracle", "--output", "json")
+    assert res.returncode == 1
+    verdict = json.loads(res.stdout)["verdict"]
+    assert verdict["status"] == "NOT_PR" and verdict["method"] == "HERMITIAN_KERNEL"
 
 
 def test_malformed_json_is_input_error():

@@ -4,6 +4,7 @@ import pytest
 from prchannels import (
     COMPLEX,
     DEFAULT_TOL,
+    LIKELY_PR,
     NOT_FINITE,
     NOT_PR,
     PR,
@@ -13,8 +14,12 @@ from prchannels import (
     QuantumChannel,
     StateWitness,
     TensorWitness,
+    Frame,
+    Tolerance,
     apply,
+    complement_property,
     decide,
+    decide_method,
     decide_rank1,
     decide_rank2,
     fixture,
@@ -28,17 +33,24 @@ from prchannels import (
     verify_certificate,
 )
 from prchannels.deciders import (
+    HERMITIAN_KERNEL,
     NECESSARY_VIOLATION,
-    ORACLE_NO_WITNESS,
-    ORACLE_WITNESS,
     RANK1,
     RANK2_EXACT,
     _root_kernels,
 )
 from prchannels.errors import NotSquare, WrongField, WrongRank
+from prchannels.frames import _measurement_channel
 from prchannels.serialize import dumps, verdict_to_json
 
-from helpers import rand_matrix, random_cptp, random_unitary, rho
+from helpers import (
+    antisymmetric_kernel_channel,
+    assert_relative_certificate,
+    rand_matrix,
+    random_cptp,
+    random_unitary,
+    rho,
+)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -278,11 +290,24 @@ def _natural_sigma_min(ch):
     return np.linalg.svd(K, compute_uv=False)[-1]
 
 
+def _symmetric_sigma_min(ch):
+    """Smallest singular value of the channel on Sym(n), from an explicit orthonormal basis."""
+    n = ch.dim_in
+    basis = []
+    for a in range(n):
+        for b in range(a, n):
+            B = np.zeros((n, n))
+            B[a, b] = B[b, a] = 1.0 if a == b else 1.0 / np.sqrt(2.0)
+            basis.append(B)
+    M = np.column_stack([apply(ch, B).real.reshape(-1) for B in basis])
+    return np.linalg.svd(M, compute_uv=False)[-1]
+
+
 def test_trivial_kernel_real_is_pr_with_sigma_min_floor():
     ch = random_cptp(3, 3, 3, REAL, np.random.default_rng(4))
     verdict = decide(ch)
-    assert verdict.status == PR and verdict.method == ORACLE_NO_WITNESS
-    assert verdict.floor == pytest.approx(_natural_sigma_min(ch), rel=1e-10)
+    assert verdict.status == PR and verdict.method == HERMITIAN_KERNEL
+    assert verdict.floor == pytest.approx(_symmetric_sigma_min(ch), rel=1e-10)
 
 
 def test_trivial_kernel_complex_is_pr():
@@ -290,8 +315,80 @@ def test_trivial_kernel_complex_is_pr():
     # without running the symmetric-product search.
     ch = random_cptp(3, 3, 3, COMPLEX, np.random.default_rng(1))
     verdict = decide(ch)
-    assert verdict.status == PR and verdict.method == ORACLE_NO_WITNESS
+    assert verdict.status == PR and verdict.method == HERMITIAN_KERNEL
     assert verdict.floor == pytest.approx(_natural_sigma_min(ch), rel=1e-10)
+
+
+def test_real_kernel_is_counted_on_symmetric_matrices():
+    # The channel kills the antisymmetric J, which no pure-state difference
+    # can be; on Sym(2) its kernel is trivial, so it is PR.
+    ch = antisymmetric_kernel_channel(np.random.default_rng(0))
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.linalg.norm(apply(ch, J)) <= 1e-12
+    verdict = decide(ch)
+    assert verdict.status == PR and verdict.method == HERMITIAN_KERNEL
+    assert verdict.floor == pytest.approx(_symmetric_sigma_min(ch), rel=1e-10)
+
+
+def test_kernel_stage_matches_complement_property_on_real_frames():
+    # Real measurement channels of N = dim Sym(n) - 1 generic vectors have a
+    # one-dimensional kernel, and the complement property decides them.
+    # Every third frame has a planted subspace that breaks the property:
+    # 3 of 5 vectors in a plane of R^3, or 6 of 9 in a hyperplane of R^4.
+    rng = np.random.default_rng(41)
+    seen = set()
+    for n, N, planted in ((3, 5, 3), (4, 9, 6)):
+        for trial in range(12):
+            V = rng.normal(size=(N, n))
+            if trial % 3 == 0:
+                V[:planted, -1] = 0.0
+            f = Frame(dim=n, vectors=V @ random_unitary(n, REAL, rng).real, field=REAL)
+            ch = _measurement_channel(f)
+            verdict = decide(ch)
+            assert verdict.method == HERMITIAN_KERNEL
+            assert verdict.status == (PR if complement_property(f) else NOT_PR)
+            if verdict.status == NOT_PR:
+                assert_relative_certificate(ch, verdict)
+            seen.add((n, verdict.status))
+    assert seen == {(3, PR), (3, NOT_PR), (4, PR), (4, NOT_PR)}
+
+
+def test_kernel_stage_finds_every_complex_frame_of_three_in_c2_not_pr():
+    # Phase retrieval in C^2 needs four vectors; three leave a kernel spanned
+    # by some xx* - yy*.
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        ch = _measurement_channel(Frame(dim=2, vectors=rand_matrix(rng, 3, 2, COMPLEX), field=COMPLEX))
+        verdict = decide(ch)
+        assert verdict.status == NOT_PR and verdict.method == HERMITIAN_KERNEL
+        assert_relative_certificate(ch, verdict)
+
+
+def test_kernel_stage_floor_is_below_the_oracle_floor():
+    # The dimension-1 floor bounds ||Phi(H)|| from below over unit H = xx* - yy*;
+    # the oracle's floor is the smallest value its search met, an upper bound.
+    rng = np.random.default_rng(43)
+    cfg = OracleConfig(restarts=8, seed=0)
+    for _ in range(4):
+        ch = _measurement_channel(Frame(dim=3, vectors=rand_matrix(rng, 8, 3, COMPLEX), field=COMPLEX))
+        verdict = decide(ch)
+        assert verdict.status == PR and verdict.method == HERMITIAN_KERNEL
+        outcome = symmetric_tensor_oracle(ch, cfg)
+        assert isinstance(outcome, NoWitness)
+        assert 0.0 < verdict.floor <= outcome.floor
+
+
+def test_kernel_stage_leaves_an_unannihilated_kernel_element_to_the_oracle():
+    # Under a loose rank cutoff a weak fourth measurement is dropped from the
+    # rank, leaving a numerical kernel element of signature (1, 1) that the
+    # channel does not annihilate within residual_abs: it proves neither
+    # NOT_PR nor PR.
+    rng = np.random.default_rng(44)
+    base = _measurement_channel(Frame(dim=2, vectors=rand_matrix(rng, 3, 2, COMPLEX), field=COMPLEX))
+    weak = 1e-3 * np.outer(np.eye(4)[3], rand_matrix(rng, 2, 1, COMPLEX).conj())
+    ch = QuantumChannel(2, 4, [np.vstack([A, np.zeros((1, 2))]) for A in base.kraus] + [weak], COMPLEX)
+    verdict = decide_method(ch, "oracle", OracleConfig(restarts=8), Tolerance(rank_rel=1e-4))
+    assert verdict.status == LIKELY_PR
 
 
 def test_wide_real_map_is_not_pr():
@@ -365,7 +462,7 @@ def test_decide_dispatch():
     verdict = decide(fixture("example_2_11"))
     assert verdict.status == NOT_PR and verdict.method == NECESSARY_VIOLATION
     verdict = decide(fixture("example_2_6"), OracleConfig(restarts=32, seed=0))
-    assert verdict.status == NOT_PR and verdict.method == ORACLE_WITNESS
+    assert verdict.status == NOT_PR and verdict.method == HERMITIAN_KERNEL
 
 
 def test_certificate_soundness_on_fixtures():

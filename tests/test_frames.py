@@ -125,11 +125,22 @@ def test_complex_triangle_frame_not_pr():
     assert np.linalg.norm(diff) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_complex_generic_frame_likely_pr():
+def test_complex_generic_frame_is_pr():
+    # Four generic vectors in C^2 have rank-one projections spanning Herm(2):
+    # a trivial Hermitian kernel proves phase retrieval.
     f = random_generic_frame(2, 4, COMPLEX, seed=3)
     report = is_phase_retrievable_frame(f, OracleConfig(restarts=24, seed=0))
-    assert report.phase_retrievable == LIKELY_YES
+    assert report.phase_retrievable == YES
     assert report.witness is None
+
+
+def test_complex_tomographic_frame_is_pr_at_any_scale():
+    # The projections of {e1, e2, e1 + e2, e1 + i e2} span Herm(2), so the
+    # Hermitian kernel is trivial; scaling the vectors changes nothing.
+    V = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
+    for scale in (1.0, 1e-5):
+        report = is_phase_retrievable_frame(Frame(dim=2, vectors=scale * V, field=COMPLEX))
+        assert report.phase_retrievable == YES and report.witness is None
 
 
 def test_real_generic_frames_pr_at_2n_minus_1():

@@ -1,19 +1,21 @@
-"""Property test: the kernel stage's PR survives the symmetries of phase retrieval.
+"""Property tests: kernel-stage verdicts survive the symmetries of phase retrieval.
 
 Scaling the Kraus family by ``10**k`` with ``|k| <= 6``, unitary pre- and
 post-conjugation, unitary mixing of the Kraus operators and splitting one
 operator into two scaled copies all leave the channel's phase retrievability
-unchanged, so a proof by a trivial Hermitian kernel must survive them on both
-fields.
+unchanged.  So a proof by a trivial Hermitian kernel, and the exact verdict
+at kernel dimension 1, must survive them on both fields, and every NOT_PR
+certificate must re-verify relative to the moved channel's scale.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from prchannels import COMPLEX, PR, REAL, QuantumChannel, decide_method
-from prchannels.deciders import ORACLE_NO_WITNESS
+from prchannels import COMPLEX, NOT_PR, PR, REAL, Frame, QuantumChannel, decide_method
+from prchannels.deciders import HERMITIAN_KERNEL
+from prchannels.frames import _measurement_channel
 
-from helpers import rand_matrix, random_unitary
+from helpers import assert_relative_certificate, rand_matrix, random_unitary
 
 
 def _kernel_verdict(ch):
@@ -24,6 +26,23 @@ def _kernel_verdict(ch):
 
 def _mix(kraus, W):
     return [sum(W[i, j] * kraus[j] for j in range(len(kraus))) for i in range(len(kraus))]
+
+
+def _moved(kraus, field, rng, k):
+    """The Kraus family after each symmetry, by name."""
+    m, n = kraus[0].shape
+    V, U = random_unitary(m, field, rng), random_unitary(n, field, rng)
+    moves = {
+        "scale down": [10.0**-k * A for A in kraus],
+        "scale up": [10.0**k * A for A in kraus],
+        "conjugate": [V @ A @ U for A in kraus],
+        "mix": _mix(kraus, random_unitary(len(kraus), field, rng)),
+        "split": [kraus[0] / np.sqrt(2.0), kraus[0] / np.sqrt(2.0), *kraus[1:]],
+    }
+    for name, moved in moves.items():
+        if field == REAL:
+            moved = [A.real.astype(complex) for A in moved]
+        yield name, QuantumChannel(n, m, moved, field)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -41,18 +60,33 @@ def test_kernel_stage_pr_is_invariant(field, n, extra_out, r, seed, k):
     kraus = [rand_matrix(rng, m, n, field) for _ in range(r)]
     before = _kernel_verdict(QuantumChannel(n, m, kraus, field))
     assume(before.status == PR)
-    assert before.method == ORACLE_NO_WITNESS
+    assert before.method == HERMITIAN_KERNEL
 
-    V, U = random_unitary(m, field, rng), random_unitary(n, field, rng)
-    moves = {
-        "scale down": [10.0**-k * A for A in kraus],
-        "scale up": [10.0**k * A for A in kraus],
-        "conjugate": [V @ A @ U for A in kraus],
-        "mix": _mix(kraus, random_unitary(r, field, rng)),
-        "split": [kraus[0] / np.sqrt(2.0), kraus[0] / np.sqrt(2.0), *kraus[1:]],
-    }
-    for name, moved in moves.items():
-        if field == REAL:
-            moved = [A.real.astype(complex) for A in moved]
-        after = _kernel_verdict(QuantumChannel(n, m, moved, field))
-        assert (after.status, after.method) == (PR, ORACLE_NO_WITNESS), name
+    for name, moved in _moved(kraus, field, rng, k):
+        after = _kernel_verdict(moved)
+        assert (after.status, after.method) == (PR, HERMITIAN_KERNEL), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from((REAL, COMPLEX)),
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+)
+def test_kernel_stage_dimension_one_verdict_is_invariant(field, n, seed, k):
+    # A measurement channel of dim - 1 generic vectors has a one-dimensional
+    # Hermitian kernel: NOT_PR in C^2 and R^2, PR from n = 3 on.
+    rng = np.random.default_rng(seed)
+    dim = n * n if field == COMPLEX else n * (n + 1) // 2
+    f = Frame(dim=n, vectors=rand_matrix(rng, dim - 1, n, field), field=field)
+    kraus = _measurement_channel(f).kraus
+    before = _kernel_verdict(QuantumChannel(n, dim - 1, kraus, field))
+    assert before.method == HERMITIAN_KERNEL
+    assert before.status == (NOT_PR if n == 2 else PR)
+
+    for name, moved in [("unmoved", QuantumChannel(n, dim - 1, kraus, field)), *_moved(kraus, field, rng, k)]:
+        after = _kernel_verdict(moved)
+        assert (after.status, after.method) == (before.status, HERMITIAN_KERNEL), name
+        if after.status == NOT_PR:
+            assert_relative_certificate(moved, after)
