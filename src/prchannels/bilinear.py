@@ -21,11 +21,29 @@ deterministic functions of the configured seed: restart ``r`` draws from
 ``default_rng([seed, tag, r])``, restarts stop early once a witness-grade
 minimum is found, and the reported pair is the best seen so far (lowest
 restart index on ties).
+
+Restarts run in lockstep batches of 1, 1, 2, 4, 8, ... restarts, each batch
+as long as all before it but at most 64, and the last one cut at
+``cfg.restarts``.  Every step of a batch forms the half-step matrices of all
+its running restarts with stacked products, one product per restart of the
+same shape as a lone restart's, and solves them with one stacked
+decomposition; LAPACK and BLAS treat each slice as they would treat it alone,
+so every restart follows the same floating-point path as when run by itself.
+Each restart keeps its own stream, its own stop rules and its own redraw of a
+vanished ``x``, and leaves the batch when it stops.  A finished batch is
+folded in restart order with the rules above, so the result is the one of
+running the restarts one at a time; only the restarts after a witness inside
+its batch are extra work.  A witness is found on restart 0 in most searches
+that have one, and the first batch of one restart keeps that case as cheap
+as a lone restart.  Seeding a stream costs more than a short restart, so the
+starting vectors of each batch are drawn once per seed and shape and kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,15 +57,16 @@ _SUCCESS = 1e-26
 # rate near one and are cut off immediately; runs heading to a true zero keep
 # a rate bounded away from one and survive the projection.
 _TARGET = 1e-18
+_LOG_TARGET = np.log(_TARGET)
 
 
 def _hopeless(val: float, prev: float, iters_left: int) -> bool:
-    if not np.isfinite(prev) or prev <= 0.0 or val <= 0.0:
+    if not math.isfinite(prev) or prev <= 0.0 or val <= 0.0:
         return False
     rate = val / prev
     if rate >= 1.0:
         return True
-    return np.log(val) + iters_left * np.log(rate) > np.log(_TARGET)
+    return np.log(val) + iters_left * np.log(rate) > _LOG_TARGET
 
 
 __all__ = [
@@ -72,36 +91,35 @@ class OracleConfig:
             raise ValueError("oracle configuration values must be positive")
 
 
-def _symmetric_whitener(x: np.ndarray):
-    """Whitener of the normalizer ``v -> x v^* + v x^*`` in ``[Re v; Im v]`` coordinates.
+def _symmetric_whitener(x: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """Whitener of the normalizer ``v -> x v^* + v x^*`` in ``[Re v; Im v]`` coordinates, per row of ``x``.
 
     The normalizer scales the real direction of ``x`` by ``2 ||x||``, kills
     ``i x``, and scales the complex orthogonal complement of ``x`` by
-    ``sqrt(2) ||x||``.  Returns the real ``2n x (2n - 1)`` matrix ``W`` whose
-    image under the normalizer has orthonormal columns spanning its range,
-    or None when ``x`` vanishes.
+    ``sqrt(2) ||x||``.  For ``b`` nonzero rows ``x`` of length ``n`` with
+    norms ``nrm`` (a ``b x 1`` column) returns the real ``b x 2n x (2n - 1)``
+    stack of matrices ``W`` whose image under the normalizer has orthonormal
+    columns spanning its range.
     """
-    n = x.size
-    nrm = float(np.sqrt(np.vdot(x, x).real))
-    if nrm == 0.0:
-        return None
+    b, n = x.shape
     xh = x / nrm
     # Householder reflector H = I - 2 w w^* / ||w||^2 with w = xh - alpha e1 and
     # alpha = -xh[0] / |xh[0]|, so ||w||^2 = 2 + 2 |xh[0]| never cancels.  Its
     # last n - 1 columns are an orthonormal basis of the complement of xh.
-    a0 = abs(xh[0])
+    # np.hypot rounds |xh[0]| as the scalar abs does; np.abs on arrays does not.
+    a0 = np.hypot(xh[:, :1].real, xh[:, :1].imag)
     w = xh.copy()
-    w[0] += xh[0] / a0 if a0 > 0.0 else 1.0
+    w[:, :1] += np.divide(xh[:, :1], a0, out=np.ones((b, 1), dtype=complex), where=a0 > 0.0)
     c = 1.0 / (np.sqrt(2.0) * nrm)
     # Complex columns: xh / (2 ||x||), then c H[:, 1:], then i c H[:, 1:].
-    B = np.empty((n, 2 * n - 1), dtype=complex)
-    B[:, 0] = xh / (2.0 * nrm)
-    Q = B[:, 1:n]
-    np.multiply.outer(w, w[1:].conj(), out=Q)
-    Q *= -c / (1.0 + a0)
-    B.reshape(-1)[2 * n :: 2 * n] += c  # the identity part of H[:, 1:], at B[j, j]
-    np.multiply(Q, 1j, out=B[:, n:])
-    return np.concatenate((B.real, B.imag))
+    B = np.empty((b, n, 2 * n - 1), dtype=complex)
+    B[:, :, 0] = xh / (2.0 * nrm)
+    Q = B[:, :, 1:n]
+    np.multiply(w[:, :, None], w[:, None, 1:].conj(), out=Q)
+    Q *= (-c / (1.0 + a0))[:, :, None]
+    B.reshape(b, -1)[:, 2 * n :: 2 * n] += c  # the identity part of H[:, 1:], at B[j, j]
+    np.multiply(Q, 1j, out=B[:, :, n:])
+    return np.concatenate((B.real, B.imag), axis=1)
 
 
 def smallest_generalized(L: np.ndarray, x: np.ndarray):
@@ -110,15 +128,35 @@ def smallest_generalized(L: np.ndarray, x: np.ndarray):
     Returns ``(value, v)`` with the symmetric product of unit Frobenius norm,
     or ``(None, None)`` when ``x`` vanishes.  When ``L`` has fewer rows than
     the whitened space has dimensions the minimum is zero.
+
+    With a leading batch axis on ``L`` and ``x`` the solves share one stacked
+    decomposition and come back as an array of values and a matrix of rows
+    ``v``; both are NaN where ``x`` vanishes.
     """
-    W = _symmetric_whitener(x)
-    if W is None:
-        return None, None
+    if x.ndim == 1:
+        val, v = _generalized_batch(L[None], x[None])
+        return (None, None) if np.isnan(val[0]) else (float(val[0]), v[0])
+    return _generalized_batch(L, x)
+
+
+def _generalized_batch(L: np.ndarray, x: np.ndarray):
+    # One conjugated dot product per row, rounded as np.vdot(x, x).
+    nrm = np.sqrt(np.vecdot(x, x).real)[:, None]
+    if not nrm.all():
+        live = nrm[:, 0] != 0.0
+        val = np.full(len(x), np.nan)
+        v = np.full((len(x), L.shape[-1]), np.nan)
+        if live.any():
+            val[live], v[live] = _generalized_batch(L[live], x[live])
+        return val, v
+    W = _symmetric_whitener(x, nrm)
     M = L @ W
-    wide = M.shape[0] < M.shape[1]
+    wide = M.shape[1] < M.shape[2]
     _, sm, vmt = np.linalg.svd(M, full_matrices=wide)
-    val = 0.0 if wide else float(sm[-1]) ** 2
-    return val, W @ vmt[-1]
+    # Python's float power, as in one solve at a time: it may round
+    # differently from numpy's squaring.
+    val = np.zeros(len(x)) if wide else np.array([float(s) ** 2 for s in sm[:, -1]])
+    return val, (W @ vmt[:, -1, :, None])[:, :, 0]
 
 
 def _rand_unit(rng, n: int, field: str) -> np.ndarray:
@@ -132,29 +170,84 @@ def _rand_unit(rng, n: int, field: str) -> np.ndarray:
     return v / nrm
 
 
-def _block_real(out: np.ndarray, P1: np.ndarray, P2: np.ndarray) -> None:
-    """Fill ``out`` with the real matrix of v -> P1 conj(v) + P2 v in stacked [Re; Im] coordinates."""
-    rows, cols = P1.shape
-    np.add(P1.real, P2.real, out=out[:rows, :cols])
-    np.subtract(P1.imag, P2.imag, out=out[:rows, cols:])
-    np.add(P1.imag, P2.imag, out=out[rows:, :cols])
-    np.subtract(P2.real, P1.real, out=out[rows:, cols:])
+def _restart_rng(seed: int, tag: int, r: int):
+    return np.random.default_rng(np.random.SeedSequence([abs(int(seed)), tag, r]))
+
+
+@lru_cache(maxsize=256)
+def _starts(seed: int, tag: int, batch: range, n: int, field: str) -> np.ndarray:
+    """The first draw of each restart in ``batch`` from its own stream, stacked and read-only.
+
+    Seeding a stream costs more than a short restart, and the draws depend
+    on nothing but the arguments, so they are made once and reused.
+    """
+    x = np.array([_rand_unit(_restart_rng(seed, tag, r), n, field) for r in batch])
+    x.flags.writeable = False
+    return x
+
+
+# The longest batch: its stacked half-step matrices stay small however many
+# restarts are asked for.
+_MAX_BATCH = 64
+
+
+def _batches(restarts: int):
+    """Restart index ranges of lengths 1, 1, 2, 4, ...: each as long as all before it, up to _MAX_BATCH."""
+    start = 0
+    while start < restarts:
+        stop = min(start + min(max(start, 1), _MAX_BATCH), restarts)
+        yield range(start, stop)
+        start = stop
+
+
+def _stops(val: float, prev: float, iters_left: int) -> bool:
+    return val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, iters_left)
+
+
+def _fold(best, results):
+    """Fold one batch's per-restart results into ``best`` in restart order.
+
+    A result replaces ``best`` only when strictly smaller, and the fold stops
+    at the first witness-grade one, exactly where one restart at a time would
+    have stopped.  Returns ``(best, done)``; None results are skipped.
+    """
+    for res in results:
+        if res is None:
+            continue
+        if best is None or res[0] < best[0]:
+            best = res
+        if best[0] < _SUCCESS:
+            return best, True
+    return best, False
+
+
+def _block_real(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
+    """The real matrix of v -> P1 conj(v) + P2 v in stacked [Re; Im] coordinates, per leading index."""
+    *lead, rows, cols = P1.shape
+    out = np.empty((*lead, 2 * rows, 2 * cols))
+    np.add(P1.real, P2.real, out=out[..., :rows, :cols])
+    np.subtract(P1.imag, P2.imag, out=out[..., :rows, cols:])
+    np.add(P1.imag, P2.imag, out=out[..., rows:, :cols])
+    np.subtract(P2.real, P1.real, out=out[..., rows:, cols:])
+    return out
 
 
 def _fixed_x_matrix(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_i kron(A_i x, conj(A_i))`` for operators stacked as ``A[i]``.
+    """``sum_i kron(A_i x, conj(A_i))`` for operators stacked as ``A[i]``, per row of ``x``.
 
     It sends conj(y) to the objective's vector at fixed x.
     """
     _, m, n = A.shape
-    return ((A @ x).T @ A.conj().reshape(len(A), m * n)).reshape(m * m, n)
+    Ax = (A @ x[:, None, :, None])[:, :, :, 0]
+    return (Ax.transpose(0, 2, 1) @ A.conj().reshape(len(A), m * n)).reshape(len(x), m * m, n)
 
 
 def _fixed_y_matrix(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum_i kron(A_i, conj(A_i y))``: sends x to the objective's vector at fixed y."""
+    """``sum_i kron(A_i, conj(A_i y))`` per row of ``y``: sends x to the objective's vector at fixed y."""
     _, m, n = A.shape
-    M = ((A @ y).conj().T @ A.reshape(len(A), m * n)).reshape(m, m, n)
-    return M.transpose(1, 0, 2).reshape(m * m, n)
+    Ay = (A @ y[:, None, :, None])[:, :, :, 0].conj()
+    M = (Ay.transpose(0, 2, 1) @ A.reshape(len(A), m * n)).reshape(len(y), m, m, n)
+    return M.transpose(0, 2, 1, 3).reshape(len(y), m * m, n)
 
 
 def minimize_simple_pair(kraus, field: str, cfg: OracleConfig, dim_in: int):
@@ -171,26 +264,30 @@ def minimize_simple_pair(kraus, field: str, cfg: OracleConfig, dim_in: int):
     # columns only the full decomposition yields a null vector.
     full = m * m < n
     best = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([abs(int(cfg.seed)), 0x51, r]))
-        x = _rand_unit(rng, dim_in, field)
-        y = x.copy()
-        prev = np.inf
-        val = np.inf
+    for batch in _batches(cfg.restarts):
+        x = _starts(cfg.seed, 0x51, batch, dim_in, field)
+        results = [None] * len(batch)
+        prev = [np.inf] * len(batch)
+        live = list(range(len(batch)))  # batch positions of the running restarts, row by row
         for it in range(cfg.max_iters):
             _, _, vh1 = np.linalg.svd(_fixed_x_matrix(A, x), full_matrices=full)
-            y = np.array(vh1[-1])  # the solve yields conj(y); undo the conjugation
+            y = vh1[:, -1]  # the solve yields conj(y); undo the conjugation
             _, s2, vh2 = np.linalg.svd(_fixed_y_matrix(A, y), full_matrices=full)
-            x = vh2[-1].conj()
-            val = float(s2[-1]) ** 2
-            if val < _SUCCESS or prev - val <= 0.0:
+            x = vh2[:, -1].conj()
+            going = []
+            for j, k in enumerate(live):
+                val = float(s2[j, -1]) ** 2
+                results[k] = (val, x[j], y[j])
+                if not _stops(val, prev[k], cfg.max_iters - it):
+                    prev[k] = val
+                    going.append(j)
+            if not going:
                 break
-            if _hopeless(val, prev, cfg.max_iters - it):
-                break
-            prev = val
-        if best is None or val < best[0]:
-            best = (val, x, y)
-        if best[0] < _SUCCESS:
+            if len(going) < len(live):
+                live = [live[j] for j in going]
+                x = x[going]
+        best, done = _fold(best, results)
+        if done:
             break
     return best
 
@@ -199,46 +296,56 @@ def minimize_symmetric_pair(pair_maps, dim: int, cfg: OracleConfig):
     """Minimize ``||map(x, y)||^2 / ||x y^* + y x^*||_F^2`` by alternation.
 
     ``pair_maps(u)`` must return complex matrices ``(P1, P2)`` such that the
-    objective at the fixed slot ``u`` is ``P1 conj(v) + P2 v``; the map is
-    assumed symmetric in its two slots.  Returns the best ``(value, x, y)``
-    with the pair normalized so the symmetric product has unit Frobenius
-    norm, or None when every restart degenerated.
+    objective at the fixed slot ``u`` is ``P1 conj(v) + P2 v``, stacked along
+    a leading batch axis of ``u``; the map is assumed symmetric in its two
+    slots.  Returns the best ``(value, x, y)`` with the pair normalized so the
+    symmetric product has unit Frobenius norm, or None when every restart
+    degenerated.
     """
-    L = None
     best = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([abs(int(cfg.seed)), 0x52, r]))
-        x = _rand_unit(rng, dim, COMPLEX)
-        y = None
-        prev = np.inf
-        val = np.inf
+    for batch in _batches(cfg.restarts):
+        x = _starts(cfg.seed, 0x52, batch, dim, COMPLEX)
+        streams = {}  # restart streams past their first draw, made at a first redraw
+        results = [None] * len(batch)  # (value, x, y) after each restart's last solve
+        prev = [np.inf] * len(batch)
+        live = list(range(len(batch)))
         for it in range(cfg.max_iters):
-            P1, P2 = pair_maps(x)
-            if L is None:
-                L = np.empty((2 * P1.shape[0], 2 * dim))
-            _block_real(L, P1, P2)
-            step_val, vt = smallest_generalized(L, x)
-            if vt is None:
-                x = _rand_unit(rng, dim, COMPLEX)
-                continue
-            y = vt[:dim] + 1j * vt[dim:]
-            val = step_val
-            x, y = y, x  # alternate which slot is solved next
-            if val < _SUCCESS or prev - val <= 0.0:
+            vals, vt = smallest_generalized(_block_real(*pair_maps(x)), x)
+            y = vt[:, :dim] + 1j * vt[:, dim:]
+            going = []
+            for j, k in enumerate(live):
+                if np.isnan(vals[j]):  # x vanished: redraw it, the iteration still counts
+                    if k not in streams:
+                        streams[k] = _restart_rng(cfg.seed, 0x52, batch[k])
+                        _rand_unit(streams[k], dim, COMPLEX)  # the start, already drawn
+                    y[j] = _rand_unit(streams[k], dim, COMPLEX)
+                    if results[k] is not None:
+                        results[k] = (results[k][0], y[j], results[k][2])
+                    going.append(j)
+                    continue
+                val = float(vals[j])
+                results[k] = (val, y[j], x[j])  # alternate which slot is solved next
+                if not _stops(val, prev[k], cfg.max_iters - it):
+                    prev[k] = val
+                    going.append(j)
+            if not going:
                 break
-            if _hopeless(val, prev, cfg.max_iters - it):
-                break
-            prev = val
-        if y is None:
-            continue
-        pair = _renormalize_symmetric(x, y)
-        if pair is None:
-            continue
-        if best is None or val < best[0]:
-            best = (val, pair[0], pair[1])
-        if best[0] < _SUCCESS:
+            x = y
+            if len(going) < len(live):
+                live = [live[j] for j in going]
+                x = x[going]
+        best, done = _fold(best, (_symmetric_result(res) for res in results))
+        if done:
             break
     return best
+
+
+def _symmetric_result(res):
+    if res is None:
+        return None
+    val, x, y = res
+    pair = _renormalize_symmetric(x, y)
+    return None if pair is None else (val, pair[0], pair[1])
 
 
 def _renormalize_symmetric(x: np.ndarray, y: np.ndarray):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotPSD
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, as_matrix, hermitian_eig, numerical_rank
+from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, as_matrix, hermitian_eig
 
 __all__ = [
     "QuantumChannel",
@@ -110,9 +110,26 @@ def choi_matrix(ch: QuantumChannel) -> np.ndarray:
     return C
 
 
+def _choi_eigenvalues(ch: QuantumChannel) -> np.ndarray:
+    """The Choi matrix's eigenvalues that can be nonzero, largest first.
+
+    The Choi matrix is ``F^* F`` for the matrix ``F`` whose rows are the
+    column-stacked Kraus operators, so these are the squared singular values
+    of ``F``: one values-only decomposition of ``r x nm``, with no ``nm x nm``
+    matrix built.  They sum to ``sum_i ||A_i||_F^2``.
+    """
+    F = np.stack(ch.kraus).transpose(0, 2, 1).reshape(len(ch.kraus), -1)
+    return np.linalg.svd(F, compute_uv=False) ** 2
+
+
+def _rank_of_spectrum(lam: np.ndarray, tol: Tolerance) -> int:
+    """Eigenvalues above ``rank_rel`` times the largest one; 0 for the zero map."""
+    return int(np.count_nonzero(lam > tol.rank_rel * lam[0])) if lam[0] > 0.0 else 0
+
+
 def choi_rank(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank of the Choi matrix (the dimension of the Kraus span)."""
-    return numerical_rank(choi_matrix(ch), tol)
+    return _rank_of_spectrum(_choi_eigenvalues(ch), tol)
 
 
 def _unstack_column_vec(w: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:

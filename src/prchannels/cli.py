@@ -114,7 +114,9 @@ def run_check(args) -> int:
         _print_validation(report)
         print(f"verdict: {verdict.status} (method {verdict.method})")
         if verdict.floor is not None:
-            print(f"oracle floor: {verdict.floor:.6g}")
+            # A PR floor is a proved lower bound; a LIKELY_PR floor is what the oracle saw.
+            label = "proved floor" if verdict.status == PR else "oracle floor"
+            print(f"{label}: {verdict.floor:.6g}")
         if verdict.state_witness is not None:
             sw = verdict.state_witness
             print(f"state witness x: {[ _fmt_complex(z) for z in sw.x ]}")

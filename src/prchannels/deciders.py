@@ -22,8 +22,8 @@ the channel gives the verdict:
    certifies NOT_PR; absence of a witness is only LIKELY_PR.
 
 ``check --method`` runs named sub-lists of the table (:data:`METHODS`), and
-every stage reads one per-call record holding the Choi matrix, its rank and
-the natural representation ``K = sum_i A_i (x) conj(A_i)``.
+every stage reads one per-call record holding the Choi rank, the Choi trace
+and the natural representation ``K = sum_i A_i (x) conj(A_i)``.
 
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
-from .channels import QuantumChannel, apply, choi_matrix, minimal_kraus_from_choi
+from .channels import QuantumChannel, _choi_eigenvalues, _rank_of_spectrum, apply, choi_matrix, minimal_kraus_from_choi
 from .errors import DimensionMismatch, NotFinite, NotSquare, WrongField, WrongRank
 from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, numerical_rank
 from .spectra import SpectrumPoint, _pencil_points, pencil_singular_set
@@ -209,14 +209,16 @@ def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tol
 
 
 class _ChannelRecord:
-    """What every stage of one call reads: the channel, its Choi matrix and Choi rank,
-    and the natural representation ``K`` (real on the real field)."""
+    """What every stage of one call reads: the channel, its Choi rank, the Choi
+    trace ``sum_i ||A_i||_F^2`` and the natural representation ``K`` (real on
+    the real field).  No stage but the rank-2 reduction needs the Choi matrix itself."""
 
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
         self.tol = tol
-        self.choi = choi_matrix(ch)
-        self.rank = numerical_rank(self.choi, tol)
+        lam = _choi_eigenvalues(ch)
+        self.rank = _rank_of_spectrum(lam, tol)
+        self.choi_trace = float(lam.sum())
         K = _natural_representation(ch.kraus)
         self.K = K.real if ch.field == REAL else K
 
@@ -277,7 +279,7 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     ch, tol = rec.ch, rec.tol
     pair = ch.kraus
     if len(pair) != 2:
-        pair = minimal_kraus_from_choi(rec.choi, ch.dim_in, ch.dim_out, tol, field=ch.field).kraus
+        pair = minimal_kraus_from_choi(choi_matrix(ch), ch.dim_in, ch.dim_out, tol, field=ch.field).kraus
         if len(pair) != 2:
             raise WrongRank("Choi-rank-2 reduction did not yield two operators")
     A1, A2 = pair
@@ -480,15 +482,16 @@ def _channel_pair_maps(K: np.ndarray, n: int):
     ``K`` acts on ``vec(s t^T) = s (x) t``.  The left map fixes ``s = u`` and
     leaves ``t = conj(v)``; the right map fixes ``t = conj(u)`` and leaves
     ``s = v``.  Each is one matrix-vector product with ``K`` viewed as a
-    ``(rows, n, n)`` array.
+    ``(rows, n, n)`` array, per leading index of ``u``.
     """
     rows = K.shape[0]
     left_slot = K.reshape(rows, n, n).transpose(0, 2, 1).reshape(rows * n, n)
     right_slot = K.reshape(rows * n, n)
 
     def pair_maps(u):
-        left = (left_slot @ u).reshape(rows, n)  # acts on conj(v)
-        right = (right_slot @ u.conj()).reshape(rows, n)  # acts on v
+        lead = u.shape[:-1]
+        left = (left_slot @ u[..., None]).reshape(*lead, rows, n)  # acts on conj(v)
+        right = (right_slot @ u.conj()[..., None]).reshape(*lead, rows, n)  # acts on v
         return left, right
 
     return pair_maps
@@ -628,8 +631,7 @@ def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     w, v = np.linalg.eigh((T @ np.linalg.svd(M)[2][-1]).reshape(n, n))
     x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
     res = float(np.linalg.norm(apply(ch, _outer(x, x) - _outer(y, y))))
-    # The Choi trace is sum_i ||A_i||_F^2.
-    if res <= tol.residual_abs * rec.choi.trace().real:
+    if res <= tol.residual_abs * rec.choi_trace:
         # The symmetric product of ((x + y)/sqrt2, (x - y)/sqrt2) is xx* - yy*.
         cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
         return PRVerdict(NOT_PR, HERMITIAN_KERNEL, cert, state_witness=StateWitness(x, y), residuals={"tensor": res})

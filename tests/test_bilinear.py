@@ -1,14 +1,21 @@
-"""The oracle engines' kernels against their Kronecker-product definitions."""
+"""The oracle engines' kernels against their Kronecker-product definitions, and
+the lockstep engines bit for bit against one restart at a time."""
 
 import numpy as np
 import pytest
 
 from prchannels import COMPLEX, REAL, OracleConfig
+from prchannels import bilinear
 from prchannels.bilinear import (
+    _SUCCESS,
     _fixed_x_matrix,
     _fixed_y_matrix,
+    _hopeless,
+    _rand_unit,
+    _renormalize_symmetric,
     _symmetric_whitener,
     minimize_simple_pair,
+    minimize_symmetric_pair,
     smallest_generalized,
 )
 from prchannels.deciders import _channel_pair_maps, _natural_representation
@@ -39,16 +46,22 @@ def _reference_generalized(L, N, cutoff=1e-12):
     return val, W @ vmt[-1]
 
 
+def _whitener(x):
+    x = x[None]
+    return _symmetric_whitener(x, np.sqrt(np.vecdot(x, x).real)[:, None])[0]
+
+
 @pytest.mark.parametrize("m,n,r", SHAPES)
 def test_half_step_matrices_match_kron_sums(m, n, r):
     rng = np.random.default_rng([m, n, r])
     kraus = [rand_matrix(rng, m, n, COMPLEX) for _ in range(r)]
     A = np.stack(kraus)
-    x = rand_matrix(rng, n, 1, COMPLEX)[:, 0]
-    My = sum(np.kron((K @ x)[:, None], K.conj()) for K in kraus)
-    Mx = sum(np.kron(K, (K @ x).conj()[:, None]) for K in kraus)
-    np.testing.assert_allclose(_fixed_x_matrix(A, x), My, atol=1e-13)
-    np.testing.assert_allclose(_fixed_y_matrix(A, x), Mx, atol=1e-13)
+    xs = rand_matrix(rng, 2, n, COMPLEX)
+    for x, Mx_batch, My_batch in zip(xs, _fixed_y_matrix(A, xs), _fixed_x_matrix(A, xs)):
+        My = sum(np.kron((K @ x)[:, None], K.conj()) for K in kraus)
+        Mx = sum(np.kron(K, (K @ x).conj()[:, None]) for K in kraus)
+        np.testing.assert_allclose(My_batch, My, atol=1e-13)
+        np.testing.assert_allclose(Mx_batch, Mx, atol=1e-13)
 
 
 @pytest.mark.parametrize("m,n,r", SHAPES)
@@ -58,11 +71,14 @@ def test_pair_maps_match_kron_products(m, n, r):
     channel_mat = sum(np.kron(K, K.conj()) for K in kraus)
     K = _natural_representation(kraus)
     np.testing.assert_allclose(K, channel_mat, atol=1e-13)
-    u = rand_matrix(rng, n, 1, COMPLEX)[:, 0]
+    us = rand_matrix(rng, 3, n, COMPLEX)
     eye = np.eye(n)
-    left, right = _channel_pair_maps(K, n)(u)
-    np.testing.assert_allclose(left, channel_mat @ np.kron(u[:, None], eye), atol=1e-13)
-    np.testing.assert_allclose(right, channel_mat @ np.kron(eye, u.conj()[:, None]), atol=1e-13)
+    lefts, rights = _channel_pair_maps(K, n)(us)
+    for u, left, right in zip(us, lefts, rights):
+        np.testing.assert_allclose(left, channel_mat @ np.kron(u[:, None], eye), atol=1e-13)
+        np.testing.assert_allclose(right, channel_mat @ np.kron(eye, u.conj()[:, None]), atol=1e-13)
+        one_left, one_right = _channel_pair_maps(K, n)(u)
+        assert one_left.tobytes() == left.tobytes() and one_right.tobytes() == right.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -73,7 +89,7 @@ def test_whitener_orthonormalizes_the_normalizer(n, lead_zero):
     if lead_zero and n > 1:
         x[0] = 0.0
     N = _normalizer(x)
-    W = _symmetric_whitener(x)
+    W = _whitener(x)
     assert W.shape == (2 * n, 2 * n - 1)
     NW = N @ W
     np.testing.assert_allclose(NW.T @ NW, np.eye(2 * n - 1), atol=1e-12)
@@ -83,7 +99,6 @@ def test_whitener_orthonormalizes_the_normalizer(n, lead_zero):
     assert rank == 2 * n - 1
     row_space = vt[:rank].T @ vt[:rank]
     np.testing.assert_allclose(row_space @ W, W, atol=1e-12)
-    assert _symmetric_whitener(np.zeros(n, dtype=complex)) is None
 
 
 @pytest.mark.parametrize("rows", [2, 9])
@@ -105,6 +120,21 @@ def test_generalized_solve_matches_svd_whitening(rows):
     assert smallest_generalized(L, np.zeros(n, dtype=complex)) == (None, None)
 
 
+@pytest.mark.parametrize("rows", [2, 9])
+def test_batched_generalized_solve_matches_one_at_a_time(rows):
+    rng = np.random.default_rng([rows, 1])
+    n = 4
+    xs = rand_matrix(rng, 5, n, COMPLEX)
+    xs[1] = 0.0
+    xs[3, 0] = 0.0
+    Ls = rng.normal(size=(5, 2 * rows, 2 * n))
+    vals, vs = smallest_generalized(Ls, xs)
+    assert np.isnan(vals[1]) and np.isnan(vs[1]).all()
+    for k in (0, 2, 3, 4):
+        val, v = _reference_smallest_generalized(Ls[k], xs[k])
+        assert float(vals[k]) == val and vs[k].tobytes() == v.tobytes()
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_simple_search_with_one_output_dimension_finds_a_null_pair(field):
     rng = np.random.default_rng(5)
@@ -116,3 +146,212 @@ def test_simple_search_with_one_output_dimension_finds_a_null_pair(field):
         assert not np.iscomplexobj(x) and not np.iscomplexobj(y)
     residual = sum(np.outer(K @ x, (K @ y).conj()) for K in kraus)
     assert np.linalg.norm(residual) < 1e-12
+
+
+# -- One restart at a time: the engines as they were before the lockstep batches.
+
+
+def _reference_whitener(x):
+    n = x.size
+    nrm = float(np.sqrt(np.vdot(x, x).real))
+    if nrm == 0.0:
+        return None
+    xh = x / nrm
+    a0 = abs(xh[0])
+    w = xh.copy()
+    w[0] += xh[0] / a0 if a0 > 0.0 else 1.0
+    c = 1.0 / (np.sqrt(2.0) * nrm)
+    B = np.empty((n, 2 * n - 1), dtype=complex)
+    B[:, 0] = xh / (2.0 * nrm)
+    Q = B[:, 1:n]
+    np.multiply.outer(w, w[1:].conj(), out=Q)
+    Q *= -c / (1.0 + a0)
+    B.reshape(-1)[2 * n :: 2 * n] += c
+    np.multiply(Q, 1j, out=B[:, n:])
+    return np.concatenate((B.real, B.imag))
+
+
+def _reference_smallest_generalized(L, x):
+    W = _reference_whitener(x)
+    if W is None:
+        return None, None
+    M = L @ W
+    wide = M.shape[0] < M.shape[1]
+    _, sm, vmt = np.linalg.svd(M, full_matrices=wide)
+    val = 0.0 if wide else float(sm[-1]) ** 2
+    return val, W @ vmt[-1]
+
+
+def _reference_minimize_simple_pair(kraus, field, cfg, dim_in):
+    A = np.stack(kraus)
+    if field == REAL:
+        A = A.real
+    r, m, n = A.shape
+    full = m * m < n
+    best = None
+    for k in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([abs(int(cfg.seed)), 0x51, k]))
+        x = bilinear._rand_unit(rng, dim_in, field)
+        prev = np.inf
+        for it in range(cfg.max_iters):
+            My = ((A @ x).T @ A.conj().reshape(r, m * n)).reshape(m * m, n)
+            y = np.array(np.linalg.svd(My, full_matrices=full)[2][-1])
+            Mx = ((A @ y).conj().T @ A.reshape(r, m * n)).reshape(m, m, n).transpose(1, 0, 2).reshape(m * m, n)
+            _, s2, vh2 = np.linalg.svd(Mx, full_matrices=full)
+            x = vh2[-1].conj()
+            val = float(s2[-1]) ** 2
+            if val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, cfg.max_iters - it):
+                break
+            prev = val
+        if best is None or val < best[0]:
+            best = (val, x, y)
+        if best[0] < _SUCCESS:
+            break
+    return best
+
+
+def _reference_minimize_symmetric_pair(pair_maps, dim, cfg):
+    best = None
+    for k in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([abs(int(cfg.seed)), 0x52, k]))
+        x = bilinear._rand_unit(rng, dim, COMPLEX)
+        y = None
+        prev = np.inf
+        val = np.inf
+        for it in range(cfg.max_iters):
+            P1, P2 = pair_maps(x)
+            L = np.block([[P1.real + P2.real, P1.imag - P2.imag], [P1.imag + P2.imag, P2.real - P1.real]])
+            step_val, vt = _reference_smallest_generalized(L, x)
+            if vt is None:
+                x = bilinear._rand_unit(rng, dim, COMPLEX)
+                continue
+            y = vt[:dim] + 1j * vt[dim:]
+            val = step_val
+            x, y = y, x
+            if val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, cfg.max_iters - it):
+                break
+            prev = val
+        if y is None:
+            continue
+        pair = _renormalize_symmetric(x, y)
+        if pair is None:
+            continue
+        if best is None or val < best[0]:
+            best = (val, pair[0], pair[1])
+        if best[0] < _SUCCESS:
+            break
+    return best
+
+
+def _assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert type(got[0]) is type(want[0]) and got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kraus(seed, m, n, r, field):
+    rng = np.random.default_rng(seed)
+    return [rand_matrix(rng, m, n, field) for _ in range(r)]
+
+
+def _run_both_simple(kraus, field, cfg):
+    n = kraus[0].shape[1]
+    got = minimize_simple_pair(kraus, field, cfg, n)
+    want = _reference_minimize_simple_pair(kraus, field, cfg, n)
+    _assert_same_bits(got, want)
+    return got
+
+
+def _run_both_symmetric(kraus, cfg):
+    n = kraus[0].shape[1]
+    pair_maps = _channel_pair_maps(_natural_representation(kraus), n)
+    got = minimize_symmetric_pair(pair_maps, n, cfg)
+    want = _reference_minimize_symmetric_pair(pair_maps, n, cfg)
+    _assert_same_bits(got, want)
+    return got
+
+
+def test_restart_batches_double_up_to_a_cap():
+    assert [len(b) for b in bilinear._batches(64)] == [1, 1, 2, 4, 8, 16, 32]
+    assert [len(b) for b in bilinear._batches(300)] == [1, 1, 2, 4, 8, 16, 32, 64, 64, 64, 44]
+    assert [list(b) for b in bilinear._batches(3)] == [[0], [1], [2]]
+
+
+# (m, n, r): square, tall, and wide (m^2 < n, or 2 m^2 < 2n - 1 for the
+# symmetric engine) half-step matrices.
+ENGINE_SHAPES = [(3, 3, 3), (3, 2, 2), (1, 4, 3), (2, 5, 2)]
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 16, 64, 100, 200])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_lockstep_simple_engine_is_bitwise_sequential(restarts, field):
+    for i, (m, n, r) in enumerate(ENGINE_SHAPES):
+        cfg = OracleConfig(restarts=restarts, seed=7 + i)
+        _run_both_simple(_kraus([restarts, i], m, n, r, field), field, cfg)
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 16, 64, 100, 200])
+def test_lockstep_symmetric_engine_is_bitwise_sequential(restarts):
+    for i, (m, n, r) in enumerate(ENGINE_SHAPES):
+        cfg = OracleConfig(restarts=restarts, seed=7 + i)
+        _run_both_symmetric(_kraus([restarts, i], m, n, r, COMPLEX), cfg)
+
+
+def test_lockstep_engines_bitwise_with_few_iterations():
+    # Restarts cut by the iteration budget report their last step.
+    cfg = OracleConfig(restarts=16, max_iters=2, seed=3)
+    _run_both_simple(_kraus(0, 3, 3, 3, REAL), REAL, cfg)
+    _run_both_symmetric(_kraus(0, 3, 3, 3, COMPLEX), cfg)
+
+
+def _first_witness_restart(run, restarts):
+    return next(k for k in range(restarts) if run(OracleConfig(restarts=k + 1))[0] < _SUCCESS)
+
+
+@pytest.mark.parametrize(
+    "seed,m,n,r,field,hit",
+    [
+        (1, 3, 4, 2, REAL, 0),
+        (3, 2, 3, 3, REAL, 2),  # in the batch of restarts 2-3
+        (7, 2, 3, 3, REAL, 6),  # in the batch of restarts 4-7
+        (0, 2, 3, 3, COMPLEX, 0),
+        (11, 3, 4, 3, COMPLEX, 3),
+        (18, 3, 4, 3, COMPLEX, 7),
+        # Restart 3 ends even lower than the witness of restart 2, but one
+        # restart at a time would have stopped at restart 2.
+        (58, 2, 3, 3, REAL, 2),
+        (25, 3, 4, 3, COMPLEX, 2),
+    ],
+)
+def test_lockstep_witness_matches_sequential(seed, m, n, r, field, hit):
+    kraus = _kraus(seed, m, n, r, field)
+    if field == REAL:
+        pair_maps = None
+        run = lambda cfg: _reference_minimize_simple_pair(kraus, field, cfg, n)  # noqa: E731
+    else:
+        pair_maps = _channel_pair_maps(_natural_representation(kraus), n)
+        run = lambda cfg: _reference_minimize_symmetric_pair(pair_maps, n, cfg)  # noqa: E731
+    assert _first_witness_restart(run, 16) == hit
+    for restarts in (hit + 1, 16, 64):
+        cfg = OracleConfig(restarts=restarts)
+        got = _run_both_simple(kraus, field, cfg) if field == REAL else _run_both_symmetric(kraus, cfg)
+        assert got[0] < _SUCCESS
+
+
+@pytest.mark.parametrize("zero_all", [False, True])
+def test_lockstep_redraws_a_vanished_start_like_sequential(monkeypatch, zero_all):
+    """A start vector that vanishes is redrawn from the restart's own stream."""
+
+    def sometimes_zero(rng, n, field):
+        v = _rand_unit(rng, n, field)
+        return np.zeros_like(v) if zero_all or v[0].real > 0.3 else v
+
+    monkeypatch.setattr(bilinear, "_rand_unit", sometimes_zero)
+    monkeypatch.setattr(bilinear, "_starts", bilinear._starts.__wrapped__)  # no cached starts
+    kraus = _kraus(4, 3, 3, 3, COMPLEX)
+    for cfg in (OracleConfig(restarts=16, seed=2), OracleConfig(restarts=8, max_iters=3, seed=5)):
+        got = _run_both_symmetric(kraus, cfg)
+        assert (got is None) == zero_all

@@ -110,6 +110,23 @@ def test_choi_rank_matches_gram_rank():
         assert choi_rank(ch) == numerical_rank(gram)
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_choi_rank_matches_the_rank_of_the_choi_matrix(field):
+    """The rank read from the stacked Kraus operators is the Choi matrix's own."""
+    rng = np.random.default_rng([3, field == REAL])
+    for _ in range(40):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        r = int(rng.integers(1, 5))
+        kraus = [rand_matrix(rng, m, n, field) for _ in range(r)]
+        mix = rand_matrix(rng, r, r, field)
+        # Independent operators, plus duplicated and linearly dependent ones.
+        for ops in (kraus, kraus + kraus[:1], kraus + [sum(c * A for c, A in zip(mix[0], kraus))]):
+            ch = QuantumChannel(dim_in=n, dim_out=m, kraus=ops, field=field)
+            assert choi_rank(ch) == numerical_rank(choi_matrix(ch))
+    zero = QuantumChannel(dim_in=2, dim_out=3, kraus=[np.zeros((3, 2)), np.zeros((3, 2))], field=field)
+    assert choi_rank(zero) == numerical_rank(choi_matrix(zero)) == 0
+
+
 def test_minimal_kraus_round_trip():
     rng = np.random.default_rng(7)
     for field in (REAL, COMPLEX):

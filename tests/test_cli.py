@@ -5,6 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from prchannels import random_generic_frame
+from prchannels.frames import _measurement_channel
+from prchannels.serialize import channel_to_json, dumps
+
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
 
@@ -83,6 +87,27 @@ def test_check_method_oracle_reports_residuals():
     assert res.returncode == 1
     verdict = json.loads(res.stdout)["verdict"]
     assert verdict["status"] == "NOT_PR" and verdict["method"] == "HERMITIAN_KERNEL"
+
+
+def test_check_labels_a_proved_floor():
+    # The kernel stage proves PR with floor sigma_min; no oracle runs.
+    res = run_cli("check", str(FIXTURES / "identity2.json"), "--method", "oracle")
+    assert res.returncode == 0
+    assert "verdict: PR (method HERMITIAN_KERNEL)" in res.stdout
+    assert "proved floor: 1" in res.stdout
+    assert "oracle floor" not in res.stdout
+
+
+def test_check_labels_an_oracle_floor(tmp_path):
+    # A real frame of 7 vectors in R^4: its measurement channel has a
+    # three-dimensional kernel on Sym(4), so only the oracle speaks.
+    path = tmp_path / "frame_channel.json"
+    path.write_text(dumps(channel_to_json(_measurement_channel(random_generic_frame(4, 7, "real", seed=1)))))
+    res = run_cli("check", str(path))
+    assert res.returncode == 2
+    assert "verdict: LIKELY_PR (method ORACLE_NO_WITNESS)" in res.stdout
+    assert "oracle floor: " in res.stdout
+    assert "proved floor" not in res.stdout
 
 
 def test_malformed_json_is_input_error():
