@@ -34,9 +34,11 @@ vanished ``x``, and leaves the batch when it stops.  A finished batch is
 folded in restart order with the rules above, so the result is the one of
 running the restarts one at a time; only the restarts after a witness inside
 its batch are extra work.  A witness is found on restart 0 in most searches
-that have one, and the first batch of one restart keeps that case as cheap
-as a lone restart.  Seeding a stream costs more than a short restart, so the
-starting vectors of each batch are drawn once per seed and shape and kept.
+that have one, and the first batch of one restart keeps that case to one
+restart's work, though each of its steps pays some numpy overhead for the
+batch axis.  Seeding a stream costs more than a short restart, so the
+starting vectors of each batch are drawn once per seed and shape and kept;
+only the first search of a shape in a process draws them.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ _SUCCESS = 1e-26
 # a rate bounded away from one and survive the projection.
 _TARGET = 1e-18
 _LOG_TARGET = np.log(_TARGET)
+_SQRT2 = np.sqrt(2.0)
 
 
 def _hopeless(val: float, prev: float, iters_left: int) -> bool:
@@ -103,59 +106,58 @@ def _symmetric_whitener(x: np.ndarray, nrm: np.ndarray) -> np.ndarray:
     """
     b, n = x.shape
     xh = x / nrm
+    x0 = xh[:, :1]
     # Householder reflector H = I - 2 w w^* / ||w||^2 with w = xh - alpha e1 and
     # alpha = -xh[0] / |xh[0]|, so ||w||^2 = 2 + 2 |xh[0]| never cancels.  Its
     # last n - 1 columns are an orthonormal basis of the complement of xh.
     # np.hypot rounds |xh[0]| as the scalar abs does; np.abs on arrays does not.
-    a0 = np.hypot(xh[:, :1].real, xh[:, :1].imag)
+    a0 = np.hypot(x0.real, x0.imag)
+    # -alpha is xh[0] / |xh[0]|, or 1 where xh[0] = 0; the masked divide runs
+    # only when some xh[0] is 0.
+    phase = x0 / a0 if np.count_nonzero(a0) == b else np.divide(x0, a0, out=np.ones_like(x0), where=a0 > 0.0)
     w = xh.copy()
-    w[:, :1] += np.divide(xh[:, :1], a0, out=np.ones((b, 1), dtype=complex), where=a0 > 0.0)
-    c = 1.0 / (np.sqrt(2.0) * nrm)
+    np.add(x0, phase, out=w[:, :1])
+    c = 1.0 / (_SQRT2 * nrm)
     # Complex columns: xh / (2 ||x||), then c H[:, 1:], then i c H[:, 1:].
     B = np.empty((b, n, 2 * n - 1), dtype=complex)
-    B[:, :, 0] = xh / (2.0 * nrm)
+    np.divide(xh, 2.0 * nrm, out=B[:, :, 0])
     Q = B[:, :, 1:n]
     np.multiply(w[:, :, None], w[:, None, 1:].conj(), out=Q)
-    Q *= (-c / (1.0 + a0))[:, :, None]
+    Q *= (c / (-1.0 - a0))[:, :, None]  # -c / (1 + a0), rounded alike
     B.reshape(b, -1)[:, 2 * n :: 2 * n] += c  # the identity part of H[:, 1:], at B[j, j]
     np.multiply(Q, 1j, out=B[:, :, n:])
     return np.concatenate((B.real, B.imag), axis=1)
 
 
 def smallest_generalized(L: np.ndarray, x: np.ndarray):
-    """Minimize ``||L v||^2 / ||x v^* + v x^*||_F^2`` over real ``v = [Re; Im]``.
+    """Minimize ``||L_k v||^2 / ||x_k v^* + v x_k^*||_F^2`` over real ``v = [Re; Im]``, per row ``x_k`` of ``x``.
 
-    Returns ``(value, v)`` with the symmetric product of unit Frobenius norm,
-    or ``(None, None)`` when ``x`` vanishes.  When ``L`` has fewer rows than
-    the whitened space has dimensions the minimum is zero.
-
-    With a leading batch axis on ``L`` and ``x`` the solves share one stacked
-    decomposition and come back as an array of values and a matrix of rows
-    ``v``; both are NaN where ``x`` vanishes.
+    ``L`` stacks one real matrix per row of ``x`` along its leading axis, and
+    the solves share one stacked decomposition.  Returns an array of values
+    and a matrix whose rows ``v`` have symmetric products of unit Frobenius
+    norm; both are NaN where ``x_k`` vanishes.  When ``L_k`` has fewer rows
+    than the whitened space has dimensions the minimum is zero.
     """
-    if x.ndim == 1:
-        val, v = _generalized_batch(L[None], x[None])
-        return (None, None) if np.isnan(val[0]) else (float(val[0]), v[0])
-    return _generalized_batch(L, x)
-
-
-def _generalized_batch(L: np.ndarray, x: np.ndarray):
     # One conjugated dot product per row, rounded as np.vdot(x, x).
     nrm = np.sqrt(np.vecdot(x, x).real)[:, None]
-    if not nrm.all():
-        live = nrm[:, 0] != 0.0
-        val = np.full(len(x), np.nan)
-        v = np.full((len(x), L.shape[-1]), np.nan)
-        if live.any():
-            val[live], v[live] = _generalized_batch(L[live], x[live])
-        return val, v
+    if np.count_nonzero(nrm) == len(x):
+        return _whitened_solve(L, x, nrm)
+    live = nrm[:, 0] != 0.0
+    val = np.full(len(x), np.nan)
+    v = np.full((len(x), L.shape[-1]), np.nan)
+    if live.any():
+        val[live], v[live] = _whitened_solve(L[live], x[live], nrm[live])
+    return val, v
+
+
+def _whitened_solve(L: np.ndarray, x: np.ndarray, nrm: np.ndarray):
     W = _symmetric_whitener(x, nrm)
     M = L @ W
     wide = M.shape[1] < M.shape[2]
     _, sm, vmt = np.linalg.svd(M, full_matrices=wide)
     # Python's float power, as in one solve at a time: it may round
     # differently from numpy's squaring.
-    val = np.zeros(len(x)) if wide else np.array([float(s) ** 2 for s in sm[:, -1]])
+    val = np.zeros(len(x)) if wide else np.array([s**2 for s in sm[:, -1].tolist()])
     return val, (W @ vmt[:, -1, :, None])[:, :, 0]
 
 
@@ -275,8 +277,8 @@ def minimize_simple_pair(kraus, field: str, cfg: OracleConfig, dim_in: int):
             _, s2, vh2 = np.linalg.svd(_fixed_y_matrix(A, y), full_matrices=full)
             x = vh2[:, -1].conj()
             going = []
-            for j, k in enumerate(live):
-                val = float(s2[j, -1]) ** 2
+            for j, (k, s) in enumerate(zip(live, s2[:, -1].tolist())):
+                val = s**2
                 results[k] = (val, x[j], y[j])
                 if not _stops(val, prev[k], cfg.max_iters - it):
                     prev[k] = val
@@ -313,8 +315,8 @@ def minimize_symmetric_pair(pair_maps, dim: int, cfg: OracleConfig):
             vals, vt = smallest_generalized(_block_real(*pair_maps(x)), x)
             y = vt[:, :dim] + 1j * vt[:, dim:]
             going = []
-            for j, k in enumerate(live):
-                if np.isnan(vals[j]):  # x vanished: redraw it, the iteration still counts
+            for j, (k, val) in enumerate(zip(live, vals.tolist())):
+                if math.isnan(val):  # x vanished: redraw it, the iteration still counts
                     if k not in streams:
                         streams[k] = _restart_rng(cfg.seed, 0x52, batch[k])
                         _rand_unit(streams[k], dim, COMPLEX)  # the start, already drawn
@@ -323,7 +325,6 @@ def minimize_symmetric_pair(pair_maps, dim: int, cfg: OracleConfig):
                         results[k] = (results[k][0], y[j], results[k][2])
                     going.append(j)
                     continue
-                val = float(vals[j])
                 results[k] = (val, y[j], x[j])  # alternate which slot is solved next
                 if not _stops(val, prev[k], cfg.max_iters - it):
                     prev[k] = val

@@ -110,26 +110,18 @@ def choi_matrix(ch: QuantumChannel) -> np.ndarray:
     return C
 
 
-def _choi_eigenvalues(ch: QuantumChannel) -> np.ndarray:
-    """The Choi matrix's eigenvalues that can be nonzero, largest first.
+def choi_rank(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Numerical rank of the Choi matrix (the dimension of the Kraus span).
 
     The Choi matrix is ``F^* F`` for the matrix ``F`` whose rows are the
-    column-stacked Kraus operators, so these are the squared singular values
-    of ``F``: one values-only decomposition of ``r x nm``, with no ``nm x nm``
-    matrix built.  They sum to ``sum_i ||A_i||_F^2``.
+    column-stacked Kraus operators, so its eigenvalues that can be nonzero
+    are the squared singular values of ``F``: one values-only decomposition
+    of ``r x nm``, with no ``nm x nm`` matrix built.  Those above
+    ``rank_rel`` times the largest one count; the zero map has rank 0.
     """
     F = np.stack(ch.kraus).transpose(0, 2, 1).reshape(len(ch.kraus), -1)
-    return np.linalg.svd(F, compute_uv=False) ** 2
-
-
-def _rank_of_spectrum(lam: np.ndarray, tol: Tolerance) -> int:
-    """Eigenvalues above ``rank_rel`` times the largest one; 0 for the zero map."""
+    lam = np.linalg.svd(F, compute_uv=False) ** 2
     return int(np.count_nonzero(lam > tol.rank_rel * lam[0])) if lam[0] > 0.0 else 0
-
-
-def choi_rank(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank of the Choi matrix (the dimension of the Kraus span)."""
-    return _rank_of_spectrum(_choi_eigenvalues(ch), tol)
 
 
 def _unstack_column_vec(w: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:

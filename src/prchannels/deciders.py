@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
-from .channels import QuantumChannel, _choi_eigenvalues, _rank_of_spectrum, apply, choi_matrix, minimal_kraus_from_choi
+from .channels import QuantumChannel, apply, choi_matrix, choi_rank, minimal_kraus_from_choi
 from .errors import DimensionMismatch, NotFinite, NotSquare, WrongField, WrongRank
 from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, numerical_rank
 from .spectra import SpectrumPoint, _pencil_points, pencil_singular_set
@@ -216,9 +216,8 @@ class _ChannelRecord:
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
         self.tol = tol
-        lam = _choi_eigenvalues(ch)
-        self.rank = _rank_of_spectrum(lam, tol)
-        self.choi_trace = float(lam.sum())
+        self.rank = choi_rank(ch, tol)
+        self.choi_trace = float(sum(np.vdot(A, A).real for A in ch.kraus))
         K = _natural_representation(ch.kraus)
         self.K = K.real if ch.field == REAL else K
 

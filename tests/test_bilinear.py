@@ -107,7 +107,8 @@ def test_generalized_solve_matches_svd_whitening(rows):
     n = 4
     x = rand_matrix(rng, n, 1, COMPLEX)[:, 0]
     L = rng.normal(size=(2 * rows, 2 * n))
-    val, v = smallest_generalized(L, x)
+    vals, vs = smallest_generalized(L[None], x[None])
+    val, v = float(vals[0]), vs[0]
     ref_val, ref_v = _reference_generalized(L, _normalizer(x))
     assert val == pytest.approx(ref_val, rel=1e-10, abs=1e-14)
     assert np.linalg.norm(_normalizer(x) @ v) == pytest.approx(1.0)
@@ -117,7 +118,8 @@ def test_generalized_solve_matches_svd_whitening(rows):
         assert np.linalg.norm(L @ v) < 1e-12
     else:
         assert min(np.linalg.norm(v - ref_v), np.linalg.norm(v + ref_v)) < 1e-8
-    assert smallest_generalized(L, np.zeros(n, dtype=complex)) == (None, None)
+    vals, vs = smallest_generalized(L[None], np.zeros((1, n), dtype=complex))
+    assert np.isnan(vals).all() and np.isnan(vs).all()
 
 
 @pytest.mark.parametrize("rows", [2, 9])
