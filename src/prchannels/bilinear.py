@@ -17,28 +17,32 @@ span a null direction.
 
 Both engines build their half-step matrices by contracting a stacked operator
 array once per step, not by summing Kronecker products.  They are
-deterministic functions of the configured seed: restart ``r`` draws from
-``default_rng([seed, tag, r])``, restarts stop early once a witness-grade
-minimum is found, and the reported pair is the best seen so far (lowest
-restart index on ties).
+deterministic functions of the configured seed: restart ``r`` starts from a
+unit vector drawn from ``default_rng([seed, tag, r])``, restarts stop early
+once a witness-grade minimum is found, and the reported pair is the best seen
+so far (lowest restart index on ties).  No ``x`` a restart holds vanishes:
+the start is a unit vector, and each later one is a unit singular vector
+(simple engine) or a solution whose symmetric product with the previous,
+nonzero ``x`` has unit norm (symmetric engine).
 
-Restarts run in lockstep batches of 1, 1, 2, 4, 8, ... restarts, each batch
-as long as all before it but at most 64, and the last one cut at
-``cfg.restarts``.  Every step of a batch forms the half-step matrices of all
-its running restarts with stacked products, one product per restart of the
-same shape as a lone restart's, and solves them with one stacked
-decomposition; LAPACK and BLAS treat each slice as they would treat it alone,
-so every restart follows the same floating-point path as when run by itself.
-Each restart keeps its own stream, its own stop rules and its own redraw of a
-vanished ``x``, and leaves the batch when it stops.  A finished batch is
-folded in restart order with the rules above, so the result is the one of
-running the restarts one at a time; only the restarts after a witness inside
-its batch are extra work.  A witness is found on restart 0 in most searches
-that have one, and the first batch of one restart keeps that case to one
-restart's work, though each of its steps pays some numpy overhead for the
-batch axis.  Seeding a stream costs more than a short restart, so the
-starting vectors of each batch are drawn once per seed and shape and kept;
-only the first search of a shape in a process draws them.
+One driver, ``_lockstep``, holds the restart policy of both engines; each
+engine hands it one step function.  Restarts run in lockstep batches of 1, 1,
+2, 4, 8, ... restarts, each batch as long as all before it but at most 64,
+and the last one cut at ``cfg.restarts``.  Every step of a batch forms the
+half-step matrices of all its running restarts with stacked products, one
+product per restart of the same shape as a lone restart's, and solves them
+with one stacked decomposition; LAPACK and BLAS treat each slice as they
+would treat it alone, so every restart follows the same floating-point path
+as when run by itself.  Each restart keeps its own stop rules and leaves the
+batch when it stops.  A finished batch is folded in restart order with the
+rules above, so the result is the one of running the restarts one at a time;
+only the restarts after a witness inside its batch are extra work.  A
+witness is found on restart 0 in most searches that have one, and the first
+batch of one restart keeps that case to one restart's work, though each of
+its steps pays some numpy overhead for the batch axis.  Seeding a stream
+costs more than a short restart, so the starting vectors of each batch are
+drawn once per seed and shape and kept; only the first search of a shape in
+a process draws them.
 """
 
 from __future__ import annotations
@@ -133,24 +137,15 @@ def smallest_generalized(L: np.ndarray, x: np.ndarray):
     """Minimize ``||L_k v||^2 / ||x_k v^* + v x_k^*||_F^2`` over real ``v = [Re; Im]``, per row ``x_k`` of ``x``.
 
     ``L`` stacks one real matrix per row of ``x`` along its leading axis, and
-    the solves share one stacked decomposition.  Returns an array of values
-    and a matrix whose rows ``v`` have symmetric products of unit Frobenius
-    norm; both are NaN where ``x_k`` vanishes.  When ``L_k`` has fewer rows
-    than the whitened space has dimensions the minimum is zero.
+    the solves share one stacked decomposition.  Every row of ``x`` must be
+    nonzero, as every start and every solution of the engines is.  Returns an
+    array of values and a matrix whose rows ``v`` have symmetric products of
+    unit Frobenius norm, so ``1 / (2 ||x_k||) <= ||v|| <= 1 / (sqrt(2) ||x_k||)``.
+    When ``L_k`` has fewer rows than the whitened space has dimensions the
+    minimum is zero.
     """
     # One conjugated dot product per row, rounded as np.vdot(x, x).
     nrm = np.sqrt(np.vecdot(x, x).real)[:, None]
-    if np.count_nonzero(nrm) == len(x):
-        return _whitened_solve(L, x, nrm)
-    live = nrm[:, 0] != 0.0
-    val = np.full(len(x), np.nan)
-    v = np.full((len(x), L.shape[-1]), np.nan)
-    if live.any():
-        val[live], v[live] = _whitened_solve(L[live], x[live], nrm[live])
-    return val, v
-
-
-def _whitened_solve(L: np.ndarray, x: np.ndarray, nrm: np.ndarray):
     W = _symmetric_whitener(x, nrm)
     M = L @ W
     wide = M.shape[1] < M.shape[2]
@@ -172,18 +167,15 @@ def _rand_unit(rng, n: int, field: str) -> np.ndarray:
     return v / nrm
 
 
-def _restart_rng(seed: int, tag: int, r: int):
-    return np.random.default_rng(np.random.SeedSequence([abs(int(seed)), tag, r]))
-
-
 @lru_cache(maxsize=256)
 def _starts(seed: int, tag: int, batch: range, n: int, field: str) -> np.ndarray:
     """The first draw of each restart in ``batch`` from its own stream, stacked and read-only.
 
-    Seeding a stream costs more than a short restart, and the draws depend
-    on nothing but the arguments, so they are made once and reused.
+    Restart ``r`` draws from ``default_rng([seed, tag, r])``.  Seeding a
+    stream costs more than a short restart, and the draws depend on nothing
+    but the arguments, so they are made once and reused.
     """
-    x = np.array([_rand_unit(_restart_rng(seed, tag, r), n, field) for r in batch])
+    x = np.array([_rand_unit(np.random.default_rng([abs(int(seed)), tag, r]), n, field) for r in batch])
     x.flags.writeable = False
     return x
 
@@ -206,21 +198,42 @@ def _stops(val: float, prev: float, iters_left: int) -> bool:
     return val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, iters_left)
 
 
-def _fold(best, results):
-    """Fold one batch's per-restart results into ``best`` in restart order.
+def _lockstep(step, cfg: OracleConfig, tag: int, n: int, field: str):
+    """Run the restarts of one search in lockstep batches; returns the best ``(value, x, y)``.
 
-    A result replaces ``best`` only when strictly smaller, and the fold stops
-    at the first witness-grade one, exactly where one restart at a time would
-    have stopped.  Returns ``(best, done)``; None results are skipped.
+    ``step(x)`` advances every running restart by one iteration from the
+    stacked rows ``x`` and returns ``(values, x_next, other)``: per row, the
+    objective after the step as a float, the next fixed vector and the vector
+    paired with it.  A restart leaves the batch when its stop rules fire and
+    reports its last step.  A finished batch is folded in restart order: a
+    result replaces the best only when strictly smaller, and the search ends
+    at the first witness-grade one, where one restart at a time would end.
     """
-    for res in results:
-        if res is None:
-            continue
-        if best is None or res[0] < best[0]:
-            best = res
-        if best[0] < _SUCCESS:
-            return best, True
-    return best, False
+    best = None
+    for batch in _batches(cfg.restarts):
+        x = _starts(cfg.seed, tag, batch, n, field)
+        results = [None] * len(batch)  # (value, x, y) after each restart's last step
+        prev = [np.inf] * len(batch)
+        live = list(range(len(batch)))  # batch positions of the running restarts, row by row
+        for it in range(cfg.max_iters):
+            vals, x, other = step(x)
+            going = []
+            for j, (k, val) in enumerate(zip(live, vals)):
+                results[k] = (val, x[j], other[j])
+                if not _stops(val, prev[k], cfg.max_iters - it):
+                    prev[k] = val
+                    going.append(j)
+            if not going:
+                break
+            if len(going) < len(live):
+                live = [live[j] for j in going]
+                x = x[going]
+        for res in results:
+            if best is None or res[0] < best[0]:
+                best = res
+            if best[0] < _SUCCESS:
+                return best
+    return best
 
 
 def _block_real(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
@@ -265,33 +278,14 @@ def minimize_simple_pair(kraus, field: str, cfg: OracleConfig, dim_in: int):
     # Each half-step matrix has m^2 rows and n columns; with fewer rows than
     # columns only the full decomposition yields a null vector.
     full = m * m < n
-    best = None
-    for batch in _batches(cfg.restarts):
-        x = _starts(cfg.seed, 0x51, batch, dim_in, field)
-        results = [None] * len(batch)
-        prev = [np.inf] * len(batch)
-        live = list(range(len(batch)))  # batch positions of the running restarts, row by row
-        for it in range(cfg.max_iters):
-            _, _, vh1 = np.linalg.svd(_fixed_x_matrix(A, x), full_matrices=full)
-            y = vh1[:, -1]  # the solve yields conj(y); undo the conjugation
-            _, s2, vh2 = np.linalg.svd(_fixed_y_matrix(A, y), full_matrices=full)
-            x = vh2[:, -1].conj()
-            going = []
-            for j, (k, s) in enumerate(zip(live, s2[:, -1].tolist())):
-                val = s**2
-                results[k] = (val, x[j], y[j])
-                if not _stops(val, prev[k], cfg.max_iters - it):
-                    prev[k] = val
-                    going.append(j)
-            if not going:
-                break
-            if len(going) < len(live):
-                live = [live[j] for j in going]
-                x = x[going]
-        best, done = _fold(best, results)
-        if done:
-            break
-    return best
+
+    def step(x):
+        _, _, vh1 = np.linalg.svd(_fixed_x_matrix(A, x), full_matrices=full)
+        y = vh1[:, -1]  # the solve yields conj(y); undo the conjugation
+        _, s2, vh2 = np.linalg.svd(_fixed_y_matrix(A, y), full_matrices=full)
+        return [s**2 for s in s2[:, -1].tolist()], vh2[:, -1].conj(), y
+
+    return _lockstep(step, cfg, 0x51, dim_in, field)
 
 
 def minimize_symmetric_pair(pair_maps, dim: int, cfg: OracleConfig):
@@ -300,58 +294,14 @@ def minimize_symmetric_pair(pair_maps, dim: int, cfg: OracleConfig):
     ``pair_maps(u)`` must return complex matrices ``(P1, P2)`` such that the
     objective at the fixed slot ``u`` is ``P1 conj(v) + P2 v``, stacked along
     a leading batch axis of ``u``; the map is assumed symmetric in its two
-    slots.  Returns the best ``(value, x, y)`` with the pair normalized so the
-    symmetric product has unit Frobenius norm, or None when every restart
-    degenerated.
+    slots.  Returns the best ``(value, x, y)``, with the pair normalized so
+    the symmetric product has unit Frobenius norm.
     """
-    best = None
-    for batch in _batches(cfg.restarts):
-        x = _starts(cfg.seed, 0x52, batch, dim, COMPLEX)
-        streams = {}  # restart streams past their first draw, made at a first redraw
-        results = [None] * len(batch)  # (value, x, y) after each restart's last solve
-        prev = [np.inf] * len(batch)
-        live = list(range(len(batch)))
-        for it in range(cfg.max_iters):
-            vals, vt = smallest_generalized(_block_real(*pair_maps(x)), x)
-            y = vt[:, :dim] + 1j * vt[:, dim:]
-            going = []
-            for j, (k, val) in enumerate(zip(live, vals.tolist())):
-                if math.isnan(val):  # x vanished: redraw it, the iteration still counts
-                    if k not in streams:
-                        streams[k] = _restart_rng(cfg.seed, 0x52, batch[k])
-                        _rand_unit(streams[k], dim, COMPLEX)  # the start, already drawn
-                    y[j] = _rand_unit(streams[k], dim, COMPLEX)
-                    if results[k] is not None:
-                        results[k] = (results[k][0], y[j], results[k][2])
-                    going.append(j)
-                    continue
-                results[k] = (val, y[j], x[j])  # alternate which slot is solved next
-                if not _stops(val, prev[k], cfg.max_iters - it):
-                    prev[k] = val
-                    going.append(j)
-            if not going:
-                break
-            x = y
-            if len(going) < len(live):
-                live = [live[j] for j in going]
-                x = x[going]
-        best, done = _fold(best, (_symmetric_result(res) for res in results))
-        if done:
-            break
-    return best
 
+    def step(x):
+        vals, vt = smallest_generalized(_block_real(*pair_maps(x)), x)
+        return vals.tolist(), vt[:, :dim] + 1j * vt[:, dim:], x  # alternate which slot is solved next
 
-def _symmetric_result(res):
-    if res is None:
-        return None
-    val, x, y = res
-    pair = _renormalize_symmetric(x, y)
-    return None if pair is None else (val, pair[0], pair[1])
-
-
-def _renormalize_symmetric(x: np.ndarray, y: np.ndarray):
-    s = np.linalg.norm(np.outer(x, y.conj()) + np.outer(y, x.conj()))
-    if s == 0.0:
-        return None
-    root = np.sqrt(s)
-    return x / root, y / root
+    val, x, y = _lockstep(step, cfg, 0x52, dim, COMPLEX)
+    root = np.sqrt(np.linalg.norm(np.outer(x, y.conj()) + np.outer(y, x.conj())))
+    return val, x / root, y / root

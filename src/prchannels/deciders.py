@@ -33,7 +33,7 @@ pure states with identical images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -177,6 +177,12 @@ def _symmetric_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _outer(x, y) + _outer(y, x)
 
 
+def _tensor_residual(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, kind: str = SIMPLE) -> float:
+    """``||Phi(x y^*)||``, or ``||Phi(x y^* + y x^*)||`` for the symmetric kind."""
+    product = _outer(x, y) if kind == SIMPLE else _symmetric_product(x, y)
+    return float(np.linalg.norm(apply(ch, product)))
+
+
 def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tolerance):
     """Turn an annihilated (symmetric) tensor pair into equal-image pure states.
 
@@ -211,15 +217,19 @@ def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tol
 class _ChannelRecord:
     """What every stage of one call reads: the channel, its Choi rank, the Choi
     trace ``sum_i ||A_i||_F^2`` and the natural representation ``K`` (real on
-    the real field).  No stage but the rank-2 reduction needs the Choi matrix itself."""
+    the real field).  No stage but the rank-2 reduction needs the Choi matrix
+    itself, and ``K`` is built on first use, by the kernel stage."""
 
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
         self.tol = tol
         self.rank = choi_rank(ch, tol)
         self.choi_trace = float(sum(np.vdot(A, A).real for A in ch.kraus))
-        K = _natural_representation(ch.kraus)
-        self.K = K.real if ch.field == REAL else K
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        K = _natural_representation(self.ch.kraus)
+        return K.real if self.ch.field == REAL else K
 
 
 def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
@@ -312,15 +322,13 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
 
 
 def _rank2_not_pr(ch, clash, x, y, tol) -> PRVerdict:
-    tensor_res = float(np.linalg.norm(apply(ch, _outer(x, y))))
-    verdict = PRVerdict(
+    return PRVerdict(
         NOT_PR,
         RANK2_EXACT,
         PencilClash(complex(clash), x, y),
         state_witness=_to_state_witness(ch, x, y, tol),
-        residuals={"tensor": tensor_res},
+        residuals={"tensor": _tensor_residual(ch, x, y)},
     )
-    return verdict
 
 
 class _Continuum(Exception):
@@ -436,7 +444,7 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
             for q in points:
                 ip = 1.0 + complex(np.sum(p.lam * np.conj(q.lam)))
                 if abs(ip) <= tol.residual_abs:
-                    tensor_res = float(np.linalg.norm(apply(ch, _outer(p.witness, q.witness))))
+                    tensor_res = _tensor_residual(ch, p.witness, q.witness)
                     return PRVerdict(
                         NOT_PR,
                         NECESSARY_VIOLATION,
@@ -499,17 +507,16 @@ def _channel_pair_maps(K: np.ndarray, n: int):
 def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
     """Search for x, y with the symmetric product ``x (x) y + y (x) x`` annihilated.
 
-    Only defined for complex channels; the witness pair is normalized so the
-    symmetric product has unit Frobenius norm.
+    Only defined for complex channels.  The search always returns a pair,
+    normalized so its symmetric product has unit Frobenius norm: a witness when
+    the minimum drops below ``residual_abs`` squared, and the observed floor
+    otherwise.
     """
     if ch.field != COMPLEX:
         raise WrongField("the symmetric-product oracle is a complex-field test")
     cfg = cfg or OracleConfig()
     n = ch.dim_in
-    result = minimize_symmetric_pair(_channel_pair_maps(_natural_representation(ch.kraus), n), n, cfg)
-    if result is None:
-        return NoWitness(floor=float("inf"))
-    val, x, y = result
+    val, x, y = minimize_symmetric_pair(_channel_pair_maps(_natural_representation(ch.kraus), n), n, cfg)
     if val < tol.residual_abs**2:
         return TensorWitness(x, y, SYMMETRIC)
     return NoWitness(floor=float(np.sqrt(max(val, 0.0))))
@@ -536,16 +543,12 @@ def oracle_verdict(ch: QuantumChannel, outcome, tol: Tolerance = DEFAULT_TOL) ->
     :class:`NoWitness` gives LIKELY_PR carrying the observed floor.
     """
     if isinstance(outcome, TensorWitness):
-        if outcome.kind == SIMPLE:
-            product = _outer(outcome.x, outcome.y)
-        else:
-            product = _symmetric_product(outcome.x, outcome.y)
         return PRVerdict(
             NOT_PR,
             ORACLE_WITNESS,
             outcome,
             state_witness=_to_state_witness(ch, outcome.x, outcome.y, tol),
-            residuals={"tensor": float(np.linalg.norm(apply(ch, product)))},
+            residuals={"tensor": _tensor_residual(ch, outcome.x, outcome.y, outcome.kind)},
         )
     return PRVerdict(
         LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor, residuals={}
@@ -689,31 +692,13 @@ def verify_certificate(ch: QuantumChannel, verdict: PRVerdict, tol: Tolerance = 
     """
     residuals: dict[str, float] = {}
     cert = verdict.certificate
-    if isinstance(cert, PencilClash):
-        residuals["tensor"] = float(np.linalg.norm(apply(ch, _outer(cert.x, cert.y))))
-    elif isinstance(cert, InnerProductViolation):
+    if isinstance(cert, InnerProductViolation):
         residuals["inner_product"] = float(abs(1.0 + np.sum(cert.lam * np.conj(cert.mu))))
-        residuals["tensor"] = float(np.linalg.norm(apply(ch, _outer(cert.x, cert.y))))
-    elif isinstance(cert, TensorWitness):
-        if cert.kind == SIMPLE:
-            residuals["tensor"] = float(np.linalg.norm(apply(ch, _outer(cert.x, cert.y))))
-        else:
-            residuals["tensor"] = float(
-                np.linalg.norm(apply(ch, _symmetric_product(cert.x, cert.y)))
-            )
-    elif isinstance(cert, StateWitness):
-        residuals["state"] = float(
-            np.linalg.norm(apply(ch, _outer(cert.x, cert.x)) - apply(ch, _outer(cert.y, cert.y)))
-        )
-        residuals["separation"] = float(
-            np.linalg.norm(_outer(cert.x, cert.x) - _outer(cert.y, cert.y))
-        )
-    if verdict.state_witness is not None:
-        sw = verdict.state_witness
-        residuals["state"] = float(
-            np.linalg.norm(apply(ch, _outer(sw.x, sw.x)) - apply(ch, _outer(sw.y, sw.y)))
-        )
-        residuals["separation"] = float(
-            np.linalg.norm(_outer(sw.x, sw.x) - _outer(sw.y, sw.y))
-        )
+    if isinstance(cert, (PencilClash, InnerProductViolation, TensorWitness)):
+        residuals["tensor"] = _tensor_residual(ch, cert.x, cert.y, getattr(cert, "kind", SIMPLE))
+    # A RANK1 NOT_PR carries its state pair as both certificate and witness.
+    sw = verdict.state_witness or (cert if isinstance(cert, StateWitness) else None)
+    if sw is not None:
+        residuals["state"] = float(np.linalg.norm(apply(ch, _outer(sw.x, sw.x)) - apply(ch, _outer(sw.y, sw.y))))
+        residuals["separation"] = float(np.linalg.norm(_outer(sw.x, sw.x) - _outer(sw.y, sw.y)))
     return residuals

@@ -32,6 +32,7 @@ from prchannels import (
     symmetric_tensor_oracle,
     verify_certificate,
 )
+from prchannels import deciders
 from prchannels.deciders import (
     HERMITIAN_KERNEL,
     NECESSARY_VIOLATION,
@@ -317,6 +318,24 @@ def test_trivial_kernel_complex_is_pr():
     verdict = decide(ch)
     assert verdict.status == PR and verdict.method == HERMITIAN_KERNEL
     assert verdict.floor == pytest.approx(_natural_sigma_min(ch), rel=1e-10)
+
+
+def test_natural_representation_is_built_only_for_the_kernel_stage(monkeypatch):
+    # Channels settled by the rank 0/1, screen or exact rank-2 stage never
+    # build K; one that reaches the kernel stage builds it once.
+    calls = []
+    build = deciders._natural_representation
+    monkeypatch.setattr(deciders, "_natural_representation", lambda kraus: calls.append(1) or build(kraus))
+    cases = [
+        (fixture("identity", 2), RANK1, 0),
+        (fixture("dephasing"), RANK2_EXACT, 0),
+        (fixture("example_2_11"), NECESSARY_VIOLATION, 0),
+        (random_cptp(3, 3, 3, COMPLEX, np.random.default_rng(1)), HERMITIAN_KERNEL, 1),
+    ]
+    for ch, method, builds in cases:
+        calls.clear()
+        assert decide(ch).method == method
+        assert len(calls) == builds
 
 
 def test_real_kernel_is_counted_on_symmetric_matrices():
