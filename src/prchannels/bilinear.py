@@ -15,15 +15,18 @@ decompositions are thin whenever the matrix has at least as many rows as
 columns, and full otherwise, where the last right singular vector must still
 span a null direction.
 
-Both engines build their half-step matrices by contracting a stacked operator
-array once per step, not by summing Kronecker products.  They are
-deterministic functions of the configured seed: restart ``r`` starts from a
-unit vector drawn from ``default_rng([seed, tag, r])``, restarts stop early
-once a witness-grade minimum is found, and the reported pair is the best seen
-so far (lowest restart index on ties).  No ``x`` a restart holds vanishes:
-the start is a unit vector, and each later one is a unit singular vector
-(simple engine) or a solution whose symmetric product with the previous,
-nonzero ``x`` has unit norm (symmetric engine).
+Both engines read the channel through its natural representation
+``K = sum_i A_i (x) conj(A_i)``, which sends ``s (x) t`` to ``vec(Phi(s t^T))``:
+every half-step matrix is one of the two slot contractions of ``K`` at the
+fixed vector (:func:`_slot_maps`), one matrix-vector product each, and never
+a sum of Kronecker products.  The engines are deterministic functions of the
+configured seed: restart ``r`` starts from a unit vector drawn from
+``default_rng([seed, tag, r])``, restarts stop early once a witness-grade
+minimum is found, and the reported pair is the best seen so far (lowest
+restart index on ties).  No ``x`` a restart holds vanishes: the start is a
+unit vector, and each later one is a unit singular vector (simple engine) or
+a solution whose symmetric product with the previous, nonzero ``x`` has unit
+norm (symmetric engine).
 
 One driver, ``_lockstep``, holds the restart policy of both engines; each
 engine hands it one step function.  Restarts run in lockstep batches of 1, 1,
@@ -53,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import COMPLEX, REAL
+from .linalg import COMPLEX
 
 # An objective below this is treated as an exact zero of the bilinear form.
 _SUCCESS = 1e-26
@@ -247,59 +250,62 @@ def _block_real(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fixed_x_matrix(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_i kron(A_i x, conj(A_i))`` for operators stacked as ``A[i]``, per row of ``x``.
+def _slot_maps(K: np.ndarray, n: int):
+    """The slot contractions ``(left, right)`` of the natural representation ``K``.
 
-    It sends conj(y) to the objective's vector at fixed x.
+    ``K`` acts on ``vec(s t^T) = s (x) t``, so ``Phi(x y^*) = K (x (x) conj(y))``.
+    ``left(u)`` fixes ``s = u`` and acts on ``t = conj(v)``; ``right(u)`` fixes
+    ``t = conj(u)`` and acts on ``s = v``.  Each is one matrix-vector product
+    with ``K`` viewed as a ``(rows, n, n)`` array, per leading index of ``u``.
     """
-    _, m, n = A.shape
-    Ax = (A @ x[:, None, :, None])[:, :, :, 0]
-    return (Ax.transpose(0, 2, 1) @ A.conj().reshape(len(A), m * n)).reshape(len(x), m * m, n)
+    rows = K.shape[0]
+    left_slot = K.reshape(rows, n, n).transpose(0, 2, 1).reshape(rows * n, n)
+    right_slot = K.reshape(rows * n, n)
+
+    def left(u):
+        return (left_slot @ u[..., None]).reshape(*u.shape[:-1], rows, n)
+
+    def right(u):
+        return (right_slot @ u.conj()[..., None]).reshape(*u.shape[:-1], rows, n)
+
+    return left, right
 
 
-def _fixed_y_matrix(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum_i kron(A_i, conj(A_i y))`` per row of ``y``: sends x to the objective's vector at fixed y."""
-    _, m, n = A.shape
-    Ay = (A @ y[:, None, :, None])[:, :, :, 0].conj()
-    M = (Ay.transpose(0, 2, 1) @ A.reshape(len(A), m * n)).reshape(len(y), m, m, n)
-    return M.transpose(0, 2, 1, 3).reshape(len(y), m * m, n)
+def minimize_simple_pair(K: np.ndarray, dim: int, field: str, cfg: OracleConfig):
+    """Minimize ``||K (x (x) conj(y))||^2`` over unit ``x``, ``y`` in dimension ``dim``.
 
-
-def minimize_simple_pair(kraus, field: str, cfg: OracleConfig, dim_in: int):
-    """Minimize ``|| sum_i (A_i x)(A_i y)^* ||_F^2`` over unit ``x``, ``y``.
-
-    For real channels the search stays over real vectors.  Returns the best
-    ``(value, x, y)`` over all restarts.
+    ``K`` is the natural representation ``sum_i A_i (x) conj(A_i)``, real for
+    a search over real vectors.  The half steps alternate the smallest right
+    singular vectors of ``left(x)`` and ``right(y)`` (:func:`_slot_maps`).
+    Returns the best ``(value, x, y)`` over all restarts.
     """
-    A = np.stack(kraus)
-    if field == REAL:
-        A = A.real
-    _, m, n = A.shape
-    # Each half-step matrix has m^2 rows and n columns; with fewer rows than
+    left, right = _slot_maps(K, dim)
+    # Each half-step matrix has K's rows and dim columns; with fewer rows than
     # columns only the full decomposition yields a null vector.
-    full = m * m < n
+    full = K.shape[0] < dim
 
     def step(x):
-        _, _, vh1 = np.linalg.svd(_fixed_x_matrix(A, x), full_matrices=full)
+        _, _, vh1 = np.linalg.svd(left(x), full_matrices=full)
         y = vh1[:, -1]  # the solve yields conj(y); undo the conjugation
-        _, s2, vh2 = np.linalg.svd(_fixed_y_matrix(A, y), full_matrices=full)
+        _, s2, vh2 = np.linalg.svd(right(y), full_matrices=full)
         return [s**2 for s in s2[:, -1].tolist()], vh2[:, -1].conj(), y
 
-    return _lockstep(step, cfg, 0x51, dim_in, field)
+    return _lockstep(step, cfg, 0x51, dim, field)
 
 
-def minimize_symmetric_pair(pair_maps, dim: int, cfg: OracleConfig):
-    """Minimize ``||map(x, y)||^2 / ||x y^* + y x^*||_F^2`` by alternation.
+def minimize_symmetric_pair(K: np.ndarray, dim: int, cfg: OracleConfig):
+    """Minimize ``||K (x (x) conj(y) + y (x) conj(x))||^2 / ||x y^* + y x^*||_F^2`` by alternation.
 
-    ``pair_maps(u)`` must return complex matrices ``(P1, P2)`` such that the
-    objective at the fixed slot ``u`` is ``P1 conj(v) + P2 v``, stacked along
-    a leading batch axis of ``u``; the map is assumed symmetric in its two
-    slots.  Returns the best ``(value, x, y)``, with the pair normalized so
-    the symmetric product has unit Frobenius norm.
+    ``K`` is a natural representation on complex ``dim``-vectors.  At a fixed
+    slot ``x`` the objective is ``left(x) conj(v) + right(x) v``
+    (:func:`_slot_maps`), real-linear in ``v``.  Returns the best ``(value, x,
+    y)``, with the pair normalized so the symmetric product has unit
+    Frobenius norm.
     """
+    left, right = _slot_maps(K, dim)
 
     def step(x):
-        vals, vt = smallest_generalized(_block_real(*pair_maps(x)), x)
+        vals, vt = smallest_generalized(_block_real(left(x), right(x)), x)
         return vals.tolist(), vt[:, :dim] + 1j * vt[:, dim:], x  # alternate which slot is solved next
 
     val, x, y = _lockstep(step, cfg, 0x52, dim, COMPLEX)

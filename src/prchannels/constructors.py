@@ -130,8 +130,8 @@ def projector_channel_from_frame(
     return QuantumChannel(dim_in=f.dim, dim_out=f.dim, kraus=kraus, field=f.field)
 
 
-def _extend_to_pr_frame(base_vectors, n: int, target_len: int, field: str, rng, tol: Tolerance):
-    """Append Gaussian vectors until the frame is phase retrievable.
+def _extend_to_pr_frame(base_vectors, n: int, target_len: int, rng, tol: Tolerance):
+    """Append real Gaussian vectors until the real frame is phase retrievable.
 
     Genericity makes a random extension succeed almost surely; the retry
     bound turns a pathological run into a loud failure instead of a loop.
@@ -140,18 +140,10 @@ def _extend_to_pr_frame(base_vectors, n: int, target_len: int, field: str, rng, 
     for _ in range(50):
         extra = []
         while len(base) + len(extra) < target_len:
-            v = rng.normal(size=n)
-            if field == COMPLEX:
-                v = v + 1j * rng.normal(size=n)
-            extra.append(np.asarray(v, dtype=complex))
-        candidate = Frame(dim=n, vectors=np.array(base + extra), field=field)
-        if field == REAL:
-            if complement_property(candidate, tol):
-                return candidate
-        else:
-            report = is_phase_retrievable_frame(candidate, OracleConfig(restarts=16), tol)
-            if report.phase_retrievable != NO:
-                return candidate
+            extra.append(np.asarray(rng.normal(size=n), dtype=complex))
+        candidate = Frame(dim=n, vectors=np.array(base + extra), field=REAL)
+        if complement_property(candidate, tol):
+            return candidate
     raise NotPhaseRetrievableFrame(
         f"could not extend {len(base)} vectors to a phase-retrievable frame of length {target_len}"
     )
@@ -176,7 +168,7 @@ def rank2_injective_plus_rankone(n: int, seed: int = 0, tol: Tolerance = DEFAULT
     ch = QuantumChannel(dim_in=n, dim_out=n, kraus=[A1.astype(complex), A2.astype(complex)], field=REAL)
 
     d_n, _ = minimal_pr_length(n, REAL)
-    frame = _extend_to_pr_frame([u], n, d_n, REAL, rng, tol)
+    frame = _extend_to_pr_frame([u], n, d_n, rng, tol)
     A1_inv = np.linalg.inv(A1)
     observable_vectors = [A1_inv @ w.real for w in frame.vectors]
     povm = _scale_and_complete(observable_vectors, n, tol)
@@ -227,7 +219,7 @@ def rankr_positive_construction(n: int, r: int, seed: int = 0, tol: Tolerance = 
 
     d_n, _ = minimal_pr_length(n, REAL)
     target = max(d_n, r - 1)
-    frame = _extend_to_pr_frame(us, n, target, REAL, rng, tol)
+    frame = _extend_to_pr_frame(us, n, target, rng, tol)
     anchor_inv = np.linalg.inv(anchor)
     observable_vectors = [anchor_inv @ w.real for w in frame.vectors]
     povm = _scale_and_complete(observable_vectors, n, tol)

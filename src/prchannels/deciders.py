@@ -18,12 +18,14 @@ the channel gives the verdict:
    exactly: at most one positive and one negative eigenvalue gives NOT_PR
    with ``(x, y)`` read off its eigenvectors, any other signature gives PR.
 5. One-sided oracle: a minimizer searches for an annihilated simple tensor
-   (real field) or symmetric product (complex field).  A found witness
-   certifies NOT_PR; absence of a witness is only LIKELY_PR.
+   (real field) or symmetric product (complex field), reading the channel
+   through its natural representation ``K = sum_i A_i (x) conj(A_i)``.  A
+   found witness certifies NOT_PR; absence of a witness is only LIKELY_PR.
 
 ``check --method`` runs named sub-lists of the table (:data:`METHODS`), and
 every stage reads one per-call record holding the Choi rank, the Choi trace
-and the natural representation ``K = sum_i A_i (x) conj(A_i)``.
+and ``K``.  The oracle stage goes through the public oracles, which build
+their own ``K``.
 
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
@@ -228,8 +230,7 @@ class _ChannelRecord:
 
     @cached_property
     def K(self) -> np.ndarray:
-        K = _natural_representation(self.ch.kraus)
-        return K.real if self.ch.field == REAL else K
+        return _natural_representation(self.ch.kraus, self.ch.field)
 
 
 def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
@@ -335,7 +336,7 @@ class _Continuum(Exception):
     pass
 
 
-def _refine_spectrum(Aj, coords_done, remaining, V, tol, j):
+def _refine_spectrum(Aj, coords_done, remaining, V, tol):
     """Depth-first refinement of the joint kernel across coordinate pencils.
 
     Coordinates whose restricted pencil has a finite singular set are consumed
@@ -353,17 +354,10 @@ def _refine_spectrum(Aj, coords_done, remaining, V, tol, j):
             continue
         rest = remaining[:pos] + remaining[pos + 1 :]
         for root, W in zip(ss.roots, _root_kernels(Ai, Aj, V, ss.roots, tol)):
-            yield from _refine_spectrum(Aj, {**coords_done, idx: root}, rest, V @ W, tol, j)
+            yield from _refine_spectrum(Aj, {**coords_done, idx: root}, rest, V @ W, tol)
         return
     # Every remaining coordinate pencil is singular on all of the plane.
-    # Probe a few random points of the first one: a persistent joint kernel
-    # certifies a continuum of spectrum points.
-    idx, Ai = remaining[0]
-    rng = np.random.default_rng(np.random.SeedSequence([0x9B, j]))
-    lams = [complex(rng.normal(), rng.normal()) for _ in range(3)]
-    s = np.linalg.svd(_pencil_points(Ai, -Aj, lams) @ V, compute_uv=False)
-    hits = sum(int(np.count_nonzero(sk > tol.rank_rel * sk[0])) < V.shape[1] for sk in s)
-    raise _Continuum(f"coordinate {idx} stays singular at {hits}/3 random probes")
+    raise _Continuum
 
 
 def _root_kernels(Ai, Aj, V, roots, tol):
@@ -397,7 +391,7 @@ def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAUL
     if not others:
         return []
     try:
-        found = list(_refine_spectrum(Aj, {}, others, np.eye(n, dtype=complex), tol, j))
+        found = list(_refine_spectrum(Aj, {}, others, np.eye(n, dtype=complex), tol))
     except _Continuum:
         return NOT_FINITE
 
@@ -455,16 +449,25 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
     return None
 
 
-def _natural_representation(kraus) -> np.ndarray:
+def _natural_representation(kraus, field: str) -> np.ndarray:
     """``sum_i A_i (x) conj(A_i)``: row ``(a, b)``, column ``(c, d)`` holds ``sum_i A_i[a, c] conj(A_i[b, d])``.
 
     One product of the flattened operators gives the entries indexed
-    ``((a, c), (b, d))``; a transpose realigns them.
+    ``((a, c), (b, d))``; a transpose realigns them.  Real on the real field.
     """
     A = np.stack(kraus)
+    if field == REAL:
+        A = A.real
     r, m, n = A.shape
     F = A.reshape(r, m * n)
     return (F.T @ F.conj()).reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+
+
+def _witness_or_floor(val: float, x: np.ndarray, y: np.ndarray, kind: str, tol: Tolerance):
+    """A witness when the search minimum ``val`` drops below ``residual_abs`` squared, else its floor."""
+    if val < tol.residual_abs**2:
+        return TensorWitness(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex), kind)
+    return NoWitness(floor=float(np.sqrt(max(val, 0.0))))
 
 
 def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
@@ -474,34 +477,8 @@ def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, to
     minimum drops below ``residual_abs`` squared.  The exact kernel paths are
     a stage of :func:`decide`, ahead of this search.
     """
-    cfg = cfg or OracleConfig()
-    val, x, y = minimize_simple_pair(ch.kraus, ch.field, cfg, ch.dim_in)
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if val < tol.residual_abs**2:
-        return TensorWitness(x, y, SIMPLE)
-    return NoWitness(floor=float(np.sqrt(max(val, 0.0))))
-
-
-def _channel_pair_maps(K: np.ndarray, n: int):
-    """Pair maps of the symmetric product through the natural representation ``K``.
-
-    ``K`` acts on ``vec(s t^T) = s (x) t``.  The left map fixes ``s = u`` and
-    leaves ``t = conj(v)``; the right map fixes ``t = conj(u)`` and leaves
-    ``s = v``.  Each is one matrix-vector product with ``K`` viewed as a
-    ``(rows, n, n)`` array, per leading index of ``u``.
-    """
-    rows = K.shape[0]
-    left_slot = K.reshape(rows, n, n).transpose(0, 2, 1).reshape(rows * n, n)
-    right_slot = K.reshape(rows * n, n)
-
-    def pair_maps(u):
-        lead = u.shape[:-1]
-        left = (left_slot @ u[..., None]).reshape(*lead, rows, n)  # acts on conj(v)
-        right = (right_slot @ u.conj()[..., None]).reshape(*lead, rows, n)  # acts on v
-        return left, right
-
-    return pair_maps
+    K = _natural_representation(ch.kraus, ch.field)
+    return _witness_or_floor(*minimize_simple_pair(K, ch.dim_in, ch.field, cfg or OracleConfig()), SIMPLE, tol)
 
 
 def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
@@ -514,12 +491,8 @@ def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None,
     """
     if ch.field != COMPLEX:
         raise WrongField("the symmetric-product oracle is a complex-field test")
-    cfg = cfg or OracleConfig()
-    n = ch.dim_in
-    val, x, y = minimize_symmetric_pair(_channel_pair_maps(_natural_representation(ch.kraus), n), n, cfg)
-    if val < tol.residual_abs**2:
-        return TensorWitness(x, y, SYMMETRIC)
-    return NoWitness(floor=float(np.sqrt(max(val, 0.0))))
+    K = _natural_representation(ch.kraus, ch.field)
+    return _witness_or_floor(*minimize_symmetric_pair(K, ch.dim_in, cfg or OracleConfig()), SYMMETRIC, tol)
 
 
 def is_skew_commutative(u_list, v_list, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -169,10 +169,9 @@ def _measurement_channel(f: Frame) -> QuantumChannel:
     return QuantumChannel(f.dim, len(V), kraus, f.field)
 
 
-def _real_no_witness(f: Frame, tol: Tolerance):
-    """Explicit equal-measurement pair from a failing bipartition of a real frame."""
+def _real_no_witness(f: Frame, side, comp, tol: Tolerance):
+    """Explicit equal-measurement pair from a failing bipartition ``(side, comp)`` of a real frame."""
     V = f.vectors
-    side, comp = _failing_bipartition(f, tol)
     u = kernel_basis(V[side].conj(), tol)[0]
     v = kernel_basis(V[comp].conj(), tol)[0] if comp else np.zeros(f.dim, dtype=complex)
     x = u + v
@@ -197,7 +196,8 @@ def is_phase_retrievable_frame(
         np.linalg.norm(frame_operator(f) - np.eye(n)) <= tol.residual_abs * (1.0 + np.sqrt(n))
     )
     try:
-        cp = complement_property(f, tol)
+        failing = _failing_bipartition(f, tol)
+        cp = failing is None
     except TooManyVectors:
         cp = None
 
@@ -210,7 +210,7 @@ def is_phase_retrievable_frame(
             raise TooManyVectors("real decision needs the bipartition enumeration")
         if cp:
             return FrameReport(True, lo, hi, is_parseval, cp, YES, None)
-        x, y = _real_no_witness(f, tol)
+        x, y = _real_no_witness(f, *failing, tol)
         return FrameReport(True, lo, hi, is_parseval, cp, NO, (x, y))
 
     verdict = decide(_measurement_channel(f), oracle_cfg, tol)

@@ -8,15 +8,14 @@ from prchannels import COMPLEX, REAL, OracleConfig
 from prchannels import bilinear
 from prchannels.bilinear import (
     _SUCCESS,
-    _fixed_x_matrix,
-    _fixed_y_matrix,
     _hopeless,
+    _slot_maps,
     _symmetric_whitener,
     minimize_simple_pair,
     minimize_symmetric_pair,
     smallest_generalized,
 )
-from prchannels.deciders import _channel_pair_maps, _natural_representation
+from prchannels.deciders import _natural_representation
 
 from helpers import rand_matrix
 
@@ -50,33 +49,29 @@ def _whitener(x):
 
 
 @pytest.mark.parametrize("m,n,r", SHAPES)
-def test_half_step_matrices_match_kron_sums(m, n, r):
-    rng = np.random.default_rng([m, n, r])
-    kraus = [rand_matrix(rng, m, n, COMPLEX) for _ in range(r)]
-    A = np.stack(kraus)
-    xs = rand_matrix(rng, 2, n, COMPLEX)
-    for x, Mx_batch, My_batch in zip(xs, _fixed_y_matrix(A, xs), _fixed_x_matrix(A, xs)):
-        My = sum(np.kron((K @ x)[:, None], K.conj()) for K in kraus)
-        Mx = sum(np.kron(K, (K @ x).conj()[:, None]) for K in kraus)
-        np.testing.assert_allclose(My_batch, My, atol=1e-13)
-        np.testing.assert_allclose(Mx_batch, Mx, atol=1e-13)
-
-
-@pytest.mark.parametrize("m,n,r", SHAPES)
 def test_pair_maps_match_kron_products(m, n, r):
-    rng = np.random.default_rng([n, m, r])
-    kraus = [rand_matrix(rng, m, n, COMPLEX) for _ in range(r)]
-    channel_mat = sum(np.kron(K, K.conj()) for K in kraus)
-    K = _natural_representation(kraus)
-    np.testing.assert_allclose(K, channel_mat, atol=1e-13)
-    us = rand_matrix(rng, 3, n, COMPLEX)
-    eye = np.eye(n)
-    lefts, rights = _channel_pair_maps(K, n)(us)
-    for u, left, right in zip(us, lefts, rights):
-        np.testing.assert_allclose(left, channel_mat @ np.kron(u[:, None], eye), atol=1e-13)
-        np.testing.assert_allclose(right, channel_mat @ np.kron(eye, u.conj()[:, None]), atol=1e-13)
-        one_left, one_right = _channel_pair_maps(K, n)(u)
-        assert one_left.tobytes() == left.tobytes() and one_right.tobytes() == right.tobytes()
+    # Both fields in one test: the slot maps of a real K drive the simple
+    # engine, those of a complex K both engines.
+    for field in (REAL, COMPLEX):
+        rng = np.random.default_rng([n, m, r])
+        kraus = [rand_matrix(rng, m, n, field) for _ in range(r)]
+        channel_mat = sum(np.kron(A, A.conj()) for A in kraus)
+        K = _natural_representation(kraus, field)
+        assert np.iscomplexobj(K) == (field == COMPLEX)
+        np.testing.assert_allclose(K, channel_mat, atol=1e-13)
+        us = rand_matrix(rng, 3, n, field)
+        if field == REAL:
+            us = us.real
+        eye = np.eye(n)
+        left, right = _slot_maps(K, n)
+        for u, L, R in zip(us, left(us), right(us)):
+            # The half-step matrices: x -> sum_i kron(A_i x, conj(A_i)) and
+            # y -> sum_i kron(A_i, conj(A_i y)).
+            np.testing.assert_allclose(L, channel_mat @ np.kron(u[:, None], eye), atol=1e-13)
+            np.testing.assert_allclose(R, channel_mat @ np.kron(eye, u.conj()[:, None]), atol=1e-13)
+            np.testing.assert_allclose(L, sum(np.kron((A @ u)[:, None], A.conj()) for A in kraus), atol=1e-13)
+            np.testing.assert_allclose(R, sum(np.kron(A, (A @ u).conj()[:, None]) for A in kraus), atol=1e-13)
+            assert left(u).tobytes() == L.tobytes() and right(u).tobytes() == R.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -153,7 +148,7 @@ def test_generalized_rows_have_unit_symmetric_products(rows, scale):
 def test_simple_search_with_one_output_dimension_finds_a_null_pair(field):
     rng = np.random.default_rng(5)
     kraus = [rand_matrix(rng, 1, 4, field) for _ in range(3)]
-    _, x, y = minimize_simple_pair(kraus, field, OracleConfig(restarts=2), 4)
+    _, x, y = minimize_simple_pair(_natural_representation(kraus, field), 4, field, OracleConfig(restarts=2))
     assert np.linalg.norm(x) == pytest.approx(1.0)
     assert np.linalg.norm(y) == pytest.approx(1.0)
     if field == REAL:
@@ -204,22 +199,17 @@ def _renormalize_symmetric(x: np.ndarray, y: np.ndarray):
     return x / root, y / root
 
 
-def _reference_minimize_simple_pair(kraus, field, cfg, dim_in):
-    A = np.stack(kraus)
-    if field == REAL:
-        A = A.real
-    r, m, n = A.shape
-    full = m * m < n
+def _reference_minimize_simple_pair(K, dim, field, cfg):
+    left, right = _slot_maps(K, dim)
+    full = K.shape[0] < dim
     best = None
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([abs(int(cfg.seed)), 0x51, k]))
-        x = bilinear._rand_unit(rng, dim_in, field)
+        x = bilinear._rand_unit(rng, dim, field)
         prev = np.inf
         for it in range(cfg.max_iters):
-            My = ((A @ x).T @ A.conj().reshape(r, m * n)).reshape(m * m, n)
-            y = np.array(np.linalg.svd(My, full_matrices=full)[2][-1])
-            Mx = ((A @ y).conj().T @ A.reshape(r, m * n)).reshape(m, m, n).transpose(1, 0, 2).reshape(m * m, n)
-            _, s2, vh2 = np.linalg.svd(Mx, full_matrices=full)
+            y = np.array(np.linalg.svd(left(x), full_matrices=full)[2][-1])
+            _, s2, vh2 = np.linalg.svd(right(y), full_matrices=full)
             x = vh2[-1].conj()
             val = float(s2[-1]) ** 2
             if val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, cfg.max_iters - it):
@@ -232,7 +222,8 @@ def _reference_minimize_simple_pair(kraus, field, cfg, dim_in):
     return best
 
 
-def _reference_minimize_symmetric_pair(pair_maps, dim, cfg):
+def _reference_minimize_symmetric_pair(K, dim, cfg):
+    left, right = _slot_maps(K, dim)
     best = None
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([abs(int(cfg.seed)), 0x52, k]))
@@ -241,7 +232,7 @@ def _reference_minimize_symmetric_pair(pair_maps, dim, cfg):
         prev = np.inf
         val = np.inf
         for it in range(cfg.max_iters):
-            P1, P2 = pair_maps(x)
+            P1, P2 = left(x), right(x)
             L = np.block([[P1.real + P2.real, P1.imag - P2.imag], [P1.imag + P2.imag, P2.real - P1.real]])
             step_val, vt = _reference_smallest_generalized(L, x)
             if vt is None:
@@ -281,17 +272,18 @@ def _kraus(seed, m, n, r, field):
 
 def _run_both_simple(kraus, field, cfg):
     n = kraus[0].shape[1]
-    got = minimize_simple_pair(kraus, field, cfg, n)
-    want = _reference_minimize_simple_pair(kraus, field, cfg, n)
+    K = _natural_representation(kraus, field)
+    got = minimize_simple_pair(K, n, field, cfg)
+    want = _reference_minimize_simple_pair(K, n, field, cfg)
     _assert_same_bits(got, want)
     return got
 
 
 def _run_both_symmetric(kraus, cfg):
     n = kraus[0].shape[1]
-    pair_maps = _channel_pair_maps(_natural_representation(kraus), n)
-    got = minimize_symmetric_pair(pair_maps, n, cfg)
-    want = _reference_minimize_symmetric_pair(pair_maps, n, cfg)
+    K = _natural_representation(kraus, COMPLEX)
+    got = minimize_symmetric_pair(K, n, cfg)
+    want = _reference_minimize_symmetric_pair(K, n, cfg)
     _assert_same_bits(got, want)
     return got
 
@@ -350,12 +342,11 @@ def _first_witness_restart(run, restarts):
 )
 def test_lockstep_witness_matches_sequential(seed, m, n, r, field, hit):
     kraus = _kraus(seed, m, n, r, field)
+    K = _natural_representation(kraus, field)
     if field == REAL:
-        pair_maps = None
-        run = lambda cfg: _reference_minimize_simple_pair(kraus, field, cfg, n)  # noqa: E731
+        run = lambda cfg: _reference_minimize_simple_pair(K, n, field, cfg)  # noqa: E731
     else:
-        pair_maps = _channel_pair_maps(_natural_representation(kraus), n)
-        run = lambda cfg: _reference_minimize_symmetric_pair(pair_maps, n, cfg)  # noqa: E731
+        run = lambda cfg: _reference_minimize_symmetric_pair(K, n, cfg)  # noqa: E731
     assert _first_witness_restart(run, 16) == hit
     for restarts in (hit + 1, 16, 64):
         cfg = OracleConfig(restarts=restarts)

@@ -132,6 +132,43 @@ def test_decide_rank2_reduces_longer_lists():
     assert verify_certificate(tripled, verdict)["tensor"] <= 1e-7
 
 
+def _rank2_pair(case, field):
+    """Two operators spanning a Choi-rank-2 family on ``field``, by name."""
+    if case == "dephasing":
+        return fixture("dephasing").kraus
+    if case == "diagonal":
+        return [np.diag([1 / np.sqrt(2), 1.0]).astype(complex), np.diag([1 / np.sqrt(2), 0.0]).astype(complex)]
+    m, n = {"short": (2, 3), "square": (3, 3), "tall": (3, 2)}[case]
+    rng = np.random.default_rng([m, n])
+    return [rand_matrix(rng, m, n, field) for _ in range(2)]
+
+
+@pytest.mark.parametrize(
+    "case,status",
+    [("dephasing", NOT_PR), ("short", NOT_PR), ("square", PR), ("tall", PR), ("diagonal", PR)],
+)
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_rank2_verdict_survives_duplication_and_mixing(field, case, status):
+    # Splitting an operator into two copies scaled by 1/sqrt2, or listing
+    # three operators mixed from the pair by a 3x2 isometry, leaves the
+    # channel itself unchanged; the rank-2 stage must first reduce the list
+    # to two operators.  "short" has dim_out < dim_in.
+    A1, A2 = _rank2_pair(case, field)
+    m, n = A1.shape
+    rng = np.random.default_rng(len(case))
+    families = [[A1, A2], [A1 / np.sqrt(2), A1 / np.sqrt(2), A2], [A1, A2 / np.sqrt(2), A2 / np.sqrt(2)]]
+    for _ in range(4):
+        W = random_unitary(3, field, rng)[:, :2]
+        families.append([W[k, 0] * A1 + W[k, 1] * A2 for k in range(3)])
+    for kraus in families:
+        ch = QuantumChannel(n, m, kraus, field)
+        verdict = decide_rank2(ch)
+        assert verdict.status == status and verdict.method == RANK2_EXACT
+        assert decide(ch).status == status
+        if status == NOT_PR:
+            assert verify_certificate(ch, verdict)["tensor"] <= 1e-7
+
+
 def test_scalar_relative_spectrum_fixture():
     ch = fixture("example_2_11")
     points = scalar_relative_spectrum(ch, 0)
@@ -325,7 +362,7 @@ def test_natural_representation_is_built_only_for_the_kernel_stage(monkeypatch):
     # build K; one that reaches the kernel stage builds it once.
     calls = []
     build = deciders._natural_representation
-    monkeypatch.setattr(deciders, "_natural_representation", lambda kraus: calls.append(1) or build(kraus))
+    monkeypatch.setattr(deciders, "_natural_representation", lambda *args: calls.append(1) or build(*args))
     cases = [
         (fixture("identity", 2), RANK1, 0),
         (fixture("dephasing"), RANK2_EXACT, 0),
