@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NotPSD
 from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, as_matrix, hermitian_eig
 
 __all__ = [
@@ -133,21 +133,23 @@ def minimal_kraus_from_choi(
 ) -> QuantumChannel:
     """Recover a channel with exactly Choi-rank many Kraus operators.
 
-    ``C`` must be Hermitian within tolerance and PSD within tolerance
-    (smallest eigenvalue at least ``-residual_abs``); eigenvectors above the
-    rank cutoff are rescaled and reshaped into Kraus operators.
+    ``C`` must be Hermitian within tolerance and PSD within tolerance: its
+    smallest eigenvalue at least ``-residual_abs`` times its trace, which is
+    ``sum_i ||A_i||_F^2`` for a Kraus family.  Eigenvectors above the rank
+    cutoff are rescaled and reshaped into Kraus operators.  On the real field
+    their imaginary parts must stay below ``residual_abs`` times the square
+    root of the trace, the Frobenius norm of the whole family.  Both tests
+    are unchanged by scaling the channel.
     """
     A = as_matrix(C)
     if A.shape != (dim_in * dim_out, dim_in * dim_out):
         raise DimensionMismatch(
             f"Choi matrix of shape {A.shape}, expected square of size {dim_in * dim_out}"
         )
-    try:
-        w, v = hermitian_eig(A, tol)
-    except NotHermitian:
-        raise
-    if w.size and w[-1] < -tol.residual_abs:
-        raise NotPSD(f"smallest eigenvalue {w[-1]:.3e} below -residual_abs")
+    w, v = hermitian_eig(A, tol)
+    trace = max(float(np.trace(A).real), 0.0)
+    if w.size and w[-1] < -tol.residual_abs * trace:
+        raise NotPSD(f"smallest eigenvalue {w[-1]:.3e} below -residual_abs times the trace {trace:.3e}")
     wmax = max(w[0], 0.0) if w.size else 0.0
     keep = [k for k in range(w.size) if w[k] > tol.rank_rel * wmax and w[k] > 0.0]
     ops = []
@@ -159,7 +161,7 @@ def minimal_kraus_from_choi(
     if field == REAL:
         realified = []
         for K in ops:
-            if np.max(np.abs(K.imag)) > tol.residual_abs:
+            if np.max(np.abs(K.imag)) > tol.residual_abs * np.sqrt(trace):
                 raise ValueError("Choi matrix is not real enough for a real channel")
             realified.append(K.real.astype(complex))
         ops = realified

@@ -6,7 +6,12 @@ the channel gives the verdict:
 1. Choi rank 0 or 1: conjugation by one operator, PR exactly when it is
    injective.
 2. Necessary screen: two points ``lam, mu`` of a scalar relative joint
-   spectrum with ``1 + <lam, mu> = 0`` certify NOT_PR.
+   spectrum with ``1 + <lam, mu> = 0`` certify NOT_PR.  The spectrum is
+   refined one coordinate pencil at a time.  A pencil whose two operators
+   have ranks summing below the dimension of the current joint kernel is
+   singular on all of C by rank subadditivity, and is passed over without a
+   pencil computation; pinchings and rank-one frame channels leave the
+   screen that way.
 3. Exact Choi rank 2: the channel fails precisely when some ``lam`` makes
    both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the two
    pencil singular sets are computed and intersected after reflecting the
@@ -336,25 +341,32 @@ class _Continuum(Exception):
     pass
 
 
-def _refine_spectrum(Aj, coords_done, remaining, V, tol):
+def _refine_spectrum(Aj, rank_j, coords_done, remaining, V, tol):
     """Depth-first refinement of the joint kernel across coordinate pencils.
 
-    Coordinates whose restricted pencil has a finite singular set are consumed
-    first; if at some node every remaining coordinate degenerates to the whole
-    plane, the spectrum contains a continuum.
+    ``remaining`` holds ``(i, Ai, rank of Ai)``.  Coordinates whose restricted
+    pencil has a finite singular set are consumed first; if at some node every
+    remaining coordinate degenerates to the whole plane, the spectrum contains
+    a continuum.  With ``k`` columns in ``V``, a coordinate with
+    ``min(r_i, k) + min(r_j, k) < k`` is the whole plane without a pencil
+    computation: ``rank((Ai - lam Aj) V) <= rank(Ai V) + rank(Aj V) < k`` for
+    every ``lam``.
     """
-    if V.shape[1] == 0:
+    k = V.shape[1]
+    if k == 0:
         return
     if not remaining:
         yield coords_done, V
         return
-    for pos, (idx, Ai) in enumerate(remaining):
+    for pos, (idx, Ai, rank_i) in enumerate(remaining):
+        if min(rank_i, k) + min(rank_j, k) < k:
+            continue
         ss = pencil_singular_set(Ai @ V, -(Aj @ V), tol)
         if ss.is_all:
             continue
         rest = remaining[:pos] + remaining[pos + 1 :]
         for root, W in zip(ss.roots, _root_kernels(Ai, Aj, V, ss.roots, tol)):
-            yield from _refine_spectrum(Aj, {**coords_done, idx: root}, rest, V @ W, tol)
+            yield from _refine_spectrum(Aj, rank_j, {**coords_done, idx: root}, rest, V @ W, tol)
         return
     # Every remaining coordinate pencil is singular on all of the plane.
     raise _Continuum
@@ -390,8 +402,13 @@ def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAUL
     n = ch.dim_in
     if not others:
         return []
+    # The numerical rank of every operator, by numerical_rank's rule, from one
+    # stacked values-only SVD: a zero matrix has all singular values 0, rank 0.
+    s = np.linalg.svd(np.stack(ops), compute_uv=False)
+    ranks = np.count_nonzero(s > tol.rank_rel * s[:, :1], axis=1).tolist()
+    remaining = [(i, Ai, ranks[i]) for i, Ai in others]
     try:
-        found = list(_refine_spectrum(Aj, {}, others, np.eye(n, dtype=complex), tol))
+        found = list(_refine_spectrum(Aj, ranks[j], {}, remaining, np.eye(n, dtype=complex), tol))
     except _Continuum:
         return NOT_FINITE
 

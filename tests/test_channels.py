@@ -139,6 +139,25 @@ def test_minimal_kraus_round_trip():
             assert channels_equal(ch, back)
 
 
+def test_minimal_kraus_reads_relative_to_the_trace():
+    # Scaled by 1e5 the Choi matrix carries rounding near 1e-6 in its
+    # eigenvalues, far above the absolute residual_abs and far below its trace.
+    rng = np.random.default_rng(8)
+    for field in (REAL, COMPLEX):
+        for _ in range(5):
+            ch = random_cptp(3, 2, 2, field, rng)
+            for k in (-5, 5):
+                C = choi_matrix(QuantumChannel(3, 2, [10.0**k * A for A in ch.kraus], field))
+                back = minimal_kraus_from_choi(C, 3, 2, field=field)
+                assert len(back.kraus) == 2
+                assert np.linalg.norm(choi_matrix(back) - C) <= 1e-9 * np.linalg.norm(C)
+    # A Kraus operator no phase makes real is rejected on the real field at every scale.
+    A = np.array([[1.0, 1j], [0.0, 1.0]])
+    for k in (-5, 0, 5):
+        with pytest.raises(ValueError, match="not real enough"):
+            minimal_kraus_from_choi(choi_matrix(QuantumChannel(2, 2, [10.0**k * A])), 2, 2, field=REAL)
+
+
 def test_minimal_kraus_identity_choi():
     C = choi_matrix(fixture("identity", 2))
     back = minimal_kraus_from_choi(C, 2, 2)
@@ -149,9 +168,13 @@ def test_minimal_kraus_identity_choi():
 
 
 def test_minimal_kraus_rejects_negative():
-    C = np.diag([1.0, 1.0, 1.0, -0.1]).astype(complex)
-    with pytest.raises(NotPSD):
-        minimal_kraus_from_choi(C, 2, 2)
+    # The PSD test reads relative to the trace, so an indefinite matrix
+    # fails at every scale, a traceless one included.
+    for scale in (1e-5, 1.0, 1e5):
+        for diag in ([1.0, 1.0, 1.0, -0.1], [1.0, -1.0, 0.0, 0.0]):
+            C = scale * np.diag(diag).astype(complex)
+            with pytest.raises(NotPSD):
+                minimal_kraus_from_choi(C, 2, 2)
 
 
 def test_validate_fixtures():

@@ -3,9 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from prchannels import random_generic_frame
+from prchannels import QuantumChannel, fixture, random_generic_frame
 from prchannels.frames import _measurement_channel
 from prchannels.serialize import channel_to_json, dumps
 
@@ -56,6 +57,22 @@ def test_check_method_restrictions():
     assert res.returncode == 3  # rank 3 cannot be decided exactly
     res = run_cli("check", str(FIXTURES / "example_2_6.json"), "--method", "oracle", "--restarts", "16")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("k", [-5, 5])
+def test_check_method_exact_scaled_example_2_11(tmp_path, k):
+    # A real orthogonal copy whose Choi matrix, scaled by 1e5, has a
+    # smallest eigenvalue near -2e-6 from rounding.
+    ex = fixture("example_2_11")
+    U = np.array([[0.6, -0.8], [0.8, 0.6]])
+    W = np.array([[0.6, 0.8], [0.8, -0.6]])
+    ch = QuantumChannel(2, 2, [10.0**k * U @ A @ W for A in ex.kraus], ex.field)
+    path = tmp_path / "scaled.json"
+    path.write_text(dumps(channel_to_json(ch)))
+    res = run_cli("check", str(path), "--method", "exact", "--output", "json")
+    assert res.returncode == 1, res.stderr
+    verdict = json.loads(res.stdout)["verdict"]
+    assert verdict["status"] == "NOT_PR" and verdict["method"] == "RANK2_EXACT"
 
 
 def test_check_method_necessary_pass_has_its_own_label():

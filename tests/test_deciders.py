@@ -132,6 +132,24 @@ def test_decide_rank2_reduces_longer_lists():
     assert verify_certificate(tripled, verdict)["tensor"] <= 1e-7
 
 
+@pytest.mark.parametrize("k", [-5, 0, 5])
+def test_decide_rank2_scaled_example_2_11(k):
+    # Scaled by 1e5, the Choi matrix of an orthogonally conjugated copy has
+    # eigenvalues near -1e-6: rounding, relative to its trace near 1e10.  The
+    # rank-2 reduction must not read them as an indefinite matrix.
+    rng = np.random.default_rng(211)
+    ex = fixture("example_2_11")
+    for _ in range(5):
+        U, W = random_unitary(2, REAL, rng), random_unitary(2, REAL, rng)
+        ch = QuantumChannel(2, 2, [10.0**k * U @ A @ W for A in ex.kraus], ex.field)
+        for verdict in (decide_rank2(ch), decide_method(ch, "exact")):
+            assert verdict.status == NOT_PR and verdict.method == RANK2_EXACT
+            cert = verdict.certificate
+            scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
+            res = verify_certificate(ch, verdict)
+            assert res["tensor"] <= 1e-8 * scale * np.linalg.norm(cert.x) * np.linalg.norm(cert.y)
+
+
 def _rank2_pair(case, field):
     """Two operators spanning a Choi-rank-2 family on ``field``, by name."""
     if case == "dephasing":
@@ -257,9 +275,27 @@ def _reference_spectrum(ch, j, branches):
     return deduped
 
 
-def test_scalar_relative_spectrum_matches_pointwise_reference():
+def _conjugated_pinching(rng, dims, field):
+    """Block projectors of sizes ``dims``, each as ``U P W`` for random unitaries U and W."""
+    n = sum(dims)
+    U, W = random_unitary(n, field, rng), random_unitary(n, field, rng)
+    return QuantumChannel(n, n, [U @ np.diag(ind).astype(complex) @ W for ind in np.repeat(np.eye(len(dims)), dims, axis=1)], field)
+
+
+def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
+    # The reference calls pencil_singular_set on every coordinate at every
+    # node; the engine skips the pencils whose ranks already prove them
+    # singular on all of the plane.  The calls the engine makes are counted.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pencil_singular_set(*args, **kwargs)
+
+    monkeypatch.setattr(deciders, "pencil_singular_set", counted)
     rng = np.random.default_rng(31)
     channels = [fixture("example_2_11"), QuantumChannel(2, 2, [np.diag([1.0, 0.0])] * 2, COMPLEX)]
+    low_rank = []
     for n in (1, 2, 3, 4):
         for field in (COMPLEX, REAL):
             # A shared kernel direction plus the identity: finite nonempty spectra.
@@ -269,17 +305,36 @@ def test_scalar_relative_spectrum_matches_pointwise_reference():
             S = rand_matrix(rng, n, n, field)
             diag = [np.diag(rng.integers(-1, 2, size=n).astype(complex)) + (k == 0) * np.eye(n) for k in range(3)]
             channels.append(QuantumChannel(n, n, [S @ d @ np.linalg.inv(S) for d in diag], field))
+    tight = []
+    for field in (COMPLEX, REAL):
+        # Pinchings and rank-one frame channels: every pair of ranks sums
+        # below n, so the exit settles each coordinate without a pencil.
+        low_rank += [_conjugated_pinching(rng, dims, field) for dims in ((1, 1, 1), (1, 2, 1), (2, 1, 2))]
+        for N in (4, 5, 6):
+            V = rand_matrix(rng, N, 3, field)
+            low_rank.append(QuantumChannel(3, 3, [np.outer(v, v.conj()) for v in V], field))
+        # Ranks 1 + 2 = n exactly: relative to diag(1, 0, 0) the pencil of
+        # diag(0, 1, 1) is singular at 0 only, and the spectrum is {(0, 0)}.
+        U, W = random_unitary(3, field, rng), random_unitary(3, field, rng)
+        tight.append(QuantumChannel(3, 3, [U @ np.diag(d).astype(complex) @ W for d in ([1, 0, 0], [0, 1, 1], [0, 1, 2])], field))
+    exit_only = {id(ch) for ch in low_rank}
     branches = set()
-    for ch in channels:
+    for ch in channels + low_rank + tight:
         for j in range(len(ch.kraus)):
             expected = _reference_spectrum(ch, j, branches)
+            del calls[:]
             got = scalar_relative_spectrum(ch, j)
+            if id(ch) in exit_only:
+                assert calls == []
             if expected is NOT_FINITE:
                 assert got is NOT_FINITE
                 continue
-            assert len(got) == len(expected)
+            assert got is not NOT_FINITE and len(got) == len(expected)
             for p, (lam, witness) in zip(got, expected):
                 assert np.array_equal(p.lam, lam) and np.array_equal(p.witness, witness)
+    for ch in tight:
+        got = scalar_relative_spectrum(ch, 0)
+        assert got is not NOT_FINITE and len(got) == 1 and np.allclose(got[0].lam, 0.0, atol=1e-8)
     assert branches >= {"kernel_fallback", "kernel_dim_1", "kernel_dim_2"}
 
 
