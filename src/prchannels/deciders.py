@@ -11,7 +11,10 @@ the channel gives the verdict:
    have ranks summing below the dimension of the current joint kernel is
    singular on all of C by rank subadditivity, and is passed over without a
    pencil computation; pinchings and rank-one frame channels leave the
-   screen that way.
+   screen that way.  Past the first coordinate of a generic family the
+   joint kernel is one column, and the pencil engine settles such a pencil
+   without determinants when its first vector lies beyond twice its margin
+   from the line of the second, since then no point makes it vanish.
 3. Exact Choi rank 2: the channel fails precisely when some ``lam`` makes
    both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the two
    pencil singular sets are computed and intersected after reflecting the
@@ -190,33 +193,45 @@ def _tensor_residual(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, kind: str
     return float(np.linalg.norm(apply(ch, product)))
 
 
+def _choi_trace(ch: QuantumChannel) -> float:
+    """``sum_i ||A_i||_F^2``, the trace of the Choi matrix: the channel's scale."""
+    return float(sum(np.vdot(A, A).real for A in ch.kraus))
+
+
 def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tolerance):
     """Turn an annihilated (symmetric) tensor pair into equal-image pure states.
 
     The sum and difference of the pair bracket the same channel image; a
     common rescale keeps the equality.  Returns None when the resulting
-    states are numerically indistinct.
+    states are numerically indistinct or their images differ.  Image
+    residuals are read relative to ``sum_i ||A_i||_F^2`` times
+    ``||u||^2 + ||v||^2``, so the answer does not change with the channel's
+    scale.
     """
     u = x + y
     v = x - y
-    big = max(np.linalg.norm(u), np.linalg.norm(v))
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    big = max(nu, nv)
     if big == 0.0:
         return None
-    if min(np.linalg.norm(u), np.linalg.norm(v)) < 1e-9 * big:
+    # scale is sum_i ||A_i||_F^2 times ||u||^2 + ||v||^2 of the returned pair.
+    if min(nu, nv) < 1e-9 * big:
         # Degenerate pair: x and y are (anti)parallel, so the channel kills
         # the ray of x itself and any two scalings of it collide.
         base = x if np.linalg.norm(x) > np.linalg.norm(y) else y
         base = base / np.linalg.norm(base)
-        if np.linalg.norm(apply(ch, _outer(base, base))) > tol.residual_abs:
-            return None
         u, v = base, 2.0 * base
+        scale = _choi_trace(ch) * 5.0
+        if np.linalg.norm(apply(ch, _outer(base, base))) > tol.residual_abs * scale:
+            return None
     else:
         u, v = u / big, v / big
+        scale = _choi_trace(ch) * (nu**2 + nv**2) / big**2
     ru = _outer(u, u)
     rv = _outer(v, v)
     if np.linalg.norm(ru - rv) < 0.05:
         return None
-    if np.linalg.norm(apply(ch, ru) - apply(ch, rv)) > 1e-7:
+    if np.linalg.norm(apply(ch, ru) - apply(ch, rv)) > 1e-7 * scale:
         return None
     return StateWitness(u, v)
 
@@ -231,7 +246,7 @@ class _ChannelRecord:
         self.ch = ch
         self.tol = tol
         self.rank = choi_rank(ch, tol)
-        self.choi_trace = float(sum(np.vdot(A, A).real for A in ch.kraus))
+        self.choi_trace = _choi_trace(ch)
 
     @cached_property
     def K(self) -> np.ndarray:

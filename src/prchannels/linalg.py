@@ -1,7 +1,8 @@
 """Dense complex linear algebra primitives shared by the whole package.
 
 Everything operates on plain numpy arrays.  Rank and kernel decisions are
-relative to the largest singular value (scale free); residual decisions are
+relative to the largest singular value (scale free), and so is the
+Hermiticity test of :func:`hermitian_eig`; other residual decisions are
 absolute and assume the caller normalized its inputs.  Both cutoffs live in a
 single :class:`Tolerance` record that the higher-level modules thread through
 unchanged, so that verdicts are reproducible.
@@ -143,13 +144,14 @@ def hermitian_eig(H, tol: Tolerance = DEFAULT_TOL):
     Returns ``(values, vectors)`` with eigenvalues sorted in descending order
     and eigenvectors as the matching orthonormal columns.  Raises
     :class:`NotHermitian` when ``H`` deviates from its adjoint by more than
-    ``residual_abs * (1 + ||H||_F)``.
+    ``residual_abs * ||H||_F``, a test unchanged by scaling ``H`` that the
+    zero matrix passes.
     """
     A = as_matrix(H)
     if A.shape[0] != A.shape[1]:
         raise NotHermitian(f"matrix of shape {A.shape} is not square")
     dev = np.linalg.norm(A - A.conj().T)
-    if dev > tol.residual_abs * (1.0 + np.linalg.norm(A)):
+    if dev > tol.residual_abs * np.linalg.norm(A):
         raise NotHermitian(f"Hermiticity residual {dev:.3e} beyond tolerance")
     w, v = np.linalg.eigh((A + A.conj().T) / 2.0)
     order = np.argsort(w)[::-1]

@@ -17,6 +17,13 @@ and looped calls give the same bits slice by slice, so the results are those
 of the point-by-point evaluation.  The guard matrix and the probe points depend
 only on the seed and the pencil's shape; they are drawn once per shape and
 shared read-only.
+
+A one-column pencil (``n = 1``) is singular only where ``P + lam Q`` vanishes,
+and ``||P + lam Q||`` is at least the distance from ``P`` to the line spanned
+by ``Q`` for every ``lam``.  When that distance exceeds twice the verification
+margin, every candidate and every probe fails the margin test, so the full
+computation keeps no root and never answers all of C: the engine returns the
+empty finite set at once, the same answer without a determinant.
 """
 
 from __future__ import annotations
@@ -188,7 +195,13 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
     """The set of ``lam`` at which the tall pencil ``P + lam Q`` is not injective.
 
     Requires matching shapes with at least as many rows as columns.  Returns
-    :data:`ALL_OF_C` when every maximal minor is the zero polynomial.
+    :data:`ALL_OF_C` when every maximal minor is the zero polynomial.  A root
+    is kept when the smallest singular value there is at most the margin
+    ``1e-6 (||Pn|| + ||Qn||)`` of the pencil normalized to unit scale.  A
+    one-column pencil whose ``Pn`` lies farther than twice the margin from the
+    line of ``Qn`` has no such root (``||Pn + lam Qn||`` never drops below that
+    distance; the factor 2 covers rounding) and returns the empty finite set
+    before any interpolation.
     """
     Pm = as_matrix(P)
     Qm = as_matrix(Q)
@@ -203,6 +216,13 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
     Pn = Pm / scale
     Qn = Qm / scale
     margin = 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
+    if n == 1:
+        # ||Pn + lam Qn|| is at least the distance from Pn to the line of Qn,
+        # so beyond twice the margin no candidate or probe below passes it.
+        q = np.linalg.norm(Qn)
+        u = Qn / q if q > 0.0 else Qn
+        if np.linalg.norm(Pn - np.vdot(u, Pn) * u) > 2.0 * margin:
+            return SingularSet(FINITE, [])
     R, probes = _seeded_draws(abs(int(seed)), n, m)
 
     # First nonzero maximal minor, lexicographic row-subset order.

@@ -1,9 +1,22 @@
-"""Shared generators for the test suite: random channels, unitaries, frames."""
+"""Shared generators for the test suite (random channels, unitaries, frames) and a
+point-by-point reference of the pencil engine."""
+
+from itertools import combinations
 
 import numpy as np
 
-from prchannels import COMPLEX, REAL, QuantumChannel, verify_certificate
-from prchannels.linalg import psd_inv_sqrt
+from prchannels import (
+    ALL_OF_C,
+    COMPLEX,
+    DEFAULT_TOL,
+    FINITE,
+    REAL,
+    QuantumChannel,
+    smallest_singular_value,
+    verify_certificate,
+)
+from prchannels.linalg import ZERO_POLY, as_matrix, poly_roots, psd_inv_sqrt, trim_polynomial
+from prchannels.spectra import _MAX_MINOR_SCAN, SingularSet, _cluster_roots, _significant_poly
 
 
 def rand_matrix(rng, rows, cols, field):
@@ -64,3 +77,75 @@ def assert_relative_certificate(ch, verdict, rtol=1e-8):
     nx, ny = np.linalg.norm(sw.x) ** 2, np.linalg.norm(sw.y) ** 2
     assert res["state"] <= rtol * scale * (nx + ny)
     assert res["separation"] >= 0.05 * max(nx, ny)
+
+
+def _reference_det_poly_square(P, Q):
+    n = P.shape[0]
+    k = n + 1
+    nodes = np.exp(2j * np.pi * np.arange(k) / k)
+    vals = np.array([np.linalg.det(P + t * Q) for t in nodes])
+    return np.fft.fft(vals) / k
+
+
+def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
+    """Point-by-point evaluation, one LAPACK call per node, probe and candidate.
+
+    Returns the singular set and the name of the branch that produced it.
+    """
+    Pm = as_matrix(P)
+    Qm = as_matrix(Q)
+    m, n = Pm.shape
+    scale = max(np.linalg.norm(Pm), np.linalg.norm(Qm))
+    if scale == 0.0:
+        return SingularSet(ALL_OF_C, []), "zero"
+    Pn = Pm / scale
+    Qn = Qm / scale
+    margin = 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
+    rng = np.random.default_rng(np.random.SeedSequence([abs(int(seed)), 0x5EC7]))
+
+    first_poly = None
+    for count, rows in enumerate(combinations(range(m), n)):
+        if count >= _MAX_MINOR_SCAN:
+            break
+        poly = _significant_poly(_reference_det_poly_square(Pn[list(rows)], Qn[list(rows)]))
+        if poly is not None:
+            first_poly = poly
+            break
+
+    R = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    guard_poly = _significant_poly(_reference_det_poly_square(R @ Pn, R @ Qn))
+
+    branch = "finite"
+    if first_poly is None and guard_poly is None:
+        probes = [complex(rng.normal(), rng.normal()) for _ in range(3)]
+        if all(smallest_singular_value(Pn + lam * Qn) <= margin for lam in probes):
+            return SingularSet(ALL_OF_C, []), "all_of_c"
+        guard_poly = trim_polynomial(_reference_det_poly_square(R @ Pn, R @ Qn))
+        if guard_poly.size == 0:
+            return SingularSet(FINITE, []), "noise_zero_guard"
+        branch = "noise_full_rank"
+
+    candidates = []
+    for poly in (first_poly, guard_poly):
+        if poly is None or poly.size <= 1:
+            continue
+        roots = poly_roots(poly)
+        if roots is not ZERO_POLY:
+            candidates.extend(roots)
+    if not candidates:
+        branch = "no_candidates"
+    for cl in _cluster_roots(candidates, 1e-4):
+        if len(cl) > 1:
+            candidates.append(complex(np.mean(cl)))
+
+    verified = [
+        (lam, sv)
+        for lam in candidates
+        if (sv := smallest_singular_value(Pn + lam * Qn)) <= margin
+    ]
+    kept = []
+    for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
+        lam_best, _ = min(cl, key=lambda pair: pair[1])
+        kept.append(lam_best)
+    kept.sort(key=lambda z: (z.real, z.imag))
+    return SingularSet(FINITE, kept), branch

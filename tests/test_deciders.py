@@ -50,6 +50,7 @@ from helpers import (
     rand_matrix,
     random_cptp,
     random_unitary,
+    reference_pencil_singular_set,
     rho,
 )
 
@@ -150,6 +151,26 @@ def test_decide_rank2_scaled_example_2_11(k):
             assert res["tensor"] <= 1e-8 * scale * np.linalg.norm(cert.x) * np.linalg.norm(cert.y)
 
 
+@pytest.mark.parametrize("k", [-5, 0, 5])
+def test_state_witness_reads_relative_to_the_channel_scale(k):
+    # Orthogonal conjugations of example_2_11 are NOT_PR at every scale; the
+    # state pair's image residual grows with the channel, so it is read
+    # relative to sum_i ||A_i||_F^2 times ||x||^2 + ||y||^2.
+    ex = fixture("example_2_11")
+    U = np.array([[0.6, -0.8], [0.8, 0.6]])
+    W = np.array([[0.6, 0.8], [0.8, -0.6]])
+    ch = QuantumChannel(2, 2, [10.0**k * U @ A @ W for A in ex.kraus], ex.field)
+    scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
+    for verdict in (decide(ch), decide_rank2(ch)):
+        assert verdict.status == NOT_PR
+        sw = verdict.state_witness
+        assert sw is not None
+        nx, ny = np.linalg.norm(sw.x) ** 2, np.linalg.norm(sw.y) ** 2
+        res = verify_certificate(ch, verdict)
+        assert res["state"] <= 1e-7 * scale * (nx + ny)
+        assert res["separation"] >= 0.05 * max(nx, ny)
+
+
 def _rank2_pair(case, field):
     """Two operators spanning a Choi-rank-2 family on ``field``, by name."""
     if case == "dephasing":
@@ -226,14 +247,15 @@ class _ReferenceContinuum(Exception):
 
 
 def _reference_refine(Aj, coords_done, remaining, V, branches):
-    """Point-by-point refinement: one kernel SVD per root."""
+    """Point-by-point refinement: one kernel SVD per root, and every pencil
+    through the point-by-point reference engine."""
     if V.shape[1] == 0:
         return
     if not remaining:
         yield coords_done, V
         return
     for pos, (idx, Ai) in enumerate(remaining):
-        ss = pencil_singular_set(Ai @ V, -(Aj @ V))
+        ss, _ = reference_pencil_singular_set(Ai @ V, -(Aj @ V))
         if ss.is_all:
             continue
         rest = remaining[:pos] + remaining[pos + 1 :]
@@ -282,10 +304,28 @@ def _conjugated_pinching(rng, dims, field):
     return QuantumChannel(n, n, [U @ np.diag(ind).astype(complex) @ W for ind in np.repeat(np.eye(len(dims)), dims, axis=1)], field)
 
 
+def _planted_family(rng, n, lams, field):
+    """``A_0`` and ``A_i = B_i + (lam_i A_0 x - B_i x) x*`` for generic ``B_i`` and a unit ``x``.
+
+    Then ``A_i x = lam_i A_0 x``: the spectrum relative to ``A_0`` holds
+    ``lams``, reached through one-column nodes past the first coordinate.
+    """
+    x = rand_matrix(rng, n, 1, field)
+    x /= np.linalg.norm(x)
+    A0 = rand_matrix(rng, n, n, field)
+    kraus = [A0]
+    for lam in lams:
+        B = rand_matrix(rng, n, n, field)
+        kraus.append(B + (lam * A0 @ x - B @ x) @ x.conj().T)
+    return QuantumChannel(n, n, kraus, field)
+
+
 def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
-    # The reference calls pencil_singular_set on every coordinate at every
-    # node; the engine skips the pencils whose ranks already prove them
-    # singular on all of the plane.  The calls the engine makes are counted.
+    # The reference calls the point-by-point pencil engine on every
+    # coordinate at every node; the engine skips the pencils whose ranks
+    # already prove them singular on all of the plane, and settles one-column
+    # pencils far from singular without determinants.  The calls the engine
+    # makes are counted.
     calls = []
 
     def counted(*args, **kwargs):
@@ -317,13 +357,24 @@ def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
         # diag(0, 1, 1) is singular at 0 only, and the spectrum is {(0, 0)}.
         U, W = random_unitary(3, field, rng), random_unitary(3, field, rng)
         tight.append(QuantumChannel(3, 3, [U @ np.diag(d).astype(complex) @ W for d in ([1, 0, 0], [0, 1, 1], [0, 1, 2])], field))
+    planted = []
+    for field in (COMPLEX, REAL):
+        # Generic families: past the first coordinate every node has one
+        # column, and its pencils are settled by the one-column exit.
+        for n, r in ((2, 3), (3, 3), (3, 4), (4, 4)):
+            channels.append(QuantumChannel(n, n, [rand_matrix(rng, n, n, field) for _ in range(r)], field))
+        for lams in ((0.5, -1.5), (0.5, -1.5, 2.0)):
+            planted.append((_planted_family(rng, 3, lams, field), lams))
+    channels += [ch for ch, _ in planted]
     exit_only = {id(ch) for ch in low_rank}
     branches = set()
+    one_column = 0
     for ch in channels + low_rank + tight:
         for j in range(len(ch.kraus)):
             expected = _reference_spectrum(ch, j, branches)
             del calls[:]
             got = scalar_relative_spectrum(ch, j)
+            one_column += sum(shape[1] == 1 for shape in calls)
             if id(ch) in exit_only:
                 assert calls == []
             if expected is NOT_FINITE:
@@ -335,6 +386,10 @@ def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
     for ch in tight:
         got = scalar_relative_spectrum(ch, 0)
         assert got is not NOT_FINITE and len(got) == 1 and np.allclose(got[0].lam, 0.0, atol=1e-8)
+    for ch, lams in planted:
+        got = scalar_relative_spectrum(ch, 0)
+        assert got is not NOT_FINITE and any(np.allclose(p.lam, lams, atol=1e-8) for p in got)
+    assert one_column > 0
     assert branches >= {"kernel_fallback", "kernel_dim_1", "kernel_dim_2"}
 
 

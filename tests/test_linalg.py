@@ -7,6 +7,7 @@ from prchannels import (
     Tolerance,
     hermitian_eig,
     kernel_basis,
+    minimal_kraus_from_choi,
     numerical_rank,
     poly_roots,
     smallest_singular_value,
@@ -106,6 +107,27 @@ def test_hermitian_eig_examples():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_hermitian_eig_reads_relative_to_the_norm():
+    # A one-sided off-diagonal entry of half the diagonal is far from
+    # Hermitian at any scale, also below unit norm.
+    H = 1e-10 * np.eye(4, dtype=complex)
+    H[0, 1] = 5e-11
+    with pytest.raises(NotHermitian):
+        hermitian_eig(H)
+    with pytest.raises(NotHermitian):
+        minimal_kraus_from_choi(H, 2, 2)
+    # Rounding noise on a large Hermitian matrix still passes, and so does zero.
+    rng = np.random.default_rng(4)
+    G = rand_matrix(rng, 4, 4, "complex")
+    H = 1e5 * (G + G.conj().T)
+    noisy = H + 1e-15 * np.linalg.norm(H) * rand_matrix(rng, 4, 4, "complex")
+    assert not np.array_equal(noisy, noisy.conj().T)
+    vals, _ = hermitian_eig(noisy)
+    assert np.allclose(vals, np.linalg.eigvalsh(H)[::-1], rtol=0.0, atol=1e-9 * np.linalg.norm(H))
+    vals, _ = hermitian_eig(np.zeros((3, 3)))
+    assert np.array_equal(vals, np.zeros(3))
 
 
 def test_hermitian_eig_reconstruction():

@@ -1,12 +1,9 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
 import scipy.linalg
 
 from prchannels import (
     ALL_OF_C,
-    DEFAULT_TOL,
     FINITE,
     constrained_2x2_eigenpair,
     fixture,
@@ -17,16 +14,9 @@ from prchannels import (
     smallest_singular_value,
 )
 from prchannels.errors import ConstraintViolated, DimensionMismatch
-from prchannels.linalg import ZERO_POLY, as_matrix, poly_roots, trim_polynomial
-from prchannels.spectra import (
-    _MAX_MINOR_SCAN,
-    SingularSet,
-    _cluster_roots,
-    _pencil_points,
-    _significant_poly,
-)
+from prchannels.spectra import _pencil_points
 
-from helpers import rand_matrix, random_unitary
+from helpers import rand_matrix, random_unitary, reference_pencil_singular_set
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -134,76 +124,60 @@ def test_pencil_roots_verify_residual():
             assert smallest_singular_value(P + r * Q) <= 1e-6 * norms
 
 
-def _reference_det_poly_square(P, Q):
-    n = P.shape[0]
-    k = n + 1
-    nodes = np.exp(2j * np.pi * np.arange(k) / k)
-    vals = np.array([np.linalg.det(P + t * Q) for t in nodes])
-    return np.fft.fft(vals) / k
+def _one_column_pencil(m, lam, delta, rng):
+    """Unit ``Q`` (m x 1, m >= 3) and ``P = -lam Q + delta e`` with unit ``e`` orthogonal to ``Q``, ``e[0] = 0``.
 
-
-def _reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
-    """Point-by-point evaluation, one LAPACK call per node, probe and candidate.
-
-    Returns the singular set and the name of the branch that produced it.
+    ``||P + mu Q||^2 = |mu - lam|^2 + delta^2``: the distance from P to the
+    line of Q is delta, and the first row's minor has the root lam.
     """
-    Pm = as_matrix(P)
-    Qm = as_matrix(Q)
-    m, n = Pm.shape
-    scale = max(np.linalg.norm(Pm), np.linalg.norm(Qm))
-    if scale == 0.0:
-        return SingularSet(ALL_OF_C, []), "zero"
-    Pn = Pm / scale
-    Qn = Qm / scale
-    margin = 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
-    rng = np.random.default_rng(np.random.SeedSequence([abs(int(seed)), 0x5EC7]))
+    Q = rand_matrix(rng, m, 1, "complex")
+    Q /= np.linalg.norm(Q)
+    e = rand_matrix(rng, m, 1, "complex")
+    e[0] = 0.0
+    e[1:] -= (np.vdot(Q[1:], e[1:]) / np.vdot(Q[1:], Q[1:])) * Q[1:]
+    e /= np.linalg.norm(e)
+    return -lam * Q + delta * e, Q
 
-    first_poly = None
-    for count, rows in enumerate(combinations(range(m), n)):
-        if count >= _MAX_MINOR_SCAN:
-            break
-        poly = _significant_poly(_reference_det_poly_square(Pn[list(rows)], Qn[list(rows)]))
-        if poly is not None:
-            first_poly = poly
-            break
 
-    R = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    guard_poly = _significant_poly(_reference_det_poly_square(R @ Pn, R @ Qn))
+@pytest.mark.parametrize("k", [-5, 0, 5])
+def test_one_column_exit(monkeypatch, k):
+    # A one-column pencil is singular only where P + lam Q vanishes, so a
+    # distance from P to the line of Q beyond twice the margin settles it
+    # before any determinant, with the answer of the full computation.
+    # Within the margin the root is still found.
+    det_calls = []
+    det = np.linalg.det
 
-    branch = "finite"
-    if first_poly is None and guard_poly is None:
-        probes = [complex(rng.normal(), rng.normal()) for _ in range(3)]
-        if all(smallest_singular_value(Pn + lam * Qn) <= margin for lam in probes):
-            return SingularSet(ALL_OF_C, []), "all_of_c"
-        guard_poly = trim_polynomial(_reference_det_poly_square(R @ Pn, R @ Qn))
-        if guard_poly.size == 0:
-            return SingularSet(FINITE, []), "noise_zero_guard"
-        branch = "noise_full_rank"
+    def counted(a):
+        det_calls.append(np.shape(a))
+        return det(a)
 
-    candidates = []
-    for poly in (first_poly, guard_poly):
-        if poly is None or poly.size <= 1:
-            continue
-        roots = poly_roots(poly)
-        if roots is not ZERO_POLY:
-            candidates.extend(roots)
-    if not candidates:
-        branch = "no_candidates"
-    for cl in _cluster_roots(candidates, 1e-4):
-        if len(cl) > 1:
-            candidates.append(complex(np.mean(cl)))
-
-    verified = [
-        (lam, sv)
-        for lam in candidates
-        if (sv := smallest_singular_value(Pn + lam * Qn)) <= margin
-    ]
-    kept = []
-    for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
-        lam_best, _ = min(cl, key=lambda pair: pair[1])
-        kept.append(lam_best)
-    kept.sort(key=lambda z: (z.real, z.imag))
-    return SingularSet(FINITE, kept), branch
+    monkeypatch.setattr(np.linalg, "det", counted)
+    rng = np.random.default_rng(41)
+    lam = 0.3 + 0.4j
+    margin = 1e-6 * (1.0 + abs(lam))  # ||Qn|| + ||Pn|| after normalization by ||Q|| = 1
+    for m in (3, 5):
+        for delta in (0.0, 0.9 * margin, 3.0 * margin):
+            P, Q = _one_column_pencil(m, lam, delta, rng)
+            P, Q = 10.0**k * P, 10.0**k * Q
+            expected, _ = reference_pencil_singular_set(P, Q)
+            del det_calls[:]
+            got = pencil_singular_set(P, Q)
+            assert got.kind == expected.kind == FINITE
+            assert [(z.real.hex(), z.imag.hex()) for z in got.roots] == [
+                (z.real.hex(), z.imag.hex()) for z in expected.roots
+            ]
+            if delta < margin:
+                # Off the exact root, the guard minor's root moves by about delta.
+                assert got.roots and all(abs(r - lam) <= 2.0 * margin for r in got.roots)
+            else:
+                assert got.roots == [] and det_calls == []
+    for m in (1, 3):
+        Z0 = np.zeros((m, 1))
+        del det_calls[:]
+        s = pencil_singular_set(10.0**k * rng.normal(size=(m, 1)), Z0)
+        assert s.kind == FINITE and s.roots == [] and det_calls == []
+        assert pencil_singular_set(Z0, Z0).kind == ALL_OF_C
 
 
 def _reference_cases():
@@ -245,7 +219,7 @@ def _reference_cases():
 def test_pencil_singular_set_matches_pointwise_reference():
     branches = set()
     for label, P, Q, seed in _reference_cases():
-        expected, branch = _reference_pencil_singular_set(P, Q, seed=seed)
+        expected, branch = reference_pencil_singular_set(P, Q, seed=seed)
         branches.add(branch)
         got = pencil_singular_set(P, Q, seed=seed)
         assert got.kind == expected.kind, label
