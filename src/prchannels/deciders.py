@@ -25,15 +25,24 @@ the channel gives the verdict:
    Kernel dimension 0 proves PR.  At dimension 1 the spanning matrix decides
    exactly: at most one positive and one negative eigenvalue gives NOT_PR
    with ``(x, y)`` read off its eigenvectors, any other signature gives PR.
-5. One-sided oracle: a minimizer searches for an annihilated simple tensor
-   (real field) or symmetric product (complex field), reading the channel
-   through its natural representation ``K = sum_i A_i (x) conj(A_i)``.  A
-   found witness certifies NOT_PR; absence of a witness is only LIKELY_PR.
+5. Oracle: a minimizer searches for an annihilated simple tensor (real
+   field) or symmetric product (complex field), reading the channel through
+   its natural representation ``K = sum_i A_i (x) conj(A_i)``.  A found
+   witness certifies NOT_PR; absence of a witness is only LIKELY_PR.  At
+   n >= 3 and kernel dimension 2 or 3 (``_SPHERE_MAX_DIM``), restart 0 runs
+   alone first, and its witness settles the channel when it re-verifies
+   relative to the channel's scale.  Otherwise a branch and bound over the
+   unit sphere of the kernel bounds ``g = max(l2, -l_{n-1})`` of the kernel
+   element from below; ``g > 0`` on the whole sphere proves PR (method
+   HERMITIAN_KERNEL) with a floor, by the dimension-1 argument.  A search
+   that would pass ``_SPHERE_CELLS`` cells, or meets a cell centre with
+   ``g`` at or below the margin, hands the channel to the full oracle.  So
+   LIKELY_PR needs kernel dimension 4 or more, n <= 2, or such a hand-over.
 
 ``check --method`` runs named sub-lists of the table (:data:`METHODS`), and
-every stage reads one per-call record holding the Choi rank, the Choi trace
-and ``K``.  The oracle stage goes through the public oracles, which build
-their own ``K``.
+every stage reads one per-call record holding the Choi rank, the Choi trace,
+``K``, its restriction to Herm(n) and the kernel.  The oracle runs go
+through the public oracles, which build their own ``K``.
 
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
@@ -42,8 +51,9 @@ pure states with identical images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -240,7 +250,9 @@ class _ChannelRecord:
     """What every stage of one call reads: the channel, its Choi rank, the Choi
     trace ``sum_i ||A_i||_F^2`` and the natural representation ``K`` (real on
     the real field).  No stage but the rank-2 reduction needs the Choi matrix
-    itself, and ``K`` is built on first use, by the kernel stage."""
+    itself.  ``K``, its restriction ``M`` to Herm(n) and the kernel of ``M``
+    are built on first use, by the kernel stage, and the oracle stage reads
+    the same ones."""
 
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
@@ -251,6 +263,42 @@ class _ChannelRecord:
     @cached_property
     def K(self) -> np.ndarray:
         return _natural_representation(self.ch.kraus, self.ch.field)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """``K`` on the basis :func:`_hermitian_basis` of Herm(n), as a real matrix.
+
+        On the complex field the real and imaginary rows are stacked, which
+        keeps the norms of the complex images.
+        """
+        M = self.K @ _hermitian_basis(self.ch.dim_in, self.ch.field)
+        return np.concatenate((M.real, M.imag)) if self.ch.field == COMPLEX else M
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self.M, compute_uv=False)
+
+    @cached_property
+    def herm_rank(self) -> int:
+        """The numerical rank of ``M``."""
+        s = self.singular_values
+        return int(np.count_nonzero(s > self.tol.rank_rel * s[0])) if s[0] > 0 else 0
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.M.shape[1] - self.herm_rank
+
+    @cached_property
+    def kernel_basis(self) -> np.ndarray:
+        """The unit spanning matrices ``H_1..H_d`` of the kernel, stacked ``(d, n, n)``.
+
+        They are the last right singular vectors of one full SVD of ``M``, so
+        they are Frobenius-orthonormal, and real on the real field.
+        """
+        n = self.ch.dim_in
+        T = _hermitian_basis(n, self.ch.field)
+        vh = np.linalg.svd(self.M)[2][self.herm_rank :]
+        return np.array([(T @ v).reshape(n, n) for v in vh])
 
 
 def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
@@ -618,24 +666,17 @@ def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
       and ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``,
       at least the floor since ``gamma <= 1``.
 
-    Anything else is left to the oracle.
+    Anything else is left to the oracle stage.
     """
     ch, tol, n = rec.ch, rec.tol, rec.ch.dim_in
-    T = _hermitian_basis(n, ch.field)
-    M = rec.K @ T
-    if ch.field == COMPLEX:
-        # Real and imaginary rows keep the norms of the complex images.
-        M = np.concatenate((M.real, M.imag))
-    s = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0 else 0
-    d = M.shape[1] - rank
+    d = rec.kernel_dim
     if d == 0:
-        floor = float(s[-1])
+        floor = float(rec.singular_values[-1])
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
     if d > 1 or n < 2:
         return None
     # A real M has real singular vectors: on the real field H1, p and q are real.
-    w, v = np.linalg.eigh((T @ np.linalg.svd(M)[2][-1]).reshape(n, n))
+    w, v = np.linalg.eigh(rec.kernel_basis[0])
     x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
     res = float(np.linalg.norm(apply(ch, _outer(x, x) - _outer(y, y))))
     if res <= tol.residual_abs * rec.choi_trace:
@@ -644,14 +685,100 @@ def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
         return PRVerdict(NOT_PR, HERMITIAN_KERNEL, cert, state_witness=StateWitness(x, y), residuals={"tensor": res})
     gamma = max(w[-2], -w[1])
     if gamma > tol.residual_abs:
-        floor = float(s[rank - 1] * gamma / np.sqrt(2.0))
-        return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
+        return _proved_floor(rec, gamma)
     return None
 
 
+def _proved_floor(rec: _ChannelRecord, gamma: float) -> PRVerdict:
+    """PR with floor ``sigma_r gamma / sqrt(2)``, for ``0 < gamma <= min g`` over the unit kernel sphere."""
+    floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
+    return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
+
+
+# The sphere search runs at kernel dimensions 2 and 3 only: at 4 its proofs
+# needed 7.3k-15.2k cells, about as long as the oracle's full search.
+_SPHERE_MAX_DIM = 3
+# Cells the sphere search may evaluate before it hands the channel back.  On
+# the benchmark's d = 3 channels most proofs need at most 1.8k cells, and the
+# rest 4.4k-72k.
+_SPHERE_CELLS = 4096
+
+
+def _sphere_gamma(H: np.ndarray, margin: float) -> Optional[float]:
+    """A proved ``gamma > margin`` with ``g(c) >= gamma`` on the unit sphere, or None.
+
+    ``H`` stacks Frobenius-orthonormal Hermitian ``H_1..H_d``, and
+    ``g(c) = max(l2, -l_{n-1})`` for the eigenvalues ``l1 >= ... >= ln`` of
+    ``H(c) = sum_k c_k H_k``.  ``g`` is 1-Lipschitz in ``c``, by Weyl's
+    inequality and ``||.||_2 <= ||.||_F``, and even, so the d positive faces
+    ``z_k = 1`` of the cube ``[-1, 1]^d``, projected radially, cover the sphere.
+    Branch and bound over square cells of those faces: a cell of half-side
+    ``h`` around ``z`` lies within ``delta = h sqrt(d - 1)`` of ``z``, and
+    every one of its points has norm at least ``rho = max(1, ||z|| - delta)``.
+    Projection onto the ball of radius ``rho`` is nonexpansive, so the cell's
+    points project within ``delta / rho`` of ``z / ||z||``.  A cell is cleared
+    when ``g(z / ||z||) - delta / rho > margin``, and every other cell splits
+    into ``2^(d-1)`` of half the side.  Each level is one stacked ``eigvalsh``.
+    ``gamma`` is the least ``g - delta / rho`` over the cleared cells.
+
+    None when the cells evaluated would pass ``_SPHERE_CELLS``, or at once
+    when some centre has ``g <= margin``: the cells around that point can
+    never clear.
+    """
+    d, n = H.shape[:2]
+    basis = H.reshape(d, n * n)
+    signs = np.array(list(product((-1.0, 1.0), repeat=d - 1)))
+    # steps[k]: the child centre offsets, in half-sides, of a cell on face k.
+    steps = np.array([np.insert(signs, k, 0.0, axis=1) for k in range(d)])
+    z, face = np.eye(d), np.arange(d)
+    h, gamma, cells = 1.0, np.inf, 0
+    while len(z):
+        cells += len(z)
+        if cells > _SPHERE_CELLS:
+            return None
+        norm = np.linalg.norm(z, axis=1)
+        w = np.linalg.eigvalsh(((z / norm[:, None]) @ basis).reshape(-1, n, n))
+        g = np.maximum(w[:, -2], -w[:, 1])
+        if np.any(g <= margin):
+            return None
+        delta = h * np.sqrt(d - 1)
+        bound = g - delta / np.maximum(1.0, norm - delta)
+        cleared = bound > margin
+        if cleared.any():
+            gamma = min(gamma, float(bound[cleared].min()))
+        z, face, h = z[~cleared], face[~cleared], h / 2
+        z = (z[:, None, :] + h * steps[face]).reshape(-1, d)
+        face = np.repeat(face, len(signs))
+    return gamma
+
+
 def _oracle_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
-    oracle = simple_tensor_oracle if rec.ch.field == REAL else symmetric_tensor_oracle
-    return oracle_verdict(rec.ch, oracle(rec.ch, cfg, rec.tol), rec.tol)
+    """The public oracle on the channel: NOT_PR with a witness, else LIKELY_PR.
+
+    At n >= 3 and kernel dimension 2 or 3, restart 0 of the search runs
+    alone first; it is the restart the full search runs alone first, so a
+    witness it finds is the full search's, unless restart 0 ends between the
+    engines' success value and the witness threshold.  Its witness settles
+    the channel when the tensor residual re-verifies relative to
+    ``sum_i ||A_i||_F^2``, as at kernel dimension 1.  Otherwise the sphere
+    search of :func:`_sphere_gamma` over the kernel basis may prove PR with
+    floor ``sigma_r gamma / sqrt(2)``, by the argument of
+    :func:`_kernel_stage` at d = 1 with ``gamma`` in place of
+    ``max(l2, -l_{n-1})``.  A search that gives up hands the channel to the
+    full oracle, as do kernel dimensions 4 and more and n <= 2.
+    """
+    ch, tol = rec.ch, rec.tol
+    oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
+    if ch.dim_in >= 3 and 2 <= rec.kernel_dim <= _SPHERE_MAX_DIM:
+        outcome = oracle(ch, replace(cfg, restarts=1), tol)
+        if isinstance(outcome, TensorWitness):
+            verdict = oracle_verdict(ch, outcome, tol)
+            if verdict.residuals["tensor"] <= tol.residual_abs * rec.choi_trace:
+                return verdict
+        gamma = _sphere_gamma(rec.kernel_basis, tol.residual_abs)
+        if gamma is not None:
+            return _proved_floor(rec, gamma)
+    return oracle_verdict(ch, oracle(ch, cfg, tol), tol)
 
 
 # The stage table: ``decide`` runs "full", ``check --method`` any entry.  A

@@ -184,9 +184,11 @@ def is_phase_retrievable_frame(
 ) -> FrameReport:
     """Full frame report with a phase-retrievability verdict.
 
-    Real frames are decided exactly.  Complex frames take the verdict of
-    :func:`decide` on their measurement channel: PR gives YES, NOT_PR gives NO
-    with its state pair as witness, and LIKELY_PR gives LIKELY_YES.
+    Real frames are decided exactly, by the complement property.  Complex
+    frames take the verdict of :func:`decide` on their measurement channel:
+    PR gives YES, NOT_PR gives NO with its state pair as witness, and
+    LIKELY_PR gives LIKELY_YES.  Their reports leave ``complement_property``
+    None; :func:`complement_property` computes it on demand.
     """
     V = f.vectors
     n = f.dim
@@ -195,11 +197,13 @@ def is_phase_retrievable_frame(
     is_parseval = bool(
         np.linalg.norm(frame_operator(f) - np.eye(n)) <= tol.residual_abs * (1.0 + np.sqrt(n))
     )
-    try:
-        failing = _failing_bipartition(f, tol)
-        cp = failing is None
-    except TooManyVectors:
-        cp = None
+    failing, cp = None, None
+    if f.field == REAL:
+        try:
+            failing = _failing_bipartition(f, tol)
+            cp = failing is None
+        except TooManyVectors:
+            pass
 
     if not is_frame:
         u = kernel_basis(V.conj(), tol)[0]

@@ -115,16 +115,31 @@ def test_check_labels_a_proved_floor():
     assert "oracle floor" not in res.stdout
 
 
-def test_check_labels_an_oracle_floor(tmp_path):
-    # A real frame of 7 vectors in R^4: its measurement channel has a
-    # three-dimensional kernel on Sym(4), so only the oracle speaks.
+def _frame_channel_file(tmp_path, n, N):
     path = tmp_path / "frame_channel.json"
-    path.write_text(dumps(channel_to_json(_measurement_channel(random_generic_frame(4, 7, "real", seed=1)))))
-    res = run_cli("check", str(path))
+    path.write_text(dumps(channel_to_json(_measurement_channel(random_generic_frame(n, N, "real", seed=1)))))
+    return path
+
+
+def test_check_labels_an_oracle_floor(tmp_path):
+    # A real frame of 9 vectors in R^5: its measurement channel has a
+    # six-dimensional kernel on Sym(5), past the sphere search, so only the
+    # oracle speaks.
+    res = run_cli("check", str(_frame_channel_file(tmp_path, 5, 9)))
     assert res.returncode == 2
     assert "verdict: LIKELY_PR (method ORACLE_NO_WITNESS)" in res.stdout
     assert "oracle floor: " in res.stdout
     assert "proved floor" not in res.stdout
+
+
+def test_check_proves_a_three_dimensional_kernel(tmp_path):
+    # A real frame of 7 vectors in R^4 has a three-dimensional kernel on
+    # Sym(4): the sphere search proves PR after the oracle's first restart.
+    res = run_cli("check", str(_frame_channel_file(tmp_path, 4, 7)))
+    assert res.returncode == 0
+    assert "verdict: PR (method HERMITIAN_KERNEL)" in res.stdout
+    assert "proved floor: " in res.stdout
+    assert "oracle floor" not in res.stdout
 
 
 def test_malformed_json_is_input_error():

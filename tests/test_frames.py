@@ -117,7 +117,10 @@ def test_complex_triangle_frame_not_pr():
     f = Frame(dim=2, vectors=E1E2SUM, field=COMPLEX)
     report = is_phase_retrievable_frame(f, OracleConfig(restarts=32, seed=1))
     assert report.phase_retrievable == NO
-    assert report.complement_property is True
+    # The complement property holds, yet the complex frame is not PR; a
+    # complex report does not compute it.
+    assert complement_property(f)
+    assert report.complement_property is None
     x, y = report.witness
     gap = np.abs(_measure(f, x) - _measure(f, y))
     assert np.max(gap) <= 1e-8

@@ -1,17 +1,20 @@
-"""Property tests: kernel-stage verdicts survive the symmetries of phase retrieval.
+"""Property tests: Hermitian-kernel verdicts survive the symmetries of phase retrieval.
 
 Scaling the Kraus family by ``10**k`` with ``|k| <= 6``, unitary pre- and
 post-conjugation, unitary mixing of the Kraus operators and splitting one
 operator into two scaled copies all leave the channel's phase retrievability
-unchanged.  So a proof by a trivial Hermitian kernel, and the exact verdict
-at kernel dimension 1, must survive them on both fields, and every NOT_PR
-certificate must re-verify relative to the moved channel's scale.
+unchanged.  So a proof by a trivial Hermitian kernel, the exact verdict at
+kernel dimension 1 and a proof by the sphere search at dimensions 2 and 3
+must survive them on both fields, and every NOT_PR certificate must
+re-verify relative to the moved channel's scale.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from prchannels import COMPLEX, NOT_PR, PR, REAL, Frame, QuantumChannel, decide_method
+from prchannels import COMPLEX, NOT_PR, PR, REAL, Frame, QuantumChannel, decide_method, deciders
 from prchannels.deciders import HERMITIAN_KERNEL
 from prchannels.frames import _measurement_channel
 
@@ -19,8 +22,9 @@ from helpers import assert_relative_certificate, rand_matrix, random_unitary
 
 
 def _kernel_verdict(ch):
-    # The "oracle" sub-list is the kernel stage followed by the oracle, and
-    # only the kernel stage can give PR.
+    # The "oracle" sub-list is the kernel stage followed by the oracle stage.
+    # PR comes from the kernel stage, or from the oracle stage's sphere
+    # search at kernel dimension 2 or 3; both carry method HERMITIAN_KERNEL.
     return decide_method(ch, "oracle")
 
 
@@ -90,3 +94,31 @@ def test_kernel_stage_dimension_one_verdict_is_invariant(field, n, seed, k):
         assert (after.status, after.method) == (before.status, HERMITIAN_KERNEL), name
         if after.status == NOT_PR:
             assert_relative_certificate(moved, after)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from((REAL, COMPLEX)),
+    short=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+)
+def test_sphere_search_pr_is_invariant(field, short, seed, k):
+    # A measurement channel of dim - 2 or dim - 3 generic vectors in C^4 or
+    # R^4 has a kernel of dimension 2 or 3, which the sphere search proves.
+    # (In dimension 3 those frames are too short to be PR.)  The moves turn
+    # the kernel basis, so the search walks other cells: a channel proved
+    # within half the budget must stay proved within all of it.
+    rng = np.random.default_rng(seed)
+    n = 4
+    dim = n * n if field == COMPLEX else n * (n + 1) // 2
+    f = Frame(dim=n, vectors=rand_matrix(rng, dim - short, n, field), field=field)
+    kraus = _measurement_channel(f).kraus
+    with mock.patch.object(deciders, "_SPHERE_CELLS", deciders._SPHERE_CELLS // 2):
+        before = _kernel_verdict(QuantumChannel(n, dim - short, kraus, field))
+    assume(before.status == PR)
+    assert before.method == HERMITIAN_KERNEL
+
+    for name, moved in _moved(kraus, field, rng, k):
+        after = _kernel_verdict(moved)
+        assert (after.status, after.method) == (PR, HERMITIAN_KERNEL), name

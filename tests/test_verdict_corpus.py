@@ -16,7 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from prchannels import COMPLEX, REAL, OracleConfig, QuantumChannel, decide, fixture
+from prchannels import (
+    COMPLEX,
+    PR,
+    REAL,
+    NoWitness,
+    OracleConfig,
+    QuantumChannel,
+    decide,
+    fixture,
+    simple_tensor_oracle,
+    symmetric_tensor_oracle,
+)
 from prchannels.constructors import orthogonal_projection_channel, projector_channel_from_frame
 from prchannels.frames import Frame, _measurement_channel
 
@@ -124,6 +135,24 @@ def test_verdict_corpus_unchanged():
         if not same_verdict(got, want):
             mismatches.append(f"{key}: got {got}, want {want}")
     assert not mismatches, "\n".join(mismatches)
+
+
+# The items the sphere search proves PR, where the oracle gave LIKELY_PR.
+SPHERE_PROVED = ("wide_kernel/complex-4-N13", "wide_kernel/real-4-N7#0", "wide_kernel/real-4-N7#1")
+
+
+def test_sphere_floors_are_below_the_oracle_floors():
+    # A proved floor bounds ||Phi(H)|| from below over unit H = xx* - yy*; the
+    # oracle's floor is the smallest residual its search met, so the proof
+    # may not claim more than the floor it replaces.
+    for key, ch in corpus():
+        if key not in SPHERE_PROVED:
+            continue
+        verdict = decide(ch, CFG)
+        oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
+        outcome = oracle(ch, CFG)
+        assert isinstance(outcome, NoWitness)
+        assert verdict.status == PR and 0.0 < verdict.floor <= outcome.floor, key
 
 
 if __name__ == "__main__":
