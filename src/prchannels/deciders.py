@@ -25,6 +25,8 @@ the channel gives the verdict:
    Kernel dimension 0 proves PR.  At dimension 1 the spanning matrix decides
    exactly: at most one positive and one negative eigenvalue gives NOT_PR
    with ``(x, y)`` read off its eigenvectors, any other signature gives PR.
+   At n = 2 a kernel of any dimension gives NOT_PR this way from its first
+   basis element, since a nonzero CP map annihilates no definite matrix.
 5. Oracle: a minimizer searches for an annihilated simple tensor (real
    field) or symmetric product (complex field), reading the channel through
    its natural representation ``K = sum_i A_i (x) conj(A_i)``.  A found
@@ -37,7 +39,7 @@ the channel gives the verdict:
    HERMITIAN_KERNEL) with a floor, by the dimension-1 argument.  A search
    that would pass ``_SPHERE_CELLS`` cells, or meets a cell centre with
    ``g`` at or below the margin, hands the channel to the full oracle.  So
-   LIKELY_PR needs kernel dimension 4 or more, n <= 2, or such a hand-over.
+   LIKELY_PR needs kernel dimension 4 or more, or such a hand-over.
 
 ``check --method`` runs named sub-lists of the table (:data:`METHODS`), and
 every stage reads one per-call record holding the Choi rank, the Choi trace,
@@ -666,6 +668,11 @@ def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
       and ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``,
       at least the floor since ``gamma <= 1``.
 
+    At n = 2 the first bullet decides every d >= 1 from the first basis
+    element ``H1``: a definite H has ``Phi(H) >= l_min(H) sum_i A_i A_i*`` (or
+    its negative), nonzero for a nonzero map, so no nonzero 2 x 2 kernel
+    element is definite.
+
     Anything else is left to the oracle stage.
     """
     ch, tol, n = rec.ch, rec.tol, rec.ch.dim_in
@@ -673,7 +680,7 @@ def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     if d == 0:
         floor = float(rec.singular_values[-1])
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    if d > 1 or n < 2:
+    if n < 2 or (d > 1 and n > 2):
         return None
     # A real M has real singular vectors: on the real field H1, p and q are real.
     w, v = np.linalg.eigh(rec.kernel_basis[0])
@@ -684,7 +691,7 @@ def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
         cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
         return PRVerdict(NOT_PR, HERMITIAN_KERNEL, cert, state_witness=StateWitness(x, y), residuals={"tensor": res})
     gamma = max(w[-2], -w[1])
-    if gamma > tol.residual_abs:
+    if d == 1 and gamma > tol.residual_abs:
         return _proved_floor(rec, gamma)
     return None
 
@@ -765,7 +772,8 @@ def _oracle_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     floor ``sigma_r gamma / sqrt(2)``, by the argument of
     :func:`_kernel_stage` at d = 1 with ``gamma`` in place of
     ``max(l2, -l_{n-1})``.  A search that gives up hands the channel to the
-    full oracle, as do kernel dimensions 4 and more and n <= 2.
+    full oracle, as do kernel dimensions 4 and more and an n = 2 kernel
+    witness that did not re-verify.
     """
     ch, tol = rec.ch, rec.tol
     oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle

@@ -1,17 +1,18 @@
 """Operator-tuple left invertibility, relative joint spectra, pencil singular sets.
 
 The workhorse is :func:`pencil_singular_set`, which computes the finitely many
-``lam`` at which ``P + lam Q`` loses injectivity.  Candidate roots come from
-one nonzero maximal minor (scanned in lexicographic row order) plus one random
-linear combination of all minors used as a guard; each candidate is then kept
-only if the smallest singular value of the pencil at that point actually
-vanishes.  Common zeros of all minors are contained in the zeros of any single
-nonzero minor, so the construction never misses a true singular point while
-the verification step removes the spurious ones.
+``lam`` at which the m x n pencil ``P + lam Q`` loses injectivity: the common
+zeros of its maximal minors.  Candidate roots come from one polynomial, the
+guard ``det(R (P + lam Q))`` with a random n x m ``R``.  By Cauchy-Binet the
+guard combines all maximal minors with random coefficients, so it vanishes
+wherever they all do, and for almost every ``R`` it is nonzero whenever one
+of them is: a second polynomial, such as one nonzero minor, adds no root.
+Each candidate is kept only if the smallest singular value of the pencil
+there actually vanishes, which removes the spurious ones.
 
 The matrices are tiny, so the cost is in the number of LAPACK calls, not in
 their size.  Every evaluation of a pencil at several points is one stacked
-call: one ``det`` over the interpolation nodes of a polynomial, one values-only
+call: one ``det`` over the interpolation nodes of the guard, one values-only
 SVD over all candidate roots, one over the three degeneracy probes.  Stacked
 and looped calls give the same bits slice by slice, so the results are those
 of the point-by-point evaluation.  The guard matrix and the probe points depend
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -46,10 +46,6 @@ from .linalg import (
 
 FINITE = "finite"
 ALL_OF_C = "all_of_c"
-
-# Scanning every maximal minor is exact but exponential in the row surplus;
-# beyond this many subsets the guard polynomial alone is used.
-_MAX_MINOR_SCAN = 5000
 
 __all__ = [
     "FINITE",
@@ -166,9 +162,9 @@ def _cluster_roots(items, radius, root=lambda z: z):
 def _significant_poly(coeffs, floor: float = 1e-12):
     """Trimmed coefficients, or None when the polynomial sits at round-off level.
 
-    Inputs are pre-normalized pencils, so any genuine minor has coefficients
-    far above the absolute floor; determinants of an everywhere-singular
-    pencil only produce noise near machine epsilon.
+    Inputs are pre-normalized pencils, so a guard built from genuine minors
+    has coefficients far above the absolute floor; determinants of an
+    everywhere-singular pencil only produce noise near machine epsilon.
     """
     c = trim_polynomial(coeffs)
     if c.size == 0 or float(np.max(np.abs(c))) <= floor:
@@ -194,14 +190,18 @@ def _seeded_draws(seed: int, n: int, m: int):
 def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> SingularSet:
     """The set of ``lam`` at which the tall pencil ``P + lam Q`` is not injective.
 
-    Requires matching shapes with at least as many rows as columns.  Returns
-    :data:`ALL_OF_C` when every maximal minor is the zero polynomial.  A root
-    is kept when the smallest singular value there is at most the margin
-    ``1e-6 (||Pn|| + ||Qn||)`` of the pencil normalized to unit scale.  A
-    one-column pencil whose ``Pn`` lies farther than twice the margin from the
-    line of ``Qn`` has no such root (``||Pn + lam Qn||`` never drops below that
-    distance; the factor 2 covers rounding) and returns the empty finite set
-    before any interpolation.
+    Requires matching shapes with at least as many rows as columns.  The
+    candidate roots are those of the guard ``det(R (P + lam Q))``, one stacked
+    ``det`` over n + 1 nodes; by Cauchy-Binet it is ``sum_S det(R[:, S])
+    det((P + lam Q)[S])`` over the n-row subsets S, so it holds every common
+    zero of the maximal minors, and almost surely vanishes identically only
+    when they all do: then three probes tell :data:`ALL_OF_C` from merely
+    tiny minors.  A root is kept when the smallest singular value there is
+    at most the margin ``1e-6 (||Pn|| + ||Qn||)`` of the pencil normalized
+    to unit scale.  A one-column pencil whose ``Pn`` lies farther than twice
+    the margin from the line of ``Qn`` has no such root (``||Pn + lam Qn||``
+    never drops below that distance; the factor 2 covers rounding) and
+    returns the empty finite set before any interpolation.
     """
     Pm = as_matrix(P)
     Qm = as_matrix(Q)
@@ -224,23 +224,10 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         if np.linalg.norm(Pn - np.vdot(u, Pn) * u) > 2.0 * margin:
             return SingularSet(FINITE, [])
     R, probes = _seeded_draws(abs(int(seed)), n, m)
-
-    # First nonzero maximal minor, lexicographic row-subset order.
-    first_poly = None
-    for count, rows in enumerate(combinations(range(m), n)):
-        if count >= _MAX_MINOR_SCAN:
-            break
-        poly = _significant_poly(_det_poly_square(Pn[list(rows)], Qn[list(rows)]))
-        if poly is not None:
-            first_poly = poly
-            break
-
-    # Guard: det(R (P + lam Q)) is, by Cauchy-Binet, a random linear
-    # combination of all maximal minors.
+    # Cauchy-Binet: det(R (P + lam Q)) combines every maximal minor.
     guard_coeffs = _det_poly_square(R @ Pn, R @ Qn)
     guard_poly = _significant_poly(guard_coeffs)
-
-    if first_poly is None and guard_poly is None:
+    if guard_poly is None:
         # Every minor sits at noise level.  Confirm the degeneracy with a few
         # random probes; a full-rank probe means the minors were genuinely
         # tiny, in which case their noisy roots are still usable candidates.
@@ -250,11 +237,8 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         if guard_poly.size == 0:
             return SingularSet(FINITE, [])
 
-    candidates = []
-    for poly in (first_poly, guard_poly):
-        # Already trimmed, so a nonconstant poly solves as it stands.
-        if poly is not None and poly.size > 1:
-            candidates.extend(complex(r) for r in np.polynomial.polynomial.polyroots(poly))
+    # Already trimmed, so the guard solves as it stands (a constant has no roots).
+    candidates = [complex(r) for r in np.polynomial.polynomial.polyroots(guard_poly)]
     # Centroids of loose clusters recover multiple roots whose companion
     # eigenvalues split symmetrically around the true location.
     for cl in _cluster_roots(candidates, 1e-4):

@@ -1,8 +1,6 @@
 """Shared generators for the test suite (random channels, unitaries, frames) and a
 point-by-point reference of the pencil engine."""
 
-from itertools import combinations
-
 import numpy as np
 
 from prchannels import (
@@ -16,7 +14,7 @@ from prchannels import (
     verify_certificate,
 )
 from prchannels.linalg import ZERO_POLY, as_matrix, poly_roots, psd_inv_sqrt, trim_polynomial
-from prchannels.spectra import _MAX_MINOR_SCAN, SingularSet, _cluster_roots, _significant_poly
+from prchannels.spectra import SingularSet, _cluster_roots, _significant_poly
 
 
 def rand_matrix(rng, rows, cols, field):
@@ -103,33 +101,23 @@ def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
     margin = 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
     rng = np.random.default_rng(np.random.SeedSequence([abs(int(seed)), 0x5EC7]))
 
-    first_poly = None
-    for count, rows in enumerate(combinations(range(m), n)):
-        if count >= _MAX_MINOR_SCAN:
-            break
-        poly = _significant_poly(_reference_det_poly_square(Pn[list(rows)], Qn[list(rows)]))
-        if poly is not None:
-            first_poly = poly
-            break
-
     R = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    guard_poly = _significant_poly(_reference_det_poly_square(R @ Pn, R @ Qn))
+    guard_coeffs = _reference_det_poly_square(R @ Pn, R @ Qn)
+    guard_poly = _significant_poly(guard_coeffs)
 
     branch = "finite"
-    if first_poly is None and guard_poly is None:
+    if guard_poly is None:
         probes = [complex(rng.normal(), rng.normal()) for _ in range(3)]
         if all(smallest_singular_value(Pn + lam * Qn) <= margin for lam in probes):
             return SingularSet(ALL_OF_C, []), "all_of_c"
-        guard_poly = trim_polynomial(_reference_det_poly_square(R @ Pn, R @ Qn))
+        guard_poly = trim_polynomial(guard_coeffs)
         if guard_poly.size == 0:
             return SingularSet(FINITE, []), "noise_zero_guard"
         branch = "noise_full_rank"
 
     candidates = []
-    for poly in (first_poly, guard_poly):
-        if poly is None or poly.size <= 1:
-            continue
-        roots = poly_roots(poly)
+    if guard_poly.size > 1:
+        roots = poly_roots(guard_poly)
         if roots is not ZERO_POLY:
             candidates.extend(roots)
     if not candidates:

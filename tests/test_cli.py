@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prchannels import QuantumChannel, fixture, random_generic_frame
+from prchannels import QuantumChannel, fixture, orthogonal_projection_channel, random_generic_frame
 from prchannels.frames import _measurement_channel
 from prchannels.serialize import channel_to_json, dumps
 
@@ -89,21 +89,24 @@ def test_check_method_oracle_runs_kernel_stage():
     assert verdict["status"] == "PR" and verdict["floor"] == pytest.approx(1.0)
 
 
-def test_check_method_oracle_reports_residuals():
-    # Dephasing has a two-dimensional Hermitian kernel, so the oracle runs.
-    res = run_cli(
-        "check", str(FIXTURES / "dephasing.json"), "--method", "oracle", "--restarts", "16", "--output", "json"
-    )
+def test_check_method_oracle_reports_residuals(tmp_path):
+    # The (1,1,1) pinching has a six-dimensional Hermitian kernel on Herm(3),
+    # past the kernel stage and the sphere search, so the oracle runs.
+    path = tmp_path / "pinching.json"
+    path.write_text(dumps(channel_to_json(orthogonal_projection_channel([1, 1, 1]).channel)))
+    res = run_cli("check", str(path), "--method", "oracle", "--restarts", "16", "--output", "json")
     assert res.returncode == 1
     verdict = json.loads(res.stdout)["verdict"]
     assert verdict["method"] == "ORACLE_WITNESS"
     assert len(verdict["residuals"]) > 0
     assert verdict["residuals"]["tensor"] <= 1e-7
-    # example_2_6 has a one-dimensional kernel: the kernel stage settles it.
-    res = run_cli("check", str(FIXTURES / "example_2_6.json"), "--method", "oracle", "--output", "json")
-    assert res.returncode == 1
-    verdict = json.loads(res.stdout)["verdict"]
-    assert verdict["status"] == "NOT_PR" and verdict["method"] == "HERMITIAN_KERNEL"
+    # example_2_6 has a one-dimensional kernel, and dephasing a two-dimensional
+    # one on C^2: the kernel stage settles both.
+    for name in ("example_2_6", "dephasing"):
+        res = run_cli("check", str(FIXTURES / f"{name}.json"), "--method", "oracle", "--output", "json")
+        assert res.returncode == 1
+        verdict = json.loads(res.stdout)["verdict"]
+        assert verdict["status"] == "NOT_PR" and verdict["method"] == "HERMITIAN_KERNEL", name
 
 
 def test_check_labels_a_proved_floor():

@@ -530,6 +530,26 @@ def test_kernel_stage_finds_every_complex_frame_of_three_in_c2_not_pr():
         assert_relative_certificate(ch, verdict)
 
 
+@pytest.mark.parametrize("k", [-5, 0, 5])
+def test_kernel_stage_decides_every_kernel_dimension_in_c2(k):
+    # A nonzero CP map on C^2 annihilates no definite matrix, so every nonzero
+    # kernel element has at most one positive and one negative eigenvalue,
+    # and the first basis element gives the witness whatever d is.  The
+    # Kraus family {E11, E12, E21} kills the off-diagonal Hermitian matrices
+    # (d = 2).
+    E = np.eye(2)
+    base = [np.outer(E[a], E[b]) for a, b in ((0, 0), (0, 1), (1, 0))]
+    rng = np.random.default_rng(46)
+    for trial in range(4):
+        V, U = random_unitary(2, COMPLEX, rng), random_unitary(2, COMPLEX, rng)
+        kraus = base if trial == 0 else [10.0**k * V @ A @ U for A in base]
+        ch = QuantumChannel(2, 2, kraus, COMPLEX)
+        assert deciders._ChannelRecord(ch, DEFAULT_TOL).kernel_dim == 2
+        for verdict in (decide(ch), decide_method(ch, "oracle")):
+            assert (verdict.status, verdict.method) == (NOT_PR, HERMITIAN_KERNEL)
+            assert_relative_certificate(ch, verdict)
+
+
 def test_kernel_stage_floor_is_below_the_oracle_floor():
     # The dimension-1 floor bounds ||Phi(H)|| from below over unit H = xx* - yy*;
     # the oracle's floor is the smallest value its search met, an upper bound.

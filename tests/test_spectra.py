@@ -168,8 +168,9 @@ def test_one_column_exit(monkeypatch, k):
                 (z.real.hex(), z.imag.hex()) for z in expected.roots
             ]
             if delta < margin:
-                # Off the exact root, the guard minor's root moves by about delta.
-                assert got.roots and all(abs(r - lam) <= 2.0 * margin for r in got.roots)
+                # Off the exact root, the guard's root moves by about delta and
+                # stays the only candidate: one near-singular point, one root.
+                assert len(got.roots) == 1 and abs(got.roots[0] - lam) <= 2.0 * margin
             else:
                 assert got.roots == [] and det_calls == []
     for m in (1, 3):
@@ -216,12 +217,25 @@ def _reference_cases():
     return cases
 
 
-def test_pencil_singular_set_matches_pointwise_reference():
+def test_pencil_singular_set_matches_pointwise_reference(monkeypatch):
+    # Past the zero-scale exit, each pencil builds one determinant
+    # polynomial, the guard: one stacked det over its n + 1 nodes.
+    det_calls = []
+    det = np.linalg.det
+
+    def counted(a):
+        det_calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
     branches = set()
     for label, P, Q, seed in _reference_cases():
         expected, branch = reference_pencil_singular_set(P, Q, seed=seed)
         branches.add(branch)
+        del det_calls[:]
         got = pencil_singular_set(P, Q, seed=seed)
+        n = P.shape[1]
+        assert det_calls == ([] if branch == "zero" else [(n + 1, n, n)]), label
         assert got.kind == expected.kind, label
         assert len(got.roots) == len(expected.roots), label
         for a, b in zip(got.roots, expected.roots):
