@@ -22,24 +22,19 @@ the channel gives the verdict:
 4. Hermitian kernel, on both fields: the channel fails precisely when some
    nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on the
    real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA 2014).
-   Kernel dimension 0 proves PR.  At dimension 1 the spanning matrix decides
-   exactly: at most one positive and one negative eigenvalue gives NOT_PR
-   with ``(x, y)`` read off its eigenvectors, any other signature gives PR.
-   At n = 2 a kernel of any dimension gives NOT_PR this way from its first
-   basis element, since a nonzero CP map annihilates no definite matrix.
+   Kernel dimension 0 proves PR.  Up to dimension 3 (``_SPHERE_MAX_DIM``),
+   and at n = 2 for every dimension, a witness comes first: read off the
+   eigenvectors of the first spanning matrix at dimension 1 or n = 2, or
+   found by restart 0 of the oracle search at dimension 2 or 3.  Without
+   one, at n >= 3, a branch and bound over the unit sphere of the kernel
+   bounds ``g = max(l2, -l_{n-1})`` of the kernel element from below;
+   ``g > 0`` on the whole sphere proves PR with a floor.
 5. Oracle: a minimizer searches for an annihilated simple tensor (real
    field) or symmetric product (complex field), reading the channel through
-   its natural representation ``K = sum_i A_i (x) conj(A_i)``.  A found
-   witness certifies NOT_PR; absence of a witness is only LIKELY_PR.  At
-   n >= 3 and kernel dimension 2 or 3 (``_SPHERE_MAX_DIM``), restart 0 runs
-   alone first, and its witness settles the channel when it re-verifies
-   relative to the channel's scale.  Otherwise a branch and bound over the
-   unit sphere of the kernel bounds ``g = max(l2, -l_{n-1})`` of the kernel
-   element from below; ``g > 0`` on the whole sphere proves PR (method
-   HERMITIAN_KERNEL) with a floor, by the dimension-1 argument.  A search
-   that would pass ``_SPHERE_CELLS`` cells, or meets a cell centre with
-   ``g`` at or below the margin, hands the channel to the full oracle.  So
-   LIKELY_PR needs kernel dimension 4 or more, or such a hand-over.
+   its natural representation ``K = sum_i A_i (x) conj(A_i)``.  A witness
+   certifies NOT_PR only when it re-verifies relative to
+   ``sum_i ||A_i||_F^2``; otherwise, as without one, the verdict is
+   LIKELY_PR.
 
 ``check --method`` runs named sub-lists of the table (:data:`METHODS`), and
 every stage reads one per-call record holding the Choi rank, the Choi trace,
@@ -253,8 +248,7 @@ class _ChannelRecord:
     trace ``sum_i ||A_i||_F^2`` and the natural representation ``K`` (real on
     the real field).  No stage but the rank-2 reduction needs the Choi matrix
     itself.  ``K``, its restriction ``M`` to Herm(n) and the kernel of ``M``
-    are built on first use, by the kernel stage, and the oracle stage reads
-    the same ones."""
+    are built on first use, by the kernel stage."""
 
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
@@ -646,69 +640,68 @@ def _hermitian_basis(n: int, field: str) -> np.ndarray:
     return T
 
 
-def _kernel_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
-    """Kernel of the channel on Herm(n) (complex field) or Sym(n) (real field).
-
-    The channel fails precisely when a nonzero ``H = xx* - yy*`` lies in this
-    kernel.  One values-only SVD of the restriction gives its dimension d and
-    singular values; ``sigma_r`` is the smallest one kept.
-
-    d = 0 proves PR with floor ``sigma_min``.  d = 1 with n >= 2 is decided by
-    the unit spanning matrix ``H1`` with eigenvalues ``l1 >= ... >= ln``:
-
-    * ``x = sqrt(|l1|) p`` and ``y = sqrt(|ln|) q`` from the extreme eigenvectors
-      give NOT_PR when ``Phi(xx* - yy*)`` vanishes relative to
-      ``sum_i ||A_i||_F^2``, which holds when ``H1`` has at most one positive
-      and one negative eigenvalue.
-    * Otherwise ``gamma = max(l2, -l_{n-1}) > 0`` proves PR with floor
-      ``sigma_r gamma / sqrt(2)``.  A unit H of bad signature has ``l2 <= 0``
-      and ``l_{n-1} >= 0``; write ``H = c H1 + Hp`` with ``Hp`` orthogonal to
-      ``H1``.  By Weyl's inequality ``|c| gamma <= ||Hp||_2 <= ||Hp||_F``, and
-      ``c^2 + ||Hp||_F^2 = 1``, so ``||Hp||_F >= gamma / sqrt(1 + gamma^2)``
-      and ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``,
-      at least the floor since ``gamma <= 1``.
-
-    At n = 2 the first bullet decides every d >= 1 from the first basis
-    element ``H1``: a definite H has ``Phi(H) >= l_min(H) sum_i A_i A_i*`` (or
-    its negative), nonzero for a nonzero map, so no nonzero 2 x 2 kernel
-    element is definite.
-
-    Anything else is left to the oracle stage.
-    """
-    ch, tol, n = rec.ch, rec.tol, rec.ch.dim_in
-    d = rec.kernel_dim
-    if d == 0:
-        floor = float(rec.singular_values[-1])
-        return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    if n < 2 or (d > 1 and n > 2):
-        return None
-    # A real M has real singular vectors: on the real field H1, p and q are real.
-    w, v = np.linalg.eigh(rec.kernel_basis[0])
-    x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
-    res = float(np.linalg.norm(apply(ch, _outer(x, x) - _outer(y, y))))
-    if res <= tol.residual_abs * rec.choi_trace:
-        # The symmetric product of ((x + y)/sqrt2, (x - y)/sqrt2) is xx* - yy*.
-        cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
-        return PRVerdict(NOT_PR, HERMITIAN_KERNEL, cert, state_witness=StateWitness(x, y), residuals={"tensor": res})
-    gamma = max(w[-2], -w[1])
-    if d == 1 and gamma > tol.residual_abs:
-        return _proved_floor(rec, gamma)
-    return None
-
-
-def _proved_floor(rec: _ChannelRecord, gamma: float) -> PRVerdict:
-    """PR with floor ``sigma_r gamma / sqrt(2)``, for ``0 < gamma <= min g`` over the unit kernel sphere."""
-    floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
-    return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-
-
-# The sphere search runs at kernel dimensions 2 and 3 only: at 4 its proofs
+# The sphere search runs at kernel dimensions 1 to 3 only: at 4 its proofs
 # needed 7.3k-15.2k cells, about as long as the oracle's full search.
 _SPHERE_MAX_DIM = 3
 # Cells the sphere search may evaluate before it hands the channel back.  On
 # the benchmark's d = 3 channels most proofs need at most 1.8k cells, and the
 # rest 4.4k-72k.
 _SPHERE_CELLS = 4096
+
+
+def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> Optional[PRVerdict]:
+    """Kernel of the channel on Herm(n) (complex field) or Sym(n) (real field).
+
+    The channel fails precisely when a nonzero ``H = xx* - yy*`` lies in this
+    kernel.  One values-only SVD of the restriction gives its dimension d and
+    singular values; ``sigma_r`` is the smallest one kept.  d = 0 proves PR
+    with floor ``sigma_min``.  Up to d = ``_SPHERE_MAX_DIM``, and at n = 2 for
+    every d, a witness comes first:
+
+    * At d = 1 or n = 2, ``x = sqrt(|l1|) p`` and ``y = sqrt(|ln|) q`` from
+      the extreme eigenpairs of the first basis matrix ``H1`` give NOT_PR
+      when ``Phi(xx* - yy*)`` vanishes relative to ``sum_i ||A_i||_F^2``, as
+      it does when ``H1`` has at most one positive and one negative
+      eigenvalue.  At n = 2 no nonzero kernel element is definite, since
+      ``Phi(H) >= l_min(H) sum_i A_i A_i*`` is nonzero for a definite H, so
+      ``H1`` decides every d.
+    * At d = 2 or 3, restart 0 of the oracle search runs alone, under
+      :func:`_oracle_stage`'s acceptance test: it is the full search's first
+      restart, and much cheaper than a sphere search that gives up.
+
+    Then, at n >= 3, a ``gamma`` from :func:`_sphere_gamma` (at d = 1 one
+    cell: ``max(l2, -l_{n-1})`` of ``H1``) proves PR with floor
+    ``sigma_r gamma / sqrt(2)``.  A unit H of bad signature has ``l2 <= 0``
+    and ``l_{n-1} >= 0``; write ``H = H(c) + Hp`` with ``Hp`` orthogonal to
+    the kernel.  ``g`` is positively homogeneous, so Weyl's inequality gives
+    ``|c| gamma <= g(H(c)) <= ||Hp||_2 <= ||Hp||_F``, and with
+    ``|c|^2 + ||Hp||_F^2 = 1``, ``||Hp||_F >= gamma / sqrt(1 + gamma^2)``.
+    So ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``, at
+    least the floor since ``gamma <= 1``.
+    """
+    ch, tol, n = rec.ch, rec.tol, rec.ch.dim_in
+    d = rec.kernel_dim
+    if d == 0:
+        floor = float(rec.singular_values[-1])
+        return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
+    if n < 2 or (d > _SPHERE_MAX_DIM and n > 2):
+        return None
+    if d == 1 or n == 2:
+        # A real M has real singular vectors: on the real field H1, p and q are real.
+        w, v = np.linalg.eigh(rec.kernel_basis[0])
+        x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
+        res = float(np.linalg.norm(apply(ch, _outer(x, x) - _outer(y, y))))
+        if res <= tol.residual_abs * rec.choi_trace:
+            # The symmetric product of ((x + y)/sqrt2, (x - y)/sqrt2) is xx* - yy*.
+            cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
+            return PRVerdict(NOT_PR, HERMITIAN_KERNEL, cert, StateWitness(x, y), residuals={"tensor": res})
+    elif (verdict := _oracle_stage(rec, replace(cfg, restarts=1))).status == NOT_PR:
+        return verdict
+    gamma = _sphere_gamma(rec.kernel_basis, tol.residual_abs) if n > 2 else None
+    if gamma is None:
+        return None
+    floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
+    return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
 
 
 def _sphere_gamma(H: np.ndarray, margin: float) -> Optional[float]:
@@ -760,33 +753,20 @@ def _sphere_gamma(H: np.ndarray, margin: float) -> Optional[float]:
 
 
 def _oracle_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
-    """The public oracle on the channel: NOT_PR with a witness, else LIKELY_PR.
+    """The public oracle's search, with a witness read relative to the channel's scale.
 
-    At n >= 3 and kernel dimension 2 or 3, restart 0 of the search runs
-    alone first; it is the restart the full search runs alone first, so a
-    witness it finds is the full search's, unless restart 0 ends between the
-    engines' success value and the witness threshold.  Its witness settles
-    the channel when the tensor residual re-verifies relative to
-    ``sum_i ||A_i||_F^2``, as at kernel dimension 1.  Otherwise the sphere
-    search of :func:`_sphere_gamma` over the kernel basis may prove PR with
-    floor ``sigma_r gamma / sqrt(2)``, by the argument of
-    :func:`_kernel_stage` at d = 1 with ``gamma`` in place of
-    ``max(l2, -l_{n-1})``.  A search that gives up hands the channel to the
-    full oracle, as do kernel dimensions 4 and more and an n = 2 kernel
-    witness that did not re-verify.
+    The public oracles accept a witness at an absolute threshold, which any
+    pair meets on a small enough copy of a channel.  Here it gives NOT_PR
+    only when its tensor residual is at most ``residual_abs`` times
+    ``sum_i ||A_i||_F^2``, and otherwise LIKELY_PR with that residual as the
+    floor, like a search without a witness.
     """
     ch, tol = rec.ch, rec.tol
     oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
-    if ch.dim_in >= 3 and 2 <= rec.kernel_dim <= _SPHERE_MAX_DIM:
-        outcome = oracle(ch, replace(cfg, restarts=1), tol)
-        if isinstance(outcome, TensorWitness):
-            verdict = oracle_verdict(ch, outcome, tol)
-            if verdict.residuals["tensor"] <= tol.residual_abs * rec.choi_trace:
-                return verdict
-        gamma = _sphere_gamma(rec.kernel_basis, tol.residual_abs)
-        if gamma is not None:
-            return _proved_floor(rec, gamma)
-    return oracle_verdict(ch, oracle(ch, cfg, tol), tol)
+    verdict = oracle_verdict(ch, oracle(ch, cfg, tol), tol)
+    if verdict.status == NOT_PR and (res := verdict.residuals["tensor"]) > tol.residual_abs * rec.choi_trace:
+        return oracle_verdict(ch, NoWitness(floor=res), tol)
+    return verdict
 
 
 # The stage table: ``decide`` runs "full", ``check --method`` any entry.  A

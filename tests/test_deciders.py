@@ -27,6 +27,8 @@ from prchannels import (
     kernel_basis,
     necessary_inner_product_check,
     pencil_singular_set,
+    projector_channel_from_frame,
+    random_generic_frame,
     scalar_relative_spectrum,
     simple_tensor_oracle,
     symmetric_tensor_oracle,
@@ -36,6 +38,7 @@ from prchannels import deciders
 from prchannels.deciders import (
     HERMITIAN_KERNEL,
     NECESSARY_VIOLATION,
+    ORACLE_NO_WITNESS,
     RANK1,
     RANK2_EXACT,
     _root_kernels,
@@ -575,6 +578,22 @@ def test_kernel_stage_leaves_an_unannihilated_kernel_element_to_the_oracle():
     ch = QuantumChannel(2, 4, [np.vstack([A, np.zeros((1, 2))]) for A in base.kraus] + [weak], COMPLEX)
     verdict = decide_method(ch, "oracle", OracleConfig(restarts=8), Tolerance(rank_rel=1e-4))
     assert verdict.status == LIKELY_PR
+
+
+@pytest.mark.parametrize("k", [-4, -5, -6])
+def test_oracle_witness_must_reverify_relative_to_the_channel_scale(k):
+    # A generic real frame of 2n - 1 vectors has the complement property, so
+    # its projector channel is PR; unscaled, the oracle finds no witness
+    # (kernel dimension 6).  Scaled by 10**k, the public oracle's absolute
+    # threshold accepts a pair whose residual is 4.5e-6 to 8.1e-3 relative
+    # to sum_i ||A_i||_F^2, and decide must not.
+    base = projector_channel_from_frame(random_generic_frame(5, 9, REAL, seed=0))
+    ch = QuantumChannel(5, base.dim_out, [10.0**k * A for A in base.kraus], REAL)
+    assert isinstance(simple_tensor_oracle(ch), TensorWitness)
+    verdict = decide(ch)
+    assert (verdict.status, verdict.method) == (LIKELY_PR, ORACLE_NO_WITNESS)
+    # The floor is the rejected witness's residual.
+    assert verdict.floor > DEFAULT_TOL.residual_abs * sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
 
 
 def test_wide_real_map_is_not_pr():

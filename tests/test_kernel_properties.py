@@ -4,9 +4,12 @@ Scaling the Kraus family by ``10**k`` with ``|k| <= 6``, unitary pre- and
 post-conjugation, unitary mixing of the Kraus operators and splitting one
 operator into two scaled copies all leave the channel's phase retrievability
 unchanged.  So a proof by a trivial Hermitian kernel, the exact verdict at
-kernel dimension 1 and a proof by the sphere search at dimensions 2 and 3
+kernel dimension 1 and a proof by the sphere search at dimensions 1 to 3
 must survive them on both fields, and every NOT_PR certificate must
-re-verify relative to the moved channel's scale.
+re-verify relative to the moved channel's scale.  Past the kernel stage,
+:func:`decide` must stay sound at every scale: the oracle's NOT_PR
+re-verifies relative to the channel's scale, and no PR comes without a
+proof.
 """
 
 from unittest import mock
@@ -14,8 +17,21 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from prchannels import COMPLEX, NOT_PR, PR, REAL, Frame, QuantumChannel, decide_method, deciders
-from prchannels.deciders import HERMITIAN_KERNEL
+from prchannels import (
+    COMPLEX,
+    DEFAULT_TOL,
+    NOT_PR,
+    PR,
+    REAL,
+    Frame,
+    OracleConfig,
+    QuantumChannel,
+    decide,
+    decide_method,
+    deciders,
+    orthogonal_projection_channel,
+)
+from prchannels.deciders import HERMITIAN_KERNEL, RANK1, RANK2_EXACT
 from prchannels.frames import _measurement_channel
 
 from helpers import assert_relative_certificate, rand_matrix, random_unitary
@@ -23,8 +39,8 @@ from helpers import assert_relative_certificate, rand_matrix, random_unitary
 
 def _kernel_verdict(ch):
     # The "oracle" sub-list is the kernel stage followed by the oracle stage.
-    # PR comes from the kernel stage, or from the oracle stage's sphere
-    # search at kernel dimension 2 or 3; both carry method HERMITIAN_KERNEL.
+    # PR comes only from the kernel stage, at kernel dimension 0 or from its
+    # sphere search at dimensions 1 to 3, with method HERMITIAN_KERNEL.
     return decide_method(ch, "oracle")
 
 
@@ -122,3 +138,41 @@ def test_sphere_search_pr_is_invariant(field, short, seed, k):
     for name, moved in _moved(kraus, field, rng, k):
         after = _kernel_verdict(moved)
         assert (after.status, after.method) == (PR, HERMITIAN_KERNEL), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(("frame", "pinching")),
+    field=st.sampled_from((REAL, COMPLEX)),
+    big=st.booleans(),
+    d=st.integers(4, 6),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-6, 6),
+)
+def test_decide_is_sound_at_every_scale(kind, field, big, d, seed, k):
+    # Channels that reach the oracle stage (Hermitian kernel dimension 4 or
+    # more): measurement channels of frames too short to be PR (R^4, C^3)
+    # or that may be PR (R^5, C^4), and pinchings conjugated by random
+    # unitaries.  Scaled by 10**k, a NOT_PR must still re-verify relative to
+    # sum_i ||A_i||_F^2, and a PR must come from an exact or proving stage;
+    # LIKELY_PR is always allowed.
+    rng = np.random.default_rng(seed)
+    if kind == "frame":
+        n = {REAL: 4, COMPLEX: 3}[field] + big
+        N = (n * n if field == COMPLEX else n * (n + 1) // 2) - d
+        kraus = _measurement_channel(Frame(dim=n, vectors=rand_matrix(rng, N, n, field), field=field)).kraus
+    else:
+        # Choi rank 3 or 4; the kernel, the off-block-diagonal part, has
+        # dimension 5 or 6 on Sym(4) and 10 or 12 on Herm(4).
+        dims = (1, 1, 1, 1) if big else (1, 1, 2)
+        n = N = sum(dims)
+        V, U = random_unitary(n, field, rng), random_unitary(n, field, rng)
+        kraus = [V @ A @ U for A in orthogonal_projection_channel(dims).channel.kraus]
+    ch = QuantumChannel(n, N, [10.0**k * A for A in kraus], field)
+    assert deciders._ChannelRecord(ch, DEFAULT_TOL).kernel_dim >= 4
+
+    verdict = decide(ch, OracleConfig(restarts=4))
+    if verdict.status == NOT_PR:
+        assert_relative_certificate(ch, verdict)
+    if verdict.status == PR:
+        assert verdict.method in (RANK1, RANK2_EXACT, HERMITIAN_KERNEL)

@@ -1,4 +1,4 @@
-"""The kernel-sphere branch and bound behind PR at kernel dimensions 2 and 3.
+"""The kernel-sphere branch and bound behind PR at kernel dimensions 1 to 3.
 
 ``_sphere_gamma`` proves ``g(c) = max(l2, -l_{n-1}) >= gamma`` for the
 eigenvalues ``l1 >= ... >= ln`` of ``H(c) = sum_k c_k H_k``, over every unit
@@ -43,7 +43,9 @@ def _g(H, c):
 
 
 def _sphere_sample(d):
-    """Dense unit vectors of R^d: a fine half circle, or a Fibonacci sphere."""
+    """Dense unit vectors of R^d: both points of R^1, a fine half circle, or a Fibonacci sphere."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]])
     if d == 2:
         t = np.linspace(0.0, np.pi, 5001)
         return np.column_stack((np.cos(t), np.sin(t)))
@@ -61,7 +63,7 @@ def _random_rotation(rng, d):
 
 @pytest.mark.parametrize("field", (REAL, COMPLEX))
 @pytest.mark.parametrize("n", (3, 4))
-@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_proved_gamma_never_exceeds_the_sampled_minimum(field, n, d):
     rng = np.random.default_rng([n, d, field == COMPLEX])
     sample = _sphere_sample(d)
@@ -74,14 +76,14 @@ def test_proved_gamma_never_exceeds_the_sampled_minimum(field, n, d):
         proved += 1
         assert MARGIN < gamma <= _g(H, sample).min()
     # In Herm(4) and Sym(4) the bad matrices have codimension 4 and 3, so a
-    # random kernel of dimension 2 or 3 generically misses them.
+    # random kernel of dimension 1 to 3 generically misses them.
     if n == 4:
         assert proved >= 4
 
 
 @pytest.mark.parametrize("field", (REAL, COMPLEX))
 @pytest.mark.parametrize("n", (3, 4))
-@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_a_family_through_a_pure_state_difference_is_never_proved(field, n, d, monkeypatch):
     # A generous budget, so that a search that wrongly clears the cells
     # around the bad point would go on to prove the rest of the sphere.
