@@ -19,33 +19,14 @@ Both engines read the channel through its natural representation
 ``K = sum_i A_i (x) conj(A_i)``, which sends ``s (x) t`` to ``vec(Phi(s t^T))``:
 every half-step matrix is one of the two slot contractions of ``K`` at the
 fixed vector (:func:`_slot_maps`), one matrix-vector product each, and never
-a sum of Kronecker products.  The engines are deterministic functions of the
-configured seed: restart ``r`` starts from a unit vector drawn from
-``default_rng([seed, tag, r])``, restarts stop early once a witness-grade
-minimum is found, and the reported pair is the best seen so far (lowest
-restart index on ties).  No ``x`` a restart holds vanishes: the start is a
-unit vector, and each later one is a unit singular vector (simple engine) or
-a solution whose symmetric product with the previous, nonzero ``x`` has unit
-norm (symmetric engine).
-
-One driver, ``_lockstep``, holds the restart policy of both engines; each
-engine hands it one step function.  Restarts run in lockstep batches of 1, 1,
-2, 4, 8, ... restarts, each batch as long as all before it but at most 64,
-and the last one cut at ``cfg.restarts``.  Every step of a batch forms the
-half-step matrices of all its running restarts with stacked products, one
-product per restart of the same shape as a lone restart's, and solves them
-with one stacked decomposition; LAPACK and BLAS treat each slice as they
-would treat it alone, so every restart follows the same floating-point path
-as when run by itself.  Each restart keeps its own stop rules and leaves the
-batch when it stops.  A finished batch is folded in restart order with the
-rules above, so the result is the one of running the restarts one at a time;
-only the restarts after a witness inside its batch are extra work.  A
-witness is found on restart 0 in most searches that have one, and the first
-batch of one restart keeps that case to one restart's work, though each of
-its steps pays some numpy overhead for the batch axis.  Seeding a stream
-costs more than a short restart, so the starting vectors of each batch are
-drawn once per seed and shape and kept; only the first search of a shape in
-a process draws them.
+a sum of Kronecker products.  The restarts run one after another, each
+through its engine's stacked step as a batch of one row, from a unit vector
+drawn once per seed and shape from ``default_rng([seed, tag, r])``
+(:func:`_starts`).  The search stops at the first witness-grade minimum and
+reports the best pair seen (lowest restart index on ties).  No ``x`` a
+restart holds vanishes: the start is a unit vector, and each later one is a
+unit singular vector or a solution whose symmetric product with the
+previous, nonzero ``x`` has unit norm.
 """
 
 from __future__ import annotations
@@ -74,9 +55,7 @@ def _hopeless(val: float, prev: float, iters_left: int) -> bool:
     if not math.isfinite(prev) or prev <= 0.0 or val <= 0.0:
         return False
     rate = val / prev
-    if rate >= 1.0:
-        return True
-    return np.log(val) + iters_left * np.log(rate) > _LOG_TARGET
+    return rate >= 1.0 or np.log(val) + iters_left * np.log(rate) > _LOG_TARGET
 
 
 __all__ = [
@@ -163,79 +142,38 @@ def _rand_unit(rng, n: int, field: str) -> np.ndarray:
     v = rng.normal(size=n)
     if field == COMPLEX:
         v = v + 1j * rng.normal(size=n)
-    nrm = np.linalg.norm(v)
-    while nrm == 0.0:  # essentially impossible, but keeps the loop total
-        v = rng.normal(size=n) + (1j * rng.normal(size=n) if field == COMPLEX else 0.0)
-        nrm = np.linalg.norm(v)
-    return v / nrm
+    # n standard normal draws all exactly zero have probability zero.
+    return v / np.linalg.norm(v)
 
 
-@lru_cache(maxsize=256)
-def _starts(seed: int, tag: int, batch: range, n: int, field: str) -> np.ndarray:
-    """The first draw of each restart in ``batch`` from its own stream, stacked and read-only.
-
-    Restart ``r`` draws from ``default_rng([seed, tag, r])``.  Seeding a
-    stream costs more than a short restart, and the draws depend on nothing
-    but the arguments, so they are made once and reused.
-    """
-    x = np.array([_rand_unit(np.random.default_rng([abs(int(seed)), tag, r]), n, field) for r in batch])
+@lru_cache(maxsize=4096)
+def _starts(seed: int, tag: int, r: int, n: int, field: str) -> np.ndarray:
+    """Restart ``r``'s start, the first draw from ``default_rng([seed, tag, r])``, as a read-only row."""
+    x = _rand_unit(np.random.default_rng([abs(int(seed)), tag, r]), n, field)[None]
     x.flags.writeable = False
     return x
 
 
-# The longest batch: its stacked half-step matrices stay small however many
-# restarts are asked for.
-_MAX_BATCH = 64
+def _restarts(step, cfg: OracleConfig, tag: int, n: int, field: str):
+    """The best ``(value, x, y)`` of the restarts, run one after another.
 
-
-def _batches(restarts: int):
-    """Restart index ranges of lengths 1, 1, 2, 4, ...: each as long as all before it, up to _MAX_BATCH."""
-    start = 0
-    while start < restarts:
-        stop = min(start + min(max(start, 1), _MAX_BATCH), restarts)
-        yield range(start, stop)
-        start = stop
-
-
-def _stops(val: float, prev: float, iters_left: int) -> bool:
-    return val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, iters_left)
-
-
-def _lockstep(step, cfg: OracleConfig, tag: int, n: int, field: str):
-    """Run the restarts of one search in lockstep batches; returns the best ``(value, x, y)``.
-
-    ``step(x)`` advances every running restart by one iteration from the
-    stacked rows ``x`` and returns ``(values, x_next, other)``: per row, the
-    objective after the step as a float, the next fixed vector and the vector
-    paired with it.  A restart leaves the batch when its stop rules fire and
-    reports its last step.  A finished batch is folded in restart order: a
-    result replaces the best only when strictly smaller, and the search ends
-    at the first witness-grade one, where one restart at a time would end.
+    ``step(x)`` advances the one-row stack ``x`` by one iteration and returns
+    ``(values, x_next, other)``.  A restart reports its last step, a result
+    replaces the best only when strictly smaller, and the search ends at the
+    first witness-grade one.
     """
     best = None
-    for batch in _batches(cfg.restarts):
-        x = _starts(cfg.seed, tag, batch, n, field)
-        results = [None] * len(batch)  # (value, x, y) after each restart's last step
-        prev = [np.inf] * len(batch)
-        live = list(range(len(batch)))  # batch positions of the running restarts, row by row
+    for r in range(cfg.restarts):
+        x, prev = _starts(cfg.seed, tag, r, n, field), np.inf
         for it in range(cfg.max_iters):
             vals, x, other = step(x)
-            going = []
-            for j, (k, val) in enumerate(zip(live, vals)):
-                results[k] = (val, x[j], other[j])
-                if not _stops(val, prev[k], cfg.max_iters - it):
-                    prev[k] = val
-                    going.append(j)
-            if not going:
+            if vals[0] < _SUCCESS or prev - vals[0] <= 0.0 or _hopeless(vals[0], prev, cfg.max_iters - it):
                 break
-            if len(going) < len(live):
-                live = [live[j] for j in going]
-                x = x[going]
-        for res in results:
-            if best is None or res[0] < best[0]:
-                best = res
-            if best[0] < _SUCCESS:
-                return best
+            prev = vals[0]
+        if best is None or vals[0] < best[0]:
+            best = (vals[0], x[0], other[0])
+        if best[0] < _SUCCESS:
+            break
     return best
 
 
@@ -290,7 +228,7 @@ def minimize_simple_pair(K: np.ndarray, dim: int, field: str, cfg: OracleConfig)
         _, s2, vh2 = np.linalg.svd(right(y), full_matrices=full)
         return [s**2 for s in s2[:, -1].tolist()], vh2[:, -1].conj(), y
 
-    return _lockstep(step, cfg, 0x51, dim, field)
+    return _restarts(step, cfg, 0x51, dim, field)
 
 
 def minimize_symmetric_pair(K: np.ndarray, dim: int, cfg: OracleConfig):
@@ -308,6 +246,6 @@ def minimize_symmetric_pair(K: np.ndarray, dim: int, cfg: OracleConfig):
         vals, vt = smallest_generalized(_block_real(left(x), right(x)), x)
         return vals.tolist(), vt[:, :dim] + 1j * vt[:, dim:], x  # alternate which slot is solved next
 
-    val, x, y = _lockstep(step, cfg, 0x52, dim, COMPLEX)
+    val, x, y = _restarts(step, cfg, 0x52, dim, COMPLEX)
     root = np.sqrt(np.linalg.norm(np.outer(x, y.conj()) + np.outer(y, x.conj())))
     return val, x / root, y / root

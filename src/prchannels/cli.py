@@ -114,7 +114,7 @@ def run_check(args) -> int:
         _print_validation(report)
         print(f"verdict: {verdict.status} (method {verdict.method})")
         if verdict.floor is not None:
-            # A PR floor is a proved lower bound; a LIKELY_PR floor is what the oracle saw.
+            # A PR floor is a proved lower bound; a LIKELY_PR floor is what the witness search saw.
             label = "proved floor" if verdict.status == PR else "oracle floor"
             print(f"{label}: {verdict.floor:.6g}")
         if verdict.state_witness is not None:
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="full",
         help="restrict the decision pipeline",
     )
-    p_check.add_argument("--restarts", type=int, default=None, help="oracle restart budget")
+    p_check.add_argument("--restarts", type=int, default=None, help="witness-search starts")
     common(p_check)
     p_check.set_defaults(func=run_check)
 

@@ -19,27 +19,20 @@ the channel gives the verdict:
    both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the two
    pencil singular sets are computed and intersected after reflecting the
    second one.
-4. Hermitian kernel, on both fields: the channel fails precisely when some
-   nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on the
-   real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA 2014).
-   Kernel dimension 0 proves PR.  Up to dimension 3 (``_SPHERE_MAX_DIM``),
-   and at n = 2 for every dimension, a witness comes first: read off the
-   eigenvectors of the first spanning matrix at dimension 1 or n = 2, or
-   found by restart 0 of the oracle search at dimension 2 or 3.  Without
-   one, at n >= 3, a branch and bound over the unit sphere of the kernel
-   bounds ``g = max(l2, -l_{n-1})`` of the kernel element from below;
-   ``g > 0`` on the whole sphere proves PR with a floor.
-5. Oracle: a minimizer searches for an annihilated simple tensor (real
-   field) or symmetric product (complex field), reading the channel through
-   its natural representation ``K = sum_i A_i (x) conj(A_i)``.  A witness
-   certifies NOT_PR only when it re-verifies relative to
-   ``sum_i ||A_i||_F^2``; otherwise, as without one, the verdict is
+4. Hermitian kernel, on both fields, last: the channel fails precisely when
+   some nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on
+   the real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA
+   2014).  A trivial kernel proves PR; a witness from the kernel's first
+   spanning matrix, or from restart 0 of the bilinear search, gives NOT_PR;
+   up to dimension 3 a branch and bound over the kernel's unit sphere may
+   prove PR; last, a Gauss-Newton search on that sphere gives NOT_PR or
    LIKELY_PR.
 
-``check --method`` runs named sub-lists of the table (:data:`METHODS`), and
-every stage reads one per-call record holding the Choi rank, the Choi trace,
-``K``, its restriction to Herm(n) and the kernel.  The oracle runs go
-through the public oracles, which build their own ``K``.
+A witness gives NOT_PR only when it re-verifies relative to
+``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
+(:data:`METHODS`), and every stage reads one per-call record holding the Choi
+rank, the Choi trace, ``K = sum_i A_i (x) conj(A_i)``, its restriction to
+Herm(n) and the kernel, each built at most once.
 
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
@@ -649,59 +642,78 @@ _SPHERE_MAX_DIM = 3
 _SPHERE_CELLS = 4096
 
 
-def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> Optional[PRVerdict]:
-    """Kernel of the channel on Herm(n) (complex field) or Sym(n) (real field).
+def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
+    """Kernel of the channel on Herm(n) (complex field) or Sym(n) (real field), the last stage.
 
     The channel fails precisely when a nonzero ``H = xx* - yy*`` lies in this
-    kernel.  One values-only SVD of the restriction gives its dimension d and
-    singular values; ``sigma_r`` is the smallest one kept.  d = 0 proves PR
-    with floor ``sigma_min``.  Up to d = ``_SPHERE_MAX_DIM``, and at n = 2 for
-    every d, a witness comes first:
+    kernel, of dimension d; ``sigma_r`` is the smallest singular value kept.
+    d = 0 proves PR with floor ``sigma_min``, and so does n = 1 (one pure
+    state).  Otherwise, in order, each witness under :func:`_accepted`:
 
-    * At d = 1 or n = 2, ``x = sqrt(|l1|) p`` and ``y = sqrt(|ln|) q`` from
-      the extreme eigenpairs of the first basis matrix ``H1`` give NOT_PR
-      when ``Phi(xx* - yy*)`` vanishes relative to ``sum_i ||A_i||_F^2``, as
-      it does when ``H1`` has at most one positive and one negative
-      eigenvalue.  At n = 2 no nonzero kernel element is definite, since
-      ``Phi(H) >= l_min(H) sum_i A_i A_i*`` is nonzero for a definite H, so
-      ``H1`` decides every d.
-    * At d = 2 or 3, restart 0 of the oracle search runs alone, under
-      :func:`_oracle_stage`'s acceptance test: it is the full search's first
-      restart, and much cheaper than a sphere search that gives up.
-
-    Then, at n >= 3, a ``gamma`` from :func:`_sphere_gamma` (at d = 1 one
-    cell: ``max(l2, -l_{n-1})`` of ``H1``) proves PR with floor
-    ``sigma_r gamma / sqrt(2)``.  A unit H of bad signature has ``l2 <= 0``
-    and ``l_{n-1} >= 0``; write ``H = H(c) + Hp`` with ``Hp`` orthogonal to
-    the kernel.  ``g`` is positively homogeneous, so Weyl's inequality gives
-    ``|c| gamma <= g(H(c)) <= ||Hp||_2 <= ||Hp||_F``, and with
-    ``|c|^2 + ||Hp||_F^2 = 1``, ``||Hp||_F >= gamma / sqrt(1 + gamma^2)``.
-    So ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``, at
-    least the floor since ``gamma <= 1``.
+    * At d = 1 or n = 2, the pair of :func:`_signature_verdict` on the first
+      basis matrix ``H1``; at n = 2 it decides every d, since
+      ``Phi(H) >= l_min(H) sum_i A_i A_i*`` leaves no kernel element definite.
+      At d >= 2 (n >= 3), restart 0 of the bilinear search on ``rec.K``.
+    * At n >= 3 and d <= ``_SPHERE_MAX_DIM``, a ``gamma`` from
+      :func:`_sphere_gamma` proves PR with floor ``sigma_r gamma / sqrt(2)``.
+      A unit H of bad signature has ``l2 <= 0 <= l_{n-1}``; write
+      ``H = H(c) + Hp`` with ``Hp`` orthogonal to the kernel.  By Weyl,
+      ``|c| gamma <= g(H(c)) <= ||Hp||_F``, and ``|c|^2 + ||Hp||_F^2 = 1``,
+      so ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
+    * Last, the pair of :func:`_kernel_search`'s best ``H(c)``: NOT_PR, or
+      LIKELY_PR with its relative residual as the floor.
     """
-    ch, tol, n = rec.ch, rec.tol, rec.ch.dim_in
-    d = rec.kernel_dim
-    if d == 0:
-        floor = float(rec.singular_values[-1])
+    tol, n, d = rec.tol, rec.ch.dim_in, rec.kernel_dim
+    if d == 0 or n == 1:
+        floor = float(rec.singular_values[-1]) if d == 0 else None
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    if n < 2 or (d > _SPHERE_MAX_DIM and n > 2):
-        return None
     if d == 1 or n == 2:
-        # A real M has real singular vectors: on the real field H1, p and q are real.
-        w, v = np.linalg.eigh(rec.kernel_basis[0])
-        x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
-        res = float(np.linalg.norm(apply(ch, _outer(x, x) - _outer(y, y))))
-        if res <= tol.residual_abs * rec.choi_trace:
-            # The symmetric product of ((x + y)/sqrt2, (x - y)/sqrt2) is xx* - yy*.
-            cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
-            return PRVerdict(NOT_PR, HERMITIAN_KERNEL, cert, StateWitness(x, y), residuals={"tensor": res})
-    elif (verdict := _oracle_stage(rec, replace(cfg, restarts=1))).status == NOT_PR:
+        verdict = _signature_verdict(rec, rec.kernel_basis[0], HERMITIAN_KERNEL)[0]
+    else:
+        verdict = _restart_zero(rec, cfg)
+    if verdict is not None:
         return verdict
-    gamma = _sphere_gamma(rec.kernel_basis, tol.residual_abs) if n > 2 else None
-    if gamma is None:
+    H = rec.kernel_basis
+    if n > 2 and d <= _SPHERE_MAX_DIM and (gamma := _sphere_gamma(H, tol.residual_abs)) is not None:
+        floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
+        return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
+    verdict, floor = _signature_verdict(rec, np.tensordot(_kernel_search(H, cfg), H, 1), ORACLE_WITNESS)
+    return verdict or oracle_verdict(rec.ch, NoWitness(floor=floor), tol)
+
+
+def _accepted(rec: _ChannelRecord, res: float) -> bool:
+    """The witness test of :func:`decide`: tensor residual at most ``residual_abs * sum_i ||A_i||_F^2``."""
+    return res <= rec.tol.residual_abs * rec.choi_trace
+
+
+def _signature_verdict(rec: _ChannelRecord, H: np.ndarray, method: str):
+    """``(NOT_PR or None, floor)`` of ``x = sqrt(|l1|) p``, ``y = sqrt(|ln|) q`` from H's extreme eigenpairs.
+
+    ``xx* - yy*``, H without its middle eigenvalues, is the symmetric product
+    of the certificate ``((x + y)/sqrt2, (x - y)/sqrt2)``; the floor is
+    ``||Phi(xx* - yy*)|| / ||xx* - yy*||_F``.
+    """
+    w, v = np.linalg.eigh(H)
+    x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
+    res = float(np.linalg.norm(apply(rec.ch, _outer(x, x) - _outer(y, y))))
+    if not _accepted(rec, res):
+        return None, res / float(np.hypot(w[-1], w[0]))
+    cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
+    return PRVerdict(NOT_PR, method, cert, StateWitness(x, y), residuals={"tensor": res}), 0.0
+
+
+def _restart_zero(rec: _ChannelRecord, cfg: OracleConfig) -> Optional[PRVerdict]:
+    """Restart 0 of the bilinear search on ``rec.K``: NOT_PR when its witness passes :func:`_accepted`."""
+    ch, one = rec.ch, replace(cfg, restarts=1)
+    if ch.field == REAL:
+        pair, kind = minimize_simple_pair(rec.K, ch.dim_in, REAL, one)[1:], SIMPLE
+    else:
+        pair, kind = minimize_symmetric_pair(rec.K, ch.dim_in, one)[1:], SYMMETRIC
+    x, y = (np.asarray(v, dtype=complex) for v in pair)
+    if not _accepted(rec, res := _tensor_residual(ch, x, y, kind)):
         return None
-    floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
-    return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
+    sw = _to_state_witness(ch, x, y, rec.tol)
+    return PRVerdict(NOT_PR, ORACLE_WITNESS, TensorWitness(x, y, kind), sw, residuals={"tensor": res})
 
 
 def _sphere_gamma(H: np.ndarray, margin: float) -> Optional[float]:
@@ -752,31 +764,73 @@ def _sphere_gamma(H: np.ndarray, margin: float) -> Optional[float]:
     return gamma
 
 
-def _oracle_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
-    """The public oracle's search, with a witness read relative to the channel's scale.
+# Witness search: steps per start, the F of an exact zero, the steps without
+# halving F after which a start is dropped, and the most starts in one stacked
+# batch, which keeps its arrays small however many starts are asked for.
+_SEARCH_STEPS = 40
+_SEARCH_ZERO = 1e-28
+_SEARCH_STALL = 3
+_SEARCH_BATCH = 64
 
-    The public oracles accept a witness at an absolute threshold, which any
-    pair meets on a small enough copy of a channel.  Here it gives NOT_PR
-    only when its tensor residual is at most ``residual_abs`` times
-    ``sum_i ||A_i||_F^2``, and otherwise LIKELY_PR with that residual as the
-    floor, like a search without a witness.
+
+def _kernel_search(H: np.ndarray, cfg: OracleConfig) -> np.ndarray:
+    """The unit ``c`` of least ``F(c)`` that Gauss-Newton runs from ``cfg.restarts`` starts reach.
+
+    ``H`` stacks Frobenius-orthonormal Hermitian ``H_1..H_d``, so
+    ``H(c) = sum_k c_k H_k`` has unit norm, and ``F(c)``, the sum of its
+    squared middle eigenvalues, vanishes exactly where ``H(c) = xx* - yy*``.
+    The starts are unit rows from ``default_rng([seed, 0x53, d])``: the first
+    runs alone, then the rest in batches of up to ``_SEARCH_BATCH``, until a
+    start reaches a zero.  Each step is one stacked ``eigh``.  For the middle
+    eigenvectors ``V`` the residual is ``V* H(c) V`` and the Jacobian ``J``
+    has columns ``V* H_k V``, in real upper-triangle coordinates with
+    Frobenius norms.  ``J c`` is the residual ``r``, so ``J - r c^T`` is ``J``
+    on the tangent space; the step is its min-norm least-squares solution
+    from one stacked SVD (singular values below 1e-12 of the largest cut),
+    and ``c`` is renormalized.
     """
-    ch, tol = rec.ch, rec.tol
-    oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
-    verdict = oracle_verdict(ch, oracle(ch, cfg, tol), tol)
-    if verdict.status == NOT_PR and (res := verdict.residuals["tensor"]) > tol.residual_abs * rec.choi_trace:
-        return oracle_verdict(ch, NoWitness(floor=res), tol)
-    return verdict
+    (d, n), total = H.shape[:2], cfg.restarts
+    a, b = np.triu_indices(n - 2)
+    weight = np.where(a == b, 1.0, np.sqrt(2.0))
+    best_c = np.random.default_rng([abs(int(cfg.seed)), 0x53, d]).normal(size=(total, d))
+    best_c /= np.linalg.norm(best_c, axis=1, keepdims=True)
+    best_f, halved, stall = np.full(total, np.inf), np.full(total, np.inf), np.zeros(total, dtype=int)
+    bounds = [0, *range(1, total, _SEARCH_BATCH), total]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if best_f.min() < _SEARCH_ZERO:
+            break
+        live, c = np.arange(lo, hi), best_c[lo:hi]
+        for _ in range(_SEARCH_STEPS):
+            w, v = np.linalg.eigh((c @ H.reshape(d, n * n)).reshape(-1, n, n))
+            f = np.sum(w[:, 1:-1] ** 2, axis=1)
+            better = f < best_f[live]
+            best_f[live[better]], best_c[live[better]] = f[better], c[better]
+            if f.min() < _SEARCH_ZERO:
+                break
+            fresh = f < 0.5 * halved[live]
+            halved[live[fresh]] = f[fresh]
+            stall[live] = np.where(fresh, 0, stall[live] + 1)
+            keep = stall[live] < _SEARCH_STALL
+            if not keep.any():
+                break
+            live, c, mid = live[keep], c[keep], v[keep, :, 1:-1]
+            J = (mid.conj().mT[:, None] @ H @ mid[:, None])[:, :, a, b] * weight
+            if np.iscomplexobj(J):
+                J = np.concatenate((J.real, J.imag[:, :, a < b]), axis=2)
+            r = J.mT @ c[:, :, None]
+            c = c - (np.linalg.pinv(J.mT - r * c[:, None, :], rtol=1e-12) @ r)[:, :, 0]
+            c /= np.linalg.norm(c, axis=1, keepdims=True)
+    return best_c[np.argmin(best_f)]
 
 
 # The stage table: ``decide`` runs "full", ``check --method`` any entry.  A
 # stage returns a verdict, or None to pass the channel on.
 METHODS = {
-    "full": (_low_rank_stage, _screen_stage, _rank2_stage, _kernel_stage, _oracle_stage),
+    "full": (_low_rank_stage, _screen_stage, _rank2_stage, _kernel_stage),
     "exact": (_low_rank_stage, _rank2_stage),
     # Alone, the screen runs on any square family and its errors propagate.
     "necessary": (_screen_verdict,),
-    "oracle": (_kernel_stage, _oracle_stage),
+    "oracle": (_kernel_stage,),
 }
 
 

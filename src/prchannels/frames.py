@@ -7,9 +7,9 @@ pure states exactly when the frame does.  That is exact whenever the
 channel's Hermitian kernel has dimension at most one (for instance ``n^2 - 1``
 or more generic vectors), in C^2 at every kernel dimension, and at kernel
 dimension 2 or 3 unless the sphere search gives up.  Beyond that the test is
-one sided: a failure is certified by an explicit pair of vectors with
-identical phaseless measurements, while success is only reported as
-"likely".
+one sided: a search on the unit sphere of the kernel certifies a failure by
+an explicit pair of vectors with identical phaseless measurements, while
+success is only reported as "likely".
 """
 
 from __future__ import annotations

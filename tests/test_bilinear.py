@@ -1,5 +1,6 @@
 """The oracle engines' kernels against their Kronecker-product definitions, and
-the lockstep engines bit for bit against one restart at a time."""
+the engines' restart loop bit for bit against a one-restart-at-a-time
+reference without the stacked steps."""
 
 import numpy as np
 import pytest
@@ -157,7 +158,8 @@ def test_simple_search_with_one_output_dimension_finds_a_null_pair(field):
     assert np.linalg.norm(residual) < 1e-12
 
 
-# -- One restart at a time: the engines as they were before the lockstep batches.
+# -- One restart at a time, each step on unstacked arrays: the reference the
+# restart loop (once run in lockstep batches) must match bit for bit.
 
 
 def _reference_whitener(x):
@@ -288,12 +290,6 @@ def _run_both_symmetric(kraus, cfg):
     return got
 
 
-def test_restart_batches_double_up_to_a_cap():
-    assert [len(b) for b in bilinear._batches(64)] == [1, 1, 2, 4, 8, 16, 32]
-    assert [len(b) for b in bilinear._batches(300)] == [1, 1, 2, 4, 8, 16, 32, 64, 64, 64, 44]
-    assert [list(b) for b in bilinear._batches(3)] == [[0], [1], [2]]
-
-
 # (m, n, r): square, tall, and wide (m^2 < n, or 2 m^2 < 2n - 1 for the
 # symmetric engine) half-step matrices.
 ENGINE_SHAPES = [(3, 3, 3), (3, 2, 2), (1, 4, 3), (2, 5, 2)]
@@ -329,20 +325,26 @@ def _first_witness_restart(run, restarts):
     "seed,m,n,r,field,hit",
     [
         (1, 3, 4, 2, REAL, 0),
-        (3, 2, 3, 3, REAL, 2),  # in the batch of restarts 2-3
-        (7, 2, 3, 3, REAL, 6),  # in the batch of restarts 4-7
+        (3, 2, 3, 3, REAL, 2),
+        (7, 2, 3, 3, REAL, 6),
         (0, 2, 3, 3, COMPLEX, 0),
         (11, 3, 4, 3, COMPLEX, 3),
         (18, 3, 4, 3, COMPLEX, 7),
-        # Restart 3 ends even lower than the witness of restart 2, but one
-        # restart at a time would have stopped at restart 2.
+        # Restart 3 ends even lower than the witness of restart 2, but the
+        # search stops at restart 2.
         (58, 2, 3, 3, REAL, 2),
         (25, 3, 4, 3, COMPLEX, 2),
     ],
 )
 def test_lockstep_witness_matches_sequential(seed, m, n, r, field, hit):
+    # Restart k starts from the first draw of default_rng([seed, tag, k]),
+    # and the search ends at the first restart with a witness-grade minimum.
     kraus = _kraus(seed, m, n, r, field)
     K = _natural_representation(kraus, field)
+    tag = 0x51 if field == REAL else 0x52
+    for k in range(hit + 1):
+        want = bilinear._rand_unit(np.random.default_rng([0, tag, k]), n, field)
+        assert bilinear._starts(0, tag, k, n, field)[0].tobytes() == want.tobytes()
     if field == REAL:
         run = lambda cfg: _reference_minimize_simple_pair(K, n, field, cfg)  # noqa: E731
     else:

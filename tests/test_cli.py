@@ -91,7 +91,8 @@ def test_check_method_oracle_runs_kernel_stage():
 
 def test_check_method_oracle_reports_residuals(tmp_path):
     # The (1,1,1) pinching has a six-dimensional Hermitian kernel on Herm(3),
-    # past the kernel stage and the sphere search, so the oracle runs.
+    # past the sphere search; restart 0 of the bilinear search finds the
+    # witness.
     path = tmp_path / "pinching.json"
     path.write_text(dumps(channel_to_json(orthogonal_projection_channel([1, 1, 1]).channel)))
     res = run_cli("check", str(path), "--method", "oracle", "--restarts", "16", "--output", "json")
@@ -137,7 +138,8 @@ def test_check_labels_an_oracle_floor(tmp_path):
 
 def test_check_proves_a_three_dimensional_kernel(tmp_path):
     # A real frame of 7 vectors in R^4 has a three-dimensional kernel on
-    # Sym(4): the sphere search proves PR after the oracle's first restart.
+    # Sym(4): the sphere search proves PR after restart 0 of the bilinear
+    # search finds no witness.
     res = run_cli("check", str(_frame_channel_file(tmp_path, 4, 7)))
     assert res.returncode == 0
     assert "verdict: PR (method HERMITIAN_KERNEL)" in res.stdout

@@ -571,7 +571,7 @@ def test_kernel_stage_leaves_an_unannihilated_kernel_element_to_the_oracle():
     # Under a loose rank cutoff a weak fourth measurement is dropped from the
     # rank, leaving a numerical kernel element of signature (1, 1) that the
     # channel does not annihilate within residual_abs: it proves neither
-    # NOT_PR nor PR.
+    # NOT_PR nor PR, and the kernel stage ends in LIKELY_PR.
     rng = np.random.default_rng(44)
     base = _measurement_channel(Frame(dim=2, vectors=rand_matrix(rng, 3, 2, COMPLEX), field=COMPLEX))
     weak = 1e-3 * np.outer(np.eye(4)[3], rand_matrix(rng, 2, 1, COMPLEX).conj())
@@ -583,16 +583,16 @@ def test_kernel_stage_leaves_an_unannihilated_kernel_element_to_the_oracle():
 @pytest.mark.parametrize("k", [-4, -5, -6])
 def test_oracle_witness_must_reverify_relative_to_the_channel_scale(k):
     # A generic real frame of 2n - 1 vectors has the complement property, so
-    # its projector channel is PR; unscaled, the oracle finds no witness
-    # (kernel dimension 6).  Scaled by 10**k, the public oracle's absolute
-    # threshold accepts a pair whose residual is 4.5e-6 to 8.1e-3 relative
-    # to sum_i ||A_i||_F^2, and decide must not.
+    # its projector channel is PR (kernel dimension 6).  Scaled by 10**k,
+    # the public oracle's absolute threshold accepts a pair whose residual
+    # is 4.5e-6 to 8.1e-3 relative to sum_i ||A_i||_F^2, and decide must not.
     base = projector_channel_from_frame(random_generic_frame(5, 9, REAL, seed=0))
     ch = QuantumChannel(5, base.dim_out, [10.0**k * A for A in base.kraus], REAL)
     assert isinstance(simple_tensor_oracle(ch), TensorWitness)
     verdict = decide(ch)
     assert (verdict.status, verdict.method) == (LIKELY_PR, ORACLE_NO_WITNESS)
-    # The floor is the rejected witness's residual.
+    # The floor, the residual of the search's best pair, is far above the
+    # acceptance bound at every scale.
     assert verdict.floor > DEFAULT_TOL.residual_abs * sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
 
 
@@ -733,8 +733,9 @@ def test_zero_channel_is_not_pr():
 
 
 def test_zero_channel_on_one_dimensional_input_is_pr():
-    # C^1 has a single pure state, so nothing can collide with it.
+    # C^1 has a single pure state, so nothing can collide with it, whichever
+    # stage settles the channel.
     ch = QuantumChannel(1, 1, [np.zeros((1, 1), dtype=complex)], COMPLEX)
-    verdict = decide(ch)
-    assert verdict.status == PR
-    assert verdict.state_witness is None
+    for verdict in (decide(ch), decide_method(ch, "oracle")):
+        assert verdict.status == PR
+        assert verdict.state_witness is None

@@ -7,14 +7,15 @@ unchanged.  So a proof by a trivial Hermitian kernel, the exact verdict at
 kernel dimension 1 and a proof by the sphere search at dimensions 1 to 3
 must survive them on both fields, and every NOT_PR certificate must
 re-verify relative to the moved channel's scale.  Past the kernel stage,
-:func:`decide` must stay sound at every scale: the oracle's NOT_PR
-re-verifies relative to the channel's scale, and no PR comes without a
-proof.
+:func:`decide` must stay sound at every scale: a NOT_PR of restart 0 or of
+the witness search re-verifies relative to the channel's scale, and no PR
+comes without a proof.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from prchannels import (
@@ -31,6 +32,7 @@ from prchannels import (
     deciders,
     orthogonal_projection_channel,
 )
+from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import HERMITIAN_KERNEL, RANK1, RANK2_EXACT
 from prchannels.frames import _measurement_channel
 
@@ -38,9 +40,9 @@ from helpers import assert_relative_certificate, rand_matrix, random_unitary
 
 
 def _kernel_verdict(ch):
-    # The "oracle" sub-list is the kernel stage followed by the oracle stage.
-    # PR comes only from the kernel stage, at kernel dimension 0 or from its
-    # sphere search at dimensions 1 to 3, with method HERMITIAN_KERNEL.
+    # The "oracle" sub-list is the kernel stage alone.  PR comes only at
+    # kernel dimension 0 or from its sphere search at dimensions 1 to 3,
+    # with method HERMITIAN_KERNEL.
     return decide_method(ch, "oracle")
 
 
@@ -150,7 +152,7 @@ def test_sphere_search_pr_is_invariant(field, short, seed, k):
     k=st.integers(-6, 6),
 )
 def test_decide_is_sound_at_every_scale(kind, field, big, d, seed, k):
-    # Channels that reach the oracle stage (Hermitian kernel dimension 4 or
+    # Channels past the sphere search (Hermitian kernel dimension 4 or
     # more): measurement channels of frames too short to be PR (R^4, C^3)
     # or that may be PR (R^5, C^4), and pinchings conjugated by random
     # unitaries.  Scaled by 10**k, a NOT_PR must still re-verify relative to
@@ -176,3 +178,32 @@ def test_decide_is_sound_at_every_scale(kind, field, big, d, seed, k):
         assert_relative_certificate(ch, verdict)
     if verdict.status == PR:
         assert verdict.method in (RANK1, RANK2_EXACT, HERMITIAN_KERNEL)
+
+
+@pytest.mark.parametrize(
+    "field,n,N,seed",
+    [
+        (COMPLEX, 3, 4, 0),
+        (COMPLEX, 3, 5, 0),
+        (COMPLEX, 3, 6, 0),
+        (COMPLEX, 3, 6, 7),
+        (COMPLEX, 3, 6, 28),
+        (REAL, 4, 4, 0),
+        (REAL, 4, 5, 0),
+        (REAL, 4, 6, 0),
+        (REAL, 4, 6, 15),
+    ],
+)
+def test_short_frame_not_pr_survives_every_symmetry(field, n, N, seed):
+    # Projector channels of frames too short to be PR (minimal_pr_length is
+    # 8 in C^3 and 7 in R^4), with kernel dimension 3 to 6.  Seeds 7 and 28
+    # of C^3, N = 6, and 15 of R^4, N = 6, are draws on which 64 restarts of
+    # the bilinear search find no witness.  Scaled by 1e-3 and 1e3,
+    # conjugated, mixed and split, each must stay NOT_PR with a certificate
+    # that re-verifies relative to the moved channel's scale.
+    rng = np.random.default_rng([n, N, seed])
+    base = projector_channel_from_frame(Frame(dim=n, vectors=rand_matrix(rng, N, n, field), field=field))
+    for name, ch in [("unmoved", base), *_moved(base.kraus, field, rng, 3)]:
+        verdict = decide(ch)
+        assert verdict.status == NOT_PR, name
+        assert_relative_certificate(ch, verdict)

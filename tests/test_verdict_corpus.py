@@ -65,14 +65,15 @@ def corpus():
             for r, m in ((3, n), (4, n + 2)):
                 key = f"trivial_kernel/complex-{n}x{m}-r{r}#{instance}"
                 items.append((key, random_cptp(n, m, r, COMPLEX, rng)))
-    # Frame channels whose kernel is wide, so the minimizers run to the end.
+    # Frame channels whose kernel is wide, so the witness search runs to the end.
     rng = _rng(2)
     for n, N in ((3, 7), (3, 8), (4, 12), (4, 13)):
         items.append((f"wide_kernel/complex-{n}-N{N}", _frame_channel(n, N, COMPLEX, rng)))
     for n in (3, 4, 5):
         for instance in range(2):
             items.append((f"wide_kernel/real-{n}-N{2 * n - 1}#{instance}", _frame_channel(n, 2 * n - 1, REAL, rng)))
-    # Pinchings with three or more blocks: the oracle finds the witness.
+    # Pinchings with three or more blocks: restart 0 or the witness search
+    # finds the witness.
     rng = _rng(3)
     for field in (COMPLEX, REAL):
         for dims in ((1, 1, 1), (1, 2, 1), (2, 2, 2), (1, 1, 1, 1), (2, 1, 2)):
@@ -109,6 +110,12 @@ def corpus():
     tomographic = _measurement_channel(Frame(dim=2, vectors=[[1, 0], [0, 1], [1, 1], [1, 1j]], field=COMPLEX))
     items.append(("tomographic_frame", tomographic))
     items.append(("tomographic_frame*1e-5", QuantumChannel(2, 4, [1e-5 * A for A in tomographic.kraus], COMPLEX)))
+    # A short frame in C^3 (kernel dimension 3) on which the bilinear search's
+    # 16 restarts find no witness, and its copy scaled by 1e-3.
+    short = _frame_channel(3, 6, COMPLEX, _rng(9))
+    items.append(("short_frame/complex-3-N6", short))
+    scaled = QuantumChannel(3, short.dim_out, [1e-3 * A for A in short.kraus], COMPLEX)
+    items.append(("short_frame/complex-3-N6*1e-3", scaled))
     return items
 
 
