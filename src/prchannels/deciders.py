@@ -634,7 +634,8 @@ def _hermitian_basis(n: int, field: str) -> np.ndarray:
 
 
 # The sphere search runs at kernel dimensions 1 to 3 only: at 4 its proofs
-# needed 7.3k-15.2k cells, about as long as the oracle's full search.
+# needed 7.3k-15.2k cells and 25-54 ms, against 4-8 ms for the witness
+# search's 64 starts.
 _SPHERE_MAX_DIM = 3
 # Cells the sphere search may evaluate before it hands the channel back.  On
 # the benchmark's d = 3 channels most proofs need at most 1.8k cells, and the
@@ -765,12 +766,34 @@ def _sphere_gamma(H: np.ndarray, margin: float) -> Optional[float]:
 
 
 # Witness search: steps per start, the F of an exact zero, the steps without
-# halving F after which a start is dropped, and the most starts in one stacked
-# batch, which keeps its arrays small however many starts are asked for.
+# halving F after which a start is dropped, the most starts in one stacked
+# batch, which keeps its arrays small however many starts are asked for, and
+# the damping of the step's normal equations.  The damping can be absolute:
+# ``||H(c)||_F = 1`` and ``V`` is unitary, so ``J`` and ``r`` are O(1).
 _SEARCH_STEPS = 40
 _SEARCH_ZERO = 1e-28
 _SEARCH_STALL = 3
 _SEARCH_BATCH = 64
+_SEARCH_DAMP = 1e-14
+
+
+def _tangent_step(J: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Gauss-Newton steps ``delta``, orthogonal to ``c``, of stacked Jacobians ``J`` at unit rows ``c``.
+
+    ``J`` sends ``c`` to the residual ``r = J c``, so ``A = J - r c^T`` is
+    ``J`` on the tangent space (``A c = 0``).  ``delta`` solves the damped
+    normal equations ``(A^T A + c c^T + mu I) delta = A^T r`` with
+    ``mu = _SEARCH_DAMP``, one stacked ``solve`` and no SVD.  Since
+    ``A^T r`` is orthogonal to ``c``, the ``c c^T`` term changes nothing but
+    the rounding: it keeps the part of ``A^T r`` along ``c`` from being
+    divided by ``mu``.  Where ``A``'s singular values lie far above
+    ``sqrt(mu)`` the step is the min-norm least-squares one; far below, the
+    damping drops them as a pseudo-inverse's cut would.
+    """
+    r = J @ c[:, :, None]
+    A = J - r * c[:, None, :]
+    N = A.mT @ A + c[:, :, None] * c[:, None, :] + _SEARCH_DAMP * np.eye(c.shape[1])
+    return np.linalg.solve(N, A.mT @ r)[:, :, 0]
 
 
 def _kernel_search(H: np.ndarray, cfg: OracleConfig) -> np.ndarray:
@@ -784,14 +807,14 @@ def _kernel_search(H: np.ndarray, cfg: OracleConfig) -> np.ndarray:
     start reaches a zero.  Each step is one stacked ``eigh``.  For the middle
     eigenvectors ``V`` the residual is ``V* H(c) V`` and the Jacobian ``J``
     has columns ``V* H_k V``, in real upper-triangle coordinates with
-    Frobenius norms.  ``J c`` is the residual ``r``, so ``J - r c^T`` is ``J``
-    on the tangent space; the step is its min-norm least-squares solution
-    from one stacked SVD (singular values below 1e-12 of the largest cut),
-    and ``c`` is renormalized.
+    Frobenius norms: every ``H_k V`` of every start comes from one GEMM, and
+    ``V*`` times them from one stacked product.  The step is
+    :func:`_tangent_step`'s, and ``c`` is renormalized.
     """
     (d, n), total = H.shape[:2], cfg.restarts
-    a, b = np.triu_indices(n - 2)
-    weight = np.where(a == b, 1.0, np.sqrt(2.0))
+    k = n - 2
+    a, b = np.triu_indices(k)
+    weight = np.where(a == b, 1.0, np.sqrt(2.0))[:, None]
     best_c = np.random.default_rng([abs(int(cfg.seed)), 0x53, d]).normal(size=(total, d))
     best_c /= np.linalg.norm(best_c, axis=1, keepdims=True)
     best_f, halved, stall = np.full(total, np.inf), np.full(total, np.inf), np.zeros(total, dtype=int)
@@ -814,11 +837,13 @@ def _kernel_search(H: np.ndarray, cfg: OracleConfig) -> np.ndarray:
             if not keep.any():
                 break
             live, c, mid = live[keep], c[keep], v[keep, :, 1:-1]
-            J = (mid.conj().mT[:, None] @ H @ mid[:, None])[:, :, a, b] * weight
+            # HV[s, :, (j, l)] = (H_j V_s)[:, l], then J[s, (a, b), j] = (V_s* H_j V_s)[a, b].
+            HV = (H.reshape(d * n, n) @ mid.transpose(1, 0, 2).reshape(n, -1)).reshape(d, n, -1, k)
+            HV = HV.transpose(2, 1, 0, 3).reshape(-1, n, d * k)
+            J = (mid.conj().mT @ HV).reshape(-1, k, d, k)[:, a, :, b].transpose(1, 0, 2) * weight
             if np.iscomplexobj(J):
-                J = np.concatenate((J.real, J.imag[:, :, a < b]), axis=2)
-            r = J.mT @ c[:, :, None]
-            c = c - (np.linalg.pinv(J.mT - r * c[:, None, :], rtol=1e-12) @ r)[:, :, 0]
+                J = np.concatenate((J.real, J.imag[:, a < b]), axis=1)
+            c = c - _tangent_step(J, c)
             c /= np.linalg.norm(c, axis=1, keepdims=True)
     return best_c[np.argmin(best_f)]
 
