@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import prchannels.frames as frames_module
 from prchannels import (
     COMPLEX,
     EXACT,
@@ -21,6 +22,8 @@ from prchannels import (
     rank_one_independent,
 )
 from prchannels.errors import NotAFrame, TooManyVectors
+from prchannels.frames import _failing_bipartition
+from prchannels.linalg import DEFAULT_TOL, numerical_rank
 
 E1E2SUM = np.array([[1, 0], [0, 1], [1, 1]], dtype=complex)
 
@@ -89,6 +92,99 @@ def test_complement_property_cap():
     f = random_generic_frame(2, 25, REAL, seed=0)
     with pytest.raises(TooManyVectors):
         complement_property(f)
+
+
+def _reference_failing_bipartition(f, tol=DEFAULT_TOL):
+    """One-mask-at-a-time complement-property test: two rank decisions per bipartition."""
+    V = f.vectors
+    N, n = V.shape
+    for mask in range(2 ** (N - 1)):
+        side = [0] + [j for j in range(1, N) if (mask >> (j - 1)) & 1]
+        comp = [j for j in range(1, N) if not (mask >> (j - 1)) & 1]
+        if numerical_rank(V[side], tol) == n:
+            continue
+        if comp and numerical_rank(V[comp], tol) == n:
+            continue
+        return side, comp
+    return None
+
+
+def _two_plane_frame():
+    # Vectors 0, 6 and 7 span one plane of R^3, vectors 1-5 another; the only
+    # failing bipartition is {0, 6, 7} | {1, ..., 5}, mask 96, in the second chunk.
+    rng = np.random.default_rng(12)
+    p, q = rng.normal(size=(2, 3, 2))
+    V = np.empty((8, 3))
+    V[[0, 6, 7]] = rng.normal(size=(3, 2)) @ p.T
+    V[1:6] = rng.normal(size=(5, 2)) @ q.T
+    return Frame(dim=3, vectors=V, field=REAL)
+
+
+def _bipartition_cases():
+    rng = np.random.default_rng(18)
+    for field in (REAL, COMPLEX):
+        for n in range(2, 7):
+            for N in range(n, 2 * n + 2):
+                V = random_generic_frame(n, N, field, seed=int(rng.integers(0, 10**6))).vectors
+                yield Frame(dim=n, vectors=V, field=field)
+                cut = V.copy()
+                cut[: int(rng.integers(1, N + 1)), int(rng.integers(0, n))] = 0.0
+                yield Frame(dim=n, vectors=cut, field=field)
+                zero = V.copy()
+                zero[int(rng.integers(0, N))] = 0.0
+                yield Frame(dim=n, vectors=zero, field=field)
+                if N <= 9:  # keeps the reference loop's time down
+                    for scale in (1e-5, 1e5):
+                        yield Frame(dim=n, vectors=scale * V, field=field)
+    yield _two_plane_frame()
+
+
+def test_stacked_bipartitions_match_the_mask_loop():
+    for f in _bipartition_cases():
+        assert _failing_bipartition(f, DEFAULT_TOL) == _reference_failing_bipartition(f)
+
+
+def test_first_failing_mask_past_the_first_chunk():
+    f = _two_plane_frame()
+    assert _failing_bipartition(f, DEFAULT_TOL) == ([0, 6, 7], [1, 2, 3, 4, 5])
+
+
+@pytest.mark.parametrize("n, N, calls", [(4, 7, 1), (5, 9, 4)])
+def test_one_svd_per_chunk(monkeypatch, n, N, calls):
+    svd = np.linalg.svd
+    seen = []
+
+    def counting_svd(*args, **kwargs):
+        seen.append(1)
+        return svd(*args, **kwargs)
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("the enumeration called numerical_rank")
+
+    f = random_generic_frame(n, N, REAL, seed=7)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(frames_module, "numerical_rank", no_rank)
+    assert complement_property(f)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_ill_conditioned_frame_report(field):
+    # sigma_min / sigma_max = 1e-7 lies between the frame operator's
+    # eigenvalue cut and the rank cut: a frame by the rank rule.
+    V = np.array([[1, 0], [0, 1e-7], [1, 1e-7]])
+    report = is_phase_retrievable_frame(Frame(dim=2, vectors=V, field=field))
+    assert report.is_frame
+    assert report.phase_retrievable == (YES if field == REAL else NO)
+    # At 1e-12 the vectors span a line: NO, with a kernel witness.
+    V = np.array([[1, 0], [0, 1e-12], [1, 1e-12]])
+    f = Frame(dim=2, vectors=V, field=field)
+    report = is_phase_retrievable_frame(f)
+    assert not report.is_frame and report.phase_retrievable == NO
+    x, y = report.witness
+    # x spans the numerical kernel, so x and y = 2x both measure zero.
+    assert np.linalg.norm(f.vectors.conj() @ x) <= 1e-10 * np.linalg.norm(f.vectors, 2) * np.linalg.norm(x)
+    assert np.allclose(y, 2.0 * x)
 
 
 def test_real_pr_iff_complement():
