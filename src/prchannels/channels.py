@@ -79,10 +79,8 @@ def apply(ch: QuantumChannel, T) -> np.ndarray:
     M = as_matrix(T)
     if M.shape != (ch.dim_in, ch.dim_in):
         raise DimensionMismatch(f"input of shape {M.shape}, expected square of size {ch.dim_in}")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for A in ch.kraus:
-        out += A @ M @ A.conj().T
-    return out
+    A = np.stack(ch.kraus)
+    return (A @ M @ A.conj().mT).sum(axis=0)
 
 
 def adjoint_apply(ch: QuantumChannel, S) -> np.ndarray:

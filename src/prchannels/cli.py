@@ -188,7 +188,10 @@ def run_frame(args) -> int:
         return _fail_input(str(exc))
     tol = _tolerance(args)
     cfg = _oracle_config(args)
-    report = is_phase_retrievable_frame(frame, cfg, tol)
+    try:
+        report = is_phase_retrievable_frame(frame, cfg, tol)
+    except (ChannelAnalysisError, ValueError) as exc:
+        return _fail_input(str(exc))
     if args.output == "json":
         payload = {
             "is_frame": report.is_frame,

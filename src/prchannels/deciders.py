@@ -26,17 +26,19 @@ the channel gives the verdict:
    spanning matrix, or from restart 0 of the bilinear search, gives NOT_PR;
    up to dimension 3 a branch and bound over the kernel's unit sphere may
    prove PR; last, a Gauss-Newton search on that sphere gives NOT_PR or
-   LIKELY_PR.
+   LIKELY_PR.  When the Kraus operators' ranks alone bound the kernel
+   dimension below by 2, restart 0 runs before the kernel is computed.
 
 A witness gives NOT_PR only when it re-verifies relative to
 ``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
 (:data:`METHODS`), and every stage reads one per-call record holding the Choi
 rank, the Choi trace, ``K = sum_i A_i (x) conj(A_i)``, its restriction to
-Herm(n) and the kernel, each built at most once.
+Herm(n), the kernel and the Kraus operators' ranks, each built at most once.
 
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
-pure states with identical images.
+pure states with identical images; both residuals come from one channel
+image, ``Phi(x y^*)``.
 """
 
 from __future__ import annotations
@@ -183,14 +185,12 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.outer(x, y.conj())
 
 
-def _symmetric_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _outer(x, y) + _outer(y, x)
-
-
-def _tensor_residual(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, kind: str = SIMPLE) -> float:
-    """``||Phi(x y^*)||``, or ``||Phi(x y^* + y x^*)||`` for the symmetric kind."""
-    product = _outer(x, y) if kind == SIMPLE else _symmetric_product(x, y)
-    return float(np.linalg.norm(apply(ch, product)))
+def _tensor_image(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, kind: str = SIMPLE):
+    """``(residual, P)`` from one image ``P = Phi(x y^*)``: the residual is ``||P||``,
+    or ``||P + P^*|| = ||Phi(x y^* + y x^*)||`` for the symmetric kind, since Phi
+    preserves adjoints."""
+    P = apply(ch, _outer(x, y))
+    return float(np.linalg.norm(P if kind == SIMPLE else P + P.conj().T)), P
 
 
 def _choi_trace(ch: QuantumChannel) -> float:
@@ -198,7 +198,7 @@ def _choi_trace(ch: QuantumChannel) -> float:
     return float(sum(np.vdot(A, A).real for A in ch.kraus))
 
 
-def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tolerance):
+def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, P: np.ndarray, tol: Tolerance):
     """Turn an annihilated (symmetric) tensor pair into equal-image pure states.
 
     The sum and difference of the pair bracket the same channel image; a
@@ -206,7 +206,8 @@ def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tol
     states are numerically indistinct or their images differ.  Image
     residuals are read relative to ``sum_i ||A_i||_F^2`` times
     ``||u||^2 + ||v||^2``, so the answer does not change with the channel's
-    scale.
+    scale.  The image of ``uu* - vv*`` is read from ``P = Phi(x y^*)``: it is
+    ``2 (P + P^*) / big^2``.
     """
     u = x + y
     v = x - y
@@ -222,16 +223,19 @@ def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, tol: Tol
         base = base / np.linalg.norm(base)
         u, v = base, 2.0 * base
         scale = _choi_trace(ch) * 5.0
-        if np.linalg.norm(apply(ch, _outer(base, base))) > tol.residual_abs * scale:
+        image = apply(ch, _outer(base, base))
+        if np.linalg.norm(image) > tol.residual_abs * scale:
             return None
+        image = -3.0 * image
     else:
         u, v = u / big, v / big
         scale = _choi_trace(ch) * (nu**2 + nv**2) / big**2
+        image = 2.0 * (P + P.conj().T) / big**2
     ru = _outer(u, u)
     rv = _outer(v, v)
     if np.linalg.norm(ru - rv) < 0.05:
         return None
-    if np.linalg.norm(apply(ch, ru) - apply(ch, rv)) > 1e-7 * scale:
+    if np.linalg.norm(image) > 1e-7 * scale:
         return None
     return StateWitness(u, v)
 
@@ -240,14 +244,40 @@ class _ChannelRecord:
     """What every stage of one call reads: the channel, its Choi rank, the Choi
     trace ``sum_i ||A_i||_F^2`` and the natural representation ``K`` (real on
     the real field).  No stage but the rank-2 reduction needs the Choi matrix
-    itself.  ``K``, its restriction ``M`` to Herm(n) and the kernel of ``M``
-    are built on first use, by the kernel stage."""
+    itself.  ``K``, its restriction ``M`` to Herm(n), the kernel of ``M`` and
+    the ranks of the listed operators, with the floor they put on the kernel
+    dimension, are built on first use, by the kernel stage."""
 
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
         self.tol = tol
         self.rank = choi_rank(ch, tol)
         self.choi_trace = _choi_trace(ch)
+
+    @cached_property
+    def kraus_ranks(self) -> np.ndarray:
+        """The listed operators' ranks from one stacked values-only SVD, counting the
+        singular values above ``tau = rank_rel s^2 / (4 t)``: ``s`` the largest of the
+        family, ``t`` the sum of each operator's largest ``s_i``; 0 for a zero operator.
+        Cutting the rest, ``||E_i|| <= min(tau, s_i)``, moves ``M`` by at most
+        ``sum_i (2 s_i + ||E_i||) ||E_i|| <= 0.75 rank_rel s^2``, below its cut
+        ``rank_rel sigma_max(M) >= rank_rel s^2``, so :attr:`kernel_floor` is a floor.
+        ``numerical_rank``'s cut ``rank_rel s_i`` is not: a singular value at it can
+        leave ``M``'s rank above the count."""
+        A = np.stack(self.ch.kraus)
+        s = np.linalg.svd(A.real if self.ch.field == REAL else A, compute_uv=False)
+        top = s[:, 0]
+        tau = self.tol.rank_rel * top.max() ** 2 / (4.0 * top.sum()) if top.any() else 0.0
+        return np.count_nonzero(s > tau, axis=1)
+
+    @property
+    def kernel_floor(self) -> int:
+        """``dim Herm(n) - sum_i k_i^2`` (``dim Sym(n) - sum_i k_i (k_i + 1) / 2`` on the
+        real field), at most :attr:`kernel_dim`: ``X -> A X A*`` maps Herm(n) into
+        Herm of ``A``'s range, of dimension ``rank(A)^2``, and Sym(n) into
+        Sym of it."""
+        n, k = self.ch.dim_in, self.kraus_ranks
+        return (n * n + n - int(k @ k + k.sum())) // 2 if self.ch.field == REAL else n * n - int(k @ k)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -308,7 +338,7 @@ def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     _, _, vh = np.linalg.svd(stack)
     u, z = vh[0].conj().astype(complex), vh[-1].conj().astype(complex)
     sw = StateWitness((u + z) / np.sqrt(2.0), (u - z) / np.sqrt(2.0))
-    state = float(np.linalg.norm(apply(ch, _outer(sw.x, sw.x)) - apply(ch, _outer(sw.y, sw.y))))
+    state = float(np.linalg.norm(apply(ch, _outer(sw.x, sw.x) - _outer(sw.y, sw.y))))
     return PRVerdict(NOT_PR, RANK1, sw, state_witness=sw, residuals={"state": state})
 
 
@@ -380,12 +410,13 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
 
 
 def _rank2_not_pr(ch, clash, x, y, tol) -> PRVerdict:
+    res, P = _tensor_image(ch, x, y)
     return PRVerdict(
         NOT_PR,
         RANK2_EXACT,
         PencilClash(complex(clash), x, y),
-        state_witness=_to_state_witness(ch, x, y, tol),
-        residuals={"tensor": _tensor_residual(ch, x, y)},
+        state_witness=_to_state_witness(ch, x, y, P, tol),
+        residuals={"tensor": res},
     )
 
 
@@ -507,12 +538,12 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
             for q in points:
                 ip = 1.0 + complex(np.sum(p.lam * np.conj(q.lam)))
                 if abs(ip) <= tol.residual_abs:
-                    tensor_res = _tensor_residual(ch, p.witness, q.witness)
+                    tensor_res, P = _tensor_image(ch, p.witness, q.witness)
                     return PRVerdict(
                         NOT_PR,
                         NECESSARY_VIOLATION,
                         InnerProductViolation(j, p.lam, q.lam, p.witness, q.witness),
-                        state_witness=_to_state_witness(ch, p.witness, q.witness, tol),
+                        state_witness=_to_state_witness(ch, p.witness, q.witness, P, tol),
                         residuals={"inner_product": abs(ip), "tensor": tensor_res},
                     )
     return None
@@ -572,7 +603,7 @@ def is_skew_commutative(u_list, v_list, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise DimensionMismatch("tuples differ in length")
     if any(u.shape != v.shape for u, v in zip(us, vs)):
         raise DimensionMismatch("tuples differ in vector dimension")
-    total = sum(_symmetric_product(u, v) for u, v in zip(us, vs))
+    total = sum(_outer(u, v) + _outer(v, u) for u, v in zip(us, vs))
     scale = 1.0 + sum(np.linalg.norm(u) * np.linalg.norm(v) for u, v in zip(us, vs))
     return float(np.linalg.norm(total)) <= tol.residual_abs * scale
 
@@ -585,12 +616,13 @@ def oracle_verdict(ch: QuantumChannel, outcome, tol: Tolerance = DEFAULT_TOL) ->
     :class:`NoWitness` gives LIKELY_PR carrying the observed floor.
     """
     if isinstance(outcome, TensorWitness):
+        res, P = _tensor_image(ch, outcome.x, outcome.y, outcome.kind)
         return PRVerdict(
             NOT_PR,
             ORACLE_WITNESS,
             outcome,
-            state_witness=_to_state_witness(ch, outcome.x, outcome.y, tol),
-            residuals={"tensor": _tensor_residual(ch, outcome.x, outcome.y, outcome.kind)},
+            state_witness=_to_state_witness(ch, outcome.x, outcome.y, P, tol),
+            residuals={"tensor": res},
         )
     return PRVerdict(
         LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor, residuals={}
@@ -654,7 +686,8 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     * At d = 1 or n = 2, the pair of :func:`_signature_verdict` on the first
       basis matrix ``H1``; at n = 2 it decides every d, since
       ``Phi(H) >= l_min(H) sum_i A_i A_i*`` leaves no kernel element definite.
-      At d >= 2 (n >= 3), restart 0 of the bilinear search on ``rec.K``.
+      At d >= 2 (n >= 3), restart 0 of the bilinear search on ``rec.K``; when
+      ``rec.kernel_floor`` already shows d >= 2, before ``M`` is built.
     * At n >= 3 and d <= ``_SPHERE_MAX_DIM``, a ``gamma`` from
       :func:`_sphere_gamma` proves PR with floor ``sigma_r gamma / sqrt(2)``.
       A unit H of bad signature has ``l2 <= 0 <= l_{n-1}``; write
@@ -664,14 +697,18 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     * Last, the pair of :func:`_kernel_search`'s best ``H(c)``: NOT_PR, or
       LIKELY_PR with its relative residual as the floor.
     """
-    tol, n, d = rec.tol, rec.ch.dim_in, rec.kernel_dim
+    tol, n = rec.tol, rec.ch.dim_in
+    early = n > 2 and rec.kernel_floor >= 2
+    if early and (verdict := _restart_zero(rec, cfg)) is not None:
+        return verdict
+    d = rec.kernel_dim
     if d == 0 or n == 1:
         floor = float(rec.singular_values[-1]) if d == 0 else None
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
     if d == 1 or n == 2:
         verdict = _signature_verdict(rec, rec.kernel_basis[0], HERMITIAN_KERNEL)[0]
     else:
-        verdict = _restart_zero(rec, cfg)
+        verdict = None if early else _restart_zero(rec, cfg)
     if verdict is not None:
         return verdict
     H = rec.kernel_basis
@@ -711,9 +748,10 @@ def _restart_zero(rec: _ChannelRecord, cfg: OracleConfig) -> Optional[PRVerdict]
     else:
         pair, kind = minimize_symmetric_pair(rec.K, ch.dim_in, one)[1:], SYMMETRIC
     x, y = (np.asarray(v, dtype=complex) for v in pair)
-    if not _accepted(rec, res := _tensor_residual(ch, x, y, kind)):
+    res, P = _tensor_image(ch, x, y, kind)
+    if not _accepted(rec, res):
         return None
-    sw = _to_state_witness(ch, x, y, rec.tol)
+    sw = _to_state_witness(ch, x, y, P, rec.tol)
     return PRVerdict(NOT_PR, ORACLE_WITNESS, TensorWitness(x, y, kind), sw, residuals={"tensor": res})
 
 
@@ -894,10 +932,11 @@ def verify_certificate(ch: QuantumChannel, verdict: PRVerdict, tol: Tolerance = 
     if isinstance(cert, InnerProductViolation):
         residuals["inner_product"] = float(abs(1.0 + np.sum(cert.lam * np.conj(cert.mu))))
     if isinstance(cert, (PencilClash, InnerProductViolation, TensorWitness)):
-        residuals["tensor"] = _tensor_residual(ch, cert.x, cert.y, getattr(cert, "kind", SIMPLE))
+        residuals["tensor"] = _tensor_image(ch, cert.x, cert.y, getattr(cert, "kind", SIMPLE))[0]
     # A RANK1 NOT_PR carries its state pair as both certificate and witness.
     sw = verdict.state_witness or (cert if isinstance(cert, StateWitness) else None)
     if sw is not None:
-        residuals["state"] = float(np.linalg.norm(apply(ch, _outer(sw.x, sw.x)) - apply(ch, _outer(sw.y, sw.y))))
-        residuals["separation"] = float(np.linalg.norm(_outer(sw.x, sw.x) - _outer(sw.y, sw.y)))
+        diff = _outer(sw.x, sw.x) - _outer(sw.y, sw.y)
+        residuals["state"] = float(np.linalg.norm(apply(ch, diff)))
+        residuals["separation"] = float(np.linalg.norm(diff))
     return residuals

@@ -1,5 +1,6 @@
-"""Shared generators for the test suite (random channels, unitaries, frames) and a
-point-by-point reference of the pencil engine."""
+"""Shared generators for the test suite (random channels, unitaries, frames), a
+point-by-point reference of the pencil engine and a two-image reference of the
+state-witness conversion."""
 
 import numpy as np
 
@@ -10,6 +11,8 @@ from prchannels import (
     FINITE,
     REAL,
     QuantumChannel,
+    StateWitness,
+    apply,
     smallest_singular_value,
     verify_certificate,
 )
@@ -137,3 +140,33 @@ def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
         kept.append(lam_best)
     kept.sort(key=lambda z: (z.real, z.imag))
     return SingularSet(FINITE, kept), branch
+
+
+def reference_to_state_witness(ch, x, y, tol=DEFAULT_TOL):
+    """The state-witness conversion from two channel images, one per state,
+    subtracted: the reference for the one-image conversion in ``deciders``."""
+    outer = lambda a, b: np.outer(a, b.conj())
+    choi_trace = float(sum(np.vdot(A, A).real for A in ch.kraus))
+    u = x + y
+    v = x - y
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    big = max(nu, nv)
+    if big == 0.0:
+        return None
+    if min(nu, nv) < 1e-9 * big:
+        base = x if np.linalg.norm(x) > np.linalg.norm(y) else y
+        base = base / np.linalg.norm(base)
+        u, v = base, 2.0 * base
+        scale = choi_trace * 5.0
+        if np.linalg.norm(apply(ch, outer(base, base))) > tol.residual_abs * scale:
+            return None
+    else:
+        u, v = u / big, v / big
+        scale = choi_trace * (nu**2 + nv**2) / big**2
+    ru = outer(u, u)
+    rv = outer(v, v)
+    if np.linalg.norm(ru - rv) < 0.05:
+        return None
+    if np.linalg.norm(apply(ch, ru) - apply(ch, rv)) > 1e-7 * scale:
+        return None
+    return StateWitness(u, v)

@@ -8,7 +8,7 @@ import pytest
 
 from prchannels import QuantumChannel, fixture, orthogonal_projection_channel, random_generic_frame
 from prchannels.frames import _measurement_channel
-from prchannels.serialize import channel_to_json, dumps
+from prchannels.serialize import channel_to_json, dumps, frame_to_json
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -168,6 +168,16 @@ def test_frame_subcommand():
     assert res.returncode == 0
     assert "complement property: True" in res.stdout
     assert "phase retrievable: YES" in res.stdout
+
+
+def test_frame_too_long_for_the_bipartition_cap_is_an_input_error(tmp_path):
+    # 25 real vectors in R^3 pass the bipartition cap of 24.
+    path = tmp_path / "long.json"
+    path.write_text(dumps(frame_to_json(random_generic_frame(3, 25, "real", seed=0))))
+    res = run_cli("frame", str(path))
+    assert res.returncode == 3
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert "bipartition" in res.stderr
 
 
 def test_spectrum_subcommand():

@@ -1,0 +1,173 @@
+"""What the kernel stage computes on its witness path: the Kraus-rank floor
+never exceeds the kernel dimension, restart-0 witnesses settle pinchings and
+short frames without the SVD of M, a certificate costs one channel image, and
+the one-image state witness agrees with the two-image reference."""
+
+import numpy as np
+import pytest
+
+from prchannels import (
+    COMPLEX,
+    DEFAULT_TOL,
+    NOT_PR,
+    REAL,
+    OracleConfig,
+    QuantumChannel,
+    apply,
+    decide,
+    random_generic_frame,
+    verify_certificate,
+)
+from prchannels import deciders
+from prchannels.constructors import projector_channel_from_frame
+from prchannels.deciders import ORACLE_WITNESS, _ChannelRecord, _restart_zero, _to_state_witness
+
+from helpers import rand_matrix, random_unitary, reference_to_state_witness
+
+
+def _with_singular_values(sv, m, n, field, rng):
+    """An ``m x n`` operator with singular values ``sv`` and random singular vectors."""
+    k = len(sv)
+    return (random_unitary(m, field, rng)[:, :k] * sv) @ random_unitary(n, field, rng)[:, :k].conj().T
+
+
+def _families(n, m, field, rng):
+    """Named Kraus families: generic, rank-deficient, with a zero operator, an
+    operator listed twice or split into two 1/sqrt2 copies, unitarily mixed,
+    and with a singular value at 0.1, 1 and 10 times ``numerical_rank``'s cut."""
+    k = min(n, m)
+    deficient = [_with_singular_values(np.linspace(2.0, 1.0, max(k - 1, 1)), m, n, field, rng) for _ in range(2)]
+    mix = random_unitary(3, field, rng)
+    family = deficient + [rand_matrix(rng, m, n, field)]
+    yield "generic", [rand_matrix(rng, m, n, field) for _ in range(3)]
+    yield "rank-deficient", deficient
+    yield "zero operator", deficient + [np.zeros((m, n))]
+    yield "listed twice", deficient + deficient[:1]
+    yield "split", [deficient[0] / np.sqrt(2.0), deficient[0] / np.sqrt(2.0), deficient[1]]
+    yield "mixed", [sum(mix[i, j] * family[j] for j in range(3)) for i in range(3)]
+    for t in (0.1, 1.0, 10.0):
+        sv = np.linspace(2.0, 1.0, k)
+        sv[-1] = t * DEFAULT_TOL.rank_rel * sv[0]
+        edge = _with_singular_values(sv, m, n, field, rng)
+        yield f"singular value at {t}x the cut, alone", [edge]
+        yield f"singular value at {t}x the cut, with a smaller operator", [edge, 1e-3 * deficient[1]]
+        yield f"singular value at {t}x the cut, among others", [edge, _with_singular_values(sv, m, n, field, rng)]
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (3, 5), (4, 2), (2, 3)])
+def test_kernel_floor_never_exceeds_the_kernel_dimension(field, n, m):
+    for trial in range(4):
+        rng = np.random.default_rng([n, m, trial, field == REAL])
+        for label, kraus in _families(n, m, field, rng):
+            for scale in (1e-5, 1.0, 1e5):
+                ops = [scale * np.asarray(A) for A in kraus]
+                if field == REAL:
+                    ops = [A.real for A in ops]
+                rec = _ChannelRecord(QuantumChannel(n, m, ops, field), DEFAULT_TOL)
+                assert rec.kernel_floor <= rec.kernel_dim, (label, scale, trial)
+
+
+def test_kernel_floor_counts_exact_ranks():
+    # Rank-one operators and a zero one: dim Herm(3) - 2 and dim Sym(3) - 2.
+    ops = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.zeros((3, 3))]
+    assert _ChannelRecord(QuantumChannel(3, 3, ops, COMPLEX), DEFAULT_TOL).kernel_floor == 9 - 2
+    assert _ChannelRecord(QuantumChannel(3, 3, ops, REAL), DEFAULT_TOL).kernel_floor == 6 - 2
+    zero = _ChannelRecord(QuantumChannel(2, 2, [np.zeros((2, 2))], COMPLEX), DEFAULT_TOL)
+    assert list(zero.kraus_ranks) == [0] and zero.kernel_floor == zero.kernel_dim == 4
+
+
+def _pinching(dims, field):
+    n, ops, offset = sum(dims), [], 0
+    for d in dims:
+        P = np.zeros((n, n))
+        P[offset : offset + d, offset : offset + d] = np.eye(d)
+        ops.append(P)
+        offset += d
+    return QuantumChannel(n, n, ops, field)
+
+
+def _witness_channels():
+    for field in (REAL, COMPLEX):
+        for dims in ((1, 1, 1), (2, 2, 2), (1, 3, 1)):
+            yield f"pinching {dims} {field}", _pinching(dims, field)
+        n, N = (4, 5) if field == REAL else (4, 6)
+        for seed in range(3):
+            yield f"short frame {n}-{N} {field} #{seed}", projector_channel_from_frame(random_generic_frame(n, N, field, seed))
+
+
+def _m_shape(ch):
+    n, m = ch.dim_in, ch.dim_out
+    return (m * m, n * (n + 1) // 2) if ch.field == REAL else (2 * m * m, n * n)
+
+
+@pytest.mark.parametrize("label,ch", list(_witness_channels()))
+def test_restart_zero_witness_skips_the_svd_of_m(monkeypatch, label, ch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    verdict = decide(ch)
+    assert (verdict.status, verdict.method) == (NOT_PR, ORACLE_WITNESS)
+    assert _m_shape(ch) not in shapes
+    assert _ChannelRecord(ch, DEFAULT_TOL).kernel_floor >= 2
+
+
+@pytest.mark.parametrize("label,ch", list(_witness_channels()))
+def test_one_channel_image_per_certificate(monkeypatch, label, ch):
+    images = []
+
+    def counting_apply(channel, T):
+        images.append(T)
+        return apply(channel, T)
+
+    monkeypatch.setattr(deciders, "apply", counting_apply)
+    verdict = _restart_zero(_ChannelRecord(ch, DEFAULT_TOL), OracleConfig())
+    assert verdict is not None and verdict.state_witness is not None
+    assert len(images) == 1
+    images.clear()
+    res = verify_certificate(ch, verdict)
+    assert len(images) <= 2
+    scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
+    assert res["tensor"] <= DEFAULT_TOL.residual_abs * scale and res["state"] <= 1e-7 * scale
+
+
+def _pairs(ch, rng):
+    """Seeded pairs: generic (rejected), annihilated cross-block tensors and
+    (anti)parallel pairs on a killed ray (accepted), cross-block tensors tilted
+    across the image threshold, nearly equal states and a zero pair."""
+    n = ch.dim_in
+    e = np.eye(n, dtype=complex)
+    for _ in range(4):
+        x, y = rand_matrix(rng, 2, n, COMPLEX)
+        yield x, y
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi)) if ch.field == COMPLEX else -1.0
+        yield rng.uniform(0.5, 2) * e[0], phase * rng.uniform(0.5, 2) * e[-1]
+        yield e[0], (1e-3 + 1e-12 * rng.normal()) * e[-1]
+        for alpha in (1.0, -1.0, -0.5, 3.0):
+            yield e[1], alpha * e[1] + 1e-12 * rng.normal() * e[0]
+    for delta in np.geomspace(1e-9, 1e-6, 7):
+        yield e[0], e[-1] + delta * e[0]
+    yield np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_one_image_state_witness_matches_the_two_image_reference(field):
+    rng = np.random.default_rng([20, field == REAL])
+    # Pinching (1,1,1) kills e0 e2*; the 3-input map onto span{e0, e2} also kills e1.
+    killer = QuantumChannel(3, 2, [np.array([[1.0, 0, 0], [0, 0, 1.0]])], field)
+    decided = rejected = 0
+    for ch in (_pinching((1, 1, 1), field), killer, projector_channel_from_frame(random_generic_frame(3, 4, field, 1))):
+        for x, y in _pairs(ch, rng):
+            ref = reference_to_state_witness(ch, x, y)
+            rejected += ref is None
+            new = _to_state_witness(ch, x, y, apply(ch, np.outer(x, y.conj())), DEFAULT_TOL)
+            assert (new is None) == (ref is None)
+            if ref is not None:
+                decided += 1
+                assert np.array_equal(new.x, ref.x) and np.array_equal(new.y, ref.y)
+    assert decided >= 10 and rejected >= 10
