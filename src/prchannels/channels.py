@@ -79,8 +79,12 @@ def apply(ch: QuantumChannel, T) -> np.ndarray:
     M = as_matrix(T)
     if M.shape != (ch.dim_in, ch.dim_in):
         raise DimensionMismatch(f"input of shape {M.shape}, expected square of size {ch.dim_in}")
-    A = np.stack(ch.kraus)
-    return (A @ M @ A.conj().mT).sum(axis=0)
+    return _image(np.stack(ch.kraus), M)
+
+
+def _image(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``sum_i A_i X A_i*`` for the stacked ``(r, m, n)`` Kraus family ``A``."""
+    return (A @ X @ A.conj().mT).sum(axis=0)
 
 
 def adjoint_apply(ch: QuantumChannel, S) -> np.ndarray:
@@ -117,7 +121,12 @@ def choi_rank(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> int:
     of ``r x nm``, with no ``nm x nm`` matrix built.  Those above
     ``rank_rel`` times the largest one count; the zero map has rank 0.
     """
-    F = np.stack(ch.kraus).transpose(0, 2, 1).reshape(len(ch.kraus), -1)
+    return _choi_rank(np.stack(ch.kraus), tol)
+
+
+def _choi_rank(A: np.ndarray, tol: Tolerance) -> int:
+    """:func:`choi_rank` of the stacked ``(r, m, n)`` Kraus family ``A``."""
+    F = A.transpose(0, 2, 1).reshape(len(A), -1)
     lam = np.linalg.svd(F, compute_uv=False) ** 2
     return int(np.count_nonzero(lam > tol.rank_rel * lam[0])) if lam[0] > 0.0 else 0
 

@@ -31,9 +31,11 @@ the channel gives the verdict:
 
 A witness gives NOT_PR only when it re-verifies relative to
 ``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
-(:data:`METHODS`), and every stage reads one per-call record holding the Choi
-rank, the Choi trace, ``K = sum_i A_i (x) conj(A_i)``, its restriction to
-Herm(n), the kernel and the Kraus operators' ranks, each built at most once.
+(:data:`METHODS`), and every stage reads one per-call record holding the Kraus
+family stacked once, which every channel image of the call reads, one
+values-only SVD of that stack, which gives the Kraus operators' ranks under
+both rank rules, the Choi rank, the Choi trace, ``K = sum_i A_i (x) conj(A_i)``,
+its restriction to Herm(n) and the kernel, each built at most once.
 
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
@@ -51,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
-from .channels import QuantumChannel, apply, choi_matrix, choi_rank, minimal_kraus_from_choi
+from .channels import QuantumChannel, _choi_rank, _image, choi_matrix, minimal_kraus_from_choi
 from .errors import DimensionMismatch, NotFinite, NotSquare, WrongField, WrongRank
 from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, numerical_rank
 from .spectra import SpectrumPoint, _pencil_points, pencil_singular_set
@@ -185,20 +187,15 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.outer(x, y.conj())
 
 
-def _tensor_image(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, kind: str = SIMPLE):
+def _tensor_image(rec: _ChannelRecord, x: np.ndarray, y: np.ndarray, kind: str = SIMPLE):
     """``(residual, P)`` from one image ``P = Phi(x y^*)``: the residual is ``||P||``,
     or ``||P + P^*|| = ||Phi(x y^* + y x^*)||`` for the symmetric kind, since Phi
     preserves adjoints."""
-    P = apply(ch, _outer(x, y))
+    P = _image(rec.A, _outer(x, y))
     return float(np.linalg.norm(P if kind == SIMPLE else P + P.conj().T)), P
 
 
-def _choi_trace(ch: QuantumChannel) -> float:
-    """``sum_i ||A_i||_F^2``, the trace of the Choi matrix: the channel's scale."""
-    return float(sum(np.vdot(A, A).real for A in ch.kraus))
-
-
-def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, P: np.ndarray, tol: Tolerance):
+def _to_state_witness(rec: _ChannelRecord, x: np.ndarray, y: np.ndarray, P: np.ndarray):
     """Turn an annihilated (symmetric) tensor pair into equal-image pure states.
 
     The sum and difference of the pair bracket the same channel image; a
@@ -222,14 +219,14 @@ def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, P: np.nd
         base = x if np.linalg.norm(x) > np.linalg.norm(y) else y
         base = base / np.linalg.norm(base)
         u, v = base, 2.0 * base
-        scale = _choi_trace(ch) * 5.0
-        image = apply(ch, _outer(base, base))
-        if np.linalg.norm(image) > tol.residual_abs * scale:
+        scale = rec.choi_trace * 5.0
+        image = _image(rec.A, _outer(base, base))
+        if np.linalg.norm(image) > rec.tol.residual_abs * scale:
             return None
         image = -3.0 * image
     else:
         u, v = u / big, v / big
-        scale = _choi_trace(ch) * (nu**2 + nv**2) / big**2
+        scale = rec.choi_trace * (nu**2 + nv**2) / big**2
         image = 2.0 * (P + P.conj().T) / big**2
     ru = _outer(u, u)
     rv = _outer(v, v)
@@ -241,22 +238,36 @@ def _to_state_witness(ch: QuantumChannel, x: np.ndarray, y: np.ndarray, P: np.nd
 
 
 class _ChannelRecord:
-    """What every stage of one call reads: the channel, its Choi rank, the Choi
-    trace ``sum_i ||A_i||_F^2`` and the natural representation ``K`` (real on
-    the real field).  No stage but the rank-2 reduction needs the Choi matrix
-    itself.  ``K``, its restriction ``M`` to Herm(n), the kernel of ``M`` and
-    the ranks of the listed operators, with the floor they put on the kernel
-    dimension, are built on first use, by the kernel stage."""
+    """What every stage of one call reads, each part built at most once, on first
+    use: the Kraus family stacked ``(r, m, n)`` as ``A``, read by every channel
+    image, its Choi rank and trace ``sum_i ||A_i||_F^2``, the operators'
+    singular values, which the screen's and the kernel stage's ranks count, and
+    ``K`` (real on the real field), its restriction ``M`` to Herm(n) and the
+    kernel of ``M``.  Only the rank-2 reduction needs the Choi matrix itself.
+    Nothing outlives the call: the channel holds no cache."""
 
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
         self.tol = tol
-        self.rank = choi_rank(ch, tol)
-        self.choi_trace = _choi_trace(ch)
+        self.A = np.stack(ch.kraus)
+
+    @cached_property
+    def rank(self) -> int:
+        return _choi_rank(self.A, self.tol)
+
+    @cached_property
+    def choi_trace(self) -> float:
+        """``sum_i ||A_i||_F^2``, the trace of the Choi matrix: the channel's scale."""
+        return float(sum(np.vdot(a, a).real for a in self.A))
+
+    @cached_property
+    def kraus_values(self) -> np.ndarray:
+        """Every listed operator's singular values: one stacked values-only SVD, real on the real field."""
+        return np.linalg.svd(self.A.real if self.ch.field == REAL else self.A, compute_uv=False)
 
     @cached_property
     def kraus_ranks(self) -> np.ndarray:
-        """The listed operators' ranks from one stacked values-only SVD, counting the
+        """The listed operators' ranks from :attr:`kraus_values`, counting the
         singular values above ``tau = rank_rel s^2 / (4 t)``: ``s`` the largest of the
         family, ``t`` the sum of each operator's largest ``s_i``; 0 for a zero operator.
         Cutting the rest, ``||E_i|| <= min(tau, s_i)``, moves ``M`` by at most
@@ -264,8 +275,7 @@ class _ChannelRecord:
         ``rank_rel sigma_max(M) >= rank_rel s^2``, so :attr:`kernel_floor` is a floor.
         ``numerical_rank``'s cut ``rank_rel s_i`` is not: a singular value at it can
         leave ``M``'s rank above the count."""
-        A = np.stack(self.ch.kraus)
-        s = np.linalg.svd(A.real if self.ch.field == REAL else A, compute_uv=False)
+        s = self.kraus_values
         top = s[:, 0]
         tau = self.tol.rank_rel * top.max() ** 2 / (4.0 * top.sum()) if top.any() else 0.0
         return np.count_nonzero(s > tau, axis=1)
@@ -281,7 +291,7 @@ class _ChannelRecord:
 
     @cached_property
     def K(self) -> np.ndarray:
-        return _natural_representation(self.ch.kraus, self.ch.field)
+        return _natural_representation(self.A, self.ch.field)
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -311,12 +321,13 @@ class _ChannelRecord:
     def kernel_basis(self) -> np.ndarray:
         """The unit spanning matrices ``H_1..H_d`` of the kernel, stacked ``(d, n, n)``.
 
-        They are the last right singular vectors of one full SVD of ``M``, so
-        they are Frobenius-orthonormal, and real on the real field.
+        They are the last right singular vectors of one SVD of ``M``, so they
+        are Frobenius-orthonormal, and real on the real field.  The SVD is thin
+        when ``M`` has at least as many rows as columns: ``U`` is never read.
         """
-        n = self.ch.dim_in
+        n, (rows, cols) = self.ch.dim_in, self.M.shape
         T = _hermitian_basis(n, self.ch.field)
-        vh = np.linalg.svd(self.M)[2][self.herm_rank :]
+        vh = np.linalg.svd(self.M, full_matrices=rows < cols)[2][self.herm_rank :]
         return np.array([(T @ v).reshape(n, n) for v in vh])
 
 
@@ -329,7 +340,7 @@ def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     if rec.rank > 1:
         return None
     ch = rec.ch
-    stack = np.vstack(ch.kraus).real if ch.field == REAL else np.vstack(ch.kraus)
+    stack = (rec.A.real if ch.field == REAL else rec.A).reshape(-1, ch.dim_in)
     # C^1 has a single pure state, so even the zero map collides none.
     if ch.dim_in == 1 or numerical_rank(stack, rec.tol) == ch.dim_in:
         return PRVerdict(PR, RANK1, EmptyCertificate(), residuals={})
@@ -338,7 +349,7 @@ def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     _, _, vh = np.linalg.svd(stack)
     u, z = vh[0].conj().astype(complex), vh[-1].conj().astype(complex)
     sw = StateWitness((u + z) / np.sqrt(2.0), (u - z) / np.sqrt(2.0))
-    state = float(np.linalg.norm(apply(ch, _outer(sw.x, sw.x) - _outer(sw.y, sw.y))))
+    state = float(np.linalg.norm(_image(rec.A, _outer(sw.x, sw.x) - _outer(sw.y, sw.y))))
     return PRVerdict(NOT_PR, RANK1, sw, state_witness=sw, residuals={"state": state})
 
 
@@ -385,7 +396,7 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
         # Every pencil has a kernel; lam = 0 already clashes.
         x = _smallest_right_vector(A1)
         y = _smallest_right_vector(A2)
-        return _rank2_not_pr(ch, 0.0, x, y, tol)
+        return _rank2_not_pr(rec, 0.0, x, y)
 
     s1 = pencil_singular_set(A1, A2, tol)
     t = pencil_singular_set(A2, A1, tol)
@@ -406,16 +417,16 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
 
     x = _smallest_right_vector(A1 + clash * A2)
     y = _smallest_right_vector(-np.conj(clash) * A1 + A2)
-    return _rank2_not_pr(ch, clash, x, y, tol)
+    return _rank2_not_pr(rec, clash, x, y)
 
 
-def _rank2_not_pr(ch, clash, x, y, tol) -> PRVerdict:
-    res, P = _tensor_image(ch, x, y)
+def _rank2_not_pr(rec, clash, x, y) -> PRVerdict:
+    res, P = _tensor_image(rec, x, y)
     return PRVerdict(
         NOT_PR,
         RANK2_EXACT,
         PencilClash(complex(clash), x, y),
-        state_witness=_to_state_witness(ch, x, y, P, tol),
+        state_witness=_to_state_witness(rec, x, y, P),
         residuals={"tensor": res},
     )
 
@@ -469,11 +480,12 @@ def _root_kernels(Ai, Aj, V, roots, tol):
         yield np.ascontiguousarray((kern if kern.size else vhk[-1:]).conj().T)
 
 
-def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAULT_TOL):
+def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAULT_TOL, *, _rec=None):
     """All lam vectors with a nonzero x satisfying ``A_i x = lam_i A_j x`` for i != j.
 
     Requires square Kraus operators.  Returns a sorted list of
     :class:`SpectrumPoint` or :data:`NOT_FINITE` when the set is a continuum.
+    The ranks come from ``_rec``, the calling screen's record, or a new one.
     """
     if ch.dim_in != ch.dim_out:
         raise NotSquare("scalar relative spectra need square Kraus operators")
@@ -485,9 +497,9 @@ def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAUL
     n = ch.dim_in
     if not others:
         return []
-    # The numerical rank of every operator, by numerical_rank's rule, from one
-    # stacked values-only SVD: a zero matrix has all singular values 0, rank 0.
-    s = np.linalg.svd(np.stack(ops), compute_uv=False)
+    # The numerical rank of every operator, by numerical_rank's rule, from the
+    # record's stacked singular values: a zero matrix has all of them 0, rank 0.
+    s = (_rec or _ChannelRecord(ch, tol)).kraus_values
     ranks = np.count_nonzero(s > tol.rank_rel * s[:, :1], axis=1).tolist()
     remaining = [(i, Ai, ranks[i]) for i, Ai in others]
     try:
@@ -520,42 +532,44 @@ def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAUL
     return deduped
 
 
-def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL):
+def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL, *, _rec=None):
     """Necessary condition: no pair lam, mu in any scalar spectrum may satisfy
     ``1 + <lam, mu> = 0``.
 
     Returns a NOT_PR verdict on the first violation, with an equal-image
     pure-state pair where one can be derived, and None when the check passes.
-    Raises :class:`NotFinite` when some spectrum is a continuum.
+    Raises :class:`NotFinite` when some spectrum is a continuum.  Spectra and
+    images read ``_rec``, the calling :func:`decide`'s record, or a new one.
     """
     if ch.dim_in != ch.dim_out:
         raise NotSquare("the inner-product check needs square Kraus operators")
+    rec = _rec or _ChannelRecord(ch, tol)
     for j in range(len(ch.kraus)):
-        points = scalar_relative_spectrum(ch, j, tol)
+        points = scalar_relative_spectrum(ch, j, tol, _rec=rec)
         if points is NOT_FINITE:
             raise NotFinite(f"relative spectrum of operator {j} is a continuum")
         for p in points:
             for q in points:
                 ip = 1.0 + complex(np.sum(p.lam * np.conj(q.lam)))
                 if abs(ip) <= tol.residual_abs:
-                    tensor_res, P = _tensor_image(ch, p.witness, q.witness)
+                    tensor_res, P = _tensor_image(rec, p.witness, q.witness)
                     return PRVerdict(
                         NOT_PR,
                         NECESSARY_VIOLATION,
                         InnerProductViolation(j, p.lam, q.lam, p.witness, q.witness),
-                        state_witness=_to_state_witness(ch, p.witness, q.witness, P, tol),
+                        state_witness=_to_state_witness(rec, p.witness, q.witness, P),
                         residuals={"inner_product": abs(ip), "tensor": tensor_res},
                     )
     return None
 
 
-def _natural_representation(kraus, field: str) -> np.ndarray:
-    """``sum_i A_i (x) conj(A_i)``: row ``(a, b)``, column ``(c, d)`` holds ``sum_i A_i[a, c] conj(A_i[b, d])``.
+def _natural_representation(A: np.ndarray, field: str) -> np.ndarray:
+    """``sum_i A_i (x) conj(A_i)`` of the stacked ``(r, m, n)`` family: row ``(a, b)``,
+    column ``(c, d)`` holds ``sum_i A_i[a, c] conj(A_i[b, d])``.
 
     One product of the flattened operators gives the entries indexed
     ``((a, c), (b, d))``; a transpose realigns them.  Real on the real field.
     """
-    A = np.stack(kraus)
     if field == REAL:
         A = A.real
     r, m, n = A.shape
@@ -577,7 +591,7 @@ def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, to
     minimum drops below ``residual_abs`` squared.  The exact kernel paths are
     a stage of :func:`decide`, ahead of this search.
     """
-    K = _natural_representation(ch.kraus, ch.field)
+    K = _natural_representation(np.stack(ch.kraus), ch.field)
     return _witness_or_floor(*minimize_simple_pair(K, ch.dim_in, ch.field, cfg or OracleConfig()), SIMPLE, tol)
 
 
@@ -591,7 +605,7 @@ def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None,
     """
     if ch.field != COMPLEX:
         raise WrongField("the symmetric-product oracle is a complex-field test")
-    K = _natural_representation(ch.kraus, ch.field)
+    K = _natural_representation(np.stack(ch.kraus), ch.field)
     return _witness_or_floor(*minimize_symmetric_pair(K, ch.dim_in, cfg or OracleConfig()), SYMMETRIC, tol)
 
 
@@ -616,12 +630,13 @@ def oracle_verdict(ch: QuantumChannel, outcome, tol: Tolerance = DEFAULT_TOL) ->
     :class:`NoWitness` gives LIKELY_PR carrying the observed floor.
     """
     if isinstance(outcome, TensorWitness):
-        res, P = _tensor_image(ch, outcome.x, outcome.y, outcome.kind)
+        rec = _ChannelRecord(ch, tol)
+        res, P = _tensor_image(rec, outcome.x, outcome.y, outcome.kind)
         return PRVerdict(
             NOT_PR,
             ORACLE_WITNESS,
             outcome,
-            state_witness=_to_state_witness(ch, outcome.x, outcome.y, P, tol),
+            state_witness=_to_state_witness(rec, outcome.x, outcome.y, P),
             residuals={"tensor": res},
         )
     return PRVerdict(
@@ -630,7 +645,7 @@ def oracle_verdict(ch: QuantumChannel, outcome, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def _screen_verdict(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
-    return necessary_inner_product_check(rec.ch, rec.tol)
+    return necessary_inner_product_check(rec.ch, rec.tol, _rec=rec)
 
 
 def _screen_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
@@ -733,25 +748,31 @@ def _signature_verdict(rec: _ChannelRecord, H: np.ndarray, method: str):
     """
     w, v = np.linalg.eigh(H)
     x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
-    res = float(np.linalg.norm(apply(rec.ch, _outer(x, x) - _outer(y, y))))
+    res = float(np.linalg.norm(_image(rec.A, _outer(x, x) - _outer(y, y))))
     if not _accepted(rec, res):
         return None, res / float(np.hypot(w[-1], w[0]))
     cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
     return PRVerdict(NOT_PR, method, cert, StateWitness(x, y), residuals={"tensor": res}), 0.0
 
 
+# Restart 0 stops on an absolute objective, so on a small-scale channel it
+# would run all of ``max_iters`` before the kernel search takes over.
+_RESTART_ZERO_ITERS = 40
+
+
 def _restart_zero(rec: _ChannelRecord, cfg: OracleConfig) -> Optional[PRVerdict]:
-    """Restart 0 of the bilinear search on ``rec.K``: NOT_PR when its witness passes :func:`_accepted`."""
-    ch, one = rec.ch, replace(cfg, restarts=1)
+    """Restart 0 of the bilinear search on ``rec.K``, at most ``_RESTART_ZERO_ITERS``
+    iterations: NOT_PR when its witness passes :func:`_accepted`."""
+    ch, one = rec.ch, replace(cfg, restarts=1, max_iters=min(cfg.max_iters, _RESTART_ZERO_ITERS))
     if ch.field == REAL:
         pair, kind = minimize_simple_pair(rec.K, ch.dim_in, REAL, one)[1:], SIMPLE
     else:
         pair, kind = minimize_symmetric_pair(rec.K, ch.dim_in, one)[1:], SYMMETRIC
     x, y = (np.asarray(v, dtype=complex) for v in pair)
-    res, P = _tensor_image(ch, x, y, kind)
+    res, P = _tensor_image(rec, x, y, kind)
     if not _accepted(rec, res):
         return None
-    sw = _to_state_witness(ch, x, y, P, rec.tol)
+    sw = _to_state_witness(rec, x, y, P)
     return PRVerdict(NOT_PR, ORACLE_WITNESS, TensorWitness(x, y, kind), sw, residuals={"tensor": res})
 
 
@@ -928,15 +949,15 @@ def verify_certificate(ch: QuantumChannel, verdict: PRVerdict, tol: Tolerance = 
     Returns a dict of named residuals; callers assert their own thresholds.
     """
     residuals: dict[str, float] = {}
-    cert = verdict.certificate
+    cert, rec = verdict.certificate, _ChannelRecord(ch, tol)
     if isinstance(cert, InnerProductViolation):
         residuals["inner_product"] = float(abs(1.0 + np.sum(cert.lam * np.conj(cert.mu))))
     if isinstance(cert, (PencilClash, InnerProductViolation, TensorWitness)):
-        residuals["tensor"] = _tensor_image(ch, cert.x, cert.y, getattr(cert, "kind", SIMPLE))[0]
+        residuals["tensor"] = _tensor_image(rec, cert.x, cert.y, getattr(cert, "kind", SIMPLE))[0]
     # A RANK1 NOT_PR carries its state pair as both certificate and witness.
     sw = verdict.state_witness or (cert if isinstance(cert, StateWitness) else None)
     if sw is not None:
         diff = _outer(sw.x, sw.x) - _outer(sw.y, sw.y)
-        residuals["state"] = float(np.linalg.norm(apply(ch, diff)))
+        residuals["state"] = float(np.linalg.norm(_image(rec.A, diff)))
         residuals["separation"] = float(np.linalg.norm(diff))
     return residuals

@@ -53,6 +53,17 @@ def rho(x):
     return np.outer(x, x.conj())
 
 
+def pinching(dims, field):
+    """The pinching onto consecutive diagonal blocks of sizes ``dims``."""
+    n, ops, offset = sum(dims), [], 0
+    for d in dims:
+        P = np.zeros((n, n))
+        P[offset : offset + d, offset : offset + d] = np.eye(d)
+        ops.append(P)
+        offset += d
+    return QuantumChannel(n, n, ops, field)
+
+
 def antisymmetric_kernel_channel(rng):
     """Real 2 -> 3 channel with ``sum_i A_i J A_i^T = 0`` for the antisymmetric J.
 

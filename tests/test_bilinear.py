@@ -57,7 +57,7 @@ def test_pair_maps_match_kron_products(m, n, r):
         rng = np.random.default_rng([n, m, r])
         kraus = [rand_matrix(rng, m, n, field) for _ in range(r)]
         channel_mat = sum(np.kron(A, A.conj()) for A in kraus)
-        K = _natural_representation(kraus, field)
+        K = _natural_representation(np.stack(kraus), field)
         assert np.iscomplexobj(K) == (field == COMPLEX)
         np.testing.assert_allclose(K, channel_mat, atol=1e-13)
         us = rand_matrix(rng, 3, n, field)
@@ -149,7 +149,7 @@ def test_generalized_rows_have_unit_symmetric_products(rows, scale):
 def test_simple_search_with_one_output_dimension_finds_a_null_pair(field):
     rng = np.random.default_rng(5)
     kraus = [rand_matrix(rng, 1, 4, field) for _ in range(3)]
-    _, x, y = minimize_simple_pair(_natural_representation(kraus, field), 4, field, OracleConfig(restarts=2))
+    _, x, y = minimize_simple_pair(_natural_representation(np.stack(kraus), field), 4, field, OracleConfig(restarts=2))
     assert np.linalg.norm(x) == pytest.approx(1.0)
     assert np.linalg.norm(y) == pytest.approx(1.0)
     if field == REAL:
@@ -274,7 +274,7 @@ def _kraus(seed, m, n, r, field):
 
 def _run_both_simple(kraus, field, cfg):
     n = kraus[0].shape[1]
-    K = _natural_representation(kraus, field)
+    K = _natural_representation(np.stack(kraus), field)
     got = minimize_simple_pair(K, n, field, cfg)
     want = _reference_minimize_simple_pair(K, n, field, cfg)
     _assert_same_bits(got, want)
@@ -283,7 +283,7 @@ def _run_both_simple(kraus, field, cfg):
 
 def _run_both_symmetric(kraus, cfg):
     n = kraus[0].shape[1]
-    K = _natural_representation(kraus, COMPLEX)
+    K = _natural_representation(np.stack(kraus), COMPLEX)
     got = minimize_symmetric_pair(K, n, cfg)
     want = _reference_minimize_symmetric_pair(K, n, cfg)
     _assert_same_bits(got, want)
@@ -340,7 +340,7 @@ def test_lockstep_witness_matches_sequential(seed, m, n, r, field, hit):
     # Restart k starts from the first draw of default_rng([seed, tag, k]),
     # and the search ends at the first restart with a witness-grade minimum.
     kraus = _kraus(seed, m, n, r, field)
-    K = _natural_representation(kraus, field)
+    K = _natural_representation(np.stack(kraus), field)
     tag = 0x51 if field == REAL else 0x52
     for k in range(hit + 1):
         want = bilinear._rand_unit(np.random.default_rng([0, tag, k]), n, field)

@@ -22,7 +22,7 @@ from prchannels import deciders
 from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import ORACLE_WITNESS, _ChannelRecord, _restart_zero, _to_state_witness
 
-from helpers import rand_matrix, random_unitary, reference_to_state_witness
+from helpers import pinching, rand_matrix, random_unitary, reference_to_state_witness
 
 
 def _with_singular_values(sv, m, n, field, rng):
@@ -77,20 +77,10 @@ def test_kernel_floor_counts_exact_ranks():
     assert list(zero.kraus_ranks) == [0] and zero.kernel_floor == zero.kernel_dim == 4
 
 
-def _pinching(dims, field):
-    n, ops, offset = sum(dims), [], 0
-    for d in dims:
-        P = np.zeros((n, n))
-        P[offset : offset + d, offset : offset + d] = np.eye(d)
-        ops.append(P)
-        offset += d
-    return QuantumChannel(n, n, ops, field)
-
-
 def _witness_channels():
     for field in (REAL, COMPLEX):
         for dims in ((1, 1, 1), (2, 2, 2), (1, 3, 1)):
-            yield f"pinching {dims} {field}", _pinching(dims, field)
+            yield f"pinching {dims} {field}", pinching(dims, field)
         n, N = (4, 5) if field == REAL else (4, 6)
         for seed in range(3):
             yield f"short frame {n}-{N} {field} #{seed}", projector_channel_from_frame(random_generic_frame(n, N, field, seed))
@@ -120,18 +110,20 @@ def test_restart_zero_witness_skips_the_svd_of_m(monkeypatch, label, ch):
 @pytest.mark.parametrize("label,ch", list(_witness_channels()))
 def test_one_channel_image_per_certificate(monkeypatch, label, ch):
     images = []
+    image = deciders._image
 
-    def counting_apply(channel, T):
-        images.append(T)
-        return apply(channel, T)
+    def counting_image(A, X):
+        # A stacked (..., n, n) input holds one image per leading index.
+        images.append(int(np.prod(np.shape(X)[:-2])))
+        return image(A, X)
 
-    monkeypatch.setattr(deciders, "apply", counting_apply)
+    monkeypatch.setattr(deciders, "_image", counting_image)
     verdict = _restart_zero(_ChannelRecord(ch, DEFAULT_TOL), OracleConfig())
     assert verdict is not None and verdict.state_witness is not None
-    assert len(images) == 1
+    assert sum(images) == 1
     images.clear()
     res = verify_certificate(ch, verdict)
-    assert len(images) <= 2
+    assert sum(images) <= 2
     scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
     assert res["tensor"] <= DEFAULT_TOL.residual_abs * scale and res["state"] <= 1e-7 * scale
 
@@ -161,11 +153,11 @@ def test_one_image_state_witness_matches_the_two_image_reference(field):
     # Pinching (1,1,1) kills e0 e2*; the 3-input map onto span{e0, e2} also kills e1.
     killer = QuantumChannel(3, 2, [np.array([[1.0, 0, 0], [0, 0, 1.0]])], field)
     decided = rejected = 0
-    for ch in (_pinching((1, 1, 1), field), killer, projector_channel_from_frame(random_generic_frame(3, 4, field, 1))):
+    for ch in (pinching((1, 1, 1), field), killer, projector_channel_from_frame(random_generic_frame(3, 4, field, 1))):
         for x, y in _pairs(ch, rng):
             ref = reference_to_state_witness(ch, x, y)
             rejected += ref is None
-            new = _to_state_witness(ch, x, y, apply(ch, np.outer(x, y.conj())), DEFAULT_TOL)
+            new = _to_state_witness(_ChannelRecord(ch, DEFAULT_TOL), x, y, apply(ch, np.outer(x, y.conj())))
             assert (new is None) == (ref is None)
             if ref is not None:
                 decided += 1
