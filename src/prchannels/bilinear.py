@@ -20,9 +20,8 @@ Both engines read the channel through its natural representation
 every half-step matrix is one of the two slot contractions of ``K`` at the
 fixed vector (:func:`_slot_maps`), one matrix-vector product each, and never
 a sum of Kronecker products.  The restarts run one after another, each
-through its engine's stacked step as a batch of one row, from a unit vector
-drawn once per seed and shape from ``default_rng([seed, tag, r])``
-(:func:`_starts`).  The search stops at the first witness-grade minimum and
+from a unit vector drawn once per seed and shape from
+``default_rng([seed, tag, r])`` (:func:`_starts`).  The search stops at the first witness-grade minimum and
 reports the best pair seen (lowest restart index on ties).  No ``x`` a
 restart holds vanishes: the start is a unit vector, and each later one is a
 unit singular vector or a solution whose symmetric product with the
@@ -48,7 +47,6 @@ _SUCCESS = 1e-26
 # a rate bounded away from one and survive the projection.
 _TARGET = 1e-18
 _LOG_TARGET = np.log(_TARGET)
-_SQRT2 = np.sqrt(2.0)
 
 
 def _hopeless(val: float, prev: float, iters_left: int) -> bool:
@@ -80,62 +78,51 @@ class OracleConfig:
             raise ValueError("oracle configuration values must be positive")
 
 
-def _symmetric_whitener(x: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-    """Whitener of the normalizer ``v -> x v^* + v x^*`` in ``[Re v; Im v]`` coordinates, per row of ``x``.
+def _symmetric_whitener(x: np.ndarray) -> np.ndarray:
+    """Whitener of the normalizer ``v -> x v^* + v x^*`` in ``[Re v; Im v]`` coordinates.
 
     The normalizer scales the real direction of ``x`` by ``2 ||x||``, kills
     ``i x``, and scales the complex orthogonal complement of ``x`` by
-    ``sqrt(2) ||x||``.  For ``b`` nonzero rows ``x`` of length ``n`` with
-    norms ``nrm`` (a ``b x 1`` column) returns the real ``b x 2n x (2n - 1)``
-    stack of matrices ``W`` whose image under the normalizer has orthonormal
-    columns spanning its range.
+    ``sqrt(2) ||x||``.  For a nonzero ``x`` of length ``n`` returns the real
+    ``2n x (2n - 1)`` matrix ``W`` whose image under the normalizer has
+    orthonormal columns spanning its range.
     """
-    b, n = x.shape
+    n = x.size
+    nrm = np.sqrt(np.vdot(x, x).real)
     xh = x / nrm
-    x0 = xh[:, :1]
     # Householder reflector H = I - 2 w w^* / ||w||^2 with w = xh - alpha e1 and
-    # alpha = -xh[0] / |xh[0]|, so ||w||^2 = 2 + 2 |xh[0]| never cancels.  Its
-    # last n - 1 columns are an orthonormal basis of the complement of xh.
-    # np.hypot rounds |xh[0]| as the scalar abs does; np.abs on arrays does not.
-    a0 = np.hypot(x0.real, x0.imag)
-    # -alpha is xh[0] / |xh[0]|, or 1 where xh[0] = 0; the masked divide runs
-    # only when some xh[0] is 0.
-    phase = x0 / a0 if np.count_nonzero(a0) == b else np.divide(x0, a0, out=np.ones_like(x0), where=a0 > 0.0)
+    # alpha = -xh[0] / |xh[0]| (1 where xh[0] = 0), so ||w||^2 = 2 + 2 |xh[0]|
+    # never cancels.  Its last n - 1 columns are an orthonormal basis of the
+    # complement of xh.
+    a0 = abs(xh[0])
     w = xh.copy()
-    np.add(x0, phase, out=w[:, :1])
-    c = 1.0 / (_SQRT2 * nrm)
+    w[0] += xh[0] / a0 if a0 > 0.0 else 1.0
+    c = 1.0 / (np.sqrt(2.0) * nrm)
     # Complex columns: xh / (2 ||x||), then c H[:, 1:], then i c H[:, 1:].
-    B = np.empty((b, n, 2 * n - 1), dtype=complex)
-    np.divide(xh, 2.0 * nrm, out=B[:, :, 0])
-    Q = B[:, :, 1:n]
-    np.multiply(w[:, :, None], w[:, None, 1:].conj(), out=Q)
-    Q *= (c / (-1.0 - a0))[:, :, None]  # -c / (1 + a0), rounded alike
-    B.reshape(b, -1)[:, 2 * n :: 2 * n] += c  # the identity part of H[:, 1:], at B[j, j]
-    np.multiply(Q, 1j, out=B[:, :, n:])
-    return np.concatenate((B.real, B.imag), axis=1)
+    B = np.empty((n, 2 * n - 1), dtype=complex)
+    B[:, 0] = xh / (2.0 * nrm)
+    Q = B[:, 1:n]
+    np.multiply.outer(w, w[1:].conj(), out=Q)
+    Q *= -c / (1.0 + a0)
+    B.reshape(-1)[2 * n :: 2 * n] += c  # the identity part of H[:, 1:], at B[j, j]
+    np.multiply(Q, 1j, out=B[:, n:])
+    return np.concatenate((B.real, B.imag))
 
 
 def smallest_generalized(L: np.ndarray, x: np.ndarray):
-    """Minimize ``||L_k v||^2 / ||x_k v^* + v x_k^*||_F^2`` over real ``v = [Re; Im]``, per row ``x_k`` of ``x``.
+    """Minimize ``||L v||^2 / ||x v^* + v x^*||_F^2`` over real ``v = [Re; Im]``.
 
-    ``L`` stacks one real matrix per row of ``x`` along its leading axis, and
-    the solves share one stacked decomposition.  Every row of ``x`` must be
-    nonzero, as every start and every solution of the engines is.  Returns an
-    array of values and a matrix whose rows ``v`` have symmetric products of
-    unit Frobenius norm, so ``1 / (2 ||x_k||) <= ||v|| <= 1 / (sqrt(2) ||x_k||)``.
-    When ``L_k`` has fewer rows than the whitened space has dimensions the
+    ``x`` must be nonzero, as every start and every solution of the engines
+    is.  Returns the minimum and a minimizer ``v`` whose symmetric product
+    has unit Frobenius norm, so ``1 / (2 ||x||) <= ||v|| <= 1 / (sqrt(2) ||x||)``.
+    When ``L`` has fewer rows than the whitened space has dimensions the
     minimum is zero.
     """
-    # One conjugated dot product per row, rounded as np.vdot(x, x).
-    nrm = np.sqrt(np.vecdot(x, x).real)[:, None]
-    W = _symmetric_whitener(x, nrm)
+    W = _symmetric_whitener(x)
     M = L @ W
-    wide = M.shape[1] < M.shape[2]
+    wide = M.shape[0] < M.shape[1]
     _, sm, vmt = np.linalg.svd(M, full_matrices=wide)
-    # Python's float power, as in one solve at a time: it may round
-    # differently from numpy's squaring.
-    val = np.zeros(len(x)) if wide else np.array([s**2 for s in sm[:, -1].tolist()])
-    return val, (W @ vmt[:, -1, :, None])[:, :, 0]
+    return 0.0 if wide else float(sm[-1]) ** 2, W @ vmt[-1]
 
 
 def _rand_unit(rng, n: int, field: str) -> np.ndarray:
@@ -148,8 +135,8 @@ def _rand_unit(rng, n: int, field: str) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _starts(seed: int, tag: int, r: int, n: int, field: str) -> np.ndarray:
-    """Restart ``r``'s start, the first draw from ``default_rng([seed, tag, r])``, as a read-only row."""
-    x = _rand_unit(np.random.default_rng([abs(int(seed)), tag, r]), n, field)[None]
+    """Restart ``r``'s start, the first draw from ``default_rng([seed, tag, r])``, read-only."""
+    x = _rand_unit(np.random.default_rng([abs(int(seed)), tag, r]), n, field)
     x.flags.writeable = False
     return x
 
@@ -157,8 +144,8 @@ def _starts(seed: int, tag: int, r: int, n: int, field: str) -> np.ndarray:
 def _restarts(step, cfg: OracleConfig, tag: int, n: int, field: str):
     """The best ``(value, x, y)`` of the restarts, run one after another.
 
-    ``step(x)`` advances the one-row stack ``x`` by one iteration and returns
-    ``(values, x_next, other)``.  A restart reports its last step, a result
+    ``step(x)`` advances ``x`` by one iteration and returns
+    ``(value, x_next, other)``.  A restart reports its last step, a result
     replaces the best only when strictly smaller, and the search ends at the
     first witness-grade one.
     """
@@ -166,25 +153,25 @@ def _restarts(step, cfg: OracleConfig, tag: int, n: int, field: str):
     for r in range(cfg.restarts):
         x, prev = _starts(cfg.seed, tag, r, n, field), np.inf
         for it in range(cfg.max_iters):
-            vals, x, other = step(x)
-            if vals[0] < _SUCCESS or prev - vals[0] <= 0.0 or _hopeless(vals[0], prev, cfg.max_iters - it):
+            val, x, other = step(x)
+            if val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, cfg.max_iters - it):
                 break
-            prev = vals[0]
-        if best is None or vals[0] < best[0]:
-            best = (vals[0], x[0], other[0])
+            prev = val
+        if best is None or val < best[0]:
+            best = (val, x, other)
         if best[0] < _SUCCESS:
             break
     return best
 
 
 def _block_real(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-    """The real matrix of v -> P1 conj(v) + P2 v in stacked [Re; Im] coordinates, per leading index."""
-    *lead, rows, cols = P1.shape
-    out = np.empty((*lead, 2 * rows, 2 * cols))
-    np.add(P1.real, P2.real, out=out[..., :rows, :cols])
-    np.subtract(P1.imag, P2.imag, out=out[..., :rows, cols:])
-    np.add(P1.imag, P2.imag, out=out[..., rows:, :cols])
-    np.subtract(P2.real, P1.real, out=out[..., rows:, cols:])
+    """The real matrix of v -> P1 conj(v) + P2 v in stacked [Re; Im] coordinates."""
+    rows, cols = P1.shape
+    out = np.empty((2 * rows, 2 * cols))
+    np.add(P1.real, P2.real, out=out[:rows, :cols])
+    np.subtract(P1.imag, P2.imag, out=out[:rows, cols:])
+    np.add(P1.imag, P2.imag, out=out[rows:, :cols])
+    np.subtract(P2.real, P1.real, out=out[rows:, cols:])
     return out
 
 
@@ -194,17 +181,17 @@ def _slot_maps(K: np.ndarray, n: int):
     ``K`` acts on ``vec(s t^T) = s (x) t``, so ``Phi(x y^*) = K (x (x) conj(y))``.
     ``left(u)`` fixes ``s = u`` and acts on ``t = conj(v)``; ``right(u)`` fixes
     ``t = conj(u)`` and acts on ``s = v``.  Each is one matrix-vector product
-    with ``K`` viewed as a ``(rows, n, n)`` array, per leading index of ``u``.
+    with ``K`` viewed as a ``(rows, n, n)`` array.
     """
     rows = K.shape[0]
     left_slot = K.reshape(rows, n, n).transpose(0, 2, 1).reshape(rows * n, n)
     right_slot = K.reshape(rows * n, n)
 
     def left(u):
-        return (left_slot @ u[..., None]).reshape(*u.shape[:-1], rows, n)
+        return (left_slot @ u[:, None]).reshape(rows, n)
 
     def right(u):
-        return (right_slot @ u.conj()[..., None]).reshape(*u.shape[:-1], rows, n)
+        return (right_slot @ u.conj()[:, None]).reshape(rows, n)
 
     return left, right
 
@@ -223,10 +210,10 @@ def minimize_simple_pair(K: np.ndarray, dim: int, field: str, cfg: OracleConfig)
     full = K.shape[0] < dim
 
     def step(x):
-        _, _, vh1 = np.linalg.svd(left(x), full_matrices=full)
-        y = vh1[:, -1]  # the solve yields conj(y); undo the conjugation
+        # The solve yields conj(y); the row of vh undoes the conjugation.
+        y = np.linalg.svd(left(x), full_matrices=full)[2][-1]
         _, s2, vh2 = np.linalg.svd(right(y), full_matrices=full)
-        return [s**2 for s in s2[:, -1].tolist()], vh2[:, -1].conj(), y
+        return float(s2[-1]) ** 2, vh2[-1].conj(), y
 
     return _restarts(step, cfg, 0x51, dim, field)
 
@@ -243,8 +230,8 @@ def minimize_symmetric_pair(K: np.ndarray, dim: int, cfg: OracleConfig):
     left, right = _slot_maps(K, dim)
 
     def step(x):
-        vals, vt = smallest_generalized(_block_real(left(x), right(x)), x)
-        return vals.tolist(), vt[:, :dim] + 1j * vt[:, dim:], x  # alternate which slot is solved next
+        val, v = smallest_generalized(_block_real(left(x), right(x)), x)
+        return val, v[:dim] + 1j * v[dim:], x  # alternate which slot is solved next
 
     val, x, y = _restarts(step, cfg, 0x52, dim, COMPLEX)
     root = np.sqrt(np.linalg.norm(np.outer(x, y.conj()) + np.outer(y, x.conj())))

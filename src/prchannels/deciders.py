@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
-from .channels import QuantumChannel, _choi_rank, _image, choi_matrix, minimal_kraus_from_choi
+from .channels import QuantumChannel, _choi_rank, _image
 from .errors import DimensionMismatch, NotFinite, NotSquare, WrongField, WrongRank
 from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, numerical_rank
 from .spectra import SpectrumPoint, _pencil_points, pencil_singular_set
@@ -107,7 +107,6 @@ __all__ = [
     "METHODS",
     "decide",
     "decide_method",
-    "oracle_verdict",
     "decide_rank1",
     "decide_rank2",
     "scalar_relative_spectrum",
@@ -237,14 +236,21 @@ def _to_state_witness(rec: _ChannelRecord, x: np.ndarray, y: np.ndarray, P: np.n
     return StateWitness(u, v)
 
 
+def _not_pr(rec: _ChannelRecord, method: str, cert, kind: str = SIMPLE, **residuals) -> PRVerdict:
+    """NOT_PR with the pair ``cert.x, cert.y``: its tensor residual and state pair come from one image."""
+    res, P = _tensor_image(rec, cert.x, cert.y, kind)
+    sw = _to_state_witness(rec, cert.x, cert.y, P)
+    return PRVerdict(NOT_PR, method, cert, state_witness=sw, residuals={**residuals, "tensor": res})
+
+
 class _ChannelRecord:
     """What every stage of one call reads, each part built at most once, on first
     use: the Kraus family stacked ``(r, m, n)`` as ``A``, read by every channel
     image, its Choi rank and trace ``sum_i ||A_i||_F^2``, the operators'
     singular values, which the screen's and the kernel stage's ranks count, and
     ``K`` (real on the real field), its restriction ``M`` to Herm(n) and the
-    kernel of ``M``.  Only the rank-2 reduction needs the Choi matrix itself.
-    Nothing outlives the call: the channel holds no cache."""
+    kernel of ``M``.  No stage builds the Choi matrix itself.  Nothing outlives
+    the call: the channel holds no cache."""
 
     def __init__(self, ch: QuantumChannel, tol: Tolerance):
         self.ch = ch
@@ -384,19 +390,19 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     """Exact Choi rank 2 (see :func:`decide_rank2`); None at any other rank."""
     if rec.rank != 2:
         return None
-    ch, tol = rec.ch, rec.tol
-    pair = ch.kraus
-    if len(pair) != 2:
-        pair = minimal_kraus_from_choi(choi_matrix(ch), ch.dim_in, ch.dim_out, tol, field=ch.field).kraus
-        if len(pair) != 2:
-            raise WrongRank("Choi-rank-2 reduction did not yield two operators")
-    A1, A2 = pair
+    ch, tol, A = rec.ch, rec.tol, rec.A
+    if len(A) != 2:
+        # Two operators with the family's Kraus span: the family mixed by the
+        # two leading left singular vectors of its stack.
+        F = A.reshape(len(A), -1)
+        U = np.linalg.svd(F.real if ch.field == REAL else F, full_matrices=False)[0]
+        A = (U[:, :2].conj().T @ F).reshape(2, ch.dim_out, ch.dim_in)
+    A1, A2 = A
 
     if ch.dim_out < ch.dim_in:
         # Every pencil has a kernel; lam = 0 already clashes.
-        x = _smallest_right_vector(A1)
-        y = _smallest_right_vector(A2)
-        return _rank2_not_pr(rec, 0.0, x, y)
+        cert = PencilClash(0j, _smallest_right_vector(A1), _smallest_right_vector(A2))
+        return _not_pr(rec, RANK2_EXACT, cert)
 
     s1 = pencil_singular_set(A1, A2, tol)
     t = pencil_singular_set(A2, A1, tol)
@@ -417,18 +423,7 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
 
     x = _smallest_right_vector(A1 + clash * A2)
     y = _smallest_right_vector(-np.conj(clash) * A1 + A2)
-    return _rank2_not_pr(rec, clash, x, y)
-
-
-def _rank2_not_pr(rec, clash, x, y) -> PRVerdict:
-    res, P = _tensor_image(rec, x, y)
-    return PRVerdict(
-        NOT_PR,
-        RANK2_EXACT,
-        PencilClash(complex(clash), x, y),
-        state_witness=_to_state_witness(rec, x, y, P),
-        residuals={"tensor": res},
-    )
+    return _not_pr(rec, RANK2_EXACT, PencilClash(complex(clash), x, y))
 
 
 class _Continuum(Exception):
@@ -552,14 +547,8 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
             for q in points:
                 ip = 1.0 + complex(np.sum(p.lam * np.conj(q.lam)))
                 if abs(ip) <= tol.residual_abs:
-                    tensor_res, P = _tensor_image(rec, p.witness, q.witness)
-                    return PRVerdict(
-                        NOT_PR,
-                        NECESSARY_VIOLATION,
-                        InnerProductViolation(j, p.lam, q.lam, p.witness, q.witness),
-                        state_witness=_to_state_witness(rec, p.witness, q.witness, P),
-                        residuals={"inner_product": abs(ip), "tensor": tensor_res},
-                    )
+                    cert = InnerProductViolation(j, p.lam, q.lam, p.witness, q.witness)
+                    return _not_pr(rec, NECESSARY_VIOLATION, cert, inner_product=abs(ip))
     return None
 
 
@@ -620,28 +609,6 @@ def is_skew_commutative(u_list, v_list, tol: Tolerance = DEFAULT_TOL) -> bool:
     total = sum(_outer(u, v) + _outer(v, u) for u, v in zip(us, vs))
     scale = 1.0 + sum(np.linalg.norm(u) * np.linalg.norm(v) for u, v in zip(us, vs))
     return float(np.linalg.norm(total)) <= tol.residual_abs * scale
-
-
-def oracle_verdict(ch: QuantumChannel, outcome, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
-    """Verdict of a tensor-oracle outcome on ``ch``.
-
-    A :class:`TensorWitness` gives NOT_PR with its re-verified tensor
-    residual and, where derivable, an equal-image pure-state pair.  A
-    :class:`NoWitness` gives LIKELY_PR carrying the observed floor.
-    """
-    if isinstance(outcome, TensorWitness):
-        rec = _ChannelRecord(ch, tol)
-        res, P = _tensor_image(rec, outcome.x, outcome.y, outcome.kind)
-        return PRVerdict(
-            NOT_PR,
-            ORACLE_WITNESS,
-            outcome,
-            state_witness=_to_state_witness(rec, outcome.x, outcome.y, P),
-            residuals={"tensor": res},
-        )
-    return PRVerdict(
-        LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=outcome.floor), floor=outcome.floor, residuals={}
-    )
 
 
 def _screen_verdict(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
@@ -731,7 +698,7 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
         floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
     verdict, floor = _signature_verdict(rec, np.tensordot(_kernel_search(H, cfg), H, 1), ORACLE_WITNESS)
-    return verdict or oracle_verdict(rec.ch, NoWitness(floor=floor), tol)
+    return verdict or PRVerdict(LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=floor), floor=floor, residuals={})
 
 
 def _accepted(rec: _ChannelRecord, res: float) -> bool:
@@ -769,11 +736,8 @@ def _restart_zero(rec: _ChannelRecord, cfg: OracleConfig) -> Optional[PRVerdict]
     else:
         pair, kind = minimize_symmetric_pair(rec.K, ch.dim_in, one)[1:], SYMMETRIC
     x, y = (np.asarray(v, dtype=complex) for v in pair)
-    res, P = _tensor_image(rec, x, y, kind)
-    if not _accepted(rec, res):
-        return None
-    sw = _to_state_witness(rec, x, y, P)
-    return PRVerdict(NOT_PR, ORACLE_WITNESS, TensorWitness(x, y, kind), sw, residuals={"tensor": res})
+    verdict = _not_pr(rec, ORACLE_WITNESS, TensorWitness(x, y, kind), kind)
+    return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
 
 
 def _sphere_gamma(H: np.ndarray, margin: float) -> Optional[float]:

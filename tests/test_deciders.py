@@ -34,7 +34,7 @@ from prchannels import (
     symmetric_tensor_oracle,
     verify_certificate,
 )
-from prchannels import deciders
+from prchannels import channels, deciders
 from prchannels.deciders import (
     HERMITIAN_KERNEL,
     NECESSARY_VIOLATION,
@@ -124,16 +124,53 @@ def test_decide_rank2_wrong_rank():
         decide_rank2(fixture("identity", 2))
 
 
-def test_decide_rank2_reduces_longer_lists():
-    # Three listed operators spanning a two-dimensional space.
-    deph = fixture("dephasing")
-    k0, k1 = deph.kraus
-    tripled = QuantumChannel(
-        2, 2, [k0 * np.sqrt(0.5), k0 * np.sqrt(0.5), k1], COMPLEX
-    )
-    verdict = decide_rank2(tripled)
-    assert verdict.status == NOT_PR
-    assert verify_certificate(tripled, verdict)["tensor"] <= 1e-7
+def _rank2_pairs():
+    """Two-operator families of Choi rank 2 with real entries: dephasing
+    (NOT_PR), a diagonal and a random 3x3 pair (PR), and a random pair from
+    C^3 to C^2 (NOT_PR)."""
+    rng = np.random.default_rng(127)
+    yield fixture("dephasing").kraus
+    yield [np.diag([1 / np.sqrt(2), 1.0]), np.diag([1 / np.sqrt(2), 0.0])]
+    yield [rng.normal(size=(3, 3)) for _ in range(2)]
+    yield [rng.normal(size=(2, 3)) for _ in range(2)]
+
+
+def _lengthen(pair, family, field, rng):
+    """A longer list with the channel of ``pair``: mixed into 3 operators by an
+    isometry, the first operator split into two 1/sqrt(2) copies, or a zero
+    appended."""
+    if family == "mixed":
+        V = random_unitary(3, field, rng)[:, :2]
+        return [V[i, 0] * pair[0] + V[i, 1] * pair[1] for i in range(3)]
+    if family == "split":
+        return [pair[0] * np.sqrt(0.5), pair[0] * np.sqrt(0.5), pair[1]]
+    return [*pair, np.zeros_like(pair[0])]
+
+
+@pytest.mark.parametrize("k", [-5, 0, 5])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("family", ["mixed", "split", "zero"])
+def test_decide_rank2_reduces_longer_lists(monkeypatch, family, field, k):
+    # A listed family of Choi rank 2 is reduced to two operators from its own
+    # stack: the verdict is the two-operator original's, and no Choi matrix is
+    # built.
+    def no_choi(*args):
+        raise AssertionError("the rank-2 reduction built a Choi matrix")
+
+    for module in (channels, deciders):
+        monkeypatch.setattr(module, "choi_matrix", no_choi, raising=False)
+    rng = np.random.default_rng([k + 5, field == REAL])
+    for pair in _rank2_pairs():
+        m, n = pair[0].shape
+        want = decide_rank2(QuantumChannel(n, m, pair, field)).status
+        ch = QuantumChannel(n, m, _lengthen([10.0**k * np.asarray(A) for A in pair], family, field, rng), field)
+        scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
+        for verdict in (decide_rank2(ch), decide_method(ch, "exact")):
+            assert verdict.status == want and verdict.method == RANK2_EXACT
+            if verdict.status == NOT_PR:
+                cert = verdict.certificate
+                res = verify_certificate(ch, verdict)
+                assert res["tensor"] <= 1e-8 * scale * np.linalg.norm(cert.x) * np.linalg.norm(cert.y)
 
 
 @pytest.mark.parametrize("k", [-5, 0, 5])
