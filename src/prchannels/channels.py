@@ -92,24 +92,18 @@ def adjoint_apply(ch: QuantumChannel, S) -> np.ndarray:
     M = as_matrix(S)
     if M.shape != (ch.dim_out, ch.dim_out):
         raise DimensionMismatch(f"input of shape {M.shape}, expected square of size {ch.dim_out}")
-    out = np.zeros((ch.dim_in, ch.dim_in), dtype=complex)
-    for A in ch.kraus:
-        out += A.conj().T @ M @ A
-    return out
+    return _image(np.stack(ch.kraus).conj().mT, M)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:
     """Block matrix whose (i, j) block is the image of the matrix unit ``e_i e_j*``.
 
     Equals the sum of outer products of the column-stacked Kraus operators,
-    so it is Hermitian PSD for every Kraus-form channel.
+    ``F^T conj(F)`` for ``F`` of :func:`_column_stacked`, so it is Hermitian
+    PSD for every Kraus-form channel.
     """
-    n, m = ch.dim_in, ch.dim_out
-    C = np.zeros((n * m, n * m), dtype=complex)
-    for A in ch.kraus:
-        w = A.T.reshape(-1)  # columns of A stacked top to bottom
-        C += np.outer(w, w.conj())
-    return C
+    F = _column_stacked(np.stack(ch.kraus))
+    return F.T @ F.conj()
 
 
 def choi_rank(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -124,15 +118,15 @@ def choi_rank(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> int:
     return _choi_rank(np.stack(ch.kraus), tol)
 
 
+def _column_stacked(A: np.ndarray) -> np.ndarray:
+    """One row per operator of the stacked ``(r, m, n)`` family: its columns stacked top to bottom."""
+    return A.transpose(0, 2, 1).reshape(len(A), -1)
+
+
 def _choi_rank(A: np.ndarray, tol: Tolerance) -> int:
     """:func:`choi_rank` of the stacked ``(r, m, n)`` Kraus family ``A``."""
-    F = A.transpose(0, 2, 1).reshape(len(A), -1)
-    lam = np.linalg.svd(F, compute_uv=False) ** 2
+    lam = np.linalg.svd(_column_stacked(A), compute_uv=False) ** 2
     return int(np.count_nonzero(lam > tol.rank_rel * lam[0])) if lam[0] > 0.0 else 0
-
-
-def _unstack_column_vec(w: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    return w.reshape(dim_in, dim_out).T
 
 
 def minimal_kraus_from_choi(
@@ -157,22 +151,16 @@ def minimal_kraus_from_choi(
     trace = max(float(np.trace(A).real), 0.0)
     if w.size and w[-1] < -tol.residual_abs * trace:
         raise NotPSD(f"smallest eigenvalue {w[-1]:.3e} below -residual_abs times the trace {trace:.3e}")
-    wmax = max(w[0], 0.0) if w.size else 0.0
-    keep = [k for k in range(w.size) if w[k] > tol.rank_rel * wmax and w[k] > 0.0]
-    ops = []
-    for k in keep:
-        K = np.sqrt(w[k]) * _unstack_column_vec(v[:, k], dim_in, dim_out)
-        ops.append(K)
-    if not ops:
-        ops = [np.zeros((dim_out, dim_in), dtype=complex)]
+    keep = w > tol.rank_rel * w.max(initial=0.0)
+    # Each kept eigenvector, scaled, is a column-stacked Kraus operator.
+    ops = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
+    if not len(ops):
+        ops = np.zeros((1, dim_out, dim_in), dtype=complex)
     if field == REAL:
-        realified = []
-        for K in ops:
-            if np.max(np.abs(K.imag)) > tol.residual_abs * np.sqrt(trace):
-                raise ValueError("Choi matrix is not real enough for a real channel")
-            realified.append(K.real.astype(complex))
-        ops = realified
-    return QuantumChannel(dim_in=dim_in, dim_out=dim_out, kraus=ops, field=field)
+        if np.max(np.abs(ops.imag)) > tol.residual_abs * np.sqrt(trace):
+            raise ValueError("Choi matrix is not real enough for a real channel")
+        ops = ops.real
+    return QuantumChannel(dim_in=dim_in, dim_out=dim_out, kraus=list(ops), field=field)
 
 
 def validate(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,17 +60,12 @@ def _load_json(path: str):
 
 
 def _tolerance(args) -> Tolerance:
-    if getattr(args, "tol", None) is not None:
-        return Tolerance(residual_abs=args.tol)
-    return Tolerance()
+    return Tolerance() if args.tol is None else Tolerance(residual_abs=args.tol)
 
 
 def _oracle_config(args) -> OracleConfig:
-    kwargs = {}
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
-    kwargs["seed"] = getattr(args, "seed", 0)
-    return OracleConfig(**kwargs)
+    restarts = {} if args.restarts is None else {"restarts": args.restarts}
+    return OracleConfig(seed=args.seed, **restarts)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -98,17 +94,7 @@ def run_check(args) -> int:
         return _fail_input(str(exc))
     report = validate(ch, tol)
     if args.output == "json":
-        payload = {
-            "validation": {
-                "is_trace_preserving": report.is_trace_preserving,
-                "tp_residual": report.tp_residual,
-                "is_completely_positive": report.is_completely_positive,
-                "is_unital": report.is_unital,
-                "unital_residual": report.unital_residual,
-                "choi_rank": report.choi_rank,
-            },
-            "verdict": serialize.verdict_to_json(verdict),
-        }
+        payload = {"validation": asdict(report), "verdict": serialize.verdict_to_json(verdict)}
         sys.stdout.write(serialize.dumps(payload))
     else:
         _print_validation(report)
@@ -194,12 +180,7 @@ def run_frame(args) -> int:
         return _fail_input(str(exc))
     if args.output == "json":
         payload = {
-            "is_frame": report.is_frame,
-            "lower_bound": report.lower_bound,
-            "upper_bound": report.upper_bound,
-            "is_parseval": report.is_parseval,
-            "complement_property": report.complement_property,
-            "phase_retrievable": report.phase_retrievable,
+            **asdict(report),
             "witness": None
             if report.witness is None
             else {

@@ -6,7 +6,8 @@ claimed status and, for negative constructions, an explicit equal-image
 witness pair.  Recipes that are not trace preserving as sampled are fixed up
 by right multiplication with the inverse square root of the normalization
 operator, which is an invertible change of coordinates and therefore neutral
-for phase retrievability.
+for phase retrievability; the normalized family is the polar factor of the
+stacked operators, from one SVD.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from .frames import (
     NO,
     Frame,
     complement_property,
-    frame_bounds,
     is_phase_retrievable_frame,
     minimal_pr_length,
     rank_one_independent,
 )
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, numerical_rank, psd_inv_sqrt, psd_sqrt
+from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, _polar_factor, numerical_rank, psd_sqrt
 
 __all__ = [
     "POVM",
@@ -96,54 +96,53 @@ def _scale_and_complete(vectors, dim: int, tol: Tolerance) -> POVM:
     return POVM(dim=dim, elements=elements, rank_one_count=len(raw))
 
 
-def _tp_normalize(kraus, tol: Tolerance):
-    """Right-multiply every operator by the inverse square root of sum(A* A)."""
-    S = sum(A.conj().T @ A for A in kraus)
-    W = psd_inv_sqrt(S, tol)
-    return [A @ W for A in kraus], W
+def _tp_normalize(kraus, field: str, tol: Tolerance, error=np.linalg.LinAlgError):
+    """Every operator right-multiplied by the inverse square root of ``sum(A* A)``.
 
-
-def _realify(kraus):
-    return [K.real.astype(complex) for K in kraus]
-
-
-def projector_channel_from_frame(
-    f: Frame, normalize: bool = True, tol: Tolerance = DEFAULT_TOL
-) -> QuantumChannel:
-    """Channel whose Kraus family is the frame's rank-one projections.
-
-    With ``normalize`` the projections are right-normalized into a trace
-    preserving family.  The resulting channel is injective on pure states
-    exactly when the frame does phase retrieval, but it is never injective on
-    all matrices once the projections span less than the full matrix space.
+    That is the polar factor of the stacked family, reshaped back to operators
+    (real on the real field).  Raises ``error`` when the sum is numerically
+    singular (see :func:`_polar_factor`).
     """
-    lo, hi = frame_bounds(f)
-    if lo <= tol.rank_rel * hi:
+    Q = _polar_factor(np.vstack(kraus), tol, field == REAL, error)
+    return list(Q.reshape(len(kraus), *kraus[0].shape))
+
+
+def projector_channel_from_frame(f: Frame, tol: Tolerance = DEFAULT_TOL) -> QuantumChannel:
+    """Channel whose Kraus family is the frame's rank-one projections, made trace preserving.
+
+    The projections are right-normalized into a trace-preserving family.  The
+    resulting channel is injective on pure states exactly when the frame does
+    phase retrieval, but it is never injective on all matrices once the
+    projections span less than the full matrix space.  Raises
+    :class:`NotAFrame` exactly when the vectors fail the spanning rule of
+    :func:`is_phase_retrievable_frame`.  A spanning frame makes
+    ``sum(P* P)`` invertible, so the stacked projections get no rank test of
+    their own: their singular-value ratio can be near the square of the
+    frame's, past the rank cut while the frame spans.
+    """
+    if numerical_rank(f.vectors, tol) < f.dim:
         raise NotAFrame("vectors do not span the space")
-    projections = [_outer(v) for v in f.vectors]
-    if normalize:
-        kraus, _ = _tp_normalize(projections, tol)
-    else:
-        kraus = projections
-    if f.field == REAL:
-        kraus = _realify(kraus)
+    kraus = _tp_normalize([_outer(v) for v in f.vectors], f.field, tol, error=None)
     return QuantumChannel(dim_in=f.dim, dim_out=f.dim, kraus=kraus, field=f.field)
 
 
-def _extend_to_pr_frame(base_vectors, n: int, target_len: int, rng, tol: Tolerance):
-    """Append real Gaussian vectors until the real frame is phase retrievable.
+def _pulled_back_observables(base_vectors, anchor: np.ndarray, target_len: int, rng, tol: Tolerance) -> POVM:
+    """Rank-one observables pulled back through an invertible real ``anchor``.
 
-    Genericity makes a random extension succeed almost surely; the retry
-    bound turns a pathological run into a loud failure instead of a loop.
+    Real Gaussian vectors are appended to ``base_vectors`` until the real
+    frame of ``target_len`` vectors is phase retrievable; its vectors, mapped
+    through the inverse of ``anchor``, are rescaled and completed.  Genericity
+    makes a random extension succeed almost surely; the retry bound turns a
+    pathological run into a loud failure instead of a loop.
     """
+    n = len(anchor)
     base = [np.asarray(v, dtype=complex) for v in base_vectors]
     for _ in range(50):
-        extra = []
-        while len(base) + len(extra) < target_len:
-            extra.append(np.asarray(rng.normal(size=n), dtype=complex))
-        candidate = Frame(dim=n, vectors=np.array(base + extra), field=REAL)
-        if complement_property(candidate, tol):
-            return candidate
+        extra = [np.asarray(rng.normal(size=n), dtype=complex) for _ in range(target_len - len(base))]
+        frame = Frame(dim=n, vectors=np.array(base + extra), field=REAL)
+        if complement_property(frame, tol):
+            inverse = np.linalg.inv(anchor)
+            return _scale_and_complete([inverse @ w.real for w in frame.vectors], n, tol)
     raise NotPhaseRetrievableFrame(
         f"could not extend {len(base)} vectors to a phase-retrievable frame of length {target_len}"
     )
@@ -166,12 +165,7 @@ def rank2_injective_plus_rankone(n: int, seed: int = 0, tol: Tolerance = DEFAULT
     A2 = scale * np.outer(v, u)  # maps x to <x, u> v, rank one, spectral norm 1/2
     A1 = psd_sqrt(np.eye(n) - A2.T @ A2, tol).real
     ch = QuantumChannel(dim_in=n, dim_out=n, kraus=[A1.astype(complex), A2.astype(complex)], field=REAL)
-
-    d_n, _ = minimal_pr_length(n, REAL)
-    frame = _extend_to_pr_frame([u], n, d_n, rng, tol)
-    A1_inv = np.linalg.inv(A1)
-    observable_vectors = [A1_inv @ w.real for w in frame.vectors]
-    povm = _scale_and_complete(observable_vectors, n, tol)
+    povm = _pulled_back_observables([u], A1, minimal_pr_length(n, REAL)[0], rng, tol)
     return ConstructionResult(channel=ch, observables=povm, claimed_status=PR)
 
 
@@ -186,9 +180,7 @@ def _sample_rankr_parts(n: int, r: int, rng, tol: Tolerance):
         anchor = G @ G.T + 0.5 * np.eye(n)
         fs = [rng.normal(size=n) for _ in range(r - 1)]
         us = [anchor @ fvec for fvec in fs]
-        outer_vecs = np.array([_outer(u).reshape(-1) for u in us])
-        gram = outer_vecs @ outer_vecs.conj().T
-        if numerical_rank(gram, tol) == r - 1:
+        if rank_one_independent(Frame(dim=n, vectors=np.array(us), field=REAL), tol):
             return anchor, us, fs
     raise DependentOuterProducts(f"no independent rank-one family of size {r - 1} found")
 
@@ -213,16 +205,9 @@ def rankr_positive_construction(n: int, r: int, seed: int = 0, tol: Tolerance = 
     if float(np.linalg.eigvalsh(M)[0]) < 1.0 - 1e-10:
         raise DependentOuterProducts("mixing matrix lost its identity floor")
 
-    raw = [_outer(u).real for u in us] + [anchor]
-    kraus, _ = _tp_normalize([K.astype(complex) for K in raw], tol)
-    ch = QuantumChannel(dim_in=n, dim_out=n, kraus=_realify(kraus), field=REAL)
-
-    d_n, _ = minimal_pr_length(n, REAL)
-    target = max(d_n, r - 1)
-    frame = _extend_to_pr_frame(us, n, target, rng, tol)
-    anchor_inv = np.linalg.inv(anchor)
-    observable_vectors = [anchor_inv @ w.real for w in frame.vectors]
-    povm = _scale_and_complete(observable_vectors, n, tol)
+    kraus = _tp_normalize([_outer(u).real for u in us] + [anchor], REAL, tol)
+    ch = QuantumChannel(dim_in=n, dim_out=n, kraus=kraus, field=REAL)
+    povm = _pulled_back_observables(us, anchor, max(minimal_pr_length(n, REAL)[0], r - 1), rng, tol)
     return ConstructionResult(channel=ch, observables=povm, claimed_status=PR)
 
 
@@ -282,9 +267,7 @@ def channel_from_observables(f: Frame, r: int, seed: int = 0, tol: Tolerance = D
     else:
         gs = [U.conj().T @ V[j] for j in range(r - 1)]
         raw = [np.outer(V[j], gs[j].conj()) for j in range(r - 1)] + [U]
-        kraus, _ = _tp_normalize(raw, tol)
-    if f.field == REAL:
-        kraus = _realify(kraus)
+        kraus = _tp_normalize(raw, f.field, tol)
     ch = QuantumChannel(dim_in=n, dim_out=n, kraus=kraus, field=f.field)
     got = choi_rank(ch, tol)
     if got != r:
@@ -362,5 +345,5 @@ def fixture(name: str, n: int = 2) -> QuantumChannel:
     if name == "example_2_6":
         vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
         frame = Frame(dim=2, vectors=vectors, field=COMPLEX)
-        return projector_channel_from_frame(frame, normalize=True)
+        return projector_channel_from_frame(frame)
     raise UnknownFixture(f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")

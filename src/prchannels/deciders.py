@@ -55,7 +55,7 @@ import numpy as np
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
 from .channels import QuantumChannel, _choi_rank, _image
 from .errors import DimensionMismatch, NotFinite, NotSquare, WrongField, WrongRank
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, numerical_rank
+from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank, numerical_rank
 from .spectra import SpectrumPoint, _pencil_points, pencil_singular_set
 
 PR = "PR"
@@ -316,8 +316,7 @@ class _ChannelRecord:
     @cached_property
     def herm_rank(self) -> int:
         """The numerical rank of ``M``."""
-        s = self.singular_values
-        return int(np.count_nonzero(s > self.tol.rank_rel * s[0])) if s[0] > 0 else 0
+        return _rank(self.singular_values, self.tol)
 
     @property
     def kernel_dim(self) -> int:
@@ -566,22 +565,24 @@ def _natural_representation(A: np.ndarray, field: str) -> np.ndarray:
     return (F.T @ F.conj()).reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
 
 
-def _witness_or_floor(val: float, x: np.ndarray, y: np.ndarray, kind: str, tol: Tolerance):
-    """A witness when the search minimum ``val`` drops below ``residual_abs`` squared, else its floor."""
-    if val < tol.residual_abs**2:
+def _witness_or_floor(rec: _ChannelRecord, val: float, x: np.ndarray, y: np.ndarray, kind: str):
+    """A witness when the residual ``sqrt(val)`` of the search minimum passes :func:`_accepted`, else its floor."""
+    res = float(np.sqrt(max(val, 0.0)))
+    if _accepted(rec, res):
         return TensorWitness(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex), kind)
-    return NoWitness(floor=float(np.sqrt(max(val, 0.0))))
+    return NoWitness(floor=res)
 
 
 def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
     """Search for unit x, y with the simple tensor ``x (x) y`` annihilated.
 
     Multistart alternating minimization; a witness is returned when the
-    minimum drops below ``residual_abs`` squared.  The exact kernel paths are
-    a stage of :func:`decide`, ahead of this search.
+    residual of the minimum passes :func:`decide`'s test, at most
+    ``residual_abs * sum_i ||A_i||_F^2``.  The exact kernel paths are a stage
+    of :func:`decide`, ahead of this search.
     """
-    K = _natural_representation(np.stack(ch.kraus), ch.field)
-    return _witness_or_floor(*minimize_simple_pair(K, ch.dim_in, ch.field, cfg or OracleConfig()), SIMPLE, tol)
+    rec = _ChannelRecord(ch, tol)
+    return _witness_or_floor(rec, *minimize_simple_pair(rec.K, ch.dim_in, ch.field, cfg or OracleConfig()), SIMPLE)
 
 
 def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
@@ -589,13 +590,13 @@ def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None,
 
     Only defined for complex channels.  The search always returns a pair,
     normalized so its symmetric product has unit Frobenius norm: a witness when
-    the minimum drops below ``residual_abs`` squared, and the observed floor
-    otherwise.
+    the residual of the minimum passes :func:`decide`'s test, and the observed
+    floor otherwise.
     """
     if ch.field != COMPLEX:
         raise WrongField("the symmetric-product oracle is a complex-field test")
-    K = _natural_representation(np.stack(ch.kraus), ch.field)
-    return _witness_or_floor(*minimize_symmetric_pair(K, ch.dim_in, cfg or OracleConfig()), SYMMETRIC, tol)
+    rec = _ChannelRecord(ch, tol)
+    return _witness_or_floor(rec, *minimize_symmetric_pair(rec.K, ch.dim_in, cfg or OracleConfig()), SYMMETRIC)
 
 
 def is_skew_commutative(u_list, v_list, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -680,18 +681,14 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       LIKELY_PR with its relative residual as the floor.
     """
     tol, n = rec.tol, rec.ch.dim_in
-    early = n > 2 and rec.kernel_floor >= 2
-    if early and (verdict := _restart_zero(rec, cfg)) is not None:
+    # The floor goes first, so M stays unbuilt whenever it already shows d >= 2.
+    if n > 2 and (rec.kernel_floor >= 2 or rec.kernel_dim >= 2) and (verdict := _restart_zero(rec, cfg)):
         return verdict
     d = rec.kernel_dim
     if d == 0 or n == 1:
         floor = float(rec.singular_values[-1]) if d == 0 else None
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    if d == 1 or n == 2:
-        verdict = _signature_verdict(rec, rec.kernel_basis[0], HERMITIAN_KERNEL)[0]
-    else:
-        verdict = None if early else _restart_zero(rec, cfg)
-    if verdict is not None:
+    if (d == 1 or n == 2) and (verdict := _signature_verdict(rec, rec.kernel_basis[0], HERMITIAN_KERNEL)[0]):
         return verdict
     H = rec.kernel_basis
     if n > 2 and d <= _SPHERE_MAX_DIM and (gamma := _sphere_gamma(H, tol.residual_abs)) is not None:

@@ -31,9 +31,9 @@ from .linalg import (
     DEFAULT_TOL,
     REAL,
     Tolerance,
+    _polar_factor,
     kernel_basis,
     numerical_rank,
-    psd_inv_sqrt,
 )
 
 YES = "YES"
@@ -129,22 +129,16 @@ def frame_bounds(f: Frame):
 
 
 def parseval_normalize(f: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
-    """Rescale by the inverse square root of the frame operator.
+    """The frame reshaped by the inverse square root of its frame operator.
 
-    The result has frame operator equal to the identity; invertible
-    reshaping preserves phase retrievability.  The inverse square root needs
-    the frame operator's eigenvalue ratio above ``rank_rel``.
+    For the vector array ``V = U S W*`` (thin SVD, real on the real field) the
+    result is the polar factor ``U W*``, whose frame operator is the identity;
+    invertible reshaping preserves phase retrievability.  Raises
+    :class:`NotAFrame` exactly when the vectors fail the spanning rule of
+    :func:`is_phase_retrievable_frame`, ``numerical_rank(V) < dim``.
     """
-    S = frame_operator(f)
-    lo, hi = _bounds(S)
-    if lo <= tol.rank_rel * hi:
-        raise NotAFrame("vectors do not span the space")
-    W = psd_inv_sqrt(S, tol)
-    cols = W @ f.vectors.T
-    new = cols.T
-    if f.field == REAL:
-        new = new.real.astype(complex)
-    return Frame(dim=f.dim, vectors=new, field=f.field)
+    V = _polar_factor(f.vectors, tol, f.field == REAL, NotAFrame)
+    return Frame(dim=f.dim, vectors=V, field=f.field)
 
 
 def _failing_bipartition(f: Frame, tol: Tolerance):

@@ -91,15 +91,32 @@ def _svdvals(M: np.ndarray) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False)
 
 
+def _rank(s: np.ndarray, tol: Tolerance) -> int:
+    """The rank rule on descending singular values: the count above ``rank_rel`` times the largest."""
+    return int(np.count_nonzero(s > tol.rank_rel * s[:1]))
+
+
 def numerical_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above ``rank_rel`` times the largest one.
 
     The zero matrix (and the empty matrix) has rank 0.
     """
-    s = _svdvals(as_matrix(M))
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return _rank(_svdvals(as_matrix(M)), tol)
+
+
+def _polar_factor(B: np.ndarray, tol: Tolerance, real: bool = False, error=np.linalg.LinAlgError) -> np.ndarray:
+    """``U W*`` of the thin SVD ``B = U S W*`` (of ``B.real`` with ``real``), as a complex array.
+
+    Its columns are orthonormal, and at full column rank it is the polar factor
+    ``B (B* B)^(-1/2)`` (Higham, SIAM J. Sci. Stat. Comput. 1986): no inverse
+    square root is formed.  Raises ``error`` when the rank of ``B``, by the
+    rule of :func:`numerical_rank`, is below its column count; ``error=None``
+    skips that test.
+    """
+    u, s, wh = np.linalg.svd(B.real if real else B, full_matrices=False)
+    if error is not None and (rank := _rank(s, tol)) < B.shape[1]:
+        raise error(f"the rows span {rank} of {B.shape[1]} dimensions")
+    return (u @ wh).astype(complex)
 
 
 def kernel_basis(M, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

@@ -86,6 +86,17 @@ def test_choi_matrix_identity():
     assert numerical_rank(C) == 1
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_choi_matrix_blocks_are_images_of_matrix_units(field):
+    # The definition, against the one product F^T conj(F): block (i, j) is
+    # the image of e_i e_j*, here for a map from C^3 to C^2.
+    ch = random_cptp(3, 2, 4, field, np.random.default_rng(5))
+    C = choi_matrix(ch)
+    for i, j in np.ndindex(3, 3):
+        E = np.outer(np.eye(3)[i], np.eye(3)[j])
+        assert np.allclose(C[2 * i : 2 * i + 2, 2 * j : 2 * j + 2], apply(ch, E), atol=1e-14)
+
+
 def test_choi_rank_values():
     assert choi_rank(fixture("identity", 2)) == 1
     assert choi_rank(fixture("dephasing")) == 2

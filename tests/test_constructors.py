@@ -50,7 +50,7 @@ def _povm_checks(povm, dim):
 
 def test_projector_channel_real_frame():
     f = Frame(dim=2, vectors=TRIANGLE, field=REAL)
-    ch = projector_channel_from_frame(f, normalize=True)
+    ch = projector_channel_from_frame(f)
     rep = validate(ch)
     assert rep.is_trace_preserving
     verdict = decide(ch, OracleConfig(restarts=24, seed=0))
@@ -72,7 +72,7 @@ def test_projector_channel_real_frame():
 
 def test_projector_channel_complex_frame_not_pr():
     f = Frame(dim=2, vectors=TRIANGLE, field=COMPLEX)
-    ch = projector_channel_from_frame(f, normalize=True)
+    ch = projector_channel_from_frame(f)
     verdict = decide(ch, OracleConfig(restarts=32, seed=0))
     assert verdict.status == NOT_PR
     sw = verdict.state_witness

@@ -192,6 +192,31 @@ def test_decide_rank2_scaled_example_2_11(k):
 
 
 @pytest.mark.parametrize("k", [-5, 0, 5])
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_rank2_pair_with_a_common_kernel_vector(field, m, k):
+    # Both operators kill z, so both pencils are singular on all of C and
+    # lam = 0 already clashes: NOT_PR, from the rank-2 stage, with a
+    # certificate that re-verifies relative to sum_i ||A_i||_F^2.  m = 3 is
+    # square, m = 4 tall.
+    rng = np.random.default_rng([m, k + 5, field == REAL])
+    z = rand_matrix(rng, 3, 1, field)[:, 0]
+    P = np.eye(3) - np.outer(z, z.conj()) / np.vdot(z, z)
+    ch = QuantumChannel(3, m, [10.0**k * rand_matrix(rng, m, 3, field) @ P for _ in range(2)], field)
+    verdict = decide(ch)
+    assert (verdict.status, verdict.method) == (NOT_PR, RANK2_EXACT)
+    cert = verdict.certificate
+    assert cert.lam == 0.0
+    scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
+    res = verify_certificate(ch, verdict)
+    assert res["tensor"] <= 1e-8 * scale * np.linalg.norm(cert.x) * np.linalg.norm(cert.y)
+    sw = verdict.state_witness
+    nx, ny = np.linalg.norm(sw.x) ** 2, np.linalg.norm(sw.y) ** 2
+    assert res["state"] <= 1e-8 * scale * (nx + ny)
+    assert res["separation"] >= 0.05 * max(nx, ny)
+
+
+@pytest.mark.parametrize("k", [-5, 0, 5])
 def test_state_witness_reads_relative_to_the_channel_scale(k):
     # Orthogonal conjugations of example_2_11 are NOT_PR at every scale; the
     # state pair's image residual grows with the channel, so it is read
@@ -620,12 +645,12 @@ def test_kernel_stage_leaves_an_unannihilated_kernel_element_to_the_oracle():
 @pytest.mark.parametrize("k", [-4, -5, -6])
 def test_oracle_witness_must_reverify_relative_to_the_channel_scale(k):
     # A generic real frame of 2n - 1 vectors has the complement property, so
-    # its projector channel is PR (kernel dimension 6).  Scaled by 10**k,
-    # the public oracle's absolute threshold accepts a pair whose residual
-    # is 4.5e-6 to 8.1e-3 relative to sum_i ||A_i||_F^2, and decide must not.
+    # its projector channel is PR (kernel dimension 6).  Scaled by 10**k, the
+    # search's best pair has a residual of 4.5e-6 to 8.1e-3 relative to
+    # sum_i ||A_i||_F^2: neither the public oracle nor decide may accept it.
     base = projector_channel_from_frame(random_generic_frame(5, 9, REAL, seed=0))
     ch = QuantumChannel(5, base.dim_out, [10.0**k * A for A in base.kraus], REAL)
-    assert isinstance(simple_tensor_oracle(ch), TensorWitness)
+    assert isinstance(simple_tensor_oracle(ch), NoWitness)
     verdict = decide(ch)
     assert (verdict.status, verdict.method) == (LIKELY_PR, ORACLE_NO_WITNESS)
     # The floor, the residual of the search's best pair, is far above the
@@ -671,6 +696,14 @@ def test_symmetric_oracle_examples():
     assert np.linalg.norm(sym) == pytest.approx(1.0, abs=1e-8)
 
     assert isinstance(symmetric_tensor_oracle(fixture("identity", 2), cfg), NoWitness)
+    # The identity on C^3 scaled by 1e-5 is PR.  Its residual, 1e-10, lies far
+    # above residual_abs * sum_i ||A_i||_F^2 = 3e-18: no witness, though it is
+    # below residual_abs itself.
+    tiny = QuantumChannel(3, 3, [1e-5 * np.eye(3)], COMPLEX)
+    for oracle in (simple_tensor_oracle, symmetric_tensor_oracle):
+        outcome = oracle(tiny, cfg)
+        assert isinstance(outcome, NoWitness)
+        assert outcome.floor == pytest.approx(1e-10, rel=1e-6)
 
     deph = fixture("dephasing")
     outcome = symmetric_tensor_oracle(deph, cfg)

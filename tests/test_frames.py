@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import prchannels.frames as frames_module
 from prchannels import (
@@ -20,10 +21,14 @@ from prchannels import (
     parseval_normalize,
     random_generic_frame,
     rank_one_independent,
+    validate,
 )
+from prchannels.constructors import projector_channel_from_frame
 from prchannels.errors import NotAFrame, TooManyVectors
 from prchannels.frames import _failing_bipartition
 from prchannels.linalg import DEFAULT_TOL, numerical_rank
+
+from helpers import rand_matrix, random_unitary
 
 E1E2SUM = np.array([[1, 0], [0, 1], [1, 1]], dtype=complex)
 
@@ -170,21 +175,88 @@ def test_one_svd_per_chunk(monkeypatch, n, N, calls):
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_ill_conditioned_frame_report(field):
-    # sigma_min / sigma_max = 1e-7 lies between the frame operator's
-    # eigenvalue cut and the rank cut: a frame by the rank rule.
+    # sigma_min / sigma_max = 1e-7 lies between the square root of the rank
+    # cut and the rank cut: a frame by the rank rule, and so for the
+    # normalizations, whose polar factor needs no frame-operator eigenvalues.
     V = np.array([[1, 0], [0, 1e-7], [1, 1e-7]])
-    report = is_phase_retrievable_frame(Frame(dim=2, vectors=V, field=field))
+    f = Frame(dim=2, vectors=V, field=field)
+    report = is_phase_retrievable_frame(f)
     assert report.is_frame
     assert report.phase_retrievable == (YES if field == REAL else NO)
+    assert np.linalg.norm(frame_operator(parseval_normalize(f)) - np.eye(2)) <= 1e-10
+    assert validate(projector_channel_from_frame(f)).tp_residual <= 1e-10
     # At 1e-12 the vectors span a line: NO, with a kernel witness.
     V = np.array([[1, 0], [0, 1e-12], [1, 1e-12]])
     f = Frame(dim=2, vectors=V, field=field)
     report = is_phase_retrievable_frame(f)
     assert not report.is_frame and report.phase_retrievable == NO
+    for normalization in (parseval_normalize, projector_channel_from_frame):
+        with pytest.raises(NotAFrame):
+            normalization(f)
     x, y = report.witness
     # x spans the numerical kernel, so x and y = 2x both measure zero.
     assert np.linalg.norm(f.vectors.conj() @ x) <= 1e-10 * np.linalg.norm(f.vectors, 2) * np.linalg.norm(x)
     assert np.allclose(y, 2.0 * x)
+
+
+def _complement_margin(V: np.ndarray, n: int) -> float:
+    """The least, over bipartitions, of the better side's sigma_n / sigma_1 (0 for fewer than n vectors)."""
+    N, worst = len(V), np.inf
+    for mask in range(2 ** (N - 1)):
+        side = np.array([j == 0 or bool(mask >> (j - 1) & 1) for j in range(N)])
+        ratios = [0.0]
+        for part in (V[side], V[~side]):
+            if len(part) >= n:
+                s = np.linalg.svd(part, compute_uv=False)
+                ratios.append(s[n - 1] / s[0])
+        worst = min(worst, max(ratios))
+    return worst
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 4),
+    extra=st.integers(0, 5),
+    k=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([REAL, COMPLEX]),
+)
+def test_one_spanning_rule_and_real_verdict_invariance(n, extra, k, seed, field):
+    # N = n..2n+1 vectors, one of them scaled by 10**-k; past k = 10 some of
+    # them span a hyperplane only.  The normalizations raise NotAFrame
+    # exactly when the report finds no frame.
+    N = n + min(extra, n + 1)
+    rng = np.random.default_rng(seed)
+    V = rand_matrix(rng, N, n, field)
+    V[rng.integers(N)] *= 10.0**-k
+    f = Frame(dim=n, vectors=V, field=field)
+    report = is_phase_retrievable_frame(f, OracleConfig(restarts=4))
+    if report.is_frame:
+        assert np.linalg.norm(frame_operator(parseval_normalize(f)) - np.eye(n)) <= 1e-10
+        assert validate(projector_channel_from_frame(f)).is_trace_preserving
+    else:
+        with pytest.raises(NotAFrame):
+            parseval_normalize(f)
+        with pytest.raises(NotAFrame):
+            projector_channel_from_frame(f)
+    if field == COMPLEX:
+        return
+    # On the real field the verdict survives parseval_normalize, per-vector
+    # scaling and orthogonal conjugation.  These move every side's sigma ratio
+    # by at most cond(V), 4 and 1: the verdict is fixed once the frame's ratio
+    # and the complement margin lie beyond that stretch of the rank cut.
+    stretch = 8.0 * (np.linalg.cond(V) if report.is_frame else 1.0)
+    s = np.linalg.svd(V.real, compute_uv=False)
+    for ratio in (s[-1] / s[0], _complement_margin(V.real, n)):
+        assume(not DEFAULT_TOL.rank_rel / stretch < ratio <= DEFAULT_TOL.rank_rel * stretch)
+    moved = [
+        Frame(dim=n, vectors=rng.uniform(0.5, 2.0, size=(N, 1)) * V, field=REAL),
+        Frame(dim=n, vectors=V @ random_unitary(n, REAL, rng).T, field=REAL),
+    ]
+    if report.is_frame:
+        moved.append(parseval_normalize(f))
+    for g in moved:
+        assert is_phase_retrievable_frame(g).phase_retrievable == report.phase_retrievable
 
 
 def test_real_pr_iff_complement():
