@@ -110,19 +110,26 @@ def _tp_normalize(kraus, field: str, tol: Tolerance, error=np.linalg.LinAlgError
 def projector_channel_from_frame(f: Frame, tol: Tolerance = DEFAULT_TOL) -> QuantumChannel:
     """Channel whose Kraus family is the frame's rank-one projections, made trace preserving.
 
-    The projections are right-normalized into a trace-preserving family.  The
-    resulting channel is injective on pure states exactly when the frame does
-    phase retrieval, but it is never injective on all matrices once the
-    projections span less than the full matrix space.  Raises
-    :class:`NotAFrame` exactly when the vectors fail the spanning rule of
-    :func:`is_phase_retrievable_frame`.  A spanning frame makes
-    ``sum(P* P)`` invertible, so the stacked projections get no rank test of
-    their own: their singular-value ratio can be near the square of the
-    frame's, past the rank cut while the frame spans.
+    The projections ``f_i f_i*`` are right-normalized by ``(sum_j P_j* P_j)^(-1/2)``.
+    Since ``f_i f_i* = (f_i / ||f_i||) (||f_i|| f_i*)``, that is
+    ``K_i = (f_i / ||f_i||) q_i*`` for the rows ``q_i*`` of the polar factor ``Q``
+    of the N x n matrix with rows ``||f_i|| f_i*`` (see :func:`_polar_factor`):
+    ``sum_i K_i* K_i = Q* Q = I``, and every operator is rank one with range
+    ``f_i`` however ill-conditioned the frame.  The resulting channel is
+    injective on pure states exactly when the frame does phase retrieval, but
+    it is never injective on all matrices once the projections span less than
+    the full matrix space.  Raises :class:`NotAFrame` exactly when the vectors
+    fail the spanning rule of :func:`is_phase_retrievable_frame`; ``Q`` gets no
+    rank test of its own, since its singular-value ratio can be near the square
+    of the frame's, past the rank cut while the frame spans.
     """
-    if numerical_rank(f.vectors, tol) < f.dim:
+    V = f.vectors
+    if numerical_rank(V, tol) < f.dim:
         raise NotAFrame("vectors do not span the space")
-    kraus = _tp_normalize([_outer(v) for v in f.vectors], f.field, tol, error=None)
+    norms = np.linalg.norm(V, axis=1)[:, None]
+    Q = _polar_factor(norms * V.conj(), tol, f.field == REAL, error=None)
+    units = V / np.where(norms > 0.0, norms, 1.0)
+    kraus = list(units[:, :, None] * Q[:, None, :])
     return QuantumChannel(dim_in=f.dim, dim_out=f.dim, kraus=kraus, field=f.field)
 
 

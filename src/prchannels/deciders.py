@@ -25,9 +25,12 @@ the channel gives the verdict:
    2014).  A trivial kernel proves PR; a witness from the kernel's first
    spanning matrix, or from restart 0 of the bilinear search, gives NOT_PR;
    up to dimension 3 a branch and bound over the kernel's unit sphere may
-   prove PR; last, a Gauss-Newton search on that sphere gives NOT_PR or
-   LIKELY_PR.  When the Kraus operators' ranks alone bound the kernel
-   dimension below by 2, restart 0 runs before the kernel is computed.
+   prove PR; on the real field, the rank-one points ``b_j b_j^T`` of the
+   kernel's complement, found by linear algebra alone, decide exactly by the
+   complement property of ``{b_j}`` when they span it; last, a Gauss-Newton
+   search on the kernel's sphere gives NOT_PR or LIKELY_PR.  When the Kraus
+   operators' ranks alone bound the kernel dimension below by 2, restart 0
+   runs before the kernel is computed.
 
 A witness gives NOT_PR only when it re-verifies relative to
 ``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
@@ -54,8 +57,9 @@ import numpy as np
 
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
 from .channels import QuantumChannel, _choi_rank, _image
-from .errors import DimensionMismatch, NotFinite, NotSquare, WrongField, WrongRank
+from .errors import DimensionMismatch, NotFinite, NotSquare, TooManyVectors, WrongField, WrongRank
 from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank, numerical_rank
+from .linalg import _equal_image_pair, _failing_bipartition
 from .spectra import SpectrumPoint, _pencil_points, pencil_singular_set
 
 PR = "PR"
@@ -69,6 +73,7 @@ ORACLE_WITNESS = "ORACLE_WITNESS"
 ORACLE_NO_WITNESS = "ORACLE_NO_WITNESS"
 NECESSARY_PASS = "NECESSARY_PASS"
 HERMITIAN_KERNEL = "HERMITIAN_KERNEL"
+COMPLEMENT_PROPERTY = "COMPLEMENT_PROPERTY"
 
 SIMPLE = "simple"
 SYMMETRIC = "symmetric"
@@ -94,6 +99,7 @@ __all__ = [
     "ORACLE_NO_WITNESS",
     "NECESSARY_PASS",
     "HERMITIAN_KERNEL",
+    "COMPLEMENT_PROPERTY",
     "SIMPLE",
     "SYMMETRIC",
     "NOT_FINITE",
@@ -323,17 +329,26 @@ class _ChannelRecord:
         return self.M.shape[1] - self.herm_rank
 
     @cached_property
-    def kernel_basis(self) -> np.ndarray:
-        """The unit spanning matrices ``H_1..H_d`` of the kernel, stacked ``(d, n, n)``.
+    def _herm_vectors(self) -> np.ndarray:
+        """Every right singular vector of one SVD of ``M`` as a matrix of Herm(n), stacked ``(cols, n, n)``.
 
-        They are the last right singular vectors of one SVD of ``M``, so they
-        are Frobenius-orthonormal, and real on the real field.  The SVD is thin
-        when ``M`` has at least as many rows as columns: ``U`` is never read.
+        They are Frobenius-orthonormal, and real on the real field.  The SVD
+        is thin when ``M`` has at least as many rows as columns: ``U`` is never
+        read.
         """
         n, (rows, cols) = self.ch.dim_in, self.M.shape
-        T = _hermitian_basis(n, self.ch.field)
-        vh = np.linalg.svd(self.M, full_matrices=rows < cols)[2][self.herm_rank :]
-        return np.array([(T @ v).reshape(n, n) for v in vh])
+        vh = np.linalg.svd(self.M, full_matrices=rows < cols)[2]
+        return (vh @ _hermitian_basis(n, self.ch.field).T).reshape(cols, n, n)
+
+    @property
+    def kernel_basis(self) -> np.ndarray:
+        """The kernel's unit spanning matrices ``H_1..H_d``: the last ``d`` of :attr:`_herm_vectors`."""
+        return self._herm_vectors[self.herm_rank :]
+
+    @property
+    def complement_basis(self) -> np.ndarray:
+        """The kernel's orthogonal complement in Herm(n): the first ``herm_rank`` of :attr:`_herm_vectors`."""
+        return self._herm_vectors[: self.herm_rank]
 
 
 def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
@@ -677,6 +692,12 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       ``H = H(c) + Hp`` with ``Hp`` orthogonal to the kernel.  By Weyl,
       ``|c| gamma <= g(H(c)) <= ||Hp||_F``, and ``|c|^2 + ||Hp||_F^2 = 1``,
       so ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
+    * On the real field, at d > ``_SPHERE_MAX_DIM`` or when the sphere search
+      gives up, :func:`_rank_one_verdict`: PR (floor None) or NOT_PR by the
+      complement property of the rank-one points of the kernel's complement.
+      It declines when those points are not found or do not span it (a
+      kernel of dimension below n - 1 leaves infinitely many), past the
+      bipartition cap, and when its NOT_PR pair fails :func:`_accepted`.
     * Last, the pair of :func:`_kernel_search`'s best ``H(c)``: NOT_PR, or
       LIKELY_PR with its relative residual as the floor.
     """
@@ -694,6 +715,8 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     if n > 2 and d <= _SPHERE_MAX_DIM and (gamma := _sphere_gamma(H, tol.residual_abs)) is not None:
         floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
+    if verdict := _rank_one_verdict(rec):
+        return verdict
     verdict, floor = _signature_verdict(rec, np.tensordot(_kernel_search(H, cfg), H, 1), ORACLE_WITNESS)
     return verdict or PRVerdict(LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=floor), floor=floor, residuals={})
 
@@ -717,6 +740,93 @@ def _signature_verdict(rec: _ChannelRecord, H: np.ndarray, method: str):
         return None, res / float(np.hypot(w[-1], w[0]))
     cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
     return PRVerdict(NOT_PR, method, cert, StateWitness(x, y), residuals={"tensor": res}), 0.0
+
+
+# Entries of the largest system of linearized minors _rank_one_points builds:
+# (k choose 2)((k choose 2) + 1)/2 minors by m(m + 1)/2 unknowns, about
+# 0.5 MB.  Every benchmark channel stays far below it (real-4-N7's second
+# system is 231 x 36); the second system of a random real channel from R^7
+# to R^6 would be 22,155 x 630.
+_MINORS_CAP = 2**16
+
+
+def _rank_one_points(S: np.ndarray, tol: Tolerance, again: bool = True) -> Optional[np.ndarray]:
+    """Rows ``b_j`` whose ``b_j b_j^T`` lie in and span the span of the
+    Frobenius-orthonormal symmetric ``S_1..S_m``, stacked ``(m, k, k)``; or None.
+
+    ``S(c) = sum_i c_i S_i`` has rank at most one exactly when its 2x2 minors
+    vanish.  Each minor is a linear form in ``c c^T``, read in the coordinates
+    of :func:`_hermitian_basis`; the null space of these forms, by one SVD
+    (full when it has fewer rows than columns), holds ``c_j c_j^T`` for every
+    rank-one ``S(c_j)``.  When it has dimension ``m`` it is spanned by
+    ``Z_t = C D_t C^T``, the ``c_j`` the columns of ``C``, so the eigenvectors
+    of ``P Q^-1`` for two fixed generic combinations ``P, Q`` of the ``Z_t``
+    are the ``c_j`` (Jennrich's algorithm; De Lathauwer, SIMAX 2006).  When
+    it is larger, up to ``2m``, the ``c_j c_j^T`` are the rank-one points of
+    the null space: the same function, once more, finds them.  ``b_j`` is the
+    scaled top eigenvector of ``S(c_j)``.  None past ``_MINORS_CAP``, or when
+    an eigenvalue is complex, a ``S(c_j)`` has a second eigenvalue past the
+    rank rule's cut or the ``c_j`` span fewer than ``m`` dimensions by it.
+    """
+    m, k = S.shape[:2]
+    p, q = np.triu_indices(k, 1)
+    a, b = np.triu_indices(len(p))
+    if len(a) * m * (m + 1) // 2 > _MINORS_CAP:
+        return None
+    T = _hermitian_basis(m, REAL)
+    # G[i, j, t] c_i c_j summed is minor t of S(c): rows (p_a, q_a), columns (p_b, q_b).
+    G = S[:, p[a], p[b]][:, None] * S[:, q[a], q[b]] - S[:, p[a], q[b]][:, None] * S[:, q[a], p[b]]
+    L = G.reshape(m * m, -1).T @ T
+    _, s, vh = np.linalg.svd(L, full_matrices=L.shape[0] < L.shape[1])
+    Z = (vh[_rank(s, tol) :] @ T.T).reshape(-1, m, m)
+    if not m <= len(Z) <= (2 * m if again else m):
+        return None
+    if len(Z) > m:
+        C = _rank_one_points(Z, tol, False)
+    else:
+        P, Q = np.random.default_rng([0x4A, m]).normal(size=(2, m)) @ Z.reshape(m, -1)
+        try:
+            w, v = np.linalg.eig(np.linalg.solve(Q.reshape(m, m), P.reshape(m, m)).T)
+        except np.linalg.LinAlgError:
+            return None
+        C = None if np.iscomplexobj(w) else v.T
+    if C is None:
+        return None
+    C = C / np.linalg.norm(C, axis=1, keepdims=True)
+    w, v = np.linalg.eigh(np.tensordot(C, S, 1))
+    second, top = np.sort(abs(w), axis=1)[:, -2:].T
+    if np.any(second > tol.rank_rel * top) or _rank(np.linalg.svd(C, compute_uv=False), tol) < m:
+        return None
+    return np.sqrt(top)[:, None] * v[np.arange(len(v)), :, np.argmax(abs(w), axis=1)]
+
+
+def _rank_one_verdict(rec: _ChannelRecord) -> Optional[PRVerdict]:
+    """The real-field step of :func:`_kernel_stage`: the complement property of the
+    rank-one points of the kernel's complement, or None.
+
+    When ``b_j b_j^T`` span the complement (see :func:`_rank_one_points`), the
+    kernel is exactly ``{X : b_j^T X b_j = 0 for all j}``, so ``xx^T - yy^T``
+    lies in it exactly when ``(b_j^T (x + y)) (b_j^T (x - y)) = 0`` for every
+    j: the channel is PR exactly when ``{b_j}`` has the complement property
+    (Balan, Casazza, Edidin, ACHA 2006).  That PR has no floor: the test
+    bounds no ``||Phi(H)||``.  A failing bipartition gives ``u`` orthogonal to
+    one side and ``v`` to the other, and NOT_PR with the symmetric product of
+    ``(u, v)`` when it passes :func:`_accepted`.  The step reads the kernel
+    alone, so scaling, orthogonal conjugation, Kraus mixing and splitting
+    leave it unchanged.  None on the complex field, past the bipartition cap
+    and when the points are not found.
+    """
+    if rec.ch.field != REAL or not rec.herm_rank or (B := _rank_one_points(rec.complement_basis, rec.tol)) is None:
+        return None
+    try:
+        failing = _failing_bipartition(B, rec.tol)
+    except TooManyVectors:
+        return None
+    if failing is None:
+        return PRVerdict(PR, COMPLEMENT_PROPERTY, EmptyCertificate(), residuals={})
+    x, y = _equal_image_pair(B, *failing, rec.tol)
+    verdict = _not_pr(rec, COMPLEMENT_PROPERTY, TensorWitness((x + y) / 2.0, (x - y) / 2.0, SYMMETRIC), SYMMETRIC)
+    return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
 
 
 # Restart 0 stops on an absolute objective, so on a small-scale channel it

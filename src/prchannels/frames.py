@@ -2,8 +2,11 @@
 
 Phase retrievability of a real frame is decided exactly through the
 complement property: every split of the vectors into two sets leaves a set
-that spans.  The 2^(N-1) splits are tested 64 at a time, each chunk by one
-stacked values-only SVD of the masked vector arrays, up to N = 24 vectors.
+that spans.  The 2^(N-1) splits are tested 64 at a time, up to N = 24
+vectors, by ``linalg._failing_bipartition``, which :func:`decide` shares for
+real channels: a stacked determinant of the sides' Gram matrices clears most
+sides, and one stacked values-only SVD decides the rest.  A failing split
+gives the equal-measurement pair ``u + v, u - v`` of ``linalg._equal_image_pair``.
 A complex frame is decided by :func:`decide` on its measurement channel
 ``X -> sum_j (f_j* X f_j) e_j e_j*``, which separates pure states exactly
 when the frame does.  That is exact whenever the
@@ -31,8 +34,9 @@ from .linalg import (
     DEFAULT_TOL,
     REAL,
     Tolerance,
+    _equal_image_pair,
+    _failing_bipartition,
     _polar_factor,
-    kernel_basis,
     numerical_rank,
 )
 
@@ -42,14 +46,6 @@ LIKELY_YES = "LIKELY_YES"
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
-
-# complement_property enumerates 2^(N-1) bipartitions; hard cap on N.
-_MAX_BIPARTITION_VECTORS = 24
-# Masks per stacked SVD in _failing_bipartition.  A fixed chunk keeps the
-# masked arrays small up to the cap and lets a frame that fails in its first
-# masks stop early: chunks of 1,024 masks made such frames of 9-15 vectors
-# 2.5-14x slower, and frames that hold gained under 10% from them.
-_BIPARTITION_CHUNK = 64
 
 __all__ = [
     "YES",
@@ -141,59 +137,20 @@ def parseval_normalize(f: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
     return Frame(dim=f.dim, vectors=V, field=f.field)
 
 
-def _failing_bipartition(f: Frame, tol: Tolerance):
-    """First bipartition (by mask order) where neither side spans, or None.
-
-    Mask ``m`` puts vector 0 and every vector ``j >= 1`` with bit ``j - 1`` of
-    ``m`` set on one side, the rest on the other; the result is the pair
-    ``(side, comp)`` of ascending index lists.  The masks are taken
-    ``_BIPARTITION_CHUNK`` at a time: each chunk's sides and complements, as
-    masked copies of the vectors, go through one stacked values-only SVD, and
-    a side spans when its n-th singular value exceeds ``rank_rel`` times its
-    largest, the rule of :func:`numerical_rank`.  A side of fewer than n
-    vectors never spans and is left out of the SVD, and the chunk ends at its
-    first mask with two such sides.
-    """
-    V = f.vectors
-    N, n = V.shape
-    if N > _MAX_BIPARTITION_VECTORS:
-        raise TooManyVectors(f"{N} vectors exceed the bipartition cap {_MAX_BIPARTITION_VECTORS}")
-    if f.field == REAL:
-        V = V.real
-    bits = np.zeros(N, dtype=np.int64)
-    bits[1:] = 1 << np.arange(N - 1)
-    flip = np.array([[False], [True]])
-    total = 2 ** (N - 1)
-    for start in range(0, total, _BIPARTITION_CHUNK):
-        masks = np.arange(start, min(start + _BIPARTITION_CHUNK, total))
-        side = (masks[:, None] & bits) != 0
-        side[:, 0] = True
-        # rows[b] holds mask b's side and complement as (2, N) selectors.
-        rows = side[:, None, :] ^ flip
-        wide = rows.sum(axis=2) >= n
-        # A mask with two narrow sides fails: no later mask needs a decision.
-        narrow = np.flatnonzero(~wide.any(axis=1))
-        if narrow.size:
-            rows, wide = rows[: narrow[0] + 1], wide[: narrow[0] + 1]
-        spans = np.zeros(wide.shape, dtype=bool)
-        if wide.any():
-            s = np.linalg.svd(rows[wide][:, :, None] * V, compute_uv=False)
-            spans[wide] = s[:, n - 1] > tol.rank_rel * s[:, 0]
-        failing = np.flatnonzero(~spans.any(axis=1))
-        if failing.size:
-            side, comp = rows[failing[0]]
-            return np.flatnonzero(side).tolist(), np.flatnonzero(comp).tolist()
-    return None
-
-
 def complement_property(f: Frame, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether every bipartition of the frame has a side spanning the space.
 
-    The 2^(N-1) bipartitions are tested 64 at a time by one stacked SVD each
-    (see :func:`_failing_bipartition`); more than ``_MAX_BIPARTITION_VECTORS``
-    vectors raise :class:`TooManyVectors`.
+    The 2^(N-1) bipartitions are tested 64 at a time, by one stacked
+    determinant each and one stacked SVD for the sides it leaves undecided
+    (see :func:`linalg._failing_bipartition`); more than 24 vectors raise
+    :class:`TooManyVectors`.
     """
-    return _failing_bipartition(f, tol) is None
+    return _failing_bipartition(_rows(f), tol) is None
+
+
+def _rows(f: Frame) -> np.ndarray:
+    """The vectors as rows, a real array on the real field."""
+    return f.vectors.real if f.field == REAL else f.vectors
 
 
 def _measurement_channel(f: Frame) -> QuantumChannel:
@@ -206,16 +163,6 @@ def _measurement_channel(f: Frame) -> QuantumChannel:
     V = f.vectors[np.any(f.vectors != 0, axis=1)]
     kraus = [np.outer(e, v.conj()) / np.linalg.norm(v) for e, v in zip(np.eye(len(V)), V)]
     return QuantumChannel(f.dim, len(V), kraus, f.field)
-
-
-def _real_no_witness(f: Frame, side, comp, tol: Tolerance):
-    """Explicit equal-measurement pair from a failing bipartition ``(side, comp)`` of a real frame."""
-    V = f.vectors
-    u = kernel_basis(V[side].conj(), tol)[0]
-    v = kernel_basis(V[comp].conj(), tol)[0] if comp else np.zeros(f.dim, dtype=complex)
-    x = u + v
-    y = u - v
-    return x.real.astype(complex), y.real.astype(complex)
 
 
 def is_phase_retrievable_frame(
@@ -239,22 +186,21 @@ def is_phase_retrievable_frame(
     failing, cp = None, None
     if f.field == REAL:
         try:
-            failing = _failing_bipartition(f, tol)
+            failing = _failing_bipartition(_rows(f), tol)
             cp = failing is None
         except TooManyVectors:
             pass
 
     if not is_frame:
-        u = kernel_basis(V.conj(), tol)[0]
-        return FrameReport(False, lo, hi, is_parseval, cp, NO, (u, 2.0 * u))
+        # Every vector on one side: the pair (u, 2u) of a kernel vector u.
+        return FrameReport(False, lo, hi, is_parseval, cp, NO, _equal_image_pair(V, range(len(V)), [], tol))
 
     if f.field == REAL:
         if cp is None:
             raise TooManyVectors("real decision needs the bipartition enumeration")
         if cp:
             return FrameReport(True, lo, hi, is_parseval, cp, YES, None)
-        x, y = _real_no_witness(f, *failing, tol)
-        return FrameReport(True, lo, hi, is_parseval, cp, NO, (x, y))
+        return FrameReport(True, lo, hi, is_parseval, cp, NO, _equal_image_pair(_rows(f), *failing, tol))
 
     verdict = decide(_measurement_channel(f), oracle_cfg, tol)
     if verdict.status == NOT_PR:

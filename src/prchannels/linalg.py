@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian
+from .errors import NotHermitian, TooManyVectors
 
 REAL = "real"
 COMPLEX = "complex"
@@ -137,6 +137,91 @@ def kernel_basis(M, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     cutoff = tol.rank_rel * smax
     basis = [vh[k].conj() for k in range(cols) if k >= s.size or s[k] <= cutoff]
     return basis
+
+
+# _failing_bipartition enumerates 2^(N-1) bipartitions; hard cap on N.
+_MAX_BIPARTITION_VECTORS = 24
+# Masks per chunk in _failing_bipartition.  A fixed chunk keeps the
+# masked arrays small up to the cap and lets a family that fails in its first
+# masks stop early: chunks of 1,024 masks made such frames of 9-15 vectors
+# 2.5-14x slower, and frames that hold gained under 10% from them.
+_BIPARTITION_CHUNK = 64
+# A side's Gram matrix G has det(G) / tr(G)^n <= (sigma_n / sigma_1)^2, so past
+# this bound the side spans by a margin of 1e-6 that rounding in G and det,
+# of order N eps relative, cannot close; only the other sides take the SVD.
+_CLEAR_SPAN = 1e-12
+
+
+def _failing_bipartition(V: np.ndarray, tol: Tolerance):
+    """First bipartition of the rows of ``V`` (by mask order) where neither side spans, or None.
+
+    None means the rows have the complement property.  Mask ``m`` puts row 0
+    and every row ``j >= 1`` with bit ``j - 1`` of ``m`` set on one side, the
+    rest on the other; the result is the pair ``(side, comp)`` of ascending
+    index lists.  A side spans when its n-th singular value exceeds
+    ``rank_rel`` times its largest, the rule of :func:`numerical_rank`.  The
+    masks are taken ``_BIPARTITION_CHUNK`` at a time: the Gram matrices of a
+    chunk's sides and complements come from one product of the masks with
+    the rows' outer products, and one stacked determinant of them clears most
+    sides (see ``_CLEAR_SPAN``); the rest, as masked copies of ``V``, go
+    through one stacked values-only SVD.  A side of fewer than n rows never
+    spans and is left out of both, and the chunk ends at its first mask with
+    two such sides.  More than ``_MAX_BIPARTITION_VECTORS`` rows raise
+    :class:`TooManyVectors`.
+    """
+    N, n = V.shape
+    if N > _MAX_BIPARTITION_VECTORS:
+        raise TooManyVectors(f"{N} vectors exceed the bipartition cap {_MAX_BIPARTITION_VECTORS}")
+    # Each row's term of the Gram matrix of a side, flattened, for rows scaled by
+    # their largest entry: a side's Gram matrix is one product.
+    W = V / np.abs(V).max()
+    gram = (W.conj()[:, :, None] * W[:, None, :]).reshape(N, n * n)
+    bits = np.zeros(N, dtype=np.int64)
+    bits[1:] = 1 << np.arange(N - 1)
+    flip = np.array([[False], [True]])
+    total = 2 ** (N - 1)
+    for start in range(0, total, _BIPARTITION_CHUNK):
+        masks = np.arange(start, min(start + _BIPARTITION_CHUNK, total))
+        side = (masks[:, None] & bits) != 0
+        side[:, 0] = True
+        # rows[b] holds mask b's side and complement as (2, N) selectors.
+        rows = side[:, None, :] ^ flip
+        wide = rows.sum(axis=2) >= n
+        # A mask with two narrow sides fails: no later mask needs a decision.
+        narrow = np.flatnonzero(~wide.any(axis=1))
+        if narrow.size:
+            rows, wide = rows[: narrow[0] + 1], wide[: narrow[0] + 1]
+        spans = np.zeros(wide.shape, dtype=bool)
+        if wide.any():
+            sel = rows[wide]
+            G = (sel @ gram).reshape(-1, n, n)
+            clear = np.linalg.det(G).real > _CLEAR_SPAN * np.trace(G, axis1=1, axis2=2).real ** n
+            if not clear.all():
+                s = np.linalg.svd(sel[~clear][:, :, None] * V, compute_uv=False)
+                clear[~clear] = s[:, n - 1] > tol.rank_rel * s[:, 0]
+            spans[wide] = clear
+        failing = np.flatnonzero(~spans.any(axis=1))
+        if failing.size:
+            side, comp = rows[failing[0]]
+            return np.flatnonzero(side).tolist(), np.flatnonzero(comp).tolist()
+    return None
+
+
+def _equal_image_pair(V: np.ndarray, side, comp, tol: Tolerance):
+    """``(u + v, u - v)`` for the first kernel vectors ``u`` of the rows ``V[side]`` and ``v`` of ``V[comp]``.
+
+    Every row ``f`` has ``<f, u> = 0`` or ``<f, v> = 0``, so the two vectors
+    have equal phaseless measurements ``|<f, u + v>| = |<f, u - v>|``.  With
+    ``comp`` empty the pair is ``(u, 2u)``, which every row measures as 0.
+    Complex arrays, real-valued for a real ``V``.
+    """
+    u = kernel_basis(V[side].conj(), tol)[0]
+    if len(comp):
+        v = kernel_basis(V[comp].conj(), tol)[0]
+        x, y = u + v, u - v
+    else:
+        x, y = u, 2.0 * u
+    return (x.real.astype(complex), y.real.astype(complex)) if np.isrealobj(V) else (x, y)
 
 
 def smallest_singular_value(M) -> float:

@@ -1,7 +1,8 @@
 """What one ``decide`` call computes from the Kraus family: one stack and one
 values-only SVD of it, shared by every image, rank test and ``K`` of the call
 and never by another call; restart 0 bounded in iterations; and a thin SVD
-for the kernel basis that keeps the full SVD's bits."""
+for the kernel basis that keeps the full SVD's bits, whose leading vectors
+the rank-one step reads as the kernel's complement."""
 
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from prchannels import (
     DEFAULT_TOL,
     NOT_FINITE,
     NOT_PR,
+    PR,
     REAL,
     OracleConfig,
     QuantumChannel,
@@ -25,7 +27,7 @@ from prchannels import (
 )
 from prchannels import bilinear
 from prchannels.constructors import projector_channel_from_frame
-from prchannels.deciders import _ChannelRecord, _hermitian_basis, _restart_zero
+from prchannels.deciders import COMPLEMENT_PROPERTY, _ChannelRecord, _hermitian_basis, _restart_zero
 from prchannels.errors import NotFinite
 
 from helpers import pinching, rand_matrix
@@ -146,3 +148,26 @@ def test_thin_svd_keeps_the_right_singular_vectors_bits(field):
         T, n = _hermitian_basis(ch.dim_in, field), ch.dim_in
         vh = np.linalg.svd(rec.M)[2][rec.herm_rank :]
         assert np.array_equal(rec.kernel_basis, np.array([(T @ v).reshape(n, n) for v in vh]))
+
+
+def test_rank_one_step_takes_no_second_svd_of_M(monkeypatch):
+    # The step reads the kernel's complement off the kernel basis's SVD of M:
+    # one SVD with vectors of M per decide, whose leading right singular
+    # vectors are the complement's basis.
+    ch = projector_channel_from_frame(random_generic_frame(5, 9, REAL, 0))
+    rec = _ChannelRecord(ch, DEFAULT_TOL)
+    svd, shapes = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    verdict = decide(ch)
+    assert (verdict.status, verdict.method) == (PR, COMPLEMENT_PROPERTY)
+    assert shapes.count(rec.M.shape) == 1
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    T, n = _hermitian_basis(5, REAL), 5
+    vh = np.linalg.svd(rec.M)[2][: rec.herm_rank]
+    assert np.array_equal(rec.complement_basis, np.array([(T @ v).reshape(n, n) for v in vh]))

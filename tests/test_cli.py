@@ -119,21 +119,32 @@ def test_check_labels_a_proved_floor():
     assert "oracle floor" not in res.stdout
 
 
-def _frame_channel_file(tmp_path, n, N):
+def _frame_channel_file(tmp_path, n, N, field="real"):
     path = tmp_path / "frame_channel.json"
-    path.write_text(dumps(channel_to_json(_measurement_channel(random_generic_frame(n, N, "real", seed=1)))))
+    path.write_text(dumps(channel_to_json(_measurement_channel(random_generic_frame(n, N, field, seed=1)))))
     return path
 
 
 def test_check_labels_an_oracle_floor(tmp_path):
-    # A real frame of 9 vectors in R^5: its measurement channel has a
-    # six-dimensional kernel on Sym(5), past the sphere search, so only the
+    # A complex frame of 12 vectors in C^4: its measurement channel has a
+    # four-dimensional kernel on Herm(4), past the sphere search, so only the
     # oracle speaks.
-    res = run_cli("check", str(_frame_channel_file(tmp_path, 5, 9)))
+    res = run_cli("check", str(_frame_channel_file(tmp_path, 4, 12, "complex")))
     assert res.returncode == 2
     assert "verdict: LIKELY_PR (method ORACLE_NO_WITNESS)" in res.stdout
     assert "oracle floor: " in res.stdout
     assert "proved floor" not in res.stdout
+
+
+def test_check_proves_a_real_frame_channel_by_the_complement_property(tmp_path):
+    # A real frame of 9 vectors in R^5: its measurement channel has a
+    # six-dimensional kernel on Sym(5), past the sphere search.  The nine
+    # rank-one points of the kernel's complement have the complement
+    # property: PR, with no floor.
+    res = run_cli("check", str(_frame_channel_file(tmp_path, 5, 9)))
+    assert res.returncode == 0
+    assert "verdict: PR (method COMPLEMENT_PROPERTY)" in res.stdout
+    assert "floor" not in res.stdout
 
 
 def test_check_proves_a_three_dimensional_kernel(tmp_path):

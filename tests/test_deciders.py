@@ -36,6 +36,7 @@ from prchannels import (
 )
 from prchannels import channels, deciders
 from prchannels.deciders import (
+    COMPLEMENT_PROPERTY,
     HERMITIAN_KERNEL,
     NECESSARY_VIOLATION,
     ORACLE_NO_WITNESS,
@@ -643,14 +644,18 @@ def test_kernel_stage_leaves_an_unannihilated_kernel_element_to_the_oracle():
 
 
 @pytest.mark.parametrize("k", [-4, -5, -6])
-def test_oracle_witness_must_reverify_relative_to_the_channel_scale(k):
+def test_oracle_witness_must_reverify_relative_to_the_channel_scale(monkeypatch, k):
     # A generic real frame of 2n - 1 vectors has the complement property, so
-    # its projector channel is PR (kernel dimension 6).  Scaled by 10**k, the
-    # search's best pair has a residual of 4.5e-6 to 8.1e-3 relative to
-    # sum_i ||A_i||_F^2: neither the public oracle nor decide may accept it.
+    # its projector channel is PR (kernel dimension 6), which the rank-one
+    # step proves at every scale.  Without that step, the search's best pair
+    # has a residual of 4.5e-6 to 8.1e-3 relative to sum_i ||A_i||_F^2:
+    # neither the public oracle nor decide may accept it.
     base = projector_channel_from_frame(random_generic_frame(5, 9, REAL, seed=0))
     ch = QuantumChannel(5, base.dim_out, [10.0**k * A for A in base.kraus], REAL)
     assert isinstance(simple_tensor_oracle(ch), NoWitness)
+    verdict = decide(ch)
+    assert (verdict.status, verdict.method, verdict.floor) == (PR, COMPLEMENT_PROPERTY, None)
+    monkeypatch.setattr(deciders, "_rank_one_verdict", lambda rec: None)
     verdict = decide(ch)
     assert (verdict.status, verdict.method) == (LIKELY_PR, ORACLE_NO_WITNESS)
     # The floor, the residual of the search's best pair, is far above the

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import prchannels.frames as frames_module
+import prchannels.linalg as linalg_module
 from prchannels import (
     COMPLEX,
     EXACT,
@@ -25,8 +26,7 @@ from prchannels import (
 )
 from prchannels.constructors import projector_channel_from_frame
 from prchannels.errors import NotAFrame, TooManyVectors
-from prchannels.frames import _failing_bipartition
-from prchannels.linalg import DEFAULT_TOL, numerical_rank
+from prchannels.linalg import DEFAULT_TOL, _failing_bipartition, numerical_rank
 
 from helpers import rand_matrix, random_unitary
 
@@ -144,33 +144,53 @@ def _bipartition_cases():
     yield _two_plane_frame()
 
 
+def _rows(f):
+    return f.vectors.real if f.field == REAL else f.vectors
+
+
 def test_stacked_bipartitions_match_the_mask_loop():
     for f in _bipartition_cases():
-        assert _failing_bipartition(f, DEFAULT_TOL) == _reference_failing_bipartition(f)
+        assert _failing_bipartition(_rows(f), DEFAULT_TOL) == _reference_failing_bipartition(f)
 
 
 def test_first_failing_mask_past_the_first_chunk():
     f = _two_plane_frame()
-    assert _failing_bipartition(f, DEFAULT_TOL) == ([0, 6, 7], [1, 2, 3, 4, 5])
+    assert _failing_bipartition(_rows(f), DEFAULT_TOL) == ([0, 6, 7], [1, 2, 3, 4, 5])
+
+
+def _counting(monkeypatch, name):
+    original, seen = getattr(np.linalg, name), []
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return seen
 
 
 @pytest.mark.parametrize("n, N, calls", [(4, 7, 1), (5, 9, 4)])
 def test_one_svd_per_chunk(monkeypatch, n, N, calls):
-    svd = np.linalg.svd
-    seen = []
-
-    def counting_svd(*args, **kwargs):
-        seen.append(1)
-        return svd(*args, **kwargs)
-
+    # One stacked determinant per chunk; every side of a generic frame clears
+    # the Gram bound, so no side needs the SVD.
     def no_rank(*args, **kwargs):
         raise AssertionError("the enumeration called numerical_rank")
 
     f = random_generic_frame(n, N, REAL, seed=7)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    svds, dets = _counting(monkeypatch, "svd"), _counting(monkeypatch, "det")
     monkeypatch.setattr(frames_module, "numerical_rank", no_rank)
+    monkeypatch.setattr(linalg_module, "numerical_rank", no_rank)
     assert complement_property(f)
-    assert len(seen) == calls
+    assert (len(dets), len(svds)) == (calls, 0)
+
+
+def test_sides_past_the_gram_bound_take_one_svd_per_chunk(monkeypatch):
+    # The two-plane frame's failing mask lies in its second chunk; sides
+    # within a plane do not clear the bound and go through the SVD.
+    f = _two_plane_frame()
+    svds, dets = _counting(monkeypatch, "svd"), _counting(monkeypatch, "det")
+    assert _failing_bipartition(_rows(f), DEFAULT_TOL) == ([0, 6, 7], [1, 2, 3, 4, 5])
+    assert len(dets) == 2 and 1 <= len(svds) <= 2
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -9,7 +9,8 @@ must survive them on both fields, and every NOT_PR certificate must
 re-verify relative to the moved channel's scale.  Past the kernel stage,
 :func:`decide` must stay sound at every scale: a NOT_PR of restart 0 or of
 the witness search re-verifies relative to the channel's scale, and no PR
-comes without a proof.
+comes without a proof: an exact stage, the sphere search or the real-field
+rank-one step.
 """
 
 from unittest import mock
@@ -27,22 +28,24 @@ from prchannels import (
     Frame,
     OracleConfig,
     QuantumChannel,
+    complement_property,
     decide,
     decide_method,
     deciders,
     orthogonal_projection_channel,
 )
 from prchannels.constructors import projector_channel_from_frame
-from prchannels.deciders import HERMITIAN_KERNEL, RANK1, RANK2_EXACT
+from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL, RANK1, RANK2_EXACT
 from prchannels.frames import _measurement_channel
 
-from helpers import assert_relative_certificate, rand_matrix, random_unitary
+from helpers import assert_relative_certificate, rand_matrix, random_cptp, random_unitary
 
 
 def _kernel_verdict(ch):
     # The "oracle" sub-list is the kernel stage alone.  PR comes only at
     # kernel dimension 0 or from its sphere search at dimensions 1 to 3,
-    # with method HERMITIAN_KERNEL.
+    # with method HERMITIAN_KERNEL, or on the real field from the rank-one
+    # step, with method COMPLEMENT_PROPERTY.
     return decide_method(ch, "oracle")
 
 
@@ -132,14 +135,18 @@ def test_sphere_search_pr_is_invariant(field, short, seed, k):
     dim = n * n if field == COMPLEX else n * (n + 1) // 2
     f = Frame(dim=n, vectors=rand_matrix(rng, dim - short, n, field), field=field)
     kraus = _measurement_channel(f).kraus
+    # A real channel the half budget leaves unproved may be proved by the
+    # rank-one step, and every move must keep it PR.
     with mock.patch.object(deciders, "_SPHERE_CELLS", deciders._SPHERE_CELLS // 2):
         before = _kernel_verdict(QuantumChannel(n, dim - short, kraus, field))
     assume(before.status == PR)
-    assert before.method == HERMITIAN_KERNEL
+    assert before.method in ((HERMITIAN_KERNEL, COMPLEMENT_PROPERTY) if field == REAL else (HERMITIAN_KERNEL,))
 
     for name, moved in _moved(kraus, field, rng, k):
         after = _kernel_verdict(moved)
-        assert (after.status, after.method) == (PR, HERMITIAN_KERNEL), name
+        assert after.status == PR, name
+        if before.method == HERMITIAN_KERNEL:
+            assert after.method == HERMITIAN_KERNEL, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -177,7 +184,7 @@ def test_decide_is_sound_at_every_scale(kind, field, big, d, seed, k):
     if verdict.status == NOT_PR:
         assert_relative_certificate(ch, verdict)
     if verdict.status == PR:
-        assert verdict.method in (RANK1, RANK2_EXACT, HERMITIAN_KERNEL)
+        assert verdict.method in (RANK1, RANK2_EXACT, HERMITIAN_KERNEL, COMPLEMENT_PROPERTY)
 
 
 @pytest.mark.parametrize(
@@ -207,3 +214,48 @@ def test_short_frame_not_pr_survives_every_symmetry(field, n, N, seed):
         verdict = decide(ch)
         assert verdict.status == NOT_PR, name
         assert_relative_certificate(ch, verdict)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    measurement=st.booleans(),
+    n=st.integers(3, 5),
+    extra=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+)
+def test_rank_one_step_agrees_with_the_complement_property(measurement, n, extra, seed, k):
+    # Real frames of n to 2n + 1 vectors, as measurement and as projector
+    # channels, and their moves: wherever the rank-one step settles, PR is the
+    # frame's complement property and a NOT_PR re-verifies relative to the
+    # moved channel's scale.
+    rng = np.random.default_rng(seed)
+    f = Frame(dim=n, vectors=rng.normal(size=(n + min(extra, n + 1), n)), field=REAL)
+    cp = complement_property(f)
+    kraus = (_measurement_channel(f) if measurement else projector_channel_from_frame(f)).kraus
+    m = kraus[0].shape[0]
+    for name, ch in [("unmoved", QuantumChannel(n, m, kraus, REAL)), *_moved(kraus, REAL, rng, k)]:
+        verdict = deciders._rank_one_verdict(deciders._ChannelRecord(ch, DEFAULT_TOL))
+        if verdict is None:
+            continue
+        assert verdict.method == COMPLEMENT_PROPERTY
+        assert (verdict.status == PR) == cp, name
+        if verdict.status == NOT_PR:
+            assert_relative_certificate(ch, verdict)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 5),
+    narrow=st.integers(1, 3),
+    r=st.integers(3, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_one_step_declines_random_real_channels(n, narrow, r, seed):
+    # A random real channel into a smaller output space has a kernel of
+    # dimension 2 or more whose complement holds no spanning set of rank-one
+    # points.
+    ch = random_cptp(n, max(n - narrow, 2), r, REAL, np.random.default_rng(seed))
+    rec = deciders._ChannelRecord(ch, DEFAULT_TOL)
+    assume(rec.kernel_dim >= 2)
+    assert deciders._rank_one_verdict(rec) is None

@@ -3,7 +3,9 @@ preserve phase retrievability: scaling, unitary conjugation on both sides,
 unitary mixing of the Kraus family and splitting an operator into two
 1/sqrt2 copies.  Each seeded channel keeps its status under every variant
 (the method may move), and every NOT_PR re-verifies relative to
-``sum_i ||A_i||_F^2``."""
+``sum_i ||A_i||_F^2``.  The projector channels of phase-retrievable real
+frames keep their method too: the rank-one step and the sphere search read
+the kernel alone, which no variant changes."""
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from prchannels import (
     COMPLEX,
     DEFAULT_TOL,
     NOT_PR,
+    PR,
     REAL,
     QuantumChannel,
     decide,
@@ -20,6 +23,7 @@ from prchannels import (
     verify_certificate,
 )
 from prchannels.constructors import projector_channel_from_frame
+from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL
 
 from helpers import pinching, random_cptp, random_unitary
 
@@ -65,3 +69,20 @@ def test_status_holds_under_the_four_symmetries(label, ch):
             trace = sum(np.linalg.norm(A) ** 2 for A in copy.kraus)
             assert res.get("tensor", 0.0) <= DEFAULT_TOL.residual_abs * trace, variant
             assert res.get("state", 0.0) <= 1e-7 * trace, variant
+
+
+# Generic real frames of these lengths have the complement property.  At
+# kernel dimension 6 and 5 the rank-one step proves them; at 3 the sphere
+# search does, before the step runs.
+PR_FRAMES = {(5, 9): COMPLEMENT_PROPERTY, (5, 10): COMPLEMENT_PROPERTY, (4, 7): HERMITIAN_KERNEL}
+
+
+@pytest.mark.parametrize("n,N", list(PR_FRAMES))
+def test_pr_real_frame_channels_keep_status_and_method(n, N):
+    ch = projector_channel_from_frame(random_generic_frame(n, N, REAL, 6))
+    want = (PR, PR_FRAMES[n, N])
+    verdict = decide(ch)
+    assert (verdict.status, verdict.method) == want
+    for variant, copy in _variants(ch, np.random.default_rng(6)):
+        verdict = decide(copy)
+        assert (verdict.status, verdict.method) == want, variant

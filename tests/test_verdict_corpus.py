@@ -44,10 +44,17 @@ def _rng(tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([0xC0C, tag]))
 
 
-def _conjugated(ch: QuantumChannel, rng) -> QuantumChannel:
-    U = random_unitary(ch.dim_out, ch.field, rng)
-    W = random_unitary(ch.dim_in, ch.field, rng)
+def _conjugated(ch: QuantumChannel, rng, field=None) -> QuantumChannel:
+    U = random_unitary(ch.dim_out, field or ch.field, rng)
+    W = random_unitary(ch.dim_in, field or ch.field, rng)
     return QuantumChannel(ch.dim_in, ch.dim_out, [U @ A @ W for A in ch.kraus], ch.field)
+
+
+def _mixed(ch: QuantumChannel, rng) -> QuantumChannel:
+    """The family mixed into r + 1 operators by an isometry."""
+    r = len(ch.kraus)
+    W = random_unitary(r + 1, ch.field, rng)[:, :r]
+    return QuantumChannel(ch.dim_in, ch.dim_out, list(np.tensordot(W, np.array(ch.kraus), 1)), ch.field)
 
 
 def _frame_channel(n: int, N: int, field: str, rng) -> QuantumChannel:
@@ -116,6 +123,13 @@ def corpus():
     items.append(("short_frame/complex-3-N6", short))
     scaled = QuantumChannel(3, short.dim_out, [1e-3 * A for A in short.kraus], COMPLEX)
     items.append(("short_frame/complex-3-N6*1e-3", scaled))
+    # Once NotPSD behind the screen: example_2_11 conjugated by orthogonal
+    # matrices and scaled by 1e5.
+    orthogonal = _conjugated(fixture("example_2_11"), _rng(10), REAL)
+    items.append(("scale/example_2_11/orthogonal*1e5", QuantumChannel(2, 2, [1e5 * A for A in orthogonal.kraus])))
+    # The rank-one step reads the kernel alone, so Kraus mixing keeps its proof.
+    real59 = dict(items)["wide_kernel/real-5-N9#0"]
+    items.append(("wide_kernel/real-5-N9#0/mixed", _mixed(real59, _rng(11))))
     return items
 
 
