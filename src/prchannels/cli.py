@@ -29,6 +29,7 @@ from .constructors import (
     rankr_positive_construction,
 )
 from .deciders import LIKELY_PR, METHODS, NOT_FINITE, NOT_PR, PR, decide, decide_method, scalar_relative_spectrum
+from .deciders import _inner_product_test
 from .errors import ChannelAnalysisError
 from .frames import LIKELY_YES, NO, YES, is_phase_retrievable_frame, parseval_normalize, Frame
 from .linalg import REAL, Tolerance
@@ -222,8 +223,7 @@ def run_spectrum(args) -> int:
     violation = False
     for p in points:
         for q in points:
-            val = 1.0 + complex(np.sum(p.lam * np.conj(q.lam)))
-            flagged = abs(val) <= tol.residual_abs
+            val, flagged = _inner_product_test(p.lam, q.lam, tol)
             violation = violation or flagged
             pairs.append((p, q, val, flagged))
     if args.output == "json":

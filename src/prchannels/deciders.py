@@ -16,9 +16,9 @@ the channel gives the verdict:
    without determinants when its first vector lies beyond twice its margin
    from the line of the second, since then no point makes it vanish.
 3. Exact Choi rank 2: the channel fails precisely when some ``lam`` makes
-   both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the two
-   pencil singular sets are computed and intersected after reflecting the
-   second one.
+   both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the
+   singular set of the first pencil is computed once and its roots are tested
+   on the second, the reflected pencil.
 4. Hermitian kernel, on both fields, last: the channel fails precisely when
    some nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on
    the real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA
@@ -58,9 +58,9 @@ import numpy as np
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
 from .channels import QuantumChannel, _choi_rank, _image
 from .errors import DimensionMismatch, NotFinite, NotSquare, TooManyVectors, WrongField, WrongRank
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank, numerical_rank
+from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank
 from .linalg import _equal_image_pair, _failing_bipartition
-from .spectra import SpectrumPoint, _pencil_points, pencil_singular_set
+from .spectra import SpectrumPoint, _pencil_points, _singular_at, pencil_singular_set
 
 PR = "PR"
 NOT_PR = "NOT_PR"
@@ -361,12 +361,12 @@ def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
         return None
     ch = rec.ch
     stack = (rec.A.real if ch.field == REAL else rec.A).reshape(-1, ch.dim_in)
+    _, s, vh = np.linalg.svd(stack)
     # C^1 has a single pure state, so even the zero map collides none.
-    if ch.dim_in == 1 or numerical_rank(stack, rec.tol) == ch.dim_in:
+    if ch.dim_in == 1 or _rank(s, rec.tol) == ch.dim_in:
         return PRVerdict(PR, RANK1, EmptyCertificate(), residuals={})
     # A z = 0 for the last right singular vector z, so A (u + z) = A (u - z)
     # for the first one, u, a unit vector orthogonal to z.
-    _, _, vh = np.linalg.svd(stack)
     u, z = vh[0].conj().astype(complex), vh[-1].conj().astype(complex)
     sw = StateWitness((u + z) / np.sqrt(2.0), (u - z) / np.sqrt(2.0))
     state = float(np.linalg.norm(_image(rec.A, _outer(sw.x, sw.x) - _outer(sw.y, sw.y))))
@@ -387,12 +387,12 @@ def _smallest_right_vector(M: np.ndarray) -> np.ndarray:
 
 
 def decide_rank2(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
-    """Exact decision for Choi rank 2 via intersecting pencil singular sets.
+    """Exact decision for Choi rank 2 from one pencil singular set.
 
-    With spanning pair (A1, A2), the first singular set S1 collects lam where
-    ``A1 + lam A2`` loses injectivity; the second pencil is parametrized
-    holomorphically as ``A2 + mu A1`` and reflected through ``lam = -conj(mu)``.
-    The channel is PR exactly when the reflected set misses S1.
+    With spanning pair (A1, A2), the singular set S collects lam where
+    ``A1 + lam A2`` loses injectivity.  The channel fails exactly when the
+    reflected pencil ``-conj(lam) A1 + A2`` does too at some lam in S: its
+    roots are tested there under the margin test of :func:`pencil_singular_set`.
     """
     rec = _ChannelRecord(ch, tol)
     if rec.rank != 2:
@@ -412,26 +412,14 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
         U = np.linalg.svd(F.real if ch.field == REAL else F, full_matrices=False)[0]
         A = (U[:, :2].conj().T @ F).reshape(2, ch.dim_out, ch.dim_in)
     A1, A2 = A
-
-    if ch.dim_out < ch.dim_in:
-        # Every pencil has a kernel; lam = 0 already clashes.
-        cert = PencilClash(0j, _smallest_right_vector(A1), _smallest_right_vector(A2))
-        return _not_pr(rec, RANK2_EXACT, cert)
-
-    s1 = pencil_singular_set(A1, A2, tol)
-    t = pencil_singular_set(A2, A1, tol)
-
-    reflected = [-np.conj(mu) for mu in t.roots]
-    if s1.is_all and t.is_all:
-        clash = 0.0
-    elif s1.is_all:
-        clash = reflected[0] if reflected else None
-    elif t.is_all:
-        clash = s1.roots[0] if s1.roots else None
-    else:
-        clash = next(
-            (lam for lam in s1.roots if any(abs(lam - lam2) <= tol.root_cluster for lam2 in reflected)), None
-        )
+    # lam = 0 clashes when every pencil has a kernel (dim_out < dim_in), and when the
+    # first one's set is all of C: A2 + mu A1 = mu (A1 + A2 / mu) is singular there too.
+    clash = 0.0
+    if ch.dim_out >= ch.dim_in and not (s := pencil_singular_set(A1, A2, tol)).is_all:
+        # -conj(lam) A1 + A2 is A2 + mu A1 at mu = -conj(lam), normalized at the same scale.
+        scale = max(np.linalg.norm(A1), np.linalg.norm(A2))
+        passed = _singular_at(A2 / scale, A1 / scale, -np.conj(s.roots))[1] if s.roots else ()
+        clash = next((lam for lam, ok in zip(s.roots, passed) if ok), None)
     if clash is None:
         return PRVerdict(PR, RANK2_EXACT, EmptyCertificate(), residuals={})
 
@@ -557,13 +545,18 @@ def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_T
         points = scalar_relative_spectrum(ch, j, tol, _rec=rec)
         if points is NOT_FINITE:
             raise NotFinite(f"relative spectrum of operator {j} is a continuum")
-        for p in points:
-            for q in points:
-                ip = 1.0 + complex(np.sum(p.lam * np.conj(q.lam)))
-                if abs(ip) <= tol.residual_abs:
-                    cert = InnerProductViolation(j, p.lam, q.lam, p.witness, q.witness)
-                    return _not_pr(rec, NECESSARY_VIOLATION, cert, inner_product=abs(ip))
+        for p, q in product(points, points):
+            ip, violated = _inner_product_test(p.lam, q.lam, tol)
+            if violated:
+                cert = InnerProductViolation(j, p.lam, q.lam, p.witness, q.witness)
+                return _not_pr(rec, NECESSARY_VIOLATION, cert, inner_product=abs(ip))
     return None
+
+
+def _inner_product_test(lam: np.ndarray, mu: np.ndarray, tol: Tolerance):
+    """``1 + <lam, mu>`` and whether it vanishes within ``residual_abs``: a violation of the screen."""
+    ip = 1.0 + complex(np.sum(lam * np.conj(mu)))
+    return ip, abs(ip) <= tol.residual_abs
 
 
 def _natural_representation(A: np.ndarray, field: str) -> np.ndarray:
@@ -735,11 +728,11 @@ def _signature_verdict(rec: _ChannelRecord, H: np.ndarray, method: str):
     """
     w, v = np.linalg.eigh(H)
     x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
-    res = float(np.linalg.norm(_image(rec.A, _outer(x, x) - _outer(y, y))))
+    verdict = _not_pr(rec, method, TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC), SYMMETRIC)
+    res = verdict.residuals["tensor"]
     if not _accepted(rec, res):
         return None, res / float(np.hypot(w[-1], w[0]))
-    cert = TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC)
-    return PRVerdict(NOT_PR, method, cert, StateWitness(x, y), residuals={"tensor": res}), 0.0
+    return verdict, 0.0
 
 
 # Entries of the largest system of linearized minors _rank_one_points builds:

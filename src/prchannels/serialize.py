@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 
-def _entry(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _entry_back(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"matrix entry must be a [re, im] pair, got {pair!r}")
@@ -55,8 +51,9 @@ def _entry_back(pair) -> complex:
 
 
 def matrix_to_json(M) -> list:
+    """``[re, im]`` pairs nested as ``M``: rows of pairs, or one pair for a scalar."""
     A = np.asarray(M, dtype=complex)
-    return [[_entry(z) for z in row] for row in A]
+    return np.stack((A.real, A.imag), axis=-1).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -70,7 +67,7 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def vector_to_json(v) -> list:
-    return [_entry(z) for z in np.asarray(v, dtype=complex)]
+    return matrix_to_json(v)
 
 
 def vector_from_json(entries) -> np.ndarray:
@@ -147,7 +144,7 @@ def _certificate_to_json(cert) -> dict:
     if isinstance(cert, PencilClash):
         return {
             "kind": "pencil_clash",
-            "lambda": _entry(cert.lam),
+            "lambda": matrix_to_json(cert.lam),
             "x": vector_to_json(cert.x),
             "y": vector_to_json(cert.y),
         }

@@ -131,9 +131,17 @@ def _pencil_points(P: np.ndarray, Q: np.ndarray, lams) -> np.ndarray:
     return P + lams[:, None, None] * Q
 
 
-def _smallest_singular_values(P: np.ndarray, Q: np.ndarray, lams) -> np.ndarray:
-    """Smallest singular value of ``P + lam Q`` (at least as many rows as columns) for every ``lam``."""
-    return np.linalg.svd(_pencil_points(P, Q, lams), compute_uv=False)[:, -1]
+def _margin(Pn: np.ndarray, Qn: np.ndarray) -> float:
+    """The margin ``1e-6 (||Pn|| + ||Qn||)`` of a pencil normalized to unit scale."""
+    return 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
+
+
+def _singular_at(Pn: np.ndarray, Qn: np.ndarray, lams):
+    """The margin test of the normalized pencil ``Pn + lam Qn`` (at least as many
+    rows as columns) at every ``lam``: its smallest singular value there, from one
+    stacked values-only SVD, and whether that is at most :func:`_margin`."""
+    svs = np.linalg.svd(_pencil_points(Pn, Qn, lams), compute_uv=False)[:, -1]
+    return svs, svs <= _margin(Pn, Qn)
 
 
 def _det_poly_square(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -215,13 +223,12 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         return SingularSet(ALL_OF_C, [])
     Pn = Pm / scale
     Qn = Qm / scale
-    margin = 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
     if n == 1:
         # ||Pn + lam Qn|| is at least the distance from Pn to the line of Qn,
         # so beyond twice the margin no candidate or probe below passes it.
         q = np.linalg.norm(Qn)
         u = Qn / q if q > 0.0 else Qn
-        if np.linalg.norm(Pn - np.vdot(u, Pn) * u) > 2.0 * margin:
+        if np.linalg.norm(Pn - np.vdot(u, Pn) * u) > 2.0 * _margin(Pn, Qn):
             return SingularSet(FINITE, [])
     R, probes = _seeded_draws(abs(int(seed)), n, m)
     # Cauchy-Binet: det(R (P + lam Q)) combines every maximal minor.
@@ -231,7 +238,7 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         # Every minor sits at noise level.  Confirm the degeneracy with a few
         # random probes; a full-rank probe means the minors were genuinely
         # tiny, in which case their noisy roots are still usable candidates.
-        if np.all(_smallest_singular_values(Pn, Qn, probes) <= margin):
+        if np.all(_singular_at(Pn, Qn, probes)[1]):
             return SingularSet(ALL_OF_C, [])
         guard_poly = trim_polynomial(guard_coeffs)
         if guard_poly.size == 0:
@@ -245,8 +252,8 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         if len(cl) > 1:
             candidates.append(complex(np.mean(cl)))
 
-    svs = _smallest_singular_values(Pn, Qn, candidates) if candidates else []
-    verified = [(lam, float(sv)) for lam, sv in zip(candidates, svs) if sv <= margin]
+    svs, passed = _singular_at(Pn, Qn, candidates) if candidates else ((), ())
+    verified = [(lam, float(sv)) for lam, sv, ok in zip(candidates, svs, passed) if ok]
     kept = []
     for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
         lam_best, _ = min(cl, key=lambda pair: pair[1])

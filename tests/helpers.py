@@ -1,6 +1,6 @@
 """Shared generators for the test suite (random channels, unitaries, frames), a
-point-by-point reference of the pencil engine and a two-image reference of the
-state-witness conversion."""
+point-by-point reference of the pencil engine, a two-set reference of the
+rank-2 decision and a two-image reference of the state-witness conversion."""
 
 import numpy as np
 
@@ -151,6 +151,31 @@ def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
         kept.append(lam_best)
     kept.sort(key=lambda z: (z.real, z.imag))
     return SingularSet(FINITE, kept), branch
+
+
+def reference_rank2_clash(ch, tol=DEFAULT_TOL):
+    """The rank-2 clash by intersecting two singular sets, point by point: the
+    ``lam`` of the set of ``A1 + lam A2`` whose reflection matches, within
+    ``root_cluster``, some ``-conj(mu)`` of the set of ``A2 + mu A1``; None
+    when the sets miss each other.  ``(A1, A2)`` is the listed pair, or a
+    longer family mixed by the two leading left singular vectors of its stack
+    as in ``deciders``; ``dim_out >= dim_in``.  The reference for the
+    one-set decision in ``deciders``."""
+    A = np.stack(ch.kraus)
+    if len(A) != 2:
+        F = A.reshape(len(A), -1)
+        U = np.linalg.svd(F.real if ch.field == REAL else F, full_matrices=False)[0]
+        A = (U[:, :2].conj().T @ F).reshape(2, ch.dim_out, ch.dim_in)
+    s1, _ = reference_pencil_singular_set(A[0], A[1], tol)
+    t, _ = reference_pencil_singular_set(A[1], A[0], tol)
+    reflected = [-np.conj(mu) for mu in t.roots]
+    if s1.is_all and t.is_all:
+        return 0j
+    if s1.is_all:
+        return reflected[0] if reflected else None
+    if t.is_all:
+        return s1.roots[0] if s1.roots else None
+    return next((lam for lam in s1.roots if any(abs(lam - r) <= tol.root_cluster for r in reflected)), None)
 
 
 def reference_to_state_witness(ch, x, y, tol=DEFAULT_TOL):

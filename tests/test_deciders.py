@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,7 @@ from helpers import (
     random_cptp,
     random_unitary,
     reference_pencil_singular_set,
+    reference_rank2_clash,
     rho,
 )
 
@@ -272,6 +275,84 @@ def test_rank2_verdict_survives_duplication_and_mixing(field, case, status):
         assert decide(ch).status == status
         if status == NOT_PR:
             assert verify_certificate(ch, verdict)["tensor"] <= 1e-7
+
+
+def _clash_pair(m, n, lam, field, rng):
+    """A pair from ``field^n`` to ``field^m`` whose pencils ``A1 + lam A2`` and
+    ``-conj(lam) A1 + A2`` have the kernel vectors ``x`` and ``y``, the columns of
+    a random ``X``: ``A1`` is a random matrix corrected on their span."""
+    A2, R, X = rand_matrix(rng, m, n, field), rand_matrix(rng, m, n, field), rand_matrix(rng, n, 2, field)
+    target = np.column_stack((-lam * A2 @ X[:, 0], A2 @ X[:, 1] / np.conj(lam)))
+    return [R + (target - R @ X) @ np.linalg.pinv(X), A2]
+
+
+def _rank2_reference_cases():
+    """``(label, channel, clashes)`` of Choi rank 2 with ``dim_out >= dim_in``;
+    ``clashes`` is True for pairs built to clash, else None."""
+    for field in (REAL, COMPLEX):
+        rng = np.random.default_rng([25, field == REAL])
+        for k, (m, n) in product((3, 4), ((3, 3), (4, 3), (3, 2))):
+            # The clash pair (lam, -1/conj(lam)) with |lam| = 10^k: both roots of one set.
+            lam = 10.0**k * (1.0 if field == REAL else np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            pair = _clash_pair(m, n, lam, field, rng)
+            yield f"clash-{field}-{m}x{n}-1e{k}", QuantumChannel(n, m, pair, field), True
+            W = random_unitary(3, field, rng)[:, :2]
+            three = [W[i, 0] * pair[0] + W[i, 1] * pair[1] for i in range(3)]
+            yield f"clash-three-{field}-{m}x{n}-1e{k}", QuantumChannel(n, m, three, field), True
+        for i in range(4):
+            # A singular A2 drops the degree of det(A1 + lam A2): a root at infinity.
+            z = rand_matrix(rng, 3, 1, field)[:, 0]
+            P = np.eye(3) - np.outer(z, z.conj()) / np.vdot(z, z)
+            pair = [rand_matrix(rng, 3, 3, field), rand_matrix(rng, 3, 3, field) @ P]
+            yield f"singular-A2-{field}-{i}", QuantumChannel(3, 3, pair, field), None
+            # Both operators kill z: both sets are all of C, and lam = 0 clashes.
+            common = [rand_matrix(rng, 3, 3, field) @ P for _ in range(2)]
+            yield f"common-kernel-{field}-{i}", QuantumChannel(3, 3, common, field), True
+            m = 4 + i % 2
+            tall = [rand_matrix(rng, m, 2, field) for _ in range(2)]
+            yield f"tall-{field}-{m}x2-{i}", QuantumChannel(2, m, tall, field), None
+            W = random_unitary(3, field, rng)[:, :2]
+            three = [W[j, 0] * pair[0] + W[j, 1] * pair[1] for j in range(3)]
+            yield f"three-{field}-{i}", QuantumChannel(3, 3, three, field), None
+
+
+def test_rank2_one_set_matches_the_two_set_intersection():
+    # Testing the roots of one singular set on the reflected pencil gives the
+    # verdict of intersecting the two sets, and bit for bit its clash, or an
+    # earlier root far from 0 whose reflection the intersection's absolute
+    # root_cluster match misses, when it falls back on the partner
+    # -1/conj(lam) of that root.
+    seen = set()
+    for label, ch, clashes in _rank2_reference_cases():
+        verdict = decide_rank2(ch)
+        want = reference_rank2_clash(ch)
+        assert verdict.method == RANK2_EXACT, label
+        if want is None:
+            assert verdict.status == PR and not clashes, label
+            seen.add(PR)
+            continue
+        assert verdict.status == NOT_PR, label
+        lam, want = complex(verdict.certificate.lam), complex(want)
+        if (lam.real.hex(), lam.imag.hex()) != (want.real.hex(), want.imag.hex()):
+            assert (lam.real, lam.imag) < (want.real, want.imag) and abs(lam) >= 1e2, label
+            assert abs(want + 1.0 / np.conj(lam)) <= 1e-6 * abs(want), label
+        assert verify_certificate(ch, verdict)["tensor"] <= 1e-8 * sum(np.linalg.norm(A) ** 2 for A in ch.kraus), label
+        seen.add(NOT_PR)
+    assert seen == {PR, NOT_PR}
+
+
+def test_rank2_stage_computes_one_singular_set(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pencil_singular_set(*args, **kwargs)
+
+    monkeypatch.setattr(deciders, "pencil_singular_set", counted)
+    for label, ch, _ in _rank2_reference_cases():
+        del calls[:]
+        decide_rank2(ch)
+        assert len(calls) == 1, label
 
 
 def test_scalar_relative_spectrum_fixture():
