@@ -39,6 +39,7 @@ from .deciders import (
     PR,
     EmptyCertificate,
     InnerProductViolation,
+    MacaulayCertificate,
     NoWitness,
     PencilClash,
     PRVerdict,
@@ -76,13 +77,10 @@ from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
-    ZERO_POLY,
     Tolerance,
     hermitian_eig,
     kernel_basis,
     numerical_rank,
-    poly_roots,
-    smallest_singular_value,
 )
 from .spectra import (
     ALL_OF_C,

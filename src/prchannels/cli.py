@@ -28,7 +28,8 @@ from .constructors import (
     rank2_injective_plus_rankone,
     rankr_positive_construction,
 )
-from .deciders import LIKELY_PR, METHODS, NOT_FINITE, NOT_PR, PR, decide, decide_method, scalar_relative_spectrum
+from .deciders import LIKELY_PR, METHODS, NOT_FINITE, NOT_PR, PR, MacaulayCertificate, decide, decide_method
+from .deciders import scalar_relative_spectrum
 from .deciders import _inner_product_test
 from .errors import ChannelAnalysisError
 from .frames import LIKELY_YES, NO, YES, is_phase_retrievable_frame, parseval_normalize, Frame
@@ -104,6 +105,8 @@ def run_check(args) -> int:
             # A PR floor is a proved lower bound; a LIKELY_PR floor is what the witness search saw.
             label = "proved floor" if verdict.status == PR else "oracle floor"
             print(f"{label}: {verdict.floor:.6g}")
+        if isinstance(cert := verdict.certificate, MacaulayCertificate):
+            print(f"Macaulay degree: {cert.degree}, sigma ratio: {cert.ratio:.6g}")
         if verdict.state_witness is not None:
             sw = verdict.state_witness
             print(f"state witness x: {[ _fmt_complex(z) for z in sw.x ]}")

@@ -22,15 +22,20 @@ the channel gives the verdict:
 4. Hermitian kernel, on both fields, last: the channel fails precisely when
    some nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on
    the real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA
-   2014).  A trivial kernel proves PR; a witness from the kernel's first
-   spanning matrix, or from restart 0 of the bilinear search, gives NOT_PR;
-   up to dimension 3 a branch and bound over the kernel's unit sphere may
-   prove PR; on the real field, the rank-one points ``b_j b_j^T`` of the
-   kernel's complement, found by linear algebra alone, decide exactly by the
-   complement property of ``{b_j}`` when they span it; last, a Gauss-Newton
-   search on the kernel's sphere gives NOT_PR or LIKELY_PR.  When the Kraus
-   operators' ranks alone bound the kernel dimension below by 2, restart 0
-   runs before the kernel is computed.
+   2014).  A trivial kernel proves PR.  At dimensions 2 up to the
+   codimension of the matrices of rank at most 2, exact steps run first: on
+   the real field, the rank-one points ``b_j b_j^T`` of the kernel's
+   complement, found by linear algebra alone, decide by the complement
+   property of ``{b_j}`` when they span it; then, on both fields, a
+   Macaulay matrix of full column rank shows that the kernel's span holds
+   no matrix of rank at most 2, which proves PR.  Otherwise a witness from
+   the kernel's first spanning matrix, or from restart 0 of the bilinear
+   search, gives NOT_PR; up to dimension 3 a branch and bound over the
+   kernel's unit sphere may prove PR; the real-field rank-one step runs
+   here when it did not run first; last, a Gauss-Newton search on the
+   kernel's sphere gives NOT_PR or LIKELY_PR.  When the Kraus operators'
+   ranks alone bound the kernel dimension below by 2, restart 0 runs before
+   the kernel is computed.
 
 A witness gives NOT_PR only when it re-verifies relative to
 ``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
@@ -51,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -58,8 +64,8 @@ import numpy as np
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
 from .channels import QuantumChannel, _choi_rank, _image
 from .errors import DimensionMismatch, NotFinite, NotSquare, TooManyVectors, WrongField, WrongRank
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank
-from .linalg import _equal_image_pair, _failing_bipartition
+from .linalg import _MINORS_CAP, COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank
+from .linalg import _equal_image_pair, _failing_bipartition, _macaulay_degree
 from .spectra import SpectrumPoint, _pencil_points, _singular_at, pencil_singular_set
 
 PR = "PR"
@@ -74,6 +80,7 @@ ORACLE_NO_WITNESS = "ORACLE_NO_WITNESS"
 NECESSARY_PASS = "NECESSARY_PASS"
 HERMITIAN_KERNEL = "HERMITIAN_KERNEL"
 COMPLEMENT_PROPERTY = "COMPLEMENT_PROPERTY"
+MACAULAY = "MACAULAY"
 
 SIMPLE = "simple"
 SYMMETRIC = "symmetric"
@@ -100,6 +107,7 @@ __all__ = [
     "NECESSARY_PASS",
     "HERMITIAN_KERNEL",
     "COMPLEMENT_PROPERTY",
+    "MACAULAY",
     "SIMPLE",
     "SYMMETRIC",
     "NOT_FINITE",
@@ -108,6 +116,7 @@ __all__ = [
     "TensorWitness",
     "StateWitness",
     "EmptyCertificate",
+    "MacaulayCertificate",
     "NoWitness",
     "PRVerdict",
     "METHODS",
@@ -166,6 +175,15 @@ class EmptyCertificate:
     """Placeholder certificate for PR / LIKELY_PR verdicts; records the floor."""
 
     floor: Optional[float] = None
+
+
+@dataclass
+class MacaulayCertificate:
+    """PR proof: the Macaulay matrix of degree ``degree`` of the kernel's 3x3
+    minors has full column rank, with ``ratio`` its ``sigma_min / sigma_max``."""
+
+    degree: int
+    ratio: float
 
 
 @dataclass
@@ -674,6 +692,13 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     d = 0 proves PR with floor ``sigma_min``, and so does n = 1 (one pure
     state).  Otherwise, in order, each witness under :func:`_accepted`:
 
+    * At ``2 <= d <= codim``, the codimension of the matrices of rank at most 2
+      (``(n - 2)^2`` in M_n(C), ``C(n - 1, 2)`` in the complex symmetric
+      ones), which a generic kernel of that dimension misses: on the real
+      field :func:`_rank_one_verdict` (below), then on both fields
+      :func:`_macaulay_verdict`, PR with floor None when the kernel's span
+      holds no matrix of rank at most 2.  ``rec.kernel_floor`` is tested
+      first, so ``M`` stays unbuilt when it exceeds ``codim``.
     * At d = 1 or n = 2, the pair of :func:`_signature_verdict` on the first
       basis matrix ``H1``; at n = 2 it decides every d, since
       ``Phi(H) >= l_min(H) sum_i A_i A_i*`` leaves no kernel element definite.
@@ -685,8 +710,8 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       ``H = H(c) + Hp`` with ``Hp`` orthogonal to the kernel.  By Weyl,
       ``|c| gamma <= g(H(c)) <= ||Hp||_F``, and ``|c|^2 + ||Hp||_F^2 = 1``,
       so ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
-    * On the real field, at d > ``_SPHERE_MAX_DIM`` or when the sphere search
-      gives up, :func:`_rank_one_verdict`: PR (floor None) or NOT_PR by the
+    * On the real field, when it did not run in the first step,
+      :func:`_rank_one_verdict`: PR (floor None) or NOT_PR by the
       complement property of the rank-one points of the kernel's complement.
       It declines when those points are not found or do not span it (a
       kernel of dimension below n - 1 leaves infinitely many), past the
@@ -695,6 +720,10 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       LIKELY_PR with its relative residual as the floor.
     """
     tol, n = rec.tol, rec.ch.dim_in
+    codim = (n - 1) * (n - 2) // 2 if rec.ch.field == REAL else (n - 2) ** 2
+    early = codim >= 2 and rec.kernel_floor <= codim and 2 <= rec.kernel_dim <= codim
+    if early and (verdict := _rank_one_verdict(rec) or _macaulay_verdict(rec)):
+        return verdict
     # The floor goes first, so M stays unbuilt whenever it already shows d >= 2.
     if n > 2 and (rec.kernel_floor >= 2 or rec.kernel_dim >= 2) and (verdict := _restart_zero(rec, cfg)):
         return verdict
@@ -708,7 +737,7 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     if n > 2 and d <= _SPHERE_MAX_DIM and (gamma := _sphere_gamma(H, tol.residual_abs)) is not None:
         floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    if verdict := _rank_one_verdict(rec):
+    if not early and (verdict := _rank_one_verdict(rec)):
         return verdict
     verdict, floor = _signature_verdict(rec, np.tensordot(_kernel_search(H, cfg), H, 1), ORACLE_WITNESS)
     return verdict or PRVerdict(LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=floor), floor=floor, residuals={})
@@ -735,12 +764,10 @@ def _signature_verdict(rec: _ChannelRecord, H: np.ndarray, method: str):
     return verdict, 0.0
 
 
-# Entries of the largest system of linearized minors _rank_one_points builds:
-# (k choose 2)((k choose 2) + 1)/2 minors by m(m + 1)/2 unknowns, about
-# 0.5 MB.  Every benchmark channel stays far below it (real-4-N7's second
-# system is 231 x 36); the second system of a random real channel from R^7
-# to R^6 would be 22,155 x 630.
-_MINORS_CAP = 2**16
+def _minors_entries(m: int, k: int) -> int:
+    """Entries of the linearized 2x2 minors of ``m`` symmetric ``k x k`` matrices."""
+    pairs = k * (k - 1) // 2
+    return pairs * (pairs + 1) // 2 * (m * (m + 1) // 2)
 
 
 def _rank_one_points(S: np.ndarray, tol: Tolerance, again: bool = True) -> Optional[np.ndarray]:
@@ -760,12 +787,24 @@ def _rank_one_points(S: np.ndarray, tol: Tolerance, again: bool = True) -> Optio
     scaled top eigenvector of ``S(c_j)``.  None past ``_MINORS_CAP``, or when
     an eigenvalue is complex, a ``S(c_j)`` has a second eigenvalue past the
     rank rule's cut or the ``c_j`` span fewer than ``m`` dimensions by it.
+
+    The minors span at most the quadrics on Sym(k) that vanish on its
+    rank-one matrices, ``K (K + 1) / 2 - C(k + 3, 4)`` of them with
+    ``K = k (k + 1) / 2``, so the null space has at least ``m (m + 1) / 2``
+    less that many dimensions.  That floor past ``2m``, or past ``m`` with a
+    second system over the cap, declines before any SVD.
     """
     m, k = S.shape[:2]
+    K = k * (k + 1) // 2
+    floor = m * (m + 1) // 2 - (K * (K + 1) // 2 - comb(k + 3, 4))
+    if (
+        _minors_entries(m, k) > _MINORS_CAP
+        or floor > (2 * m if again else m)
+        or (floor > m and _minors_entries(floor, m) > _MINORS_CAP)
+    ):
+        return None
     p, q = np.triu_indices(k, 1)
     a, b = np.triu_indices(len(p))
-    if len(a) * m * (m + 1) // 2 > _MINORS_CAP:
-        return None
     T = _hermitian_basis(m, REAL)
     # G[i, j, t] c_i c_j summed is minor t of S(c): rows (p_a, q_a), columns (p_b, q_b).
     G = S[:, p[a], p[b]][:, None] * S[:, q[a], q[b]] - S[:, p[a], q[b]][:, None] * S[:, q[a], p[b]]
@@ -820,6 +859,18 @@ def _rank_one_verdict(rec: _ChannelRecord) -> Optional[PRVerdict]:
     x, y = _equal_image_pair(B, *failing, rec.tol)
     verdict = _not_pr(rec, COMPLEMENT_PROPERTY, TensorWitness((x + y) / 2.0, (x - y) / 2.0, SYMMETRIC), SYMMETRIC)
     return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
+
+
+def _macaulay_verdict(rec: _ChannelRecord) -> Optional[PRVerdict]:
+    """PR by :func:`_macaulay_degree` on the kernel, floor None, or None.
+
+    A real ``c`` with ``H(c) = xx* - yy*`` would give a matrix of rank at
+    most 2 in the kernel's span, so full column rank proves the channel PR.
+    The test reads the kernel alone, and unitary conjugation moves the minors
+    by a unitary map, so the symmetries of phase retrieval keep the verdict.
+    """
+    found = _macaulay_degree(rec.kernel_basis, rec.tol)
+    return None if found is None else PRVerdict(PR, MACAULAY, MacaulayCertificate(*found), residuals={})
 
 
 # Restart 0 stops on an absolute objective, so on a small-scale channel it

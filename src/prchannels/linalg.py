@@ -5,12 +5,19 @@ relative to the largest singular value (scale free), and so is the
 Hermiticity test of :func:`hermitian_eig`; other residual decisions are
 absolute and assume the caller normalized its inputs.  Both cutoffs live in a
 single :class:`Tolerance` record that the higher-level modules thread through
-unchanged, so that verdicts are reproducible.
+unchanged, so that verdicts are reproducible.  The kernel stage's tests on
+matrix spans live here too: the complement property of a vector family
+(:func:`_failing_bipartition`) and the Macaulay rank test that a span holds
+no matrix of rank at most 2 (:func:`_macaulay_degree`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial
+from typing import Optional
 
 import numpy as np
 
@@ -24,16 +31,12 @@ __all__ = [
     "COMPLEX",
     "Tolerance",
     "DEFAULT_TOL",
-    "ZERO_POLY",
     "as_matrix",
     "numerical_rank",
     "kernel_basis",
-    "smallest_singular_value",
     "hermitian_eig",
     "trim_polynomial",
-    "poly_roots",
     "psd_sqrt",
-    "psd_inv_sqrt",
 ]
 
 
@@ -61,18 +64,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-class _ZeroPoly:
-    """Sentinel for the identically-zero polynomial (every point is a root)."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ZERO_POLY"
-
-
-ZERO_POLY = _ZeroPoly()
 
 
 def as_matrix(m) -> np.ndarray:
@@ -224,22 +215,6 @@ def _equal_image_pair(V: np.ndarray, side, comp, tol: Tolerance):
     return (x.real.astype(complex), y.real.astype(complex)) if np.isrealobj(V) else (x, y)
 
 
-def smallest_singular_value(M) -> float:
-    """Smallest singular value counted over the column dimension.
-
-    A matrix with more columns than rows always has a nontrivial kernel, so
-    the value is 0 in that case.
-    """
-    A = as_matrix(M)
-    rows, cols = A.shape
-    if rows == 0 or cols == 0:
-        return 0.0
-    if rows < cols:
-        return 0.0
-    s = _svdvals(A)
-    return float(s[-1])
-
-
 def hermitian_eig(H, tol: Tolerance = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -278,22 +253,6 @@ def trim_polynomial(coeffs, rel: float = 1e-12) -> np.ndarray:
     return c[: keep[-1] + 1]
 
 
-def poly_roots(coeffs):
-    """All complex roots (with multiplicity) of an ascending-coefficient polynomial.
-
-    The polynomial is degree-trimmed first and solved through the balanced
-    companion matrix.  Returns :data:`ZERO_POLY` when the polynomial is
-    identically zero and an empty list for nonzero constants.
-    """
-    c = trim_polynomial(coeffs)
-    if c.size == 0:
-        return ZERO_POLY
-    if c.size == 1:
-        return []
-    roots = np.polynomial.polynomial.polyroots(c)
-    return [complex(r) for r in roots]
-
-
 def psd_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a PSD matrix; tiny negative eigenvalues are clipped."""
     w, v = hermitian_eig(H, tol)
@@ -301,9 +260,94 @@ def psd_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_inv_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Inverse Hermitian square root of a positive definite matrix."""
-    w, v = hermitian_eig(H, tol)
-    if w[-1] <= tol.rank_rel * max(w[0], 0.0):
-        raise np.linalg.LinAlgError("matrix is numerically singular")
-    return (v / np.sqrt(w)) @ v.conj().T
+# Entries of the largest matrix of minors the kernel stage builds, about
+# 0.5 MB: a system of linearized 2x2 minors in deciders._rank_one_points,
+# (k choose 2)((k choose 2) + 1)/2 minors by m(m + 1)/2 unknowns, or a
+# Macaulay matrix of _macaulay_degree.  Every benchmark channel's system stays
+# far below it (real-4-N7's second system is 231 x 36); the second system of
+# a random real channel from R^7 to R^6 would be 22,155 x 630.
+_MINORS_CAP = 2**16
+
+
+@lru_cache(maxsize=64)
+def _monomials(d: int, D: int):
+    """The degree-``D`` monomials in ``d`` variables as exponent rows, and their
+    Bombieri weights ``sqrt(D! / prod_i alpha_i!)``; read-only."""
+    E = np.zeros((comb(d + D - 1, D), d), dtype=np.int64)
+    for row, picks in zip(E, combinations_with_replacement(range(d), D)):
+        np.add.at(row, list(picks), 1)
+    w = np.sqrt(factorial(D) / np.prod(np.array([factorial(i) for i in range(D + 1)], dtype=float)[E], axis=1))
+    E.flags.writeable = w.flags.writeable = False
+    return E, w
+
+
+def _monomial_index(E: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in ``E`` of the exponent rows ``rows``, each one of them."""
+    base = (int(E.sum(axis=1).max()) + 1) ** np.arange(E.shape[1])
+    keys = E @ base
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys, rows @ base, sorter=order)]
+
+
+def _macaulay_degree(H: np.ndarray, tol: Tolerance) -> Optional[tuple[int, float]]:
+    """``(D, sigma_min / sigma_max)`` of the first Macaulay matrix of full column
+    rank, or None: then the span of ``H_1..H_d``, even over C, holds no
+    nonzero matrix of rank at most 2.
+
+    The 3x3 minors of ``H(c) = sum_k c_k H_k`` are cubic forms in ``c``, their
+    coefficients from one ``einsum`` against the Levi-Civita tensor over the
+    row and column triples ``I <= J``.  At degree D the rows are the minors
+    times the monomials of degree ``D - 3``, and the columns the monomials of
+    degree D, each monomial weighted by its Bombieri weight, so an orthogonal
+    change of the basis ``H_k`` moves no singular value.  The forms have no
+    common zero in projective space exactly when some D gives full column
+    rank, and then every higher one does (Dreesen, Batselier, De Moor, IFAC
+    2012).  Then d generic combinations of them are a regular sequence of
+    cubics, whose quotient vanishes from degree ``2d + 1`` on (Macaulay's
+    bound), so a deficient rank there leaves a common zero.  Degrees with
+    fewer rows than columns are skipped, and the search stops past ``2d + 1``
+    or at the first matrix past ``_MINORS_CAP`` entries; each degree is one
+    values-only SVD under the rank rule.  Nothing is built when no degree
+    fits under the cap.
+    """
+    d, n = H.shape[:2]
+    real = not np.iscomplexobj(H)
+    triples = comb(n, 3)
+    minors = triples * (triples + 1) // 2 if real else triples * triples
+    degrees, D = [], 3
+    while D <= 2 * d + 1 and (rows := minors * comb(d + D - 4, D - 3)) * (cols := comb(d + D - 1, D)) <= _MINORS_CAP:
+        if rows >= cols:
+            degrees.append(D)
+        D += 1
+    if not degrees:
+        return None
+    I = np.array(list(combinations(range(n), 3)))
+    p, q = np.triu_indices(triples)
+    # B[k, t] is H_k on the rows I_p and columns I_q of minor t.
+    B = H[:, I[p][:, :, None], I[q][:, None, :]]
+    eps = np.zeros((3, 3, 3))
+    eps[[0, 1, 2, 1, 2, 0], [1, 2, 0, 0, 1, 2], [2, 0, 1, 2, 0, 1]] = [1, 1, 1, -1, -1, -1]
+    # T[t, k, l, m] c_k c_l c_m summed is minor t of H(c).
+    T = np.einsum("kax,lay,maz,xyz->aklm", B[:, :, 0], B[:, :, 1], B[:, :, 2], eps, optimize=True)
+    E3 = _monomials(d, 3)[0]
+    # A monomial's coefficient sums T over its ordered triples (k, l, m).
+    ordered = np.eye(d, dtype=np.int64)[np.indices((d, d, d)).reshape(3, -1)].sum(axis=0)
+    coef = np.zeros((len(p), len(E3)), dtype=T.dtype)
+    np.add.at(coef.T, _monomial_index(E3, ordered), T.reshape(len(p), -1).T)
+    # The minor of rows I_q and columns I_p has the conjugate coefficients, the
+    # H_k being Hermitian: a row of its own on the complex field, the weight
+    # sqrt(2) on the real one, so the rows' Gram matrix is that of all minors
+    # and unitary conjugation of the H_k moves no singular value either.
+    if real:
+        coef[p < q] *= np.sqrt(2.0)
+    else:
+        coef = np.concatenate((coef, coef[p < q].conj()))
+    for D in degrees:
+        (Eb, wb), (Ea, wa) = _monomials(d, D - 3), _monomials(d, D)
+        cols = _monomial_index(Ea, Eb[:, None] + E3)
+        M = np.zeros((minors, len(Eb), len(Ea)), dtype=coef.dtype)
+        M[:, np.arange(len(Eb))[:, None], cols] = coef[:, None] * (wb[:, None] / wa[cols])
+        s = np.linalg.svd(M.reshape(-1, len(Ea)), compute_uv=False)
+        if _rank(s, tol) == len(Ea):
+            return D, float(s[-1] / s[0])
+    return None

@@ -17,6 +17,7 @@ from .constructors import POVM, ConstructionResult
 from .deciders import (
     EmptyCertificate,
     InnerProductViolation,
+    MacaulayCertificate,
     PencilClash,
     PRVerdict,
     StateWitness,
@@ -172,6 +173,8 @@ def _certificate_to_json(cert) -> dict:
         }
     if isinstance(cert, EmptyCertificate):
         return {"kind": "empty", "floor": cert.floor}
+    if isinstance(cert, MacaulayCertificate):
+        return {"kind": "macaulay", "degree": cert.degree, "sigma_ratio": cert.ratio}
     raise TypeError(f"unknown certificate type {type(cert).__name__}")
 
 

@@ -1,6 +1,8 @@
 """Shared generators for the test suite (random channels, unitaries, frames), a
 point-by-point reference of the pencil engine, a two-set reference of the
-rank-2 decision and a two-image reference of the state-witness conversion."""
+rank-2 decision, a two-image reference of the state-witness conversion, and
+the small linear-algebra helpers those references use: companion-matrix
+roots, the smallest singular value and the inverse square root."""
 
 import numpy as np
 
@@ -13,11 +15,56 @@ from prchannels import (
     QuantumChannel,
     StateWitness,
     apply,
-    smallest_singular_value,
+    hermitian_eig,
     verify_certificate,
 )
-from prchannels.linalg import ZERO_POLY, as_matrix, poly_roots, psd_inv_sqrt, trim_polynomial
+from prchannels.linalg import _svdvals, as_matrix, trim_polynomial
 from prchannels.spectra import SingularSet, _cluster_roots, _significant_poly
+
+
+class _ZeroPoly:
+    """Sentinel for the identically-zero polynomial (every point is a root)."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "ZERO_POLY"
+
+
+ZERO_POLY = _ZeroPoly()
+
+
+def poly_roots(coeffs):
+    """All complex roots (with multiplicity) of an ascending-coefficient polynomial.
+
+    The polynomial is degree-trimmed first and solved through the balanced
+    companion matrix.  Returns :data:`ZERO_POLY` when the polynomial is
+    identically zero and an empty list for nonzero constants.
+    """
+    c = trim_polynomial(coeffs)
+    if c.size == 0:
+        return ZERO_POLY
+    if c.size == 1:
+        return []
+    return [complex(r) for r in np.polynomial.polynomial.polyroots(c)]
+
+
+def smallest_singular_value(M) -> float:
+    """Smallest singular value counted over the column dimension: 0 when ``M``
+    has more columns than rows, since it then has a nontrivial kernel."""
+    A = as_matrix(M)
+    rows, cols = A.shape
+    if rows == 0 or cols == 0 or rows < cols:
+        return 0.0
+    return float(_svdvals(A)[-1])
+
+
+def psd_inv_sqrt(H, tol=DEFAULT_TOL) -> np.ndarray:
+    """Inverse Hermitian square root of a positive definite matrix."""
+    w, v = hermitian_eig(H, tol)
+    if w[-1] <= tol.rank_rel * max(w[0], 0.0):
+        raise np.linalg.LinAlgError("matrix is numerically singular")
+    return (v / np.sqrt(w)) @ v.conj().T
 
 
 def rand_matrix(rng, rows, cols, field):
@@ -51,6 +98,43 @@ def random_unitary(n, field, rng):
 def rho(x):
     x = np.asarray(x, dtype=complex)
     return np.outer(x, x.conj())
+
+
+def _orthonormalized(G):
+    """Gram-Schmidt of the stacked Hermitian ``G`` in the real Frobenius inner product, first one first."""
+    d, n, _ = G.shape
+    flat = G.reshape(d, n * n)
+    q, r = np.linalg.qr(np.concatenate((flat.real, flat.imag), axis=1).T)
+    q = q * np.sign(np.diag(r))
+    return (q[: n * n] + 1j * q[n * n :]).T.reshape(d, n, n)
+
+
+def orthonormal_family(rng, d, n, field, first=None):
+    """``d`` random orthonormal Hermitian matrices; the first spans ``first`` when given."""
+    G = rand_matrix(rng, d * n, n, field).reshape(d, n, n)
+    G = G + G.conj().transpose(0, 2, 1)
+    if first is not None:
+        G[0] = first
+    return _orthonormalized(G)
+
+
+def planted_basis(n, d, field, rng):
+    """Frobenius-orthonormal ``H_1..H_d`` whose span holds ``xx* - yy*`` among d - 1 random directions.
+
+    The planted element is rotated into the span, so no basis matrix is it.
+    """
+    x, y = rand_matrix(rng, 2, n, field)
+    mats = [np.outer(x, x.conj()) - np.outer(y, y.conj())]
+    for _ in range(d - 1):
+        G = rand_matrix(rng, n, n, field)
+        mats.append(G + G.conj().T)
+    # The real coordinates of Hermitian matrices keep the Frobenius inner product.
+    coords = np.array([np.concatenate((M.real.ravel(), M.imag.ravel())) for M in mats]).T
+    Q = np.linalg.qr(coords)[0].T
+    H = (Q[:, : n * n] + 1j * Q[:, n * n :]).reshape(d, n, n)
+    if field == REAL:
+        H = H.real
+    return np.tensordot(np.linalg.qr(rng.normal(size=(d, d)))[0], H, 1)
 
 
 def pinching(dims, field):

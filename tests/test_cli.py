@@ -126,10 +126,10 @@ def _frame_channel_file(tmp_path, n, N, field="real"):
 
 
 def test_check_labels_an_oracle_floor(tmp_path):
-    # A complex frame of 12 vectors in C^4: its measurement channel has a
-    # four-dimensional kernel on Herm(4), past the sphere search, so only the
-    # oracle speaks.
-    res = run_cli("check", str(_frame_channel_file(tmp_path, 4, 12, "complex")))
+    # A complex frame of 16 vectors in C^5: its measurement channel has a
+    # nine-dimensional kernel on Herm(5), past the sphere search, and no
+    # Macaulay matrix of it fits under the cap, so only the oracle speaks.
+    res = run_cli("check", str(_frame_channel_file(tmp_path, 5, 16, "complex")))
     assert res.returncode == 2
     assert "verdict: LIKELY_PR (method ORACLE_NO_WITNESS)" in res.stdout
     assert "oracle floor: " in res.stdout
@@ -148,14 +148,19 @@ def test_check_proves_a_real_frame_channel_by_the_complement_property(tmp_path):
 
 
 def test_check_proves_a_three_dimensional_kernel(tmp_path):
-    # A real frame of 7 vectors in R^4 has a three-dimensional kernel on
-    # Sym(4): the sphere search proves PR after restart 0 of the bilinear
-    # search finds no witness.
-    res = run_cli("check", str(_frame_channel_file(tmp_path, 4, 7)))
+    # A complex frame of 13 vectors in C^4 has a three-dimensional kernel on
+    # Herm(4), below the codimension 4 of the rank-2 matrices: the Macaulay
+    # matrix of its 3x3 minors has full column rank at degree 3, which
+    # proves PR before restart 0 runs.  The report names the degree and the
+    # sigma ratio, and gives no floor.
+    res = run_cli("check", str(_frame_channel_file(tmp_path, 4, 13, "complex")))
     assert res.returncode == 0
-    assert "verdict: PR (method HERMITIAN_KERNEL)" in res.stdout
-    assert "proved floor: " in res.stdout
-    assert "oracle floor" not in res.stdout
+    assert "verdict: PR (method MACAULAY)" in res.stdout
+    assert "Macaulay degree: 3, sigma ratio: " in res.stdout
+    assert "floor" not in res.stdout
+    res = run_cli("check", str(_frame_channel_file(tmp_path, 4, 13, "complex")), "--output", "json")
+    cert = json.loads(res.stdout)["verdict"]["certificate"]
+    assert cert["kind"] == "macaulay" and cert["degree"] == 3 and 1e-10 < cert["sigma_ratio"] <= 1.0
 
 
 def test_malformed_json_is_input_error():

@@ -9,8 +9,8 @@ must survive them on both fields, and every NOT_PR certificate must
 re-verify relative to the moved channel's scale.  Past the kernel stage,
 :func:`decide` must stay sound at every scale: a NOT_PR of restart 0 or of
 the witness search re-verifies relative to the channel's scale, and no PR
-comes without a proof: an exact stage, the sphere search or the real-field
-rank-one step.
+comes without a proof: an exact stage, the sphere search, the real-field
+rank-one step or the Macaulay step.
 """
 
 from unittest import mock
@@ -35,7 +35,7 @@ from prchannels import (
     orthogonal_projection_channel,
 )
 from prchannels.constructors import projector_channel_from_frame
-from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL, RANK1, RANK2_EXACT
+from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL, MACAULAY, RANK1, RANK2_EXACT
 from prchannels.frames import _measurement_channel
 
 from helpers import assert_relative_certificate, rand_matrix, random_cptp, random_unitary
@@ -44,8 +44,9 @@ from helpers import assert_relative_certificate, rand_matrix, random_cptp, rando
 def _kernel_verdict(ch):
     # The "oracle" sub-list is the kernel stage alone.  PR comes only at
     # kernel dimension 0 or from its sphere search at dimensions 1 to 3,
-    # with method HERMITIAN_KERNEL, or on the real field from the rank-one
-    # step, with method COMPLEMENT_PROPERTY.
+    # with method HERMITIAN_KERNEL, on the real field from the rank-one step,
+    # with method COMPLEMENT_PROPERTY, or from the Macaulay step, with method
+    # MACAULAY.
     return decide_method(ch, "oracle")
 
 
@@ -129,7 +130,9 @@ def test_sphere_search_pr_is_invariant(field, short, seed, k):
     # R^4 has a kernel of dimension 2 or 3, which the sphere search proves.
     # (In dimension 3 those frames are too short to be PR.)  The moves turn
     # the kernel basis, so the search walks other cells: a channel proved
-    # within half the budget must stay proved within all of it.
+    # within half the budget must stay proved within all of it.  The
+    # Macaulay step, which proves these kernels before the sphere search
+    # runs, is left out.
     rng = np.random.default_rng(seed)
     n = 4
     dim = n * n if field == COMPLEX else n * (n + 1) // 2
@@ -137,16 +140,17 @@ def test_sphere_search_pr_is_invariant(field, short, seed, k):
     kraus = _measurement_channel(f).kraus
     # A real channel the half budget leaves unproved may be proved by the
     # rank-one step, and every move must keep it PR.
-    with mock.patch.object(deciders, "_SPHERE_CELLS", deciders._SPHERE_CELLS // 2):
-        before = _kernel_verdict(QuantumChannel(n, dim - short, kraus, field))
-    assume(before.status == PR)
-    assert before.method in ((HERMITIAN_KERNEL, COMPLEMENT_PROPERTY) if field == REAL else (HERMITIAN_KERNEL,))
+    with mock.patch.object(deciders, "_macaulay_verdict", lambda rec: None):
+        with mock.patch.object(deciders, "_SPHERE_CELLS", deciders._SPHERE_CELLS // 2):
+            before = _kernel_verdict(QuantumChannel(n, dim - short, kraus, field))
+        assume(before.status == PR)
+        assert before.method in ((HERMITIAN_KERNEL, COMPLEMENT_PROPERTY) if field == REAL else (HERMITIAN_KERNEL,))
 
-    for name, moved in _moved(kraus, field, rng, k):
-        after = _kernel_verdict(moved)
-        assert after.status == PR, name
-        if before.method == HERMITIAN_KERNEL:
-            assert after.method == HERMITIAN_KERNEL, name
+        for name, moved in _moved(kraus, field, rng, k):
+            after = _kernel_verdict(moved)
+            assert after.status == PR, name
+            if before.method == HERMITIAN_KERNEL:
+                assert after.method == HERMITIAN_KERNEL, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -184,7 +188,7 @@ def test_decide_is_sound_at_every_scale(kind, field, big, d, seed, k):
     if verdict.status == NOT_PR:
         assert_relative_certificate(ch, verdict)
     if verdict.status == PR:
-        assert verdict.method in (RANK1, RANK2_EXACT, HERMITIAN_KERNEL, COMPLEMENT_PROPERTY)
+        assert verdict.method in (RANK1, RANK2_EXACT, HERMITIAN_KERNEL, COMPLEMENT_PROPERTY, MACAULAY)
 
 
 @pytest.mark.parametrize(

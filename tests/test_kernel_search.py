@@ -21,26 +21,7 @@ from prchannels.constructors import orthogonal_projection_channel, projector_cha
 from prchannels import deciders
 from prchannels.deciders import ORACLE_NO_WITNESS, _ChannelRecord, _kernel_search, _tangent_step
 
-from helpers import rand_matrix, random_unitary
-
-
-def _planted_basis(n, d, field, rng):
-    """Frobenius-orthonormal ``H_1..H_d`` whose span holds ``xx* - yy*`` among d - 1 random directions.
-
-    The planted element is rotated into the span, so no basis matrix is it.
-    """
-    x, y = rand_matrix(rng, 2, n, field)
-    mats = [np.outer(x, x.conj()) - np.outer(y, y.conj())]
-    for _ in range(d - 1):
-        G = rand_matrix(rng, n, n, field)
-        mats.append(G + G.conj().T)
-    # The real coordinates of Hermitian matrices keep the Frobenius inner product.
-    coords = np.array([np.concatenate((M.real.ravel(), M.imag.ravel())) for M in mats]).T
-    Q = np.linalg.qr(coords)[0].T
-    H = (Q[:, : n * n] + 1j * Q[:, n * n :]).reshape(d, n, n)
-    if field == REAL:
-        H = H.real
-    return np.tensordot(np.linalg.qr(rng.normal(size=(d, d)))[0], H, 1)
+from helpers import planted_basis, random_unitary
 
 
 @pytest.mark.parametrize(
@@ -49,7 +30,7 @@ def _planted_basis(n, d, field, rng):
 )
 def test_search_finds_a_planted_bad_element(field, n, d):
     for trial in range(3):
-        H = _planted_basis(n, d, field, np.random.default_rng([n, d, trial]))
+        H = planted_basis(n, d, field, np.random.default_rng([n, d, trial]))
         c = _kernel_search(H, OracleConfig(restarts=8))
         assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-12)
         # H(c) has unit norm; at most one positive and one negative
@@ -98,7 +79,7 @@ def test_search_calls_no_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the witness search computed an SVD")
 
-    H = _planted_basis(5, 8, COMPLEX, np.random.default_rng(5))
+    H = planted_basis(5, 8, COMPLEX, np.random.default_rng(5))
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "pinv", refuse)
     c = _kernel_search(H, OracleConfig(restarts=8))
@@ -109,9 +90,11 @@ def test_search_calls_no_svd(monkeypatch):
 @pytest.mark.parametrize("field,n,N", [(REAL, 5, 9), (COMPLEX, 4, 12)])
 def test_likely_pr_floor_is_the_relative_residual_of_the_search_pair(monkeypatch, field, n, N):
     # Generic frames of these lengths are PR with a kernel past the sphere
-    # search (d = 6 and 4), so the search runs and finds no witness.  On the
-    # real field the rank-one step would prove PR first, so it is left out.
+    # search (d = 6 and 4), so the search runs and finds no witness.  The
+    # rank-one step (real field) and the Macaulay step (complex field) would
+    # prove PR first, so they are left out.
     monkeypatch.setattr(deciders, "_rank_one_verdict", lambda rec: None)
+    monkeypatch.setattr(deciders, "_macaulay_verdict", lambda rec: None)
     ch = projector_channel_from_frame(random_generic_frame(n, N, field, seed=0))
     cfg = OracleConfig(restarts=8)
     verdict = decide(ch, cfg)

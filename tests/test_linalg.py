@@ -3,18 +3,15 @@ import pytest
 
 from prchannels import (
     DEFAULT_TOL,
-    ZERO_POLY,
     Tolerance,
     hermitian_eig,
     kernel_basis,
     minimal_kraus_from_choi,
     numerical_rank,
-    poly_roots,
-    smallest_singular_value,
 )
 from prchannels.errors import NotHermitian
 
-from helpers import rand_matrix, random_unitary
+from helpers import ZERO_POLY, poly_roots, rand_matrix, random_unitary, smallest_singular_value
 
 
 def test_tolerance_validation():

@@ -1,0 +1,184 @@
+"""The Macaulay step of the kernel stage and the gate in front of it.
+
+``_macaulay_degree`` proves that the span of ``H_1..H_d``, even over C, holds
+no nonzero matrix of rank at most 2, by a Macaulay matrix of the 3x3 minors
+of ``H(c)`` of full column rank.  A span through some ``xx* - yy*`` has such
+a matrix, so it must never be proved; generic spans of dimension up to the
+codimension of the rank-2 locus, ``(n - 2)^2`` (complex) and ``C(n - 1, 2)``
+(real), are.  The test reads the kernel alone, so neither an orthogonal
+change of basis nor a unitary conjugation moves its singular values.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from prchannels import COMPLEX, DEFAULT_TOL, NOT_PR, PR, REAL, OracleConfig, decide, random_generic_frame
+from prchannels import deciders, linalg
+from prchannels.constructors import projector_channel_from_frame
+from prchannels.deciders import MACAULAY, _ChannelRecord, _rank_one_points, _sphere_gamma
+from prchannels.linalg import _macaulay_degree, _monomials
+
+from helpers import orthonormal_family, pinching, planted_basis, random_cptp, random_unitary
+
+
+def _codim(n, field):
+    return (n - 1) * (n - 2) // 2 if field == REAL else (n - 2) ** 2
+
+
+def _family(n, d, field, rng):
+    """``d`` random Frobenius-orthonormal Hermitian (real: symmetric) matrices."""
+    H = orthonormal_family(rng, d, n, field)
+    return H.real if field == REAL else H
+
+
+def _minors_brute(H, c):
+    """Every 3x3 minor of ``H(c)`` by determinants: rows I and columns J for
+    ``I <= J``, then J and I for ``I < J``."""
+    M = np.tensordot(c, H, 1)
+    idx = list(enumerate(combinations(range(len(M)), 3)))
+    pairs = [(I, J) for a, I in idx for b, J in idx if a <= b] + [(J, I) for a, I in idx for b, J in idx if a < b]
+    return np.array([np.linalg.det(M[np.ix_(I, J)]) for I, J in pairs])
+
+
+@pytest.mark.parametrize("field,n", [(REAL, 4), (REAL, 5), (COMPLEX, 4), (COMPLEX, 5)])
+def test_planted_kernels_are_never_certified(field, n):
+    # Every span through a real xx* - yy* (complex x, y on the complex field)
+    # with 2 <= d <= codim, 14 per dimension: 252 kernels over the four
+    # shapes, none proved.
+    for d in range(2, _codim(n, field) + 1):
+        for seed in range(14):
+            H = planted_basis(n, d, field, np.random.default_rng([n, d, seed, field == REAL]))
+            assert _macaulay_degree(H, DEFAULT_TOL) is None, (d, seed)
+
+
+@pytest.mark.parametrize("field", (REAL, COMPLEX))
+@pytest.mark.parametrize("n", (4, 5))
+def test_step_agrees_with_the_sphere_search(field, n):
+    # Random spans of dimension 2 and 3: wherever the sphere search proves
+    # that no element has the colliding signature, the step proves it too.
+    both = 0
+    for d in (2, 3):
+        for seed in range(4):
+            H = _family(n, d, field, np.random.default_rng([7, n, d, seed]))
+            if _sphere_gamma(H, DEFAULT_TOL.residual_abs) is not None:
+                assert _macaulay_degree(H, DEFAULT_TOL) is not None, (d, seed)
+                both += 1
+    assert both >= 4
+
+
+@pytest.mark.parametrize("field,n,d", [(COMPLEX, 4, 4), (COMPLEX, 5, 6), (REAL, 4, 3), (REAL, 5, 5)])
+def test_sigma_ratio_is_basis_free(field, n, d):
+    # Bombieri weights in rows and columns: an orthogonal change of the
+    # kernel basis, and a unitary conjugation of every H_k, keep the degree
+    # and the singular values.
+    rng = np.random.default_rng([n, d])
+    H = _family(n, d, field, rng)
+    D, ratio = _macaulay_degree(H, DEFAULT_TOL)
+    O = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    U = random_unitary(n, field, rng)
+    U = U.real if field == REAL else U
+    for moved in (np.tensordot(O, H, 1), U @ H @ U.conj().T):
+        D2, ratio2 = _macaulay_degree(moved, DEFAULT_TOL)
+        assert D2 == D and ratio2 == pytest.approx(ratio, rel=1e-8)
+
+
+def test_minor_coefficients_match_determinants(monkeypatch):
+    # The Macaulay rows at degree 3 are the minors' coefficients: evaluated
+    # at a point, each row times the weighted monomials is that minor.
+    H = _family(4, 3, COMPLEX, np.random.default_rng(3))
+    svd, seen = np.linalg.svd, []
+
+    def keep(a, *args, **kwargs):
+        seen.append(a.copy())
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", keep)
+    assert _macaulay_degree(H, DEFAULT_TOL)[0] == 3
+    E, w = _monomials(3, 3)
+    c = np.random.default_rng(4).normal(size=3) + 1j * np.random.default_rng(5).normal(size=3)
+    values = seen[0] @ (w * np.prod(c ** E, axis=1))
+    assert np.allclose(values, _minors_brute(H, c), atol=1e-12)
+
+
+def test_nothing_is_built_when_no_degree_fits(monkeypatch):
+    # C^5 with a nine-dimensional kernel: degree 3 has 100 rows for 165
+    # columns, and degree 4 passes the cap.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(linalg, "_monomials", refuse)
+    H = _family(5, 9, COMPLEX, np.random.default_rng(0))
+    assert _macaulay_degree(H, DEFAULT_TOL) is None
+
+
+def test_generic_wide_kernels_are_proved_before_restart_zero(monkeypatch):
+    # Generic complex frames of 4n - 4 or more vectors in C^4 and C^5 with
+    # d <= (n - 2)^2, the benchmark's former LIKELY_PR items among them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("restart 0 ran")
+
+    monkeypatch.setattr(deciders, "_restart_zero", refuse)
+    for n, N, D in ((4, 12, 5), (4, 13, 3), (5, 19, 3), (5, 22, 3)):
+        verdict = decide(projector_channel_from_frame(random_generic_frame(n, N, COMPLEX, 1)))
+        assert (verdict.status, verdict.method, verdict.floor) == (PR, MACAULAY, None)
+        assert verdict.certificate.degree == D and 1e-10 < verdict.certificate.ratio <= 1.0
+
+
+@pytest.mark.parametrize(
+    "label,ch",
+    [
+        ("pinching (1, 1, 1, 1)", pinching((1, 1, 1, 1), COMPLEX)),
+        ("pinching (2, 1, 2)", pinching((2, 1, 2), REAL)),
+        ("short frame C^4", projector_channel_from_frame(random_generic_frame(4, 8, COMPLEX, 2))),
+        ("short frame R^5", projector_channel_from_frame(random_generic_frame(5, 8, REAL, 2))),
+    ],
+)
+def test_not_pr_kernels_past_the_codimension_skip_the_step(monkeypatch, label, ch):
+    # Their Kraus-rank floor already exceeds the codimension, so restart 0
+    # runs first, with M unbuilt, and the Macaulay step never runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Macaulay step ran")
+
+    restart_zero, rank_one, ran = deciders._restart_zero, deciders._rank_one_verdict, []
+
+    def first(rec, cfg):
+        assert "M" not in vars(rec)
+        ran.append(1)
+        return restart_zero(rec, cfg)
+
+    def after(rec):
+        assert ran
+        return rank_one(rec)
+
+    monkeypatch.setattr(deciders, "_macaulay_verdict", refuse)
+    monkeypatch.setattr(deciders, "_restart_zero", first)
+    monkeypatch.setattr(deciders, "_rank_one_verdict", after)
+    rec = _ChannelRecord(ch, DEFAULT_TOL)
+    assert rec.kernel_floor > _codim(ch.dim_in, ch.field)
+    assert deciders._kernel_stage(rec, OracleConfig()).status == NOT_PR, label
+
+
+def test_rank_one_step_declines_a_wide_null_space_without_an_svd(monkeypatch):
+    # A real channel from R^7 to R^6 with 4 Kraus operators: a kernel of
+    # dimension 7 and a complement of 21 in Sym(7).  The quadrics vanishing
+    # on the rank-one matrices leave the linearized minors a null space of at
+    # least 231 - 196 = 35 dimensions, past m = 21, and the second system it
+    # forces passes the cap: the step declines before any SVD.
+    ch = random_cptp(7, 6, 4, REAL, np.random.default_rng(24))
+    rec = _ChannelRecord(ch, DEFAULT_TOL)
+    S = rec.complement_basis
+    assert (len(S), rec.kernel_dim) == (21, 7)
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert _rank_one_points(S, DEFAULT_TOL) is None
+    assert deciders._rank_one_verdict(rec) is None
+    assert calls == []

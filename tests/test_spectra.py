@@ -11,12 +11,11 @@ from prchannels import (
     is_left_invertible,
     kernel_basis,
     pencil_singular_set,
-    smallest_singular_value,
 )
 from prchannels.errors import ConstraintViolated, DimensionMismatch
 from prchannels.spectra import _pencil_points
 
-from helpers import rand_matrix, random_unitary, reference_pencil_singular_set
+from helpers import rand_matrix, random_unitary, reference_pencil_singular_set, smallest_singular_value
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 

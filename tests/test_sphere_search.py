@@ -14,27 +14,9 @@ from prchannels import COMPLEX, DEFAULT_TOL, REAL
 from prchannels import deciders
 from prchannels.deciders import _sphere_gamma
 
-from helpers import rand_matrix
+from helpers import orthonormal_family, rand_matrix
 
 MARGIN = DEFAULT_TOL.residual_abs
-
-
-def _orthonormalized(G):
-    """Gram-Schmidt of the stacked Hermitian ``G`` in the real Frobenius inner product, first one first."""
-    d, n, _ = G.shape
-    flat = G.reshape(d, n * n)
-    q, r = np.linalg.qr(np.concatenate((flat.real, flat.imag), axis=1).T)
-    q = q * np.sign(np.diag(r))
-    return (q[: n * n] + 1j * q[n * n :]).T.reshape(d, n, n)
-
-
-def _family(rng, d, n, field, first=None):
-    """``d`` random orthonormal Hermitian matrices; the first spans ``first`` when given."""
-    G = rand_matrix(rng, d * n, n, field).reshape(d, n, n)
-    G = G + G.conj().transpose(0, 2, 1)
-    if first is not None:
-        G[0] = first
-    return _orthonormalized(G)
 
 
 def _g(H, c):
@@ -69,7 +51,7 @@ def test_proved_gamma_never_exceeds_the_sampled_minimum(field, n, d):
     sample = _sphere_sample(d)
     proved = 0
     for _ in range(8):
-        H = _family(rng, d, n, field)
+        H = orthonormal_family(rng, d, n, field)
         gamma = _sphere_gamma(H, MARGIN)
         if gamma is None:
             continue
@@ -91,7 +73,7 @@ def test_a_family_through_a_pure_state_difference_is_never_proved(field, n, d, m
     rng = np.random.default_rng([7, n, d, field == COMPLEX])
     for _ in range(6):
         x, y = rand_matrix(rng, 2, n, field)
-        H = _family(rng, d, n, field, first=np.outer(x, x.conj()) - np.outer(y, y.conj()))
+        H = orthonormal_family(rng, d, n, field, first=np.outer(x, x.conj()) - np.outer(y, y.conj()))
         # Rotating the family moves the bad point off the face centres.
         H = np.tensordot(_random_rotation(rng, d), H, axes=1)
         assert _sphere_gamma(H, MARGIN) is None

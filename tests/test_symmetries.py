@@ -19,11 +19,16 @@ from prchannels import (
     QuantumChannel,
     decide,
     fixture,
+    NO,
+    YES,
+    Frame,
+    is_phase_retrievable_frame,
+    parseval_normalize,
     random_generic_frame,
     verify_certificate,
 )
 from prchannels.constructors import projector_channel_from_frame
-from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL
+from prchannels.deciders import COMPLEMENT_PROPERTY
 
 from helpers import pinching, random_cptp, random_unitary
 
@@ -71,10 +76,10 @@ def test_status_holds_under_the_four_symmetries(label, ch):
             assert res.get("state", 0.0) <= 1e-7 * trace, variant
 
 
-# Generic real frames of these lengths have the complement property.  At
-# kernel dimension 6 and 5 the rank-one step proves them; at 3 the sphere
-# search does, before the step runs.
-PR_FRAMES = {(5, 9): COMPLEMENT_PROPERTY, (5, 10): COMPLEMENT_PROPERTY, (4, 7): HERMITIAN_KERNEL}
+# Generic real frames of these lengths have the complement property, and the
+# rank-one step proves them at kernel dimension 6, 5 and 3; at 3 it runs
+# ahead of restart 0 and of the sphere search.
+PR_FRAMES = {(5, 9): COMPLEMENT_PROPERTY, (5, 10): COMPLEMENT_PROPERTY, (4, 7): COMPLEMENT_PROPERTY}
 
 
 @pytest.mark.parametrize("n,N", list(PR_FRAMES))
@@ -86,3 +91,26 @@ def test_pr_real_frame_channels_keep_status_and_method(n, N):
     for variant, copy in _variants(ch, np.random.default_rng(6)):
         verdict = decide(copy)
         assert (verdict.status, verdict.method) == want, variant
+
+
+# A generic complex frame of 4n - 4 = 12 vectors in C^4, proved by the
+# Macaulay step, and a frame of 8, too short to be phase retrievable.
+@pytest.mark.parametrize("N,want", [(12, YES), (8, NO)])
+def test_complex_frame_verdict_holds_under_frame_symmetries(N, want):
+    f = random_generic_frame(4, N, COMPLEX, 6)
+    rng = np.random.default_rng([4, N])
+    phases = np.exp(2j * np.pi * rng.random(N))
+    U = random_unitary(4, COMPLEX, rng)
+    variants = {
+        "unmoved": f,
+        "scaled": Frame(dim=4, vectors=f.vectors * (10.0 ** rng.uniform(-3, 3, N) * phases)[:, None], field=COMPLEX),
+        "unitary": Frame(dim=4, vectors=f.vectors @ U.T, field=COMPLEX),
+        "parseval": parseval_normalize(f),
+    }
+    for name, g in variants.items():
+        report = is_phase_retrievable_frame(g)
+        assert report.phase_retrievable == want, name
+        if want == NO:
+            x, y = report.witness
+            gap = np.abs(g.vectors.conj() @ x) ** 2 - np.abs(g.vectors.conj() @ y) ** 2
+            assert np.linalg.norm(gap) <= 1e-7 * np.linalg.norm(g.vectors) ** 2, name

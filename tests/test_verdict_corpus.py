@@ -158,22 +158,37 @@ def test_verdict_corpus_unchanged():
     assert not mismatches, "\n".join(mismatches)
 
 
-# The items the sphere search proves PR, where the oracle gave LIKELY_PR.
-SPHERE_PROVED = ("wide_kernel/complex-4-N13", "wide_kernel/real-4-N7#0", "wide_kernel/real-4-N7#1")
+# The items the sphere search proved PR, where the oracle gave LIKELY_PR.  At
+# n = 4 the Macaulay and rank-one steps now prove them first, with no floor;
+# at n = 3 the sphere search still does.
+SPHERE_PROVED = (
+    "wide_kernel/complex-3-N8",
+    "wide_kernel/complex-4-N13",
+    "wide_kernel/real-3-N5#0",
+    "wide_kernel/real-3-N5#1",
+    "wide_kernel/real-4-N7#0",
+    "wide_kernel/real-4-N7#1",
+)
 
 
 def test_sphere_floors_are_below_the_oracle_floors():
     # A proved floor bounds ||Phi(H)|| from below over unit H = xx* - yy*; the
     # oracle's floor is the smallest residual its search met, so the proof
-    # may not claim more than the floor it replaces.
+    # may not claim more than the floor it replaces.  A proof without a
+    # floor claims no bound.
+    proved = 0
     for key, ch in corpus():
         if key not in SPHERE_PROVED:
             continue
         verdict = decide(ch, CFG)
+        if verdict.status == PR and verdict.floor is None:
+            continue
+        proved += 1
         oracle = simple_tensor_oracle if ch.field == REAL else symmetric_tensor_oracle
         outcome = oracle(ch, CFG)
         assert isinstance(outcome, NoWitness)
         assert verdict.status == PR and 0.0 < verdict.floor <= outcome.floor, key
+    assert proved == 3
 
 
 if __name__ == "__main__":
