@@ -25,8 +25,10 @@ the channel gives the verdict:
    2014).  A trivial kernel proves PR.  At dimensions 2 up to the
    codimension of the matrices of rank at most 2, exact steps run first: on
    the real field, the rank-one points ``b_j b_j^T`` of the kernel's
-   complement, found by linear algebra alone, decide by the complement
-   property of ``{b_j}`` when they span it; then, on both fields, a
+   complement decide by the complement property of ``{b_j}`` when they span
+   it, read off the operators ``A_j = u_j b_j^T`` when every one has rank at
+   most one and the ``u_j u_j^T`` are independent, and otherwise found by
+   linear algebra alone from the complement; then, on both fields, a
    Macaulay matrix of full column rank shows that the kernel's span holds
    no matrix of rank at most 2, which proves PR.  Otherwise a witness from
    the kernel's first spanning matrix, or from restart 0 of the bilinear
@@ -65,7 +67,7 @@ from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pai
 from .channels import QuantumChannel, _choi_rank, _image
 from .errors import DimensionMismatch, NotFinite, NotSquare, TooManyVectors, WrongField, WrongRank
 from .linalg import _MINORS_CAP, COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank
-from .linalg import _equal_image_pair, _failing_bipartition, _macaulay_degree
+from .linalg import _equal_image_pair, _failing_bipartition, _macaulay_degree, _rank_one_independent
 from .spectra import SpectrumPoint, _pencil_points, _singular_at, pencil_singular_set
 
 PR = "PR"
@@ -712,10 +714,13 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       so ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
     * On the real field, when it did not run in the first step,
       :func:`_rank_one_verdict`: PR (floor None) or NOT_PR by the
-      complement property of the rank-one points of the kernel's complement.
-      It declines when those points are not found or do not span it (a
-      kernel of dimension below n - 1 leaves infinitely many), past the
-      bipartition cap, and when its NOT_PR pair fails :func:`_accepted`.
+      complement property of the rank-one points of the kernel's complement,
+      read off the operators when each has ``rec.kraus_ranks`` at most 1,
+      and otherwise recovered from the complement basis.  It declines when
+      those points are not found or do not span it (a kernel of dimension
+      below n - 1 leaves infinitely many), past the bipartition cap, and
+      when its NOT_PR pair fails :func:`_accepted`.  Read off the
+      operators, the points need neither the kernel basis nor the minors.
     * Last, the pair of :func:`_kernel_search`'s best ``H(c)``: NOT_PR, or
       LIKELY_PR with its relative residual as the floor.
     """
@@ -833,29 +838,56 @@ def _rank_one_points(S: np.ndarray, tol: Tolerance, again: bool = True) -> Optio
 
 
 def _rank_one_verdict(rec: _ChannelRecord) -> Optional[PRVerdict]:
-    """The real-field step of :func:`_kernel_stage`: the complement property of the
-    rank-one points of the kernel's complement, or None.
+    """The real-field step of :func:`_kernel_stage`: the complement property of
+    the rank-one points of the kernel's complement, or None.
 
-    When ``b_j b_j^T`` span the complement (see :func:`_rank_one_points`), the
-    kernel is exactly ``{X : b_j^T X b_j = 0 for all j}``, so ``xx^T - yy^T``
-    lies in it exactly when ``(b_j^T (x + y)) (b_j^T (x - y)) = 0`` for every
-    j: the channel is PR exactly when ``{b_j}`` has the complement property
-    (Balan, Casazza, Edidin, ACHA 2006).  That PR has no floor: the test
-    bounds no ``||Phi(H)||``.  A failing bipartition gives ``u`` orthogonal to
-    one side and ``v`` to the other, and NOT_PR with the symmetric product of
-    ``(u, v)`` when it passes :func:`_accepted`.  The step reads the kernel
-    alone, so scaling, orthogonal conjugation, Kraus mixing and splitting
-    leave it unchanged.  None on the complex field, past the bipartition cap
-    and when the points are not found.
+    When ``b_j b_j^T`` span the complement, the kernel is exactly
+    ``{X : b_j^T X b_j = 0 for all j}``, so ``xx^T - yy^T`` lies in it exactly
+    when ``(b_j^T (x + y)) (b_j^T (x - y)) = 0`` for every j: the channel is PR
+    exactly when ``{b_j}`` has the complement property (Balan, Casazza,
+    Edidin, ACHA 2006).  That PR has no floor: the test bounds no
+    ``||Phi(H)||``.  A failing bipartition gives ``u`` orthogonal to one side
+    and ``v`` to the other, and NOT_PR with the symmetric product of
+    ``(u, v)`` when it passes :func:`_accepted`.
+
+    When every listed operator has ``rec.kraus_ranks`` at most 1, the points
+    are read off the operators: the nonzero ``A_j = u_j q_j^T`` map ``H`` to
+    ``sum_j (q_j^T H q_j) u_j u_j^T``, so ``{q_j}`` with a failing bipartition
+    gives NOT_PR whatever the ``u_j``, and its complement property gives PR
+    when the ``u_j u_j^T`` are independent, since then the kernel is
+    ``{H : q_j^T H q_j = 0}``.  ``q_j`` is ``A_j``'s row of largest norm and
+    ``u_j = A_j q_j / |q_j|^2``.  Where that settles nothing (dependent
+    ``u_j u_j^T``, a pair that fails :func:`_accepted`, the bipartition cap)
+    and for every other family, :func:`_rank_one_points` recovers the points
+    from the kernel's complement; that reads the kernel alone, so scaling,
+    orthogonal conjugation, Kraus mixing and splitting leave it unchanged.
+    None on the complex field, past the bipartition cap and when the points
+    are not found.
     """
-    if rec.ch.field != REAL or not rec.herm_rank or (B := _rank_one_points(rec.complement_basis, rec.tol)) is None:
+    if rec.ch.field != REAL or not rec.herm_rank:
         return None
+    ranks = rec.kraus_ranks
+    if ranks.max() <= 1 and ranks.any():
+        A = rec.A.real[ranks > 0]
+        Q = A[np.arange(len(A)), np.linalg.norm(A, axis=2).argmax(axis=1)]
+        U = (A @ Q[:, :, None])[:, :, 0] / np.sum(Q * Q, axis=1)[:, None]
+        if verdict := _complement_verdict(rec, Q, U):
+            return verdict
+    B = _rank_one_points(rec.complement_basis, rec.tol)
+    return None if B is None else _complement_verdict(rec, B)
+
+
+def _complement_verdict(rec: _ChannelRecord, B: np.ndarray, U: Optional[np.ndarray] = None) -> Optional[PRVerdict]:
+    """:func:`_rank_one_verdict`'s verdict from the complement property of the rows
+    of ``B``; with ``U`` given, PR also needs the ``u_j u_j^T`` of its rows independent."""
     try:
         failing = _failing_bipartition(B, rec.tol)
     except TooManyVectors:
         return None
     if failing is None:
-        return PRVerdict(PR, COMPLEMENT_PROPERTY, EmptyCertificate(), residuals={})
+        if U is None or _rank_one_independent(U, rec.tol):
+            return PRVerdict(PR, COMPLEMENT_PROPERTY, EmptyCertificate(), residuals={})
+        return None
     x, y = _equal_image_pair(B, *failing, rec.tol)
     verdict = _not_pr(rec, COMPLEMENT_PROPERTY, TensorWitness((x + y) / 2.0, (x - y) / 2.0, SYMMETRIC), SYMMETRIC)
     return verdict if _accepted(rec, verdict.residuals["tensor"]) else None

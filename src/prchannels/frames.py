@@ -39,6 +39,7 @@ from .linalg import (
     _equal_image_pair,
     _failing_bipartition,
     _polar_factor,
+    _rank_one_independent,
     numerical_rank,
 )
 
@@ -243,7 +244,4 @@ def minimal_pr_length(n: int, field: str = COMPLEX):
 
 def rank_one_independent(f: Frame, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the rank-one projections of the frame vectors are linearly independent."""
-    V = f.vectors
-    vecs = np.array([np.outer(v, v.conj()).reshape(-1) for v in V])
-    gram = vecs @ vecs.conj().T
-    return numerical_rank(gram, tol) == len(V)
+    return _rank_one_independent(f.vectors, tol)

@@ -7,8 +7,10 @@ absolute and assume the caller normalized its inputs.  Both cutoffs live in a
 single :class:`Tolerance` record that the higher-level modules thread through
 unchanged, so that verdicts are reproducible.  The kernel stage's tests on
 matrix spans live here too: the complement property of a vector family
-(:func:`_failing_bipartition`) and the Macaulay rank test that a span holds
-no matrix of rank at most 2 (:func:`_macaulay_degree`).
+(:func:`_failing_bipartition`), the independence of its rank-one matrices
+(:func:`_rank_one_independent`, which the frame module shares) and the
+Macaulay rank test that a span holds no matrix of rank at most 2
+(:func:`_macaulay_degree`).
 """
 
 from __future__ import annotations
@@ -93,6 +95,16 @@ def numerical_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     The zero matrix (and the empty matrix) has rank 0.
     """
     return _rank(_svdvals(as_matrix(M)), tol)
+
+
+def _rank_one_independent(U: np.ndarray, tol: Tolerance) -> bool:
+    """Whether the ``u_j u_j*`` of the rows ``u_j`` of ``U`` are linearly independent.
+
+    Their Gram matrix in the Frobenius product is ``|U U*|^2`` entrywise, since
+    ``<u_i u_i*, u_j u_j*> = |<u_i, u_j>|^2``, so no outer product is formed;
+    its rank is counted by the rule of :func:`numerical_rank`.
+    """
+    return _rank(_svdvals(np.abs(U @ U.conj().T) ** 2), tol) == len(U)
 
 
 def _polar_factor(B: np.ndarray, tol: Tolerance, real: bool = False, error=np.linalg.LinAlgError) -> np.ndarray:

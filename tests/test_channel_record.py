@@ -153,8 +153,12 @@ def test_thin_svd_keeps_the_right_singular_vectors_bits(field):
 def test_rank_one_step_takes_no_second_svd_of_M(monkeypatch):
     # The step reads the kernel's complement off the kernel basis's SVD of M:
     # one SVD with vectors of M per decide, whose leading right singular
-    # vectors are the complement's basis.
-    ch = projector_channel_from_frame(random_generic_frame(5, 9, REAL, 0))
+    # vectors are the complement's basis.  The frame channel's Kraus family
+    # is mixed by an orthogonal matrix, so no operator has rank one and the
+    # step recovers the rank-one points from that complement.
+    frame = projector_channel_from_frame(random_generic_frame(5, 9, REAL, 0))
+    O = np.linalg.qr(np.random.default_rng(27).normal(size=(9, 9)))[0]
+    ch = QuantumChannel(5, 5, list(np.tensordot(O, np.stack(frame.kraus), 1)), REAL)
     rec = _ChannelRecord(ch, DEFAULT_TOL)
     svd, shapes = np.linalg.svd, []
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from prchannels import (
+    COMPLEX,
     DEFAULT_TOL,
+    REAL,
     Tolerance,
     hermitian_eig,
     kernel_basis,
@@ -10,6 +12,7 @@ from prchannels import (
     numerical_rank,
 )
 from prchannels.errors import NotHermitian
+from prchannels.linalg import _rank_one_independent
 
 from helpers import ZERO_POLY, poly_roots, rand_matrix, random_unitary, smallest_singular_value
 
@@ -163,3 +166,32 @@ def test_poly_roots_residuals():
 def test_poly_roots_trims_tiny_leading_terms():
     roots = poly_roots([-1.0, 0.0, 1.0, 1e-15])
     assert len(roots) == 2
+
+
+def _outer_product_independent(U, tol=DEFAULT_TOL):
+    """The reference: the Gram matrix of the flattened outer products ``u_j u_j*``."""
+    vecs = np.array([np.outer(u, u.conj()).reshape(-1) for u in U])
+    return numerical_rank(vecs @ vecs.conj().T, tol) == len(U)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_rank_one_independence_matches_the_outer_product_gram(field):
+    rng = np.random.default_rng([27, field == REAL])
+    checked = {True: 0, False: 0}
+    for n in (2, 3, 4):
+        dim = n * (n + 1) // 2 if field == REAL else n * n
+        for N in range(1, dim + 3):
+            U = rand_matrix(rng, N, n, field)
+            families = [U]
+            if N >= 2:
+                # A scaled copy, a sign or phase flip, and a vector whose
+                # projection lies in the span of the others' (e1, e2, e1 +- e2).
+                families.append(np.vstack((U, 3.0 * U[:1])))
+                families.append(np.vstack((U[1:], -1j * U[:1] if field == COMPLEX else -U[:1], U[:1])))
+                e = np.eye(n)[:2].astype(complex)
+                families.append(np.vstack((e, e.sum(axis=0), e[0] - e[1], U[: N - 2])))
+            for F in families:
+                expected = _outer_product_independent(F)
+                assert _rank_one_independent(F, DEFAULT_TOL) == expected, (n, N, len(F))
+                checked[expected] += 1
+    assert checked[True] and checked[False]

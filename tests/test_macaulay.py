@@ -172,6 +172,9 @@ def test_rank_one_step_declines_a_wide_null_space_without_an_svd(monkeypatch):
     rec = _ChannelRecord(ch, DEFAULT_TOL)
     S = rec.complement_basis
     assert (len(S), rec.kernel_dim) == (21, 7)
+    # The Kraus ranks come from the record's one values-only SVD of the
+    # stack, which _kernel_stage reads for its floor before this step.
+    assert rec.kraus_ranks.max() > 1
     svd, calls = np.linalg.svd, []
 
     def counting_svd(*args, **kwargs):
