@@ -30,14 +30,17 @@ the channel gives the verdict:
    most one and the ``u_j u_j^T`` are independent, and otherwise found by
    linear algebra alone from the complement; then, on both fields, a
    Macaulay matrix of full column rank shows that the kernel's span holds
-   no matrix of rank at most 2, which proves PR.  Otherwise a witness from
-   the kernel's first spanning matrix, or from restart 0 of the bilinear
-   search, gives NOT_PR; up to dimension 3 a branch and bound over the
-   kernel's unit sphere may prove PR; the real-field rank-one step runs
-   here when it did not run first; last, a Gauss-Newton search on the
-   kernel's sphere gives NOT_PR or LIKELY_PR.  When the Kraus operators'
-   ranks alone bound the kernel dimension below by 2, restart 0 runs before
-   the kernel is computed.
+   no matrix of rank at most 2, which proves PR; past its size cap the
+   matrix is built for a seeded compression of the span, which can only
+   lower ranks.  Otherwise a witness from the kernel's first spanning
+   matrix, or from restart 0 of the bilinear search, gives NOT_PR; at
+   dimension 1 one eigenvalue test of that matrix may prove PR; the
+   real-field rank-one step runs here when it did not run first; last, a
+   Gauss-Newton search on the kernel's sphere gives NOT_PR or LIKELY_PR.  On
+   C^3 and R^3 a kernel of dimension 2 or more always holds some
+   ``xx* - yy*`` (``det H(c)`` is an odd cubic form), so no proof is tried
+   there.  When the Kraus operators' ranks alone bound the kernel dimension
+   below by 2, restart 0 runs before the kernel is computed.
 
 A witness gives NOT_PR only when it re-verifies relative to
 ``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
@@ -66,7 +69,7 @@ import numpy as np
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
 from .channels import QuantumChannel, _choi_rank, _image
 from .errors import DimensionMismatch, NotFinite, NotSquare, TooManyVectors, WrongField, WrongRank
-from .linalg import _MINORS_CAP, COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank
+from .linalg import _MINORS_CAP, COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank, _rank2_codim
 from .linalg import _equal_image_pair, _failing_bipartition, _macaulay_degree, _rank_one_independent
 from .spectra import SpectrumPoint, _pencil_points, _singular_at, pencil_singular_set
 
@@ -676,16 +679,6 @@ def _hermitian_basis(n: int, field: str) -> np.ndarray:
     return T
 
 
-# The sphere search runs at kernel dimensions 1 to 3 only: at 4 its proofs
-# needed 7.3k-15.2k cells and 25-54 ms, against 4-8 ms for the witness
-# search's 64 starts.
-_SPHERE_MAX_DIM = 3
-# Cells the sphere search may evaluate before it hands the channel back.  On
-# the benchmark's d = 3 channels most proofs need at most 1.8k cells, and the
-# rest 4.4k-72k.
-_SPHERE_CELLS = 4096
-
-
 def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     """Kernel of the channel on Herm(n) (complex field) or Sym(n) (real field), the last stage.
 
@@ -699,19 +692,26 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       ones), which a generic kernel of that dimension misses: on the real
       field :func:`_rank_one_verdict` (below), then on both fields
       :func:`_macaulay_verdict`, PR with floor None when the kernel's span
-      holds no matrix of rank at most 2.  ``rec.kernel_floor`` is tested
+      holds no matrix of rank at most 2; past ``_MINORS_CAP`` it tests a
+      seeded compression of the span.  ``rec.kernel_floor`` is tested
       first, so ``M`` stays unbuilt when it exceeds ``codim``.
     * At d = 1 or n = 2, the pair of :func:`_signature_verdict` on the first
       basis matrix ``H1``; at n = 2 it decides every d, since
       ``Phi(H) >= l_min(H) sum_i A_i A_i*`` leaves no kernel element definite.
       At d >= 2 (n >= 3), restart 0 of the bilinear search on ``rec.K``; when
       ``rec.kernel_floor`` already shows d >= 2, before ``M`` is built.
-    * At n >= 3 and d <= ``_SPHERE_MAX_DIM``, a ``gamma`` from
-      :func:`_sphere_gamma` proves PR with floor ``sigma_r gamma / sqrt(2)``.
-      A unit H of bad signature has ``l2 <= 0 <= l_{n-1}``; write
-      ``H = H(c) + Hp`` with ``Hp`` orthogonal to the kernel.  By Weyl,
-      ``|c| gamma <= g(H(c)) <= ||Hp||_F``, and ``|c|^2 + ||Hp||_F^2 = 1``,
-      so ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
+    * At d = 1 and n >= 3, ``gamma = g(H1) = max(l2, -l_{n-1})``, for the
+      eigenvalues ``l1 >= ... >= ln`` of ``H1``, past ``residual_abs``
+      proves PR with floor ``sigma_r gamma / sqrt(2)``.  A unit H of bad
+      signature has ``l2 <= 0 <= l_{n-1}``; write ``H = c H1 + Hp`` with
+      ``Hp`` orthogonal to the kernel.  By Weyl, ``|c| gamma <= ||Hp||_F``,
+      and ``c^2 + ||Hp||_F^2 = 1``, so
+      ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
+    * At n = 3 and d >= 2 the channel is never PR: ``det H(c)`` is an odd
+      real cubic form, so it vanishes at some unit c, where ``H(c)`` has
+      rank at most 2 and is either some ``xx* - yy*`` or semidefinite; and
+      a semidefinite kernel element puts ``uu*`` in the kernel for every u
+      in its range, which every ``A_i`` kills.  No proof is tried there.
     * On the real field, when it did not run in the first step,
       :func:`_rank_one_verdict`: PR (floor None) or NOT_PR by the
       complement property of the rank-one points of the kernel's complement,
@@ -725,7 +725,7 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       LIKELY_PR with its relative residual as the floor.
     """
     tol, n = rec.tol, rec.ch.dim_in
-    codim = (n - 1) * (n - 2) // 2 if rec.ch.field == REAL else (n - 2) ** 2
+    codim = _rank2_codim(n, rec.ch.field == REAL)
     early = codim >= 2 and rec.kernel_floor <= codim and 2 <= rec.kernel_dim <= codim
     if early and (verdict := _rank_one_verdict(rec) or _macaulay_verdict(rec)):
         return verdict
@@ -736,12 +736,14 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     if d == 0 or n == 1:
         floor = float(rec.singular_values[-1]) if d == 0 else None
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    if (d == 1 or n == 2) and (verdict := _signature_verdict(rec, rec.kernel_basis[0], HERMITIAN_KERNEL)[0]):
-        return verdict
     H = rec.kernel_basis
-    if n > 2 and d <= _SPHERE_MAX_DIM and (gamma := _sphere_gamma(H, tol.residual_abs)) is not None:
-        floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
-        return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
+    if (d == 1 or n == 2) and (verdict := _signature_verdict(rec, H[0], HERMITIAN_KERNEL)[0]):
+        return verdict
+    if d == 1 and n > 2:
+        w = np.linalg.eigvalsh(H[0])
+        if (gamma := max(w[-2], -w[1])) > tol.residual_abs:
+            floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
+            return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
     if not early and (verdict := _rank_one_verdict(rec)):
         return verdict
     verdict, floor = _signature_verdict(rec, np.tensordot(_kernel_search(H, cfg), H, 1), ORACLE_WITNESS)
@@ -921,54 +923,6 @@ def _restart_zero(rec: _ChannelRecord, cfg: OracleConfig) -> Optional[PRVerdict]
     x, y = (np.asarray(v, dtype=complex) for v in pair)
     verdict = _not_pr(rec, ORACLE_WITNESS, TensorWitness(x, y, kind), kind)
     return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
-
-
-def _sphere_gamma(H: np.ndarray, margin: float) -> Optional[float]:
-    """A proved ``gamma > margin`` with ``g(c) >= gamma`` on the unit sphere, or None.
-
-    ``H`` stacks Frobenius-orthonormal Hermitian ``H_1..H_d``, and
-    ``g(c) = max(l2, -l_{n-1})`` for the eigenvalues ``l1 >= ... >= ln`` of
-    ``H(c) = sum_k c_k H_k``.  ``g`` is 1-Lipschitz in ``c``, by Weyl's
-    inequality and ``||.||_2 <= ||.||_F``, and even, so the d positive faces
-    ``z_k = 1`` of the cube ``[-1, 1]^d``, projected radially, cover the sphere.
-    Branch and bound over square cells of those faces: a cell of half-side
-    ``h`` around ``z`` lies within ``delta = h sqrt(d - 1)`` of ``z``, and
-    every one of its points has norm at least ``rho = max(1, ||z|| - delta)``.
-    Projection onto the ball of radius ``rho`` is nonexpansive, so the cell's
-    points project within ``delta / rho`` of ``z / ||z||``.  A cell is cleared
-    when ``g(z / ||z||) - delta / rho > margin``, and every other cell splits
-    into ``2^(d-1)`` of half the side.  Each level is one stacked ``eigvalsh``.
-    ``gamma`` is the least ``g - delta / rho`` over the cleared cells.
-
-    None when the cells evaluated would pass ``_SPHERE_CELLS``, or at once
-    when some centre has ``g <= margin``: the cells around that point can
-    never clear.
-    """
-    d, n = H.shape[:2]
-    basis = H.reshape(d, n * n)
-    signs = np.array(list(product((-1.0, 1.0), repeat=d - 1)))
-    # steps[k]: the child centre offsets, in half-sides, of a cell on face k.
-    steps = np.array([np.insert(signs, k, 0.0, axis=1) for k in range(d)])
-    z, face = np.eye(d), np.arange(d)
-    h, gamma, cells = 1.0, np.inf, 0
-    while len(z):
-        cells += len(z)
-        if cells > _SPHERE_CELLS:
-            return None
-        norm = np.linalg.norm(z, axis=1)
-        w = np.linalg.eigvalsh(((z / norm[:, None]) @ basis).reshape(-1, n, n))
-        g = np.maximum(w[:, -2], -w[:, 1])
-        if np.any(g <= margin):
-            return None
-        delta = h * np.sqrt(d - 1)
-        bound = g - delta / np.maximum(1.0, norm - delta)
-        cleared = bound > margin
-        if cleared.any():
-            gamma = min(gamma, float(bound[cleared].min()))
-        z, face, h = z[~cleared], face[~cleared], h / 2
-        z = (z[:, None, :] + h * steps[face]).reshape(-1, d)
-        face = np.repeat(face, len(signs))
-    return gamma
 
 
 # Witness search: steps per start, the F of an exact zero, the steps without

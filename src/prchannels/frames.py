@@ -11,13 +11,14 @@ A complex frame is decided by :func:`decide` on its measurement channel
 ``X -> sum_j (f_j* X f_j) e_j e_j*``, which separates pure states exactly
 when the frame does.  That is exact whenever the
 channel's Hermitian kernel has dimension at most one (for instance ``n^2 - 1``
-or more generic vectors), in C^2 at every kernel dimension, for generic
+or more generic vectors), in C^2 at every kernel dimension, and for generic
 frames whose kernel the Macaulay step proves (12 or more vectors in C^4, 18
-or more in C^5), and at kernel dimension 2 or 3 unless the sphere search
-gives up.  Beyond that the test is
-one sided: a search on the unit sphere of the kernel certifies a failure by
-an explicit pair of vectors with identical phaseless measurements, while
-success is only reported as "likely".
+or more in C^5, and ``n^2 - 3`` or more from C^4 on, past the step's size
+cap on a compression of the kernel).  In C^3 a kernel of dimension 2 or
+more always holds a colliding pair.  Beyond that the test is one sided: a
+search on the unit sphere of the kernel certifies a failure by an explicit
+pair of vectors with identical phaseless measurements, while success is
+only reported as "likely".
 """
 
 from __future__ import annotations

@@ -277,8 +277,28 @@ def psd_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 # (k choose 2)((k choose 2) + 1)/2 minors by m(m + 1)/2 unknowns, or a
 # Macaulay matrix of _macaulay_degree.  Every benchmark channel's system stays
 # far below it (real-4-N7's second system is 231 x 36); the second system of
-# a random real channel from R^7 to R^6 would be 22,155 x 630.
+# a random real channel from R^7 to R^6 would be 22,155 x 630.  Past it,
+# _macaulay_degree compresses a kernel of dimension 3 from C^9 and R^10 on,
+# and of dimension 2 from C^11 and R^12 on, to a size where a matrix fits.
 _MINORS_CAP = 2**16
+
+
+def _rank2_codim(n: int, real: bool) -> int:
+    """The codimension of the matrices of rank at most 2: ``C(n - 1, 2)`` in Sym(n), ``(n - 2)^2`` in M_n(C)."""
+    return (n - 1) * (n - 2) // 2 if real else (n - 2) ** 2
+
+
+def _macaulay_degrees(d: int, n: int, real: bool) -> list[int]:
+    """The degrees from 3 to ``2d + 1`` whose Macaulay matrix for ``d`` matrices of size
+    ``n`` has at least as many rows as columns, up to the first past ``_MINORS_CAP`` entries."""
+    triples = comb(n, 3)
+    minors = triples * (triples + 1) // 2 if real else triples * triples
+    degrees, D = [], 3
+    while D <= 2 * d + 1 and (rows := minors * comb(d + D - 4, D - 3)) * (cols := comb(d + D - 1, D)) <= _MINORS_CAP:
+        if rows >= cols:
+            degrees.append(D)
+        D += 1
+    return degrees
 
 
 @lru_cache(maxsize=64)
@@ -319,20 +339,25 @@ def _macaulay_degree(H: np.ndarray, tol: Tolerance) -> Optional[tuple[int, float
     bound), so a deficient rank there leaves a common zero.  Degrees with
     fewer rows than columns are skipped, and the search stops past ``2d + 1``
     or at the first matrix past ``_MINORS_CAP`` entries; each degree is one
-    values-only SVD under the rank rule.  Nothing is built when no degree
-    fits under the cap.
+    values-only SVD under the rank rule.
+
+    When no degree fits at size n, the test runs on ``V* H_k V`` for a seeded
+    ``n x m`` isometry ``V``, m the largest size with a degree that fits and
+    ``d <= _rank2_codim(m)``, where a generic span still misses the rank-2
+    matrices.  ``rank(V* H(c) V) <= rank(H(c))``, so that proof covers the
+    span itself; the degree and the ratio then depend on the basis.  Nothing
+    is built when no size fits.
     """
     d, n = H.shape[:2]
     real = not np.iscomplexobj(H)
+    if not (degrees := _macaulay_degrees(d, n, real)):
+        fits = (m for m in range(n - 1, 2, -1) if d <= _rank2_codim(m, real) and _macaulay_degrees(d, m, real))
+        if (m := next(fits, None)) is None:
+            return None
+        G = np.random.default_rng([0x4D, n, m]).normal(size=(2, n, m))
+        V = np.linalg.qr(G[0] if real else G[0] + 1j * G[1])[0]
+        H, n, degrees = V.conj().T @ H @ V, m, _macaulay_degrees(d, m, real)
     triples = comb(n, 3)
-    minors = triples * (triples + 1) // 2 if real else triples * triples
-    degrees, D = [], 3
-    while D <= 2 * d + 1 and (rows := minors * comb(d + D - 4, D - 3)) * (cols := comb(d + D - 1, D)) <= _MINORS_CAP:
-        if rows >= cols:
-            degrees.append(D)
-        D += 1
-    if not degrees:
-        return None
     I = np.array(list(combinations(range(n), 3)))
     p, q = np.triu_indices(triples)
     # B[k, t] is H_k on the rows I_p and columns I_q of minor t.
@@ -357,7 +382,7 @@ def _macaulay_degree(H: np.ndarray, tol: Tolerance) -> Optional[tuple[int, float
     for D in degrees:
         (Eb, wb), (Ea, wa) = _monomials(d, D - 3), _monomials(d, D)
         cols = _monomial_index(Ea, Eb[:, None] + E3)
-        M = np.zeros((minors, len(Eb), len(Ea)), dtype=coef.dtype)
+        M = np.zeros((len(coef), len(Eb), len(Ea)), dtype=coef.dtype)
         M[:, np.arange(len(Eb))[:, None], cols] = coef[:, None] * (wb[:, None] / wa[cols])
         s = np.linalg.svd(M.reshape(-1, len(Ea)), compute_uv=False)
         if _rank(s, tol) == len(Ea):

@@ -1,8 +1,10 @@
-"""Shared generators for the test suite (random channels, unitaries, frames), a
-point-by-point reference of the pencil engine, a two-set reference of the
-rank-2 decision, a two-image reference of the state-witness conversion, and
-the small linear-algebra helpers those references use: companion-matrix
-roots, the smallest singular value and the inverse square root."""
+"""Shared generators for the test suite (random channels, unitaries, frames,
+channels with a given Hermitian kernel), dense samples of the kernel sphere
+with the signature gap ``g`` on them, a point-by-point reference of the
+pencil engine, a two-set reference of the rank-2 decision, a two-image
+reference of the state-witness conversion, and the small linear-algebra
+helpers those references use: companion-matrix roots, the smallest singular
+value and the inverse square root."""
 
 import numpy as np
 
@@ -116,6 +118,70 @@ def orthonormal_family(rng, d, n, field, first=None):
     if first is not None:
         G[0] = first
     return _orthonormalized(G)
+
+
+def traceless_family(rng, d, n, field, first=None):
+    """``d`` random Frobenius-orthonormal traceless Hermitian matrices; the first spans the traceless ``first`` when given."""
+    G = rand_matrix(rng, (d + 1) * n, n, field).reshape(d + 1, n, n)
+    G = G + G.conj().transpose(0, 2, 1)
+    G[0] = np.eye(n)
+    if first is not None:
+        G[1] = first
+    return _orthonormalized(G)[1:]
+
+
+def channel_with_kernel(H, field, rng):
+    """A channel ``X -> sum_j tr(P_j X) e_j e_j*`` whose Hermitian kernel (Sym(n) on
+    the real field) is the span of the orthonormal traceless ``H_1..H_d``.
+
+    ``P_0 = I / sqrt(n)`` and ``P_j = P_0 + B_j / (2 sqrt(n))``, the ``B_j`` an
+    orthonormal basis of the complement of the span of ``I`` and the ``H_k``: each
+    ``P_j`` is positive definite, and together they span the complement of the
+    ``H_k``.
+    """
+    d, n = H.shape[:2]
+    dim = n * n if field == COMPLEX else n * (n + 1) // 2
+    G = rand_matrix(rng, dim * n, n, field).reshape(dim, n, n)
+    G = G + G.conj().transpose(0, 2, 1)
+    G[0], G[1 : d + 1] = np.eye(n), H
+    B = _orthonormalized(G)
+    P = np.concatenate((B[:1], B[:1] + B[d + 1 :] / (2.0 * np.sqrt(n))))
+    return measurement_channel(P.real if field == REAL else P, field)
+
+
+def measurement_channel(P, field):
+    """The channel ``X -> sum_j tr(P_j X) e_j e_j*`` of the stacked positive semidefinite
+    ``P_j``: each ``P_j``'s eigenpairs ``(w, v)`` give its Kraus operators ``e_j (sqrt(w) v)*``."""
+    m, n = P.shape[:2]
+    w, v = np.linalg.eigh(P)
+    kraus = []
+    for j in range(m):
+        for k in range(n):
+            A = np.zeros((m, n), dtype=complex)
+            A[j] = np.sqrt(max(w[j, k], 0.0)) * v[j, :, k].conj()
+            kraus.append(A)
+    return QuantumChannel(n, m, kraus, field)
+
+
+def signature_gap(H, c):
+    """``g(c) = max(l2, -l_{n-1})`` of ``H(c) = sum_k c_k H_k`` at each row of ``c``, for the
+    eigenvalues ``l1 >= ... >= ln``: ``g <= 0`` exactly where ``H(c)`` is a multiple of some ``xx* - yy*``."""
+    w = np.linalg.eigvalsh(np.tensordot(c, H, axes=1))
+    return np.maximum(w[:, -2], -w[:, 1])
+
+
+def sphere_sample(d):
+    """Dense unit vectors of R^d: both points of R^1, a fine half circle, or a Fibonacci sphere."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]])
+    if d == 2:
+        t = np.linspace(0.0, np.pi, 5001)
+        return np.column_stack((np.cos(t), np.sin(t)))
+    k = np.arange(20000) + 0.5
+    z = 1.0 - 2.0 * k / len(k)
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * k
+    s = np.sqrt(1.0 - z * z)
+    return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
 
 
 def planted_basis(n, d, field, rng):

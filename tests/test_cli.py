@@ -90,9 +90,8 @@ def test_check_method_oracle_runs_kernel_stage():
 
 
 def test_check_method_oracle_reports_residuals(tmp_path):
-    # The (1,1,1) pinching has a six-dimensional Hermitian kernel on Herm(3),
-    # past the sphere search; restart 0 of the bilinear search finds the
-    # witness.
+    # The (1,1,1) pinching has a six-dimensional Hermitian kernel on Herm(3);
+    # restart 0 of the bilinear search finds the witness.
     path = tmp_path / "pinching.json"
     path.write_text(dumps(channel_to_json(orthogonal_projection_channel([1, 1, 1]).channel)))
     res = run_cli("check", str(path), "--method", "oracle", "--restarts", "16", "--output", "json")
@@ -127,8 +126,8 @@ def _frame_channel_file(tmp_path, n, N, field="real"):
 
 def test_check_labels_an_oracle_floor(tmp_path):
     # A complex frame of 16 vectors in C^5: its measurement channel has a
-    # nine-dimensional kernel on Herm(5), past the sphere search, and no
-    # Macaulay matrix of it fits under the cap, so only the oracle speaks.
+    # nine-dimensional kernel on Herm(5), and no Macaulay matrix of it or of
+    # a compression fits under the cap, so only the oracle speaks.
     res = run_cli("check", str(_frame_channel_file(tmp_path, 5, 16, "complex")))
     assert res.returncode == 2
     assert "verdict: LIKELY_PR (method ORACLE_NO_WITNESS)" in res.stdout
@@ -138,9 +137,8 @@ def test_check_labels_an_oracle_floor(tmp_path):
 
 def test_check_proves_a_real_frame_channel_by_the_complement_property(tmp_path):
     # A real frame of 9 vectors in R^5: its measurement channel has a
-    # six-dimensional kernel on Sym(5), past the sphere search.  The nine
-    # rank-one points of the kernel's complement have the complement
-    # property: PR, with no floor.
+    # six-dimensional kernel on Sym(5).  The nine rank-one points of the
+    # kernel's complement have the complement property: PR, with no floor.
     res = run_cli("check", str(_frame_channel_file(tmp_path, 5, 9)))
     assert res.returncode == 0
     assert "verdict: PR (method COMPLEMENT_PROPERTY)" in res.stdout

@@ -4,16 +4,14 @@ Scaling the Kraus family by ``10**k`` with ``|k| <= 6``, unitary pre- and
 post-conjugation, unitary mixing of the Kraus operators and splitting one
 operator into two scaled copies all leave the channel's phase retrievability
 unchanged.  So a proof by a trivial Hermitian kernel, the exact verdict at
-kernel dimension 1 and a proof by the sphere search at dimensions 1 to 3
+kernel dimension 1 and a proof by the Macaulay step at dimensions 2 and 3
 must survive them on both fields, and every NOT_PR certificate must
 re-verify relative to the moved channel's scale.  Past the kernel stage,
 :func:`decide` must stay sound at every scale: a NOT_PR of restart 0 or of
 the witness search re-verifies relative to the channel's scale, and no PR
-comes without a proof: an exact stage, the sphere search, the real-field
-rank-one step or the Macaulay step.
+comes without a proof: an exact stage, the eigenvalue test at kernel
+dimension 1, the real-field rank-one step or the Macaulay step.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,8 +41,8 @@ from helpers import assert_relative_certificate, rand_matrix, random_cptp, rando
 
 def _kernel_verdict(ch):
     # The "oracle" sub-list is the kernel stage alone.  PR comes only at
-    # kernel dimension 0 or from its sphere search at dimensions 1 to 3,
-    # with method HERMITIAN_KERNEL, on the real field from the rank-one step,
+    # kernel dimension 0 or from its eigenvalue test at dimension 1, with
+    # method HERMITIAN_KERNEL, on the real field from the rank-one step,
     # with method COMPLEMENT_PROPERTY, or from the Macaulay step, with method
     # MACAULAY.
     return decide_method(ch, "oracle")
@@ -127,30 +125,26 @@ def test_kernel_stage_dimension_one_verdict_is_invariant(field, n, seed, k):
 )
 def test_sphere_search_pr_is_invariant(field, short, seed, k):
     # A measurement channel of dim - 2 or dim - 3 generic vectors in C^4 or
-    # R^4 has a kernel of dimension 2 or 3, which the sphere search proves.
-    # (In dimension 3 those frames are too short to be PR.)  The moves turn
-    # the kernel basis, so the search walks other cells: a channel proved
-    # within half the budget must stay proved within all of it.  The
-    # Macaulay step, which proves these kernels before the sphere search
-    # runs, is left out.
+    # R^4 has a kernel of dimension 2 or 3, below the codimension of the
+    # rank-2 matrices, which the Macaulay step proves (on the real field the
+    # rank-one step may prove it first, and after a move that mixes the
+    # rank-one operators, the Macaulay step).  (In dimension 3 those frames
+    # are too short to be PR.)  The Macaulay step reads the kernel alone, so
+    # every move must keep PR, and a Macaulay proof must stay one.
     rng = np.random.default_rng(seed)
     n = 4
     dim = n * n if field == COMPLEX else n * (n + 1) // 2
     f = Frame(dim=n, vectors=rand_matrix(rng, dim - short, n, field), field=field)
     kraus = _measurement_channel(f).kraus
-    # A real channel the half budget leaves unproved may be proved by the
-    # rank-one step, and every move must keep it PR.
-    with mock.patch.object(deciders, "_macaulay_verdict", lambda rec: None):
-        with mock.patch.object(deciders, "_SPHERE_CELLS", deciders._SPHERE_CELLS // 2):
-            before = _kernel_verdict(QuantumChannel(n, dim - short, kraus, field))
-        assume(before.status == PR)
-        assert before.method in ((HERMITIAN_KERNEL, COMPLEMENT_PROPERTY) if field == REAL else (HERMITIAN_KERNEL,))
+    before = _kernel_verdict(QuantumChannel(n, dim - short, kraus, field))
+    assume(before.status == PR)
+    assert before.method in ((MACAULAY, COMPLEMENT_PROPERTY) if field == REAL else (MACAULAY,))
 
-        for name, moved in _moved(kraus, field, rng, k):
-            after = _kernel_verdict(moved)
-            assert after.status == PR, name
-            if before.method == HERMITIAN_KERNEL:
-                assert after.method == HERMITIAN_KERNEL, name
+    for name, moved in _moved(kraus, field, rng, k):
+        after = _kernel_verdict(moved)
+        assert after.status == PR, name
+        if before.method == MACAULAY:
+            assert after.method == MACAULAY, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -163,7 +157,7 @@ def test_sphere_search_pr_is_invariant(field, short, seed, k):
     k=st.integers(-6, 6),
 )
 def test_decide_is_sound_at_every_scale(kind, field, big, d, seed, k):
-    # Channels past the sphere search (Hermitian kernel dimension 4 or
+    # Channels past the eigenvalue test (Hermitian kernel dimension 4 or
     # more): measurement channels of frames too short to be PR (R^4, C^3)
     # or that may be PR (R^5, C^4), and pinchings conjugated by random
     # unitaries.  Scaled by 10**k, a NOT_PR must still re-verify relative to

@@ -89,8 +89,8 @@ def test_search_calls_no_svd(monkeypatch):
 
 @pytest.mark.parametrize("field,n,N", [(REAL, 5, 9), (COMPLEX, 4, 12)])
 def test_likely_pr_floor_is_the_relative_residual_of_the_search_pair(monkeypatch, field, n, N):
-    # Generic frames of these lengths are PR with a kernel past the sphere
-    # search (d = 6 and 4), so the search runs and finds no witness.  The
+    # Generic frames of these lengths are PR with a kernel of dimension 6
+    # and 4, so the search runs and finds no witness.  The
     # rank-one step (real field) and the Macaulay step (complex field) would
     # prove PR first, so they are left out.
     monkeypatch.setattr(deciders, "_rank_one_verdict", lambda rec: None)

@@ -6,7 +6,9 @@ of ``H(c)`` of full column rank.  A span through some ``xx* - yy*`` has such
 a matrix, so it must never be proved; generic spans of dimension up to the
 codimension of the rank-2 locus, ``(n - 2)^2`` (complex) and ``C(n - 1, 2)``
 (real), are.  The test reads the kernel alone, so neither an orthogonal
-change of basis nor a unitary conjugation moves its singular values.
+change of basis nor a unitary conjugation moves its singular values.  Where
+no Macaulay matrix fits under the size cap, it runs on a seeded compression
+``V* H_k V`` of the span, which can only lower ranks.
 """
 
 from itertools import combinations
@@ -17,10 +19,18 @@ import pytest
 from prchannels import COMPLEX, DEFAULT_TOL, NOT_PR, PR, REAL, OracleConfig, decide, random_generic_frame
 from prchannels import deciders, linalg
 from prchannels.constructors import projector_channel_from_frame
-from prchannels.deciders import MACAULAY, _ChannelRecord, _rank_one_points, _sphere_gamma
+from prchannels.deciders import MACAULAY, _ChannelRecord, _rank_one_points
 from prchannels.linalg import _macaulay_degree, _monomials
 
-from helpers import orthonormal_family, pinching, planted_basis, random_cptp, random_unitary
+from helpers import (
+    orthonormal_family,
+    pinching,
+    planted_basis,
+    random_cptp,
+    random_unitary,
+    signature_gap,
+    sphere_sample,
+)
 
 
 def _codim(n, field):
@@ -56,13 +66,14 @@ def test_planted_kernels_are_never_certified(field, n):
 @pytest.mark.parametrize("field", (REAL, COMPLEX))
 @pytest.mark.parametrize("n", (4, 5))
 def test_step_agrees_with_the_sphere_search(field, n):
-    # Random spans of dimension 2 and 3: wherever the sphere search proves
-    # that no element has the colliding signature, the step proves it too.
+    # Random spans of dimension 2 and 3: wherever a dense sample of the unit
+    # sphere keeps g = max(l2, -l_{n-1}) well above the margin, so that no
+    # element comes near the colliding signature, the step proves it.
     both = 0
     for d in (2, 3):
         for seed in range(4):
             H = _family(n, d, field, np.random.default_rng([7, n, d, seed]))
-            if _sphere_gamma(H, DEFAULT_TOL.residual_abs) is not None:
+            if signature_gap(H, sphere_sample(d)).min() > 1e3 * DEFAULT_TOL.residual_abs:
                 assert _macaulay_degree(H, DEFAULT_TOL) is not None, (d, seed)
                 both += 1
     assert both >= 4
@@ -82,6 +93,17 @@ def test_sigma_ratio_is_basis_free(field, n, d):
     for moved in (np.tensordot(O, H, 1), U @ H @ U.conj().T):
         D2, ratio2 = _macaulay_degree(moved, DEFAULT_TOL)
         assert D2 == D and ratio2 == pytest.approx(ratio, rel=1e-8)
+
+
+@pytest.mark.parametrize("field,n", [(COMPLEX, 9), (COMPLEX, 11), (REAL, 10), (REAL, 12), (COMPLEX, 16), (REAL, 16)])
+def test_planted_kernels_past_the_cap_are_never_certified(field, n):
+    # No Macaulay matrix of these sizes fits under the cap at d = 2 or 3, so
+    # the step compresses the span; the compression of a planted xx* - yy*
+    # still has rank at most 2, and nothing may be proved.
+    for d in (2, 3):
+        for seed in range(4):
+            H = planted_basis(n, d, field, np.random.default_rng([n, d, seed, 9]))
+            assert _macaulay_degree(H, DEFAULT_TOL) is None, (d, seed)
 
 
 def test_minor_coefficients_match_determinants(monkeypatch):
@@ -118,12 +140,17 @@ def test_nothing_is_built_when_no_degree_fits(monkeypatch):
 def test_generic_wide_kernels_are_proved_before_restart_zero(monkeypatch):
     # Generic complex frames of 4n - 4 or more vectors in C^4 and C^5 with
     # d <= (n - 2)^2, the benchmark's former LIKELY_PR items among them.
+    # Past them, frames with kernels of dimension 3 (C^9, R^10) and 2 (C^11,
+    # R^12), the first sizes at which no degree fits under the cap: the
+    # span compressed to C^8, R^9, C^10 or R^11 is proved at degree 3.
     def refuse(*args, **kwargs):
         raise AssertionError("restart 0 ran")
 
     monkeypatch.setattr(deciders, "_restart_zero", refuse)
-    for n, N, D in ((4, 12, 5), (4, 13, 3), (5, 19, 3), (5, 22, 3)):
-        verdict = decide(projector_channel_from_frame(random_generic_frame(n, N, COMPLEX, 1)))
+    shapes = [(4, 12, COMPLEX, 5), (4, 13, COMPLEX, 3), (5, 19, COMPLEX, 3), (5, 22, COMPLEX, 3)]
+    shapes += [(9, 78, COMPLEX, 3), (10, 52, REAL, 3), (11, 119, COMPLEX, 3), (12, 76, REAL, 3)]
+    for n, N, field, D in shapes:
+        verdict = decide(projector_channel_from_frame(random_generic_frame(n, N, field, 1)))
         assert (verdict.status, verdict.method, verdict.floor) == (PR, MACAULAY, None)
         assert verdict.certificate.degree == D and 1e-10 < verdict.certificate.ratio <= 1.0
 

@@ -4,8 +4,8 @@ unitary mixing of the Kraus family and splitting an operator into two
 1/sqrt2 copies.  Each seeded channel keeps its status under every variant
 (the method may move), and every NOT_PR re-verifies relative to
 ``sum_i ||A_i||_F^2``.  The projector channels of phase-retrievable real
-frames keep their method too: the rank-one step and the sphere search read
-the kernel alone, which no variant changes."""
+frames keep their method too: the rank-one step reads the kernel alone,
+which no variant changes."""
 
 import numpy as np
 import pytest
@@ -78,7 +78,7 @@ def test_status_holds_under_the_four_symmetries(label, ch):
 
 # Generic real frames of these lengths have the complement property, and the
 # rank-one step proves them at kernel dimension 6, 5 and 3; at 3 it runs
-# ahead of restart 0 and of the sphere search.
+# ahead of restart 0.
 PR_FRAMES = {(5, 9): COMPLEMENT_PROPERTY, (5, 10): COMPLEMENT_PROPERTY, (4, 7): COMPLEMENT_PROPERTY}
 
 

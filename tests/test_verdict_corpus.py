@@ -158,9 +158,10 @@ def test_verdict_corpus_unchanged():
     assert not mismatches, "\n".join(mismatches)
 
 
-# The items the sphere search proved PR, where the oracle gave LIKELY_PR.  At
-# n = 4 the Macaulay and rank-one steps now prove them first, with no floor;
-# at n = 3 the sphere search still does.
+# The items a floor-giving kernel proof turned from the oracle's LIKELY_PR
+# into PR.  At n = 4 the Macaulay and rank-one steps prove them, with no
+# floor; at n = 3 their kernels have dimension 1, and the kernel stage's
+# eigenvalue test of the spanning matrix proves them with a floor.
 SPHERE_PROVED = (
     "wide_kernel/complex-3-N8",
     "wide_kernel/complex-4-N13",
