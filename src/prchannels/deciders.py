@@ -6,7 +6,8 @@ the channel gives the verdict:
 1. Choi rank 0 or 1: conjugation by one operator, PR exactly when it is
    injective.
 2. Necessary screen: two points ``lam, mu`` of a scalar relative joint
-   spectrum with ``1 + <lam, mu> = 0`` certify NOT_PR.  The spectrum is
+   spectrum with ``1 + <lam, mu> = 0`` certify NOT_PR, on the real field
+   only when the witnesses are real up to a phase.  The spectrum is
    refined one coordinate pencil at a time.  A pencil whose two operators
    have ranks summing below the dimension of the current joint kernel is
    singular on all of C by rank subadditivity, and is passed over without a
@@ -18,8 +19,14 @@ the channel gives the verdict:
 3. Exact Choi rank 2: the channel fails precisely when some ``lam`` makes
    both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the
    singular set of the first pencil is computed once and its roots are tested
-   on the second, the reflected pencil.
-4. Hermitian kernel, on both fields, last: the channel fails precisely when
+   on the second, the reflected pencil.  On the real field the pair comes
+   from the real pencils at the clash root's real part when it re-verifies.
+4. Rank split: when the Kraus operators' ranks split into two groups that
+   each sum to at most ``n - 1``, each group has a common kernel vector, and
+   the pair of them is annihilated: NOT_PR by the complement property of the
+   operators as an operator-valued frame.  Pinchings of three or more
+   blocks and the channels of frames of at most ``2n - 2`` vectors end here.
+5. Hermitian kernel, on both fields, last: the channel fails precisely when
    some nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on
    the real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA
    2014).  A trivial kernel proves PR.  At dimensions 2 up to the
@@ -405,8 +412,9 @@ def decide_rank1(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
 
 
 def _smallest_right_vector(M: np.ndarray) -> np.ndarray:
+    """The right singular vector of ``M``'s smallest singular value, complex, real-valued for a real ``M``."""
     _, _, vh = np.linalg.svd(M)
-    return vh[-1].conj()
+    return vh[-1].conj().astype(complex)
 
 
 def decide_rank2(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
@@ -434,7 +442,7 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
         F = A.reshape(len(A), -1)
         U = np.linalg.svd(F.real if ch.field == REAL else F, full_matrices=False)[0]
         A = (U[:, :2].conj().T @ F).reshape(2, ch.dim_out, ch.dim_in)
-    A1, A2 = A
+    A1, A2 = A.real if ch.field == REAL else A
     # lam = 0 clashes when every pencil has a kernel (dim_out < dim_in), and when the
     # first one's set is all of C: A2 + mu A1 = mu (A1 + A2 / mu) is singular there too.
     clash = 0.0
@@ -445,10 +453,54 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
         clash = next((lam for lam, ok in zip(s.roots, passed) if ok), None)
     if clash is None:
         return PRVerdict(PR, RANK2_EXACT, EmptyCertificate(), residuals={})
+    # On the real field the pencils at the root's real part are real, and so are
+    # their kernel vectors: that pair serves when the root is real or the pair re-verifies.
+    if ch.field == REAL:
+        verdict = _not_pr(rec, RANK2_EXACT, PencilClash(complex(clash), *_pencil_pair(A1, A2, float(np.real(clash)))))
+        if np.imag(clash) == 0.0 or _accepted(rec, verdict.residuals["tensor"]):
+            return verdict
+    return _not_pr(rec, RANK2_EXACT, PencilClash(complex(clash), *_pencil_pair(A1, A2, clash)))
 
-    x = _smallest_right_vector(A1 + clash * A2)
-    y = _smallest_right_vector(-np.conj(clash) * A1 + A2)
-    return _not_pr(rec, RANK2_EXACT, PencilClash(complex(clash), x, y))
+
+def _pencil_pair(A1: np.ndarray, A2: np.ndarray, lam) -> tuple:
+    """Kernel vectors of ``A1 + lam A2`` and of the reflected pencil ``-conj(lam) A1 + A2``."""
+    return _smallest_right_vector(A1 + lam * A2), _smallest_right_vector(-np.conj(lam) * A1 + A2)
+
+
+def _rank_split_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """NOT_PR when the Kraus operators' ranks split into two groups that each sum to at most ``n - 1``.
+
+    The operators of each group then share a kernel vector, ``x`` those of the
+    group ``S`` and ``y`` the rest, so every term of ``Phi(x y^*) = sum_i
+    (A_i x) (A_i y)^*`` vanishes: the operators fail the complement property
+    of an operator-valued frame (Balan, Casazza, Edidin, ACHA 2006), as
+    ``2n - 2`` vectors always do.  A subset sum over ``rec.kraus_ranks`` finds
+    the split most even in rank, with ``sum k - (n - 1) <= sum_S k <= n - 1``;
+    ``x`` and ``y`` are the smallest right singular vectors of the two stacks
+    (real on the real field); when one group is empty the other's vector,
+    which then kills every operator, serves as both.  None when the ranks
+    sum past ``2n - 2``, when no split exists and when the pair fails
+    :func:`_accepted`.
+    """
+    n, ranks = rec.ch.dim_in, rec.kraus_ranks.tolist()
+    total = sum(ranks)
+    if total > 2 * n - 2:
+        return None
+    # One group of operators for each rank sum a group reaches.
+    groups = {0: ()}
+    for i, k in enumerate(ranks):
+        for s, group in list(groups.items()):
+            groups.setdefault(s + k, group + (i,))
+    fits = [s for s in groups if total - (n - 1) <= s <= n - 1]
+    if not fits:
+        return None
+    # The most even split keeps the larger group's rank sum furthest below n.
+    side = np.zeros(len(ranks), dtype=bool)
+    side[list(groups[min(fits, key=lambda s: abs(2 * s - total))])] = True
+    A = rec.A.real if rec.ch.field == REAL else rec.A
+    pair = [_smallest_right_vector(A[g].reshape(-1, n)) for g in (side, ~side) if g.any()]
+    verdict = _not_pr(rec, COMPLEMENT_PROPERTY, TensorWitness(pair[0], pair[-1], SIMPLE))
+    return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
 
 
 class _Continuum(Exception):
@@ -644,7 +696,23 @@ def is_skew_commutative(u_list, v_list, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _screen_verdict(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
-    return necessary_inner_product_check(rec.ch, rec.tol, _rec=rec)
+    """The screen's verdict.  On the real field a violation counts only when its
+    witnesses are real up to a global phase: the real parts of the pair, each
+    turned by its phase, must pass :func:`_accepted`, and they replace it."""
+    verdict = necessary_inner_product_check(rec.ch, rec.tol, _rec=rec)
+    if verdict is None or rec.ch.field != REAL:
+        return verdict
+    cert = verdict.certificate
+    real = replace(cert, x=_real_at_phase(cert.x), y=_real_at_phase(cert.y))
+    verdict = _not_pr(rec, NECESSARY_VIOLATION, real, inner_product=verdict.residuals["inner_product"])
+    return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
+
+
+def _real_at_phase(v: np.ndarray) -> np.ndarray:
+    """The real part of ``v`` turned by the phase that brings it nearest a real
+    vector, ``exp(-i arg(v^T v) / 2)``, as a complex array; when ``v`` is real
+    up to a global phase, that real vector, up to sign."""
+    return (v * np.exp(-0.5j * np.angle(v @ v))).real.astype(complex)
 
 
 def _screen_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
@@ -1011,7 +1079,7 @@ def _kernel_search(H: np.ndarray, cfg: OracleConfig) -> np.ndarray:
 # The stage table: ``decide`` runs "full", ``check --method`` any entry.  A
 # stage returns a verdict, or None to pass the channel on.
 METHODS = {
-    "full": (_low_rank_stage, _screen_stage, _rank2_stage, _kernel_stage),
+    "full": (_low_rank_stage, _screen_stage, _rank2_stage, _rank_split_stage, _kernel_stage),
     "exact": (_low_rank_stage, _rank2_stage),
     # Alone, the screen runs on any square family and its errors propagate.
     "necessary": (_screen_verdict,),

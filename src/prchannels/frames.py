@@ -9,7 +9,11 @@ sides, and one stacked values-only SVD decides the rest.  A failing split
 gives the equal-measurement pair ``u + v, u - v`` of ``linalg._equal_image_pair``.
 A complex frame is decided by :func:`decide` on its measurement channel
 ``X -> sum_j (f_j* X f_j) e_j e_j*``, which separates pure states exactly
-when the frame does.  That is exact whenever the
+when the frame does.  A frame of at most ``2n - 2`` vectors is decided NO
+exactly: its measurement operators ``e_j f_j*`` have rank one, so they split
+into two groups of at most ``n - 1``, each with a common kernel vector, and
+:func:`decide`'s rank split reads the colliding pair off the two groups.
+Longer frames are decided exactly whenever the
 channel's Hermitian kernel has dimension at most one (for instance ``n^2 - 1``
 or more generic vectors), in C^2 at every kernel dimension, and for generic
 frames whose kernel the Macaulay step proves (12 or more vectors in C^4, 18

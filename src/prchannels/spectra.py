@@ -180,6 +180,23 @@ def _significant_poly(coeffs, floor: float = 1e-12):
     return c
 
 
+def _poly_roots(c: np.ndarray) -> np.ndarray:
+    """The sorted roots of the ascending coefficients ``c``, whose last one is nonzero.
+
+    The eigenvalues of the companion matrix, as ``numpy.polynomial``'s
+    ``polyroots`` computes them, bit for bit, without importing that module.
+    """
+    if len(c) < 3:
+        return -c[:1] / c[1:] if len(c) == 2 else c[:0]
+    n = len(c) - 1
+    mat = np.zeros((n, n), dtype=c.dtype)
+    mat.reshape(-1)[n :: n + 1] = 1
+    mat[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(mat)
+    roots.sort()
+    return roots
+
+
 @lru_cache(maxsize=64)
 def _seeded_draws(seed: int, n: int, m: int):
     """The guard matrix R (n x m) and three probe points, read-only.
@@ -245,7 +262,7 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
             return SingularSet(FINITE, [])
 
     # Already trimmed, so the guard solves as it stands (a constant has no roots).
-    candidates = [complex(r) for r in np.polynomial.polynomial.polyroots(guard_poly)]
+    candidates = [complex(r) for r in _poly_roots(guard_poly)]
     # Centroids of loose clusters recover multiple roots whose companion
     # eigenvalues split symmetrically around the true location.
     for cl in _cluster_roots(candidates, 1e-4):

@@ -229,6 +229,12 @@ def antisymmetric_kernel_channel(rng):
     return QuantumChannel(2, 3, [A1, A2, A3], REAL)
 
 
+def real_up_to_phase(v) -> bool:
+    """Whether ``v`` is a real vector times one phase, to 1e-9 relative."""
+    v = np.asarray(v, dtype=complex)
+    return np.linalg.norm((v * np.exp(-0.5j * np.angle(v @ v))).imag) <= 1e-9 * np.linalg.norm(v)
+
+
 def assert_relative_certificate(ch, verdict, rtol=1e-8):
     """A symmetric-product NOT_PR certificate and its state pair re-verify relative to sum_i ||A_i||_F^2."""
     scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)

@@ -1,7 +1,8 @@
-"""What the kernel stage computes on its witness path: the Kraus-rank floor
-never exceeds the kernel dimension, restart-0 witnesses settle pinchings and
-short frames without the SVD of M, a certificate costs one channel image, and
-the one-image state witness agrees with the two-image reference."""
+"""What the witness paths compute: the Kraus-rank floor never exceeds the
+kernel dimension, the rank split and restart 0 settle pinchings and short
+frames without the SVD of M, restart 0 still settles their Kraus-mixed copies,
+a certificate costs one channel image, and the one-image state witness agrees
+with the two-image reference."""
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from prchannels import (
     QuantumChannel,
     apply,
     decide,
+    decide_method,
     random_generic_frame,
     verify_certificate,
 )
 from prchannels import deciders
 from prchannels.constructors import projector_channel_from_frame
-from prchannels.deciders import ORACLE_WITNESS, _ChannelRecord, _restart_zero, _to_state_witness
+from prchannels.deciders import COMPLEMENT_PROPERTY, NECESSARY_VIOLATION, ORACLE_WITNESS, _ChannelRecord
+from prchannels.deciders import _rank_split_stage, _restart_zero, _to_state_witness
 
 from helpers import pinching, rand_matrix, random_unitary, reference_to_state_witness
 
@@ -91,8 +94,16 @@ def _m_shape(ch):
     return (m * m, n * (n + 1) // 2) if ch.field == REAL else (2 * m * m, n * n)
 
 
+def _mixed(ch, seed):
+    """The Kraus family mixed by a seeded unitary: the same channel, every operator of full rank."""
+    W = random_unitary(len(ch.kraus), ch.field, np.random.default_rng(seed))
+    return QuantumChannel(ch.dim_in, ch.dim_out, list(np.tensordot(W, np.array(ch.kraus), 1)), ch.field)
+
+
 @pytest.mark.parametrize("label,ch", list(_witness_channels()))
 def test_restart_zero_witness_skips_the_svd_of_m(monkeypatch, label, ch):
+    # decide settles the channel by the rank split, and the kernel stage alone
+    # by restart 0, each without the SVD of M.
     shapes = []
     svd = np.linalg.svd
 
@@ -101,10 +112,27 @@ def test_restart_zero_witness_skips_the_svd_of_m(monkeypatch, label, ch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    verdict = decide(ch)
-    assert (verdict.status, verdict.method) == (NOT_PR, ORACLE_WITNESS)
-    assert _m_shape(ch) not in shapes
+    for method, want in (("full", COMPLEMENT_PROPERTY), ("oracle", ORACLE_WITNESS)):
+        verdict = decide_method(ch, method)
+        assert (verdict.status, verdict.method) == (NOT_PR, want)
+        assert _m_shape(ch) not in shapes
     assert _ChannelRecord(ch, DEFAULT_TOL).kernel_floor >= 2
+
+
+@pytest.mark.parametrize("label,ch", list(_witness_channels()))
+def test_kraus_mixed_copies_are_settled_by_restart_zero(label, ch):
+    # Mixing leaves every operator of full rank, so no rank split exists; K is
+    # unchanged, and so is restart 0's witness.  The screen settles the mixed
+    # pinchings first.
+    mixed = _mixed(ch, 7)
+    rec = _ChannelRecord(mixed, DEFAULT_TOL)
+    assert np.all(rec.kraus_ranks == ch.dim_in) and _rank_split_stage(rec) is None
+    verdict = decide(mixed)
+    want = NECESSARY_VIOLATION if label.startswith("pinching") else ORACLE_WITNESS
+    assert (verdict.status, verdict.method) == (NOT_PR, want)
+    verdict = _restart_zero(rec, OracleConfig())
+    assert verdict is not None and verdict.method == ORACLE_WITNESS
+    assert verify_certificate(mixed, verdict)["tensor"] <= DEFAULT_TOL.residual_abs * rec.choi_trace
 
 
 @pytest.mark.parametrize("label,ch", list(_witness_channels()))
@@ -118,14 +146,16 @@ def test_one_channel_image_per_certificate(monkeypatch, label, ch):
         return image(A, X)
 
     monkeypatch.setattr(deciders, "_image", counting_image)
-    verdict = _restart_zero(_ChannelRecord(ch, DEFAULT_TOL), OracleConfig())
-    assert verdict is not None and verdict.state_witness is not None
-    assert sum(images) == 1
-    images.clear()
-    res = verify_certificate(ch, verdict)
-    assert sum(images) <= 2
     scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
-    assert res["tensor"] <= DEFAULT_TOL.residual_abs * scale and res["state"] <= 1e-7 * scale
+    for stage in (_rank_split_stage, _restart_zero):
+        images.clear()
+        verdict = stage(_ChannelRecord(ch, DEFAULT_TOL), OracleConfig())
+        assert verdict is not None and verdict.state_witness is not None
+        assert sum(images) == 1
+        images.clear()
+        res = verify_certificate(ch, verdict)
+        assert sum(images) <= 2
+        assert res["tensor"] <= DEFAULT_TOL.residual_abs * scale and res["state"] <= 1e-7 * scale
 
 
 def _pairs(ch, rng):
