@@ -5,27 +5,29 @@ the channel gives the verdict:
 
 1. Choi rank 0 or 1: conjugation by one operator, PR exactly when it is
    injective.
-2. Necessary screen: two points ``lam, mu`` of a scalar relative joint
-   spectrum with ``1 + <lam, mu> = 0`` certify NOT_PR, on the real field
-   only when the witnesses are real up to a phase.  The spectrum is
-   refined one coordinate pencil at a time.  A pencil whose two operators
-   have ranks summing below the dimension of the current joint kernel is
-   singular on all of C by rank subadditivity, and is passed over without a
-   pencil computation; pinchings and rank-one frame channels leave the
-   screen that way.  Past the first coordinate of a generic family the
-   joint kernel is one column, and the pencil engine settles such a pencil
-   without determinants when its first vector lies beyond twice its margin
-   from the line of the second, since then no point makes it vanish.
-3. Exact Choi rank 2: the channel fails precisely when some ``lam`` makes
+2. Exact Choi rank 2: the channel fails precisely when some ``lam`` makes
    both ``A1 + lam A2`` and ``-conj(lam) A1 + A2`` non-injective, so the
    singular set of the first pencil is computed once and its roots are tested
    on the second, the reflected pencil.  On the real field the pair comes
-   from the real pencils at the clash root's real part when it re-verifies.
-4. Rank split: when the Kraus operators' ranks split into two groups that
+   from the real pencils at the clash root's real part when it re-verifies;
+   when it does not, the clash root is not real and the channel passes on.
+3. Rank split: when the Kraus operators' ranks split into two groups that
    each sum to at most ``n - 1``, each group has a common kernel vector, and
    the pair of them is annihilated: NOT_PR by the complement property of the
    operators as an operator-valued frame.  Pinchings of three or more
    blocks and the channels of frames of at most ``2n - 2`` vectors end here.
+4. Necessary screen, after every exact stage: two points ``lam, mu`` of a
+   scalar relative joint spectrum with ``1 + <lam, mu> = 0`` certify NOT_PR,
+   on the real field only when the witnesses are real up to a phase.  The
+   spectrum is refined one coordinate pencil at a time.  A pencil whose two
+   operators have ranks summing below the dimension of the current joint
+   kernel is singular on all of C by rank subadditivity, and is passed over
+   without a pencil computation; the channels of frames of more than
+   ``2n - 2`` vectors leave the screen that way.  Past the first coordinate
+   of a generic family the joint kernel is one column, and the pencil engine
+   settles such a pencil without determinants when its first vector lies
+   beyond twice its margin from the line of the second, since then no point
+   makes it vanish.
 5. Hermitian kernel, on both fields, last: the channel fails precisely when
    some nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on
    the real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA
@@ -60,7 +62,8 @@ its restriction to Herm(n) and the kernel, each built at most once.
 Every NOT_PR verdict carries a certificate that re-verifies using channel
 application alone, and is converted where possible into an explicit pair of
 pure states with identical images; both residuals come from one channel
-image, ``Phi(x y^*)``.
+image, ``Phi(x y^*) = sum_i (A_i x) (A_i y)^*``, read off the Kraus images
+``A_i x`` and ``A_i y``.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from typing import Optional
 import numpy as np
 
 from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pair
-from .channels import QuantumChannel, _choi_rank, _image
+from .channels import QuantumChannel, _choi_rank
 from .errors import DimensionMismatch, NotFinite, NotSquare, TooManyVectors, WrongField, WrongRank
 from .linalg import _MINORS_CAP, COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank, _rank2_codim
 from .linalg import _equal_image_pair, _failing_bipartition, _macaulay_degree, _rank_one_independent
@@ -223,11 +226,25 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _tensor_image(rec: _ChannelRecord, x: np.ndarray, y: np.ndarray, kind: str = SIMPLE):
-    """``(residual, P)`` from one image ``P = Phi(x y^*)``: the residual is ``||P||``,
-    or ``||P + P^*|| = ||Phi(x y^* + y x^*)||`` for the symmetric kind, since Phi
+    """``(residual, P)`` from one image ``P = Phi(x y^*) = sum_i (A_i x) (A_i y)^*``,
+    read off the Kraus images as ``(A x)^T conj(A y)`` for the ``(r, m)`` stack
+    ``A x`` of the ``A_i x``: the residual is ``||P||``, or
+    ``||P + P^*|| = ||Phi(x y^* + y x^*)||`` for the symmetric kind, since Phi
     preserves adjoints."""
-    P = _image(rec.A, _outer(x, y))
+    P = (rec.A @ x).T @ (rec.A @ y).conj()
     return float(np.linalg.norm(P if kind == SIMPLE else P + P.conj().T)), P
+
+
+def _state_image(rec: _ChannelRecord, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``Phi(xx^* - yy^*)`` from the Kraus images: ``(A x)^T conj(A x) - (A y)^T conj(A y)``."""
+    Ax, Ay = rec.A @ x, rec.A @ y
+    return Ax.T @ Ax.conj() - Ay.T @ Ay.conj()
+
+
+def _separation_sq(u: np.ndarray, v: np.ndarray) -> float:
+    """``||uu* - vv*||_F^2`` from scalars: ``|u|^4 + |v|^4 - 2 |<u, v>|^2``."""
+    uu, vv = np.vdot(u, u).real, np.vdot(v, v).real
+    return float(uu * uu + vv * vv - 2.0 * abs(np.vdot(u, v)) ** 2)
 
 
 def _to_state_witness(rec: _ChannelRecord, x: np.ndarray, y: np.ndarray, P: np.ndarray):
@@ -239,7 +256,8 @@ def _to_state_witness(rec: _ChannelRecord, x: np.ndarray, y: np.ndarray, P: np.n
     residuals are read relative to ``sum_i ||A_i||_F^2`` times
     ``||u||^2 + ||v||^2``, so the answer does not change with the channel's
     scale.  The image of ``uu* - vv*`` is read from ``P = Phi(x y^*)``: it is
-    ``2 (P + P^*) / big^2``.
+    ``2 (P + P^*) / big^2``.  The states' separation ``||uu* - vv*||_F`` is read
+    from scalars, by :func:`_separation_sq`.
     """
     u = x + y
     v = x - y
@@ -255,17 +273,15 @@ def _to_state_witness(rec: _ChannelRecord, x: np.ndarray, y: np.ndarray, P: np.n
         base = base / np.linalg.norm(base)
         u, v = base, 2.0 * base
         scale = rec.choi_trace * 5.0
-        image = _image(rec.A, _outer(base, base))
-        if np.linalg.norm(image) > rec.tol.residual_abs * scale:
+        # The image is -3 Phi(base base^*), so the ray test reads three times its bound.
+        image = _state_image(rec, u, v)
+        if np.linalg.norm(image) > 3.0 * rec.tol.residual_abs * scale:
             return None
-        image = -3.0 * image
     else:
         u, v = u / big, v / big
         scale = rec.choi_trace * (nu**2 + nv**2) / big**2
         image = 2.0 * (P + P.conj().T) / big**2
-    ru = _outer(u, u)
-    rv = _outer(v, v)
-    if np.linalg.norm(ru - rv) < 0.05:
+    if _separation_sq(u, v) < 0.05**2:
         return None
     if np.linalg.norm(image) > 1e-7 * scale:
         return None
@@ -300,7 +316,7 @@ class _ChannelRecord:
     @cached_property
     def choi_trace(self) -> float:
         """``sum_i ||A_i||_F^2``, the trace of the Choi matrix: the channel's scale."""
-        return float(sum(np.vdot(a, a).real for a in self.A))
+        return float(np.vdot(self.A, self.A).real)
 
     @cached_property
     def kraus_values(self) -> np.ndarray:
@@ -399,7 +415,7 @@ def _low_rank_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     # for the first one, u, a unit vector orthogonal to z.
     u, z = vh[0].conj().astype(complex), vh[-1].conj().astype(complex)
     sw = StateWitness((u + z) / np.sqrt(2.0), (u - z) / np.sqrt(2.0))
-    state = float(np.linalg.norm(_image(rec.A, _outer(sw.x, sw.x) - _outer(sw.y, sw.y))))
+    state = float(np.linalg.norm(_state_image(rec, sw.x, sw.y)))
     return PRVerdict(NOT_PR, RANK1, sw, state_witness=sw, residuals={"state": state})
 
 
@@ -424,15 +440,20 @@ def decide_rank2(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL) -> PRVerdict:
     ``A1 + lam A2`` loses injectivity.  The channel fails exactly when the
     reflected pencil ``-conj(lam) A1 + A2`` does too at some lam in S: its
     roots are tested there under the margin test of :func:`pencil_singular_set`.
+    Raises :class:`WrongRank` at any other rank, and for a real channel whose
+    pencils clash only at a non-real root with no real pair that re-verifies.
     """
     rec = _ChannelRecord(ch, tol)
     if rec.rank != 2:
         raise WrongRank("channel does not have Choi rank 2")
-    return _rank2_stage(rec)
+    if (verdict := _rank2_stage(rec)) is None:
+        raise WrongRank("the exact rank-2 stage did not settle the real channel: its clash root is not real")
+    return verdict
 
 
 def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
-    """Exact Choi rank 2 (see :func:`decide_rank2`); None at any other rank."""
+    """Exact Choi rank 2 (see :func:`decide_rank2`); None at any other rank, and on
+    the real field when the clash root is not real and its real pair fails :func:`_accepted`."""
     if rec.rank != 2:
         return None
     ch, tol, A = rec.ch, rec.tol, rec.A
@@ -454,11 +475,12 @@ def _rank2_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     if clash is None:
         return PRVerdict(PR, RANK2_EXACT, EmptyCertificate(), residuals={})
     # On the real field the pencils at the root's real part are real, and so are
-    # their kernel vectors: that pair serves when the root is real or the pair re-verifies.
+    # their kernel vectors: that pair serves when the root is real or the pair
+    # re-verifies.  A complex pair proves nothing about real states, so otherwise
+    # the channel passes on.
     if ch.field == REAL:
         verdict = _not_pr(rec, RANK2_EXACT, PencilClash(complex(clash), *_pencil_pair(A1, A2, float(np.real(clash)))))
-        if np.imag(clash) == 0.0 or _accepted(rec, verdict.residuals["tensor"]):
-            return verdict
+        return verdict if np.imag(clash) == 0.0 or _accepted(rec, verdict.residuals["tensor"]) else None
     return _not_pr(rec, RANK2_EXACT, PencilClash(complex(clash), *_pencil_pair(A1, A2, clash)))
 
 
@@ -1077,9 +1099,11 @@ def _kernel_search(H: np.ndarray, cfg: OracleConfig) -> np.ndarray:
 
 
 # The stage table: ``decide`` runs "full", ``check --method`` any entry.  A
-# stage returns a verdict, or None to pass the channel on.
+# stage returns a verdict, or None to pass the channel on.  In "full" every
+# exact stage runs ahead of the screen, which is only a necessary condition;
+# the kernel stage, last, settles whatever is left.
 METHODS = {
-    "full": (_low_rank_stage, _screen_stage, _rank2_stage, _rank_split_stage, _kernel_stage),
+    "full": (_low_rank_stage, _rank2_stage, _rank_split_stage, _screen_stage, _kernel_stage),
     "exact": (_low_rank_stage, _rank2_stage),
     # Alone, the screen runs on any square family and its errors propagate.
     "necessary": (_screen_verdict,),
@@ -1101,14 +1125,14 @@ def decide_method(
 ) -> PRVerdict:
     """Verdict of the first stage of ``METHODS[method]`` that settles ``ch`` (``check --method``).
 
-    ``exact`` raises :class:`WrongRank` when the Choi-rank stages do not
-    settle the channel; ``necessary`` reports a pass of the screen as
+    ``exact`` raises :class:`WrongRank` when its stages do not settle the
+    channel; ``necessary`` reports a pass of the screen as
     LIKELY_PR with method NECESSARY_PASS.
     """
     rec, cfg = _ChannelRecord(ch, tol), cfg or OracleConfig()
     verdict = next((v for stage in METHODS[method] if (v := stage(rec, cfg)) is not None), None)
     if verdict is None and method == "exact":
-        raise WrongRank(f"the exact stages need Choi rank <= 2, channel has rank {rec.rank}")
+        raise WrongRank(f"the exact stages did not settle the channel (Choi rank {rec.rank})")
     return verdict or PRVerdict(LIKELY_PR, NECESSARY_PASS, EmptyCertificate(), residuals={})
 
 
@@ -1126,7 +1150,6 @@ def verify_certificate(ch: QuantumChannel, verdict: PRVerdict, tol: Tolerance = 
     # A RANK1 NOT_PR carries its state pair as both certificate and witness.
     sw = verdict.state_witness or (cert if isinstance(cert, StateWitness) else None)
     if sw is not None:
-        diff = _outer(sw.x, sw.x) - _outer(sw.y, sw.y)
-        residuals["state"] = float(np.linalg.norm(_image(rec.A, diff)))
-        residuals["separation"] = float(np.linalg.norm(diff))
+        residuals["state"] = float(np.linalg.norm(_state_image(rec, sw.x, sw.y)))
+        residuals["separation"] = float(np.linalg.norm(_outer(sw.x, sw.x) - _outer(sw.y, sw.y)))
     return residuals

@@ -26,7 +26,7 @@ class TooManyVectors(ChannelAnalysisError):
 
 
 class WrongRank(ChannelAnalysisError):
-    """A decider specialized to one Choi rank received a channel of another rank."""
+    """A decider specialized to low Choi rank received a channel it does not settle."""
 
 
 class NotSquare(ChannelAnalysisError):

@@ -167,6 +167,21 @@ def _cluster_roots(items, radius, root=lambda z: z):
     return clusters
 
 
+def _loose_clusters(roots) -> dict:
+    """The distinct greedy clusters of two or more ``roots`` at the radius 1e-4,
+    and for four roots or more at 1e-3, 1e-2 and 1e-1 too, in that order.
+
+    The companion eigenvalues of a k-fold root split symmetrically around it
+    by about ``eps^(1/k)`` of the pencil's unit scale, 1e-5 at k = 3, 1e-4 at
+    k = 4 and 1e-2 at k = 7, so from k = 4 on no root of them need pass the
+    margin test; the centroid of the cluster that holds them all is accurate
+    to rounding.  A centroid of distinct roots passes it only where the
+    pencil is singular.
+    """
+    radii = (1e-4, 1e-3, 1e-2, 1e-1) if len(roots) >= 4 else (1e-4,)
+    return dict.fromkeys(tuple(cl) for radius in radii for cl in _cluster_roots(roots, radius) if len(cl) > 1)
+
+
 def _significant_poly(coeffs, floor: float = 1e-12):
     """Trimmed coefficients, or None when the polynomial sits at round-off level.
 
@@ -221,12 +236,14 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
     det((P + lam Q)[S])`` over the n-row subsets S, so it holds every common
     zero of the maximal minors, and almost surely vanishes identically only
     when they all do: then three probes tell :data:`ALL_OF_C` from merely
-    tiny minors.  A root is kept when the smallest singular value there is
-    at most the margin ``1e-6 (||Pn|| + ||Qn||)`` of the pencil normalized
-    to unit scale.  A one-column pencil whose ``Pn`` lies farther than twice
-    the margin from the line of ``Qn`` has no such root (``||Pn + lam Qn||``
-    never drops below that distance; the factor 2 covers rounding) and
-    returns the empty finite set before any interpolation.
+    tiny minors.  A multiple root, whose candidates split around it, is
+    tried at the centroids of :func:`_loose_clusters`.  A root is kept when
+    the smallest singular value there is at most the margin
+    ``1e-6 (||Pn|| + ||Qn||)`` of the pencil normalized to unit scale.  A
+    one-column pencil whose ``Pn`` lies farther than twice the margin from
+    the line of ``Qn`` has no such root (``||Pn + lam Qn||`` never drops
+    below that distance; the factor 2 covers rounding) and returns the empty
+    finite set before any interpolation.
     """
     Pm = as_matrix(P)
     Qm = as_matrix(Q)
@@ -263,11 +280,7 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
 
     # Already trimmed, so the guard solves as it stands (a constant has no roots).
     candidates = [complex(r) for r in _poly_roots(guard_poly)]
-    # Centroids of loose clusters recover multiple roots whose companion
-    # eigenvalues split symmetrically around the true location.
-    for cl in _cluster_roots(candidates, 1e-4):
-        if len(cl) > 1:
-            candidates.append(complex(np.mean(cl)))
+    candidates += [complex(np.mean(cl)) for cl in _loose_clusters(candidates)]
 
     svs, passed = _singular_at(Pn, Qn, candidates) if candidates else ((), ())
     verified = [(lam, float(sv)) for lam, sv, ok in zip(candidates, svs, passed) if ok]

@@ -1,13 +1,18 @@
 """Shared generators for the test suite (random channels, unitaries, frames,
-channels with a given Hermitian kernel), dense samples of the kernel sphere
-with the signature gap ``g`` on them, a point-by-point reference of the
-pencil engine, a two-set reference of the rank-2 decision, a two-image
-reference of the state-witness conversion, and the small linear-algebra
-helpers those references use: companion-matrix roots, the smallest singular
-value and the inverse square root."""
+the rotation-pair channel whose screen violation is complex on R^4, channels
+with a given Hermitian kernel, the benchmark's decide items), dense samples
+of the kernel sphere with the signature gap ``g`` on them, a point-by-point
+reference of the pencil engine, a two-set reference of the rank-2 decision,
+a two-image reference of the state-witness conversion, and the small
+linear-algebra helpers those references use: companion-matrix roots, the
+smallest singular value and the inverse square root."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import prchannels
 from prchannels import (
     ALL_OF_C,
     COMPLEX,
@@ -229,6 +234,36 @@ def antisymmetric_kernel_channel(rng):
     return QuantumChannel(2, 3, [A1, A2, A3], REAL)
 
 
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def rotation_pairs(field):
+    """``A_i = R(theta_i) (+) beta_i R(psi_i)`` on R^4, with ``beta_4, psi_4`` chosen so
+    that the relative spectra meet ``1 + <lam, mu> = 0`` only at complex witnesses."""
+    theta, psi, beta = [0.0, 1.0, 2.0, 3.0], [0.5, 2.5, 4.0], [1.0, 1.0, 1.0]
+    S = sum(np.exp(1j * (t - p)) for t, p in zip(theta, psi))
+    beta.append(abs(S))
+    psi.append(3.0 - np.angle(-S))
+    zero = np.zeros((2, 2))
+    ops = [np.block([[_rotation(t), zero], [zero, b * _rotation(p)]]) for t, p, b in zip(theta, psi, beta)]
+    return QuantumChannel(4, 4, ops, field)
+
+
+def perfbench_decide_items(workloads, seeds=(1, 101, 202, 4242)):
+    """``(key, item)`` for every decide item of the benchmark's ``workloads`` at ``seeds``."""
+    root = str(Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench import corpus
+
+    for workload in workloads:
+        for seed in seeds:
+            for item in corpus.GENERATORS[workload](prchannels, seed):
+                if item.op in ("decide", "decide_verify"):
+                    yield f"{workload}/{seed}/{item.key}", item
+
+
 def real_up_to_phase(v) -> bool:
     """Whether ``v`` is a real vector times one phase, to 1e-9 relative."""
     v = np.asarray(v, dtype=complex)
@@ -292,9 +327,12 @@ def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
             candidates.extend(roots)
     if not candidates:
         branch = "no_candidates"
-    for cl in _cluster_roots(candidates, 1e-4):
-        if len(cl) > 1:
-            candidates.append(complex(np.mean(cl)))
+    clusters, roots = [], candidates[: len(guard_poly) - 1]
+    for radius in (1e-4, 1e-3, 1e-2, 1e-1) if len(roots) >= 4 else (1e-4,):
+        for cl in _cluster_roots(roots, radius):
+            if len(cl) > 1 and cl not in clusters:
+                clusters.append(cl)
+    candidates.extend(complex(np.mean(cl)) for cl in clusters)
 
     verified = [
         (lam, sv)

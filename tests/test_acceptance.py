@@ -30,6 +30,7 @@ from prchannels import (
     complement_property,
     constrained_2x2_eigenpair,
     decide,
+    decide_method,
     decide_rank2,
     fixture,
     is_phase_retrievable_frame,
@@ -45,7 +46,7 @@ from prchannels import (
     simple_tensor_oracle,
     symmetric_tensor_oracle,
 )
-from prchannels.deciders import NECESSARY_VIOLATION
+from prchannels.deciders import NECESSARY_VIOLATION, RANK2_EXACT
 
 from helpers import rand_matrix, random_cptp, rho
 
@@ -67,9 +68,13 @@ def test_criterion_1_worked_example_reproduction():
     for p, e in zip(points, expected):
         assert np.max(np.abs(p.lam - e)) <= 1e-8
 
-    verdict = decide(ch)
+    # The channel has Choi rank 2, so decide settles it exactly ahead of the
+    # screen; the screen alone still finds the paper's violation.
+    exact = decide(ch)
+    verdict = decide_method(ch, "necessary")
     ok = (
-        verdict.status == NOT_PR
+        (exact.status, exact.method) == (NOT_PR, RANK2_EXACT)
+        and verdict.status == NOT_PR
         and verdict.method == NECESSARY_VIOLATION
         and np.max(np.abs(verdict.certificate.lam - expected[0])) <= 1e-8
         and np.max(np.abs(verdict.certificate.mu - expected[1])) <= 1e-8

@@ -64,7 +64,9 @@ def test_one_kraus_stack_and_one_kraus_svd_per_decide(monkeypatch, label, ch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     decide(ch)
     assert sum(stacks) == 1
-    assert sum(kraus_svds) == 1
+    # Example 2.11 has Choi rank 2: the exact rank-2 stage settles it before
+    # any stage reads the operators' singular values.
+    assert sum(kraus_svds) == (0 if label.startswith("example_2_11") else 1)
 
 
 def _public_screen(ch):

@@ -59,6 +59,7 @@ from helpers import (
     reference_pencil_singular_set,
     reference_rank2_clash,
     rho,
+    rotation_pairs,
 )
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -126,6 +127,23 @@ def test_decide_rank2_pr_example():
 def test_decide_rank2_wrong_rank():
     with pytest.raises(WrongRank):
         decide_rank2(fixture("identity", 2))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_two_block_pinchings_are_not_pr(field):
+    # x = e + a and y = e - a, e in the first block and a in the second, have
+    # equal images.  The pencil A1 + lam A2 has a root whose multiplicity is
+    # the second block's size: up to 7 here, past the companion matrix's
+    # accuracy from 4 on.  Kraus mixing moves the root off 0.
+    rng = np.random.default_rng([47, field == REAL])
+    for n in range(2, 9):
+        for a in range(1, n):
+            ch = _conjugated_pinching(rng, (a, n - a), field)
+            M = random_unitary(2, field, rng)
+            for family in (ch, QuantumChannel(n, n, list(np.tensordot(M, np.array(ch.kraus), 1)), field)):
+                verdict = decide_rank2(family)
+                assert (verdict.status, verdict.method) == (NOT_PR, RANK2_EXACT), (n, a)
+                assert_relative_certificate(family, verdict)
 
 
 def _rank2_pairs():
@@ -615,7 +633,7 @@ def test_trivial_kernel_complex_is_pr():
 
 
 def test_natural_representation_is_built_only_for_the_kernel_stage(monkeypatch):
-    # Channels settled by the rank 0/1, screen or exact rank-2 stage never
+    # Channels settled by the rank 0/1, exact rank-2 or screen stage never
     # build K; one that reaches the kernel stage builds it once.
     calls = []
     build = deciders._natural_representation
@@ -623,7 +641,8 @@ def test_natural_representation_is_built_only_for_the_kernel_stage(monkeypatch):
     cases = [
         (fixture("identity", 2), RANK1, 0),
         (fixture("dephasing"), RANK2_EXACT, 0),
-        (fixture("example_2_11"), NECESSARY_VIOLATION, 0),
+        (fixture("example_2_11"), RANK2_EXACT, 0),
+        (rotation_pairs(COMPLEX), NECESSARY_VIOLATION, 0),
         (random_cptp(3, 3, 3, COMPLEX, np.random.default_rng(1)), HERMITIAN_KERNEL, 1),
     ]
     for ch, method, builds in cases:
@@ -820,7 +839,10 @@ def test_decide_dispatch():
     verdict = decide(fixture("dephasing"))
     assert verdict.status == NOT_PR and verdict.method == RANK2_EXACT
     assert verdict.state_witness is not None
+    # Example 2.11 has Choi rank 2: the exact stage settles it ahead of the screen.
     verdict = decide(fixture("example_2_11"))
+    assert verdict.status == NOT_PR and verdict.method == RANK2_EXACT
+    verdict = decide_method(fixture("example_2_11"), "necessary")
     assert verdict.status == NOT_PR and verdict.method == NECESSARY_VIOLATION
     verdict = decide(fixture("example_2_6"), OracleConfig(restarts=32, seed=0))
     assert verdict.status == NOT_PR and verdict.method == HERMITIAN_KERNEL

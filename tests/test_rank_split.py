@@ -5,7 +5,10 @@ the channel is NOT_PR.  Planted splits always give NOT_PR with a pair that
 re-verifies and is real on the real field, a family with an injective
 operator never splits, the status holds under the four symmetries of phase
 retrieval (the method may move), and complex frames of at most ``2n - 2``
-vectors are decided NO exactly."""
+vectors are decided NO exactly.  Every pinching and every frame of at most
+``2n - 2`` vectors is settled by an exact stage, ahead of the screen."""
+
+from itertools import compress
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from prchannels import COMPLEX, DEFAULT_TOL, NO, NOT_PR, REAL, QuantumChannel, decide, verify_certificate
-from prchannels import is_phase_retrievable_frame, random_generic_frame
+from prchannels import deciders, is_phase_retrievable_frame, random_generic_frame
+from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import COMPLEMENT_PROPERTY, RANK1, RANK2_EXACT, SIMPLE, _ChannelRecord, _rank_split_stage
 from prchannels.frames import _measurement_channel
 
-from helpers import rand_matrix, real_up_to_phase
+from helpers import perfbench_decide_items, pinching, rand_matrix, random_unitary, real_up_to_phase
 from test_symmetries import _variants
 
 
@@ -121,3 +125,43 @@ def test_short_complex_frames_are_decided_no_exactly(n):
         assert is_phase_retrievable_frame(f).phase_retrievable == NO, N
         verdict = decide(_measurement_channel(f))
         assert verdict.method == (RANK1 if N == 1 else RANK2_EXACT if N == 2 else COMPLEMENT_PROPERTY), N
+
+
+def _compositions(n):
+    """Every ordered split of ``n`` into block sizes, at least two blocks."""
+    for mask in range(1, 2 ** (n - 1)):
+        cuts = list(compress(range(1, n), ((mask >> i) & 1 for i in range(n - 1))))
+        yield tuple(np.diff([0, *cuts, n]).tolist())
+
+
+def _pinchings_and_short_frames():
+    rng = np.random.default_rng(46)
+    for field in (REAL, COMPLEX):
+        for n in range(2, 7):
+            for dims in _compositions(n):
+                ch = pinching(dims, field)
+                U, W = random_unitary(n, field, rng), random_unitary(n, field, rng)
+                yield f"pinching {dims} {field}", QuantumChannel(n, n, [U @ A @ W for A in ch.kraus], field)
+        for n in range(2, 6):
+            for N in range(1, 2 * n - 1):
+                f = random_generic_frame(n, N, field, int(rng.integers(2**31)))
+                yield f"frame {n}-{N} {field}", _measurement_channel(f)
+                if N >= n:  # the trace-preserving recipe needs a spanning frame
+                    yield f"projector frame {n}-{N} {field}", projector_channel_from_frame(f)
+    for key, item in perfbench_decide_items(("exact", "search_witness")):
+        ch = item.payload
+        if item.slice in ("pinch2", "pinch") or item.slice == "short_frame" and len(ch.kraus) <= 2 * ch.dim_in - 2:
+            yield key, ch
+
+
+def test_pinchings_and_short_frames_never_reach_the_screen(monkeypatch):
+    def screen(*args, **kwargs):
+        raise AssertionError("the screen ran")
+
+    monkeypatch.setattr(deciders, "scalar_relative_spectrum", screen)
+    counts = {}
+    for key, ch in _pinchings_and_short_frames():
+        verdict = decide(ch)
+        assert verdict.status == NOT_PR, key
+        counts[key.split("/")[0]] = counts.get(key.split("/")[0], 0) + 1
+    assert counts["exact"] == 4 * 7 and counts["search_witness"] >= 4 * 396

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from prchannels import COMPLEX, REAL, Frame, OracleConfig, decide, fixture
+from prchannels import COMPLEX, REAL, Frame, OracleConfig, decide_method, fixture
 from prchannels.serialize import (
     channel_from_json,
     channel_to_json,
@@ -57,9 +57,10 @@ def test_schema_errors():
 
 
 def test_verdict_serialization_stable():
-    verdict = decide(fixture("example_2_11"), OracleConfig(seed=9))
+    # The screen alone: decide settles example 2.11 by its exact Choi-rank-2 stage.
+    verdict = decide_method(fixture("example_2_11"), "necessary", OracleConfig(seed=9))
     a = dumps(verdict_to_json(verdict))
-    b = dumps(verdict_to_json(decide(fixture("example_2_11"), OracleConfig(seed=9))))
+    b = dumps(verdict_to_json(decide_method(fixture("example_2_11"), "necessary", OracleConfig(seed=9))))
     assert a == b
     payload = json.loads(a)
     assert payload["status"] == "NOT_PR"

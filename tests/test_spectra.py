@@ -105,6 +105,27 @@ def test_pencil_roots_match_generalized_eigenvalues():
             assert abs(a - b) <= 1e-7 * (1 + abs(b))  # within the clustering radius
 
 
+def _multiple_root(k, n, lam, field, rng):
+    """``P + mu Q = U diag(mu - lam (k times), mu - 1, ...) W``: a k-fold root at lam, the rest at 1."""
+    U, W = random_unitary(n, field, rng), random_unitary(n, field, rng)
+    return U @ np.diag(np.r_[[-lam] * k, [-1.0] * (n - k)]) @ W, U @ W
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_multiple_roots_are_kept(field):
+    # The companion eigenvalues of a k-fold root split by about eps^(1/k);
+    # none of them passes the margin test from k = 4 on, and the centroid of
+    # the cluster that holds them all does.  Two-block pinchings whose larger
+    # block has size 4 or more have such roots.
+    rng = np.random.default_rng([13, field == "real"])
+    for k in range(1, 8):
+        for lam in (0.0, 0.3 - 0.2j if field == "complex" else -0.3):
+            P, Q = _multiple_root(k, k + 1, lam, field, rng)
+            got = pencil_singular_set(P, Q)
+            assert got.kind == FINITE and len(got.roots) == 2, (k, lam)
+            assert min(abs(z - lam) for z in got.roots) <= 1e-8 and min(abs(z - 1.0) for z in got.roots) <= 1e-8
+
+
 def test_pencil_roots_verify_residual():
     # Plant a singular point at lam = 0.5 in tall pencils and check both that
     # it is found and that every root passes the smallest-singular-value test.
@@ -213,6 +234,9 @@ def _reference_cases():
         cases.append((f"constant-{n}", np.eye(n), N, 0))
     for seed in (3, -3, 11):
         cases.append((f"seed{seed}", rand_matrix(rng, 4, 3, C), rand_matrix(rng, 4, 3, C), seed))
+    for k in (4, 7):
+        # A k-fold root, kept only by the centroid of a loose cluster.
+        cases.append((f"multiple-{k}", *_multiple_root(k, k + 2, 0.5j, C, rng), 0))
     return cases
 
 

@@ -98,8 +98,8 @@ def corpus():
     ex = fixture("example_2_6")
     items.append(("example_2_6", ex))
     items.append(("example_2_6/unitary", _conjugated(ex, _rng(5))))
-    # Inputs settled before the minimizers: rank 1, exact rank 2, the screen,
-    # trivial real kernels and the zero map.
+    # Inputs settled before the minimizers: rank 1, exact rank 2 (example 2.11
+    # too, ahead of the screen), trivial real kernels and the zero map.
     rng = _rng(6)
     items.append(("rank1/complex-2x3", QuantumChannel(2, 3, [rand_matrix(rng, 3, 2, COMPLEX)], COMPLEX)))
     items.append(("rank2/complex-3x3", random_cptp(3, 3, 2, COMPLEX, rng)))

@@ -1,8 +1,9 @@
 """What the witness paths compute: the Kraus-rank floor never exceeds the
 kernel dimension, the rank split and restart 0 settle pinchings and short
 frames without the SVD of M, restart 0 still settles their Kraus-mixed copies,
-a certificate costs one channel image, and the one-image state witness agrees
-with the two-image reference."""
+a certificate costs one channel image, read off the Kraus images ``A_i x`` in
+agreement with ``channels.apply``, and the one-image state witness agrees with
+the two-image reference."""
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from prchannels import (
     random_generic_frame,
     verify_certificate,
 )
-from prchannels import deciders
+from prchannels import channels, deciders
 from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import COMPLEMENT_PROPERTY, NECESSARY_VIOLATION, ORACLE_WITNESS, _ChannelRecord
-from prchannels.deciders import _rank_split_stage, _restart_zero, _to_state_witness
+from prchannels.deciders import SYMMETRIC, _rank_split_stage, _restart_zero, _separation_sq, _state_image
+from prchannels.deciders import _tensor_image, _to_state_witness
 
 from helpers import pinching, rand_matrix, random_unitary, reference_to_state_witness
 
@@ -137,31 +139,63 @@ def test_kraus_mixed_copies_are_settled_by_restart_zero(label, ch):
 
 @pytest.mark.parametrize("label,ch", list(_witness_channels()))
 def test_one_channel_image_per_certificate(monkeypatch, label, ch):
+    # Every image of the deciders is read off the Kraus images A_i x: one
+    # tensor image Phi(x y*) or one state image Phi(xx* - yy*) per call.  The
+    # stacked image helper of channels.apply is never reached.
     images = []
-    image = deciders._image
-
-    def counting_image(A, X):
-        # A stacked (..., n, n) input holds one image per leading index.
-        images.append(int(np.prod(np.shape(X)[:-2])))
-        return image(A, X)
-
-    monkeypatch.setattr(deciders, "_image", counting_image)
+    for name in ("_tensor_image", "_state_image"):
+        helper = getattr(deciders, name)
+        monkeypatch.setattr(deciders, name, lambda *args, _h=helper, _n=name: images.append(_n) or _h(*args))
+    monkeypatch.setattr(channels, "_image", lambda *args: images.append("_image"))
     scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
     for stage in (_rank_split_stage, _restart_zero):
         images.clear()
         verdict = stage(_ChannelRecord(ch, DEFAULT_TOL), OracleConfig())
         assert verdict is not None and verdict.state_witness is not None
-        assert sum(images) == 1
+        assert images == ["_tensor_image"]
         images.clear()
         res = verify_certificate(ch, verdict)
-        assert sum(images) <= 2
+        assert images == ["_tensor_image", "_state_image"]
         assert res["tensor"] <= DEFAULT_TOL.residual_abs * scale and res["state"] <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_kraus_images_match_the_channel_images_of_outer_products(field):
+    # P = Phi(x y*) is read as (A x)^T conj(A y), and Phi(xx* - yy*) likewise:
+    # both agree with channels.apply of the outer products at 1e-12 relative
+    # to sum_i ||A_i||_F^2 |x| |y|, their natural bound, at every scale.
+    rng = np.random.default_rng([30, field == REAL])
+    checked = 0
+    for n, m in ((2, 2), (3, 2), (2, 4), (4, 3)):
+        for r in range(1, 5):
+            base = [rand_matrix(rng, m, n, field) for _ in range(r)]
+            for k in (-5, 0, 5):
+                ch = QuantumChannel(n, m, [10.0**k * A for A in base], field)
+                rec = _ChannelRecord(ch, DEFAULT_TOL)
+                x, y = (rand_matrix(rng, 1, n, field)[0] for _ in range(2))
+                bound = 1e-12 * rec.choi_trace * np.linalg.norm(x) * np.linalg.norm(y)
+                ref = apply(ch, np.outer(x, y.conj()))
+                res, P = _tensor_image(rec, x, y)
+                assert np.linalg.norm(P - ref) <= bound and abs(res - np.linalg.norm(ref)) <= bound
+                res = _tensor_image(rec, x, y, SYMMETRIC)[0]
+                assert abs(res - np.linalg.norm(ref + ref.conj().T)) <= 2 * bound
+                state = apply(ch, np.outer(x, x.conj()) - np.outer(y, y.conj()))
+                bound = 1e-12 * rec.choi_trace * (x.conj() @ x + y.conj() @ y).real
+                assert np.linalg.norm(_state_image(rec, x, y) - state) <= bound
+                # ||uu* - vv*||_F from scalars, for a generic pair and a near-parallel one.
+                for u, v in ((x, y), (x, (1 + 1e-3) * x + 1e-3 * y)):
+                    outer = np.linalg.norm(np.outer(u, u.conj()) - np.outer(v, v.conj())) ** 2
+                    scale = (u.conj() @ u + v.conj() @ v).real ** 2
+                    assert abs(_separation_sq(u, v) - outer) <= 1e-12 * scale
+                checked += 1
+    assert checked == 48
 
 
 def _pairs(ch, rng):
     """Seeded pairs: generic (rejected), annihilated cross-block tensors and
     (anti)parallel pairs on a killed ray (accepted), cross-block tensors tilted
-    across the image threshold, nearly equal states and a zero pair."""
+    across the image threshold, nearly equal states, states whose separation
+    ``2 sqrt2 t / (1 + t^2)`` straddles 0.05 and a zero pair."""
     n = ch.dim_in
     e = np.eye(n, dtype=complex)
     for _ in range(4):
@@ -174,6 +208,8 @@ def _pairs(ch, rng):
             yield e[1], alpha * e[1] + 1e-12 * rng.normal() * e[0]
     for delta in np.geomspace(1e-9, 1e-6, 7):
         yield e[0], e[-1] + delta * e[0]
+    for t in np.geomspace(0.01, 0.03, 9):
+        yield e[0], t * e[-1]
     yield np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
 
 
