@@ -10,6 +10,7 @@ verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -310,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--restarts", type=int, default=None, help="witness-search starts")
     common(p_check)
-    p_check.set_defaults(func=run_check)
 
     p_con = sub.add_parser("construct", help="synthesize a channel and its observables")
     p_con.add_argument("--recipe", required=True, choices=("rank2", "rankr", "from-observables", "projection"))
@@ -321,30 +321,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--out", required=True, help="output directory")
     p_con.add_argument("--restarts", type=int, default=None)
     common(p_con)
-    p_con.set_defaults(func=run_construct)
 
     p_frame = sub.add_parser("frame", help="report on a frame JSON file")
     p_frame.add_argument("input")
     p_frame.add_argument("--restarts", type=int, default=None)
     common(p_frame)
-    p_frame.set_defaults(func=run_frame)
 
     p_spec = sub.add_parser("spectrum", help="scalar relative joint spectrum of a channel")
     p_spec.add_argument("input")
     p_spec.add_argument("--j", type=int, required=True, help="1-based index of the base operator")
     common(p_spec)
-    p_spec.set_defaults(func=run_spectrum)
 
     p_fix = sub.add_parser("fixtures", help="list the shipped fixtures or write them to a directory")
     p_fix.add_argument("--out", default=None)
-    p_fix.set_defaults(func=run_fixtures)
 
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Parsing reads the parser and writes only a fresh Namespace, so one parser serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # Looked up by name at call time: the cached parser holds no function, so a
+    # rebinding of run_<command> (a test's patch, a tracing wrapper) is honoured.
+    return globals()[f"run_{args.command}"](args)
 
 
 if __name__ == "__main__":

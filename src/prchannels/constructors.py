@@ -222,15 +222,18 @@ def _identity_in_proper_span(vectors, n: int, tol: Tolerance) -> bool:
     """Whether the identity lies in the span of some proper subset of projections.
 
     Checking every maximal proper subset suffices because spans only grow.
+    The projections are independent, so one stacked QR of the N bases that
+    each leave one projection out gives every distance ``||t - Q Q* t||``.
     """
-    raw = [_outer(np.asarray(f, dtype=complex)).reshape(-1) for f in vectors]
-    target = np.eye(n, dtype=complex).reshape(-1)
-    for skip in range(len(raw)):
-        basis = np.column_stack([raw[j] for j in range(len(raw)) if j != skip])
-        coeff, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        if np.linalg.norm(basis @ coeff - target) <= tol.residual_abs * np.sqrt(n):
-            return True
-    return False
+    V = np.asarray(vectors, dtype=complex)
+    N = len(V)
+    raw = (V[:, :, None] * V.conj()[:, None, :]).reshape(N, n * n)
+    j = np.arange(N - 1)
+    keep = j + (j >= np.arange(N)[:, None])  # row `skip` lists every index but skip
+    Q = np.linalg.qr(raw[keep].mT)[0]
+    target = np.eye(n, dtype=complex).reshape(-1, 1)
+    residual = target - Q @ (Q.conj().mT @ target)
+    return bool(np.any(np.linalg.norm(residual, axis=(1, 2)) <= tol.residual_abs * np.sqrt(n)))
 
 
 def _haar_unitary(n: int, field: str, rng) -> np.ndarray:

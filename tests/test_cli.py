@@ -285,3 +285,28 @@ def test_byte_identical_reports():
     assert first == second
     args = ("spectrum", str(FIXTURES / "example_2_11.json"), "--j", "1", "--output", "json")
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+def test_one_parser_serves_every_call_without_carrying_state(capsys):
+    from prchannels import cli
+
+    parser = cli._parser()
+    calls = [
+        ["check", str(FIXTURES / "dephasing.json"), "--seed", "7", "--output", "json", "--method", "necessary"],
+        ["check", str(FIXTURES / "dephasing.json")],
+        ["construct", "--recipe", "projection", "--dims", "1,1", "--out", "x", "--tol", "1e-6"],
+        ["construct", "--recipe", "rank2", "--n", "3", "--out", "x"],
+        ["frame", str(FIXTURES / "f3_real.json"), "--restarts", "4"],
+        ["frame", str(FIXTURES / "f3_real.json")],
+        ["fixtures"],
+    ]
+    for argv in calls:
+        with pytest.raises(SystemExit):
+            parser.parse_args(["check", "--method", "nonsense"])
+        assert vars(parser.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert cli._parser() is parser
+    # In-process calls print what a fresh process prints.
+    for argv in (calls[0], calls[1], calls[5]):
+        code = cli.main(argv)
+        res = run_cli(*argv)
+        assert (code, capsys.readouterr().out) == (res.returncode, res.stdout)

@@ -25,7 +25,7 @@ from prchannels import (
     rankr_positive_construction,
     validate,
 )
-from prchannels.constructors import _sample_rankr_parts
+from prchannels.constructors import _identity_in_proper_span, _sample_rankr_parts
 from prchannels.errors import (
     BadPartition,
     NotAFrame,
@@ -203,6 +203,46 @@ def test_channel_from_observables_rejections():
     raw = Frame(dim=2, vectors=TRIANGLE, field=REAL)
     with pytest.raises(SpanConditionFailed):
         channel_from_observables(raw, 2, seed=0)
+
+
+def _identity_in_proper_span_by_subsets(vectors, n, tol):
+    """One least squares per left-out projection: the reference for the stacked QR."""
+    raw = [np.outer(f, np.conj(f)).reshape(-1) for f in np.asarray(vectors, dtype=complex)]
+    target = np.eye(n, dtype=complex).reshape(-1)
+    for skip in range(len(raw)):
+        basis = np.column_stack([raw[j] for j in range(len(raw)) if j != skip])
+        coeff, *_ = np.linalg.lstsq(basis, target, rcond=None)
+        if np.linalg.norm(basis @ coeff - target) <= tol.residual_abs * np.sqrt(n):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_identity_span_test_matches_one_least_squares_per_subset(field):
+    rng = np.random.default_rng(11)
+    seen = set()
+    for n in range(2, 6):
+        top = n * (n + 1) // 2 if field == REAL else n * n
+        for N in range(2, top + 1):
+            V = rng.normal(size=(N, n))
+            if field == COMPLEX:
+                V = V + 1j * rng.normal(size=(N, n))
+            if rng.random() < 0.3:  # an orthonormal basis inside: the identity lies in a proper span
+                V[:n] = np.linalg.qr(V[:n].T)[0].T if N > n else V[:n]
+            got = _identity_in_proper_span(V, n, DEFAULT_TOL)
+            assert got == _identity_in_proper_span_by_subsets(V, n, DEFAULT_TOL), (n, N)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_identity_in_the_span_of_a_basis_is_found(field, n):
+    rng = np.random.default_rng(n)
+    extra = rng.normal(size=(1, n)) + (1j * rng.normal(size=(1, n)) if field == COMPLEX else 0)
+    V = np.vstack([np.eye(n), extra])
+    assert _identity_in_proper_span(V, n, DEFAULT_TOL)
+    assert not _identity_in_proper_span(np.vstack([np.eye(n)[:-1], extra]), n, DEFAULT_TOL)
 
 
 def test_orthogonal_projection_channel():
