@@ -25,7 +25,7 @@ the channel gives the verdict:
    without a pencil computation; the channels of frames of more than
    ``2n - 2`` vectors leave the screen that way.  Past the first coordinate
    of a generic family the joint kernel is one column, and the pencil engine
-   settles such a pencil without determinants when its first vector lies
+   settles such a pencil without eigenvalues when its first vector lies
    beyond twice its margin from the line of the second, since then no point
    makes it vanish.
 5. Hermitian kernel, on both fields, last: the channel fails precisely when

@@ -37,7 +37,6 @@ __all__ = [
     "numerical_rank",
     "kernel_basis",
     "hermitian_eig",
-    "trim_polynomial",
     "psd_sqrt",
 ]
 
@@ -51,7 +50,7 @@ class Tolerance:
     residual_abs
         Absolute cutoff for residual tests on normalized inputs.
     root_cluster
-        Matching radius when clustering or comparing polynomial roots.
+        Matching radius when clustering or comparing pencil roots.
     """
 
     rank_rel: float = 1e-10
@@ -73,7 +72,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -245,24 +244,6 @@ def hermitian_eig(H, tol: Tolerance = DEFAULT_TOL):
     w, v = np.linalg.eigh((A + A.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
-
-
-def trim_polynomial(coeffs, rel: float = 1e-12) -> np.ndarray:
-    """Drop near-zero leading coefficients of an ascending coefficient array.
-
-    Determinant expansion of near-singular pencils produces spurious tiny
-    leading terms; coefficients below ``rel`` times the largest magnitude are
-    stripped from the high-degree end.  Returns an empty array for the zero
-    polynomial.
-    """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if c.size == 0:
-        return c
-    top = float(np.max(np.abs(c)))
-    if top == 0.0:
-        return c[:0]
-    keep = np.nonzero(np.abs(c) >= rel * top)[0]
-    return c[: keep[-1] + 1]
 
 
 def psd_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -2,29 +2,32 @@
 
 The workhorse is :func:`pencil_singular_set`, which computes the finitely many
 ``lam`` at which the m x n pencil ``P + lam Q`` loses injectivity: the common
-zeros of its maximal minors.  Candidate roots come from one polynomial, the
-guard ``det(R (P + lam Q))`` with a random n x m ``R``.  By Cauchy-Binet the
-guard combines all maximal minors with random coefficients, so it vanishes
-wherever they all do, and for almost every ``R`` it is nonzero whenever one
-of them is: a second polynomial, such as one nonzero minor, adds no root.
-Each candidate is kept only if the smallest singular value of the pencil
-there actually vanishes, which removes the spurious ones.
+zeros of its maximal minors.  Candidate roots are the generalized eigenvalues
+of the compressed square pencil ``R (P + lam Q)`` with a random n x m ``R``.
+By Cauchy-Binet its determinant combines all maximal minors with random
+coefficients, so it vanishes wherever they all do, and for almost every
+``R`` it is nonzero whenever one of them is.  The eigenvalues come from one
+``solve`` and one ``eigvals`` at a seeded shift (Moler and Stewart, SIAM J.
+Numer. Anal. 1973, solve the same problem by QZ), with no polynomial in
+between, so a semisimple multiple root stays a multiple eigenvalue to
+rounding.  Each candidate is kept only if the smallest singular value of the
+pencil there actually vanishes, which removes the spurious ones.
 
 The matrices are tiny, so the cost is in the number of LAPACK calls, not in
 their size.  Every evaluation of a pencil at several points is one stacked
-call: one ``det`` over the interpolation nodes of the guard, one values-only
-SVD over all candidate roots, one over the three degeneracy probes.  Stacked
+call: one values-only SVD over the shift, all candidate roots and the
+centroids of close ones, one over the three degeneracy probes.  Stacked
 and looped calls give the same bits slice by slice, so the results are those
-of the point-by-point evaluation.  The guard matrix and the probe points depend
-only on the seed and the pencil's shape; they are drawn once per shape and
-shared read-only.
+of the point-by-point evaluation.  The compression, the probe points and the
+shift depend only on the seed and the pencil's shape; they are drawn once per
+shape and shared read-only.
 
 A one-column pencil (``n = 1``) is singular only where ``P + lam Q`` vanishes,
 and ``||P + lam Q||`` is at least the distance from ``P`` to the line spanned
 by ``Q`` for every ``lam``.  When that distance exceeds twice the verification
 margin, every candidate and every probe fails the margin test, so the full
 computation keeps no root and never answers all of C: the engine returns the
-empty finite set at once, the same answer without a determinant.
+empty finite set at once, the same answer without an eigenvalue.
 """
 
 from __future__ import annotations
@@ -35,14 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConstraintViolated, DimensionMismatch
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    kernel_basis,
-    numerical_rank,
-    trim_polynomial,
-)
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, kernel_basis, numerical_rank
 
 FINITE = "finite"
 ALL_OF_C = "all_of_c"
@@ -144,16 +140,6 @@ def _singular_at(Pn: np.ndarray, Qn: np.ndarray, lams):
     return svs, svs <= _margin(Pn, Qn)
 
 
-def _det_poly_square(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of det(P + lam Q) by interpolation at roots of unity."""
-    n = P.shape[0]
-    k = n + 1
-    nodes = np.exp(2j * np.pi * np.arange(k) / k)
-    vals = np.linalg.det(_pencil_points(P, Q, nodes))
-    # vals[j] = sum_t c_t * exp(+2 pi i j t / k), so the forward FFT recovers c.
-    return np.fft.fft(vals) / k
-
-
 def _cluster_roots(items, radius, root=lambda z: z):
     """Greedy clusters: each item joins the first cluster whose first root lies within ``radius``."""
     clusters = []
@@ -167,83 +153,85 @@ def _cluster_roots(items, radius, root=lambda z: z):
     return clusters
 
 
-def _loose_clusters(roots) -> dict:
-    """The distinct greedy clusters of two or more ``roots`` at the radius 1e-4,
-    and for four roots or more at 1e-3, 1e-2 and 1e-1 too, in that order.
+def _loose_centroids(roots: np.ndarray) -> list:
+    """The centroids of the distinct greedy clusters of two or more candidate
+    ``roots`` at the radius 1e-4, and for four roots or more at 1e-3, 1e-2
+    and 1e-1 too, in that order.
 
-    The companion eigenvalues of a k-fold root split symmetrically around it
+    The eigenvalues of a defective k-fold root split symmetrically around it
     by about ``eps^(1/k)`` of the pencil's unit scale, 1e-5 at k = 3, 1e-4 at
-    k = 4 and 1e-2 at k = 7, so from k = 4 on no root of them need pass the
-    margin test; the centroid of the cluster that holds them all is accurate
-    to rounding.  A centroid of distinct roots passes it only where the
-    pencil is singular.
+    k = 4 and 1e-2 at k = 7; the centroid of the cluster that holds them all
+    is accurate to rounding.  A centroid of distinct roots passes the margin
+    test only where the pencil is singular.  Most candidate sets have no two
+    roots within the largest radius, and one vectorized test then skips the
+    greedy passes.
     """
     radii = (1e-4, 1e-3, 1e-2, 1e-1) if len(roots) >= 4 else (1e-4,)
-    return dict.fromkeys(tuple(cl) for radius in radii for cl in _cluster_roots(roots, radius) if len(cl) > 1)
+    if np.count_nonzero(np.abs(roots[:, None] - roots) <= radii[-1]) == len(roots):
+        return []
+    lams = roots.tolist()
+    clusters = dict.fromkeys(tuple(cl) for radius in radii for cl in _cluster_roots(lams, radius) if len(cl) > 1)
+    return [complex(np.mean(cl)) for cl in clusters]
 
 
-def _significant_poly(coeffs, floor: float = 1e-12):
-    """Trimmed coefficients, or None when the polynomial sits at round-off level.
+def _shifted_roots(A: np.ndarray, B: np.ndarray, shift: complex) -> np.ndarray:
+    """The finite roots of the square pencil ``A + lam B``, seen from ``shift``.
 
-    Inputs are pre-normalized pencils, so a guard built from genuine minors
-    has coefficients far above the absolute floor; determinants of an
-    everywhere-singular pencil only produce noise near machine epsilon.
+    ``A + lam B = (A + shift B)(I + (lam - shift) X)`` with ``X = (A + shift
+    B)^-1 B``, so the roots are ``shift - 1/nu`` for the eigenvalues nu of X,
+    from one ``solve`` and one ``eigvals``, and nu = 0 is a root at infinity.
+    A defective one of order k splits around 0 by about ``eps^(1/k)`` with a
+    sum at rounding level, so the longest run of smallest eigenvalues whose
+    sum is within 1e-12 ``||X||`` is dropped.  Empty when ``A + shift B`` is
+    exactly singular.
     """
-    c = trim_polynomial(coeffs)
-    if c.size == 0 or float(np.max(np.abs(c))) <= floor:
-        return None
-    return c
-
-
-def _poly_roots(c: np.ndarray) -> np.ndarray:
-    """The sorted roots of the ascending coefficients ``c``, whose last one is nonzero.
-
-    The eigenvalues of the companion matrix, as ``numpy.polynomial``'s
-    ``polyroots`` computes them, bit for bit, without importing that module.
-    """
-    if len(c) < 3:
-        return -c[:1] / c[1:] if len(c) == 2 else c[:0]
-    n = len(c) - 1
-    mat = np.zeros((n, n), dtype=c.dtype)
-    mat.reshape(-1)[n :: n + 1] = 1
-    mat[:, -1] -= c[:-1] / c[-1]
-    roots = np.linalg.eigvals(mat)
-    roots.sort()
-    return roots
+    try:
+        X = np.linalg.solve(A + shift * B, B)
+        nu = np.linalg.eigvals(X)
+    except np.linalg.LinAlgError:
+        return np.empty(0, dtype=complex)
+    nu = nu[np.argsort(np.abs(nu), kind="stable")]
+    infinite = np.flatnonzero(np.abs(np.cumsum(nu)) <= 1e-12 * np.linalg.norm(X))
+    if infinite.size:
+        nu = nu[infinite[-1] + 1 :]
+    return shift - 1.0 / nu
 
 
 @lru_cache(maxsize=64)
 def _seeded_draws(seed: int, n: int, m: int):
-    """The guard matrix R (n x m) and three probe points, read-only.
+    """The compression R (n x m), three probe points and the shift, read-only.
 
-    Drawn in the engine's original order: R's real part, its imaginary part,
-    then the probes (used only when every minor sits at noise level).
+    Drawn in this order: R's real part, its imaginary part, the probes, then
+    the shift.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC7]))
     R = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     probes = np.array([complex(rng.normal(), rng.normal()) for _ in range(3)])
+    shift = complex(rng.normal(), rng.normal())
     R.flags.writeable = False
     probes.flags.writeable = False
-    return R, probes
+    return R, probes, shift
 
 
 def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> SingularSet:
     """The set of ``lam`` at which the tall pencil ``P + lam Q`` is not injective.
 
     Requires matching shapes with at least as many rows as columns.  The
-    candidate roots are those of the guard ``det(R (P + lam Q))``, one stacked
-    ``det`` over n + 1 nodes; by Cauchy-Binet it is ``sum_S det(R[:, S])
-    det((P + lam Q)[S])`` over the n-row subsets S, so it holds every common
-    zero of the maximal minors, and almost surely vanishes identically only
-    when they all do: then three probes tell :data:`ALL_OF_C` from merely
-    tiny minors.  A multiple root, whose candidates split around it, is
-    tried at the centroids of :func:`_loose_clusters`.  A root is kept when
-    the smallest singular value there is at most the margin
-    ``1e-6 (||Pn|| + ||Qn||)`` of the pencil normalized to unit scale.  A
-    one-column pencil whose ``Pn`` lies farther than twice the margin from
+    candidate roots are the generalized eigenvalues of the compressed square
+    pencil ``R (P + lam Q)``, by :func:`_shifted_roots` at a seeded shift.
+    The compression holds every point where ``P + lam Q`` is singular, and
+    for almost every ``R`` no other.  A root is kept when the smallest
+    singular value there is at most the margin ``1e-6 (||Pn|| + ||Qn||)`` of
+    the pencil normalized to unit scale.  The shift takes the same test, in
+    the same stacked SVD: where it passes, three probes tell
+    :data:`ALL_OF_C` from a shift that merely hit a root, and the probe
+    farthest from singular is then the shift.  The eigenvalues of a
+    defective multiple root split around it, so the centroids of close
+    candidates (:func:`_loose_centroids`) are tested with them.
+    A one-column pencil whose ``Pn`` lies farther than twice the margin from
     the line of ``Qn`` has no such root (``||Pn + lam Qn||`` never drops
     below that distance; the factor 2 covers rounding) and returns the empty
-    finite set before any interpolation.
+    finite set before any eigenvalue.
     """
     Pm = as_matrix(P)
     Qm = as_matrix(Q)
@@ -264,26 +252,23 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         u = Qn / q if q > 0.0 else Qn
         if np.linalg.norm(Pn - np.vdot(u, Pn) * u) > 2.0 * _margin(Pn, Qn):
             return SingularSet(FINITE, [])
-    R, probes = _seeded_draws(abs(int(seed)), n, m)
-    # Cauchy-Binet: det(R (P + lam Q)) combines every maximal minor.
-    guard_coeffs = _det_poly_square(R @ Pn, R @ Qn)
-    guard_poly = _significant_poly(guard_coeffs)
-    if guard_poly is None:
-        # Every minor sits at noise level.  Confirm the degeneracy with a few
-        # random probes; a full-rank probe means the minors were genuinely
-        # tiny, in which case their noisy roots are still usable candidates.
-        if np.all(_singular_at(Pn, Qn, probes)[1]):
+    R, probes, shift = _seeded_draws(abs(int(seed)), n, m)
+    A, B = R @ Pn, R @ Qn
+
+    def points(shift):
+        """The shift, the candidate roots seen from it and their loose centroids."""
+        lams = _shifted_roots(A, B, shift)
+        return np.concatenate(([shift], lams, _loose_centroids(lams)))
+
+    pts = points(shift)
+    svs, passed = _singular_at(Pn, Qn, pts)
+    if passed[0]:
+        probe_svs, at_probes = _singular_at(Pn, Qn, probes)
+        if np.all(at_probes):
             return SingularSet(ALL_OF_C, [])
-        guard_poly = trim_polynomial(guard_coeffs)
-        if guard_poly.size == 0:
-            return SingularSet(FINITE, [])
-
-    # Already trimmed, so the guard solves as it stands (a constant has no roots).
-    candidates = [complex(r) for r in _poly_roots(guard_poly)]
-    candidates += [complex(np.mean(cl)) for cl in _loose_clusters(candidates)]
-
-    svs, passed = _singular_at(Pn, Qn, candidates) if candidates else ((), ())
-    verified = [(lam, float(sv)) for lam, sv, ok in zip(candidates, svs, passed) if ok]
+        pts = points(complex(probes[np.argmax(probe_svs)]))
+        svs, passed = _singular_at(Pn, Qn, pts)
+    verified = zip(pts[1:][passed[1:]].tolist(), svs[1:][passed[1:]].tolist())
     kept = []
     for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
         lam_best, _ = min(cl, key=lambda pair: pair[1])

@@ -2,10 +2,11 @@
 the rotation-pair channel whose screen violation is complex on R^4, channels
 with a given Hermitian kernel, the benchmark's decide items), dense samples
 of the kernel sphere with the signature gap ``g`` on them, a point-by-point
-reference of the pencil engine, a two-set reference of the rank-2 decision,
-a two-image reference of the state-witness conversion, and the small
-linear-algebra helpers those references use: companion-matrix roots, the
-smallest singular value and the inverse square root."""
+reference of the pencil engine and the earlier determinant engine beside it,
+a two-set reference of the rank-2 decision, a two-image reference of the
+state-witness conversion, and the small linear-algebra helpers those
+references use: companion-matrix roots, the smallest singular value and the
+inverse square root."""
 
 import sys
 from pathlib import Path
@@ -25,8 +26,8 @@ from prchannels import (
     hermitian_eig,
     verify_certificate,
 )
-from prchannels.linalg import _svdvals, as_matrix, trim_polynomial
-from prchannels.spectra import SingularSet, _cluster_roots, _significant_poly
+from prchannels.linalg import _svdvals, as_matrix
+from prchannels.spectra import SingularSet, _cluster_roots
 
 
 class _ZeroPoly:
@@ -39,6 +40,20 @@ class _ZeroPoly:
 
 
 ZERO_POLY = _ZeroPoly()
+
+
+def trim_polynomial(coeffs, rel: float = 1e-12):
+    """Drop the leading coefficients of an ascending coefficient array below
+    ``rel`` times the largest magnitude; an empty array for the zero
+    polynomial."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    if c.size == 0:
+        return c
+    top = float(np.max(np.abs(c)))
+    if top == 0.0:
+        return c[:0]
+    keep = np.nonzero(np.abs(c) >= rel * top)[0]
+    return c[: keep[-1] + 1]
 
 
 def poly_roots(coeffs):
@@ -282,16 +297,9 @@ def assert_relative_certificate(ch, verdict, rtol=1e-8):
     assert res["separation"] >= 0.05 * max(nx, ny)
 
 
-def _reference_det_poly_square(P, Q):
-    n = P.shape[0]
-    k = n + 1
-    nodes = np.exp(2j * np.pi * np.arange(k) / k)
-    vals = np.array([np.linalg.det(P + t * Q) for t in nodes])
-    return np.fft.fft(vals) / k
-
-
 def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
-    """Point-by-point evaluation, one LAPACK call per node, probe and candidate.
+    """Point-by-point evaluation of the eigenvalue engine: one LAPACK call per
+    shift, probe, candidate and centroid.
 
     Returns the singular set and the name of the branch that produced it.
     """
@@ -304,47 +312,99 @@ def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
     Pn = Pm / scale
     Qn = Qm / scale
     margin = 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
+    if n == 1:
+        u = Qn / np.linalg.norm(Qn) if np.linalg.norm(Qn) > 0.0 else Qn
+        if np.linalg.norm(Pn - np.vdot(u, Pn) * u) > 2.0 * margin:
+            return SingularSet(FINITE, []), "one_column"
     rng = np.random.default_rng(np.random.SeedSequence([abs(int(seed)), 0x5EC7]))
-
     R = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    guard_coeffs = _reference_det_poly_square(R @ Pn, R @ Qn)
-    guard_poly = _significant_poly(guard_coeffs)
+    probes = [complex(rng.normal(), rng.normal()) for _ in range(3)]
+    shift = complex(rng.normal(), rng.normal())
+    A, B = R @ Pn, R @ Qn
+
+    def roots_from(shift):
+        try:
+            X = np.linalg.solve(A + shift * B, B)
+            nu = np.linalg.eigvals(X)
+        except np.linalg.LinAlgError:
+            return []
+        nu = nu[np.argsort(np.abs(nu), kind="stable")]
+        # The longest run of smallest eigenvalues with a negligible sum is at infinity.
+        total, cut = 0j, 0
+        for i, z in enumerate(nu):
+            total += z
+            if np.abs(total) <= 1e-12 * np.linalg.norm(X):
+                cut = i + 1
+        return list(shift - 1.0 / nu[cut:])
+
+    def sv(lam):
+        return smallest_singular_value(Pn + lam * Qn)
 
     branch = "finite"
-    if guard_poly is None:
-        probes = [complex(rng.normal(), rng.normal()) for _ in range(3)]
-        if all(smallest_singular_value(Pn + lam * Qn) <= margin for lam in probes):
+    if sv(shift) <= margin:
+        probe_svs = [sv(lam) for lam in probes]
+        if all(s <= margin for s in probe_svs):
             return SingularSet(ALL_OF_C, []), "all_of_c"
-        guard_poly = trim_polynomial(guard_coeffs)
-        if guard_poly.size == 0:
-            return SingularSet(FINITE, []), "noise_zero_guard"
-        branch = "noise_full_rank"
-
-    candidates = []
-    if guard_poly.size > 1:
-        roots = poly_roots(guard_poly)
-        if roots is not ZERO_POLY:
-            candidates.extend(roots)
+        shift = probes[int(np.argmax(probe_svs))]
+        branch = "singular_shift"
+    candidates = roots_from(shift)
     if not candidates:
         branch = "no_candidates"
-    clusters, roots = [], candidates[: len(guard_poly) - 1]
-    for radius in (1e-4, 1e-3, 1e-2, 1e-1) if len(roots) >= 4 else (1e-4,):
-        for cl in _cluster_roots(roots, radius):
-            if len(cl) > 1 and cl not in clusters:
-                clusters.append(cl)
-    candidates.extend(complex(np.mean(cl)) for cl in clusters)
-
-    verified = [
-        (lam, sv)
-        for lam in candidates
-        if (sv := smallest_singular_value(Pn + lam * Qn)) <= margin
-    ]
+    radii = (1e-4, 1e-3, 1e-2, 1e-1) if len(candidates) >= 4 else (1e-4,)
+    if any(abs(a - b) <= radii[-1] for i, a in enumerate(candidates) for b in candidates[i + 1 :]):
+        clusters = []
+        for radius in radii:
+            for cl in _cluster_roots(candidates, radius):
+                if len(cl) > 1 and cl not in clusters:
+                    clusters.append(cl)
+        candidates += [complex(np.mean(cl)) for cl in clusters]
+        branch = "centroid"
+    verified = [(lam, s) for lam in candidates if (s := sv(lam)) <= margin]
     kept = []
     for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
         lam_best, _ = min(cl, key=lambda pair: pair[1])
         kept.append(lam_best)
     kept.sort(key=lambda z: (z.real, z.imag))
     return SingularSet(FINITE, kept), branch
+
+
+def interpolation_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
+    """The earlier determinant engine, a second reference for the roots: the guard
+    ``det(R (P + lam Q))`` interpolated at the n + 1 roots of unity and solved
+    through the companion matrix, its candidates and the centroids of their
+    loose clusters kept where they pass the margin test.  Returns the
+    singular set."""
+    Pm = as_matrix(P)
+    Qm = as_matrix(Q)
+    m, n = Pm.shape
+    scale = max(np.linalg.norm(Pm), np.linalg.norm(Qm))
+    if scale == 0.0:
+        return SingularSet(ALL_OF_C, [])
+    Pn = Pm / scale
+    Qn = Qm / scale
+    margin = 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
+    rng = np.random.default_rng(np.random.SeedSequence([abs(int(seed)), 0x5EC7]))
+    R = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    guard = np.fft.fft([np.linalg.det(R @ (Pn + t * Qn)) for t in nodes]) / (n + 1)
+    coeffs = trim_polynomial(guard)
+    if coeffs.size == 0 or np.max(np.abs(coeffs)) <= 1e-12:
+        probes = [complex(rng.normal(), rng.normal()) for _ in range(3)]
+        if all(smallest_singular_value(Pn + lam * Qn) <= margin for lam in probes):
+            return SingularSet(ALL_OF_C, [])
+    roots = poly_roots(guard)
+    candidates = [] if roots is ZERO_POLY else list(roots)
+    radii = (1e-4, 1e-3, 1e-2, 1e-1) if len(candidates) >= 4 else (1e-4,)
+    clusters = []
+    for radius in radii:
+        for cl in _cluster_roots(candidates, radius):
+            if len(cl) > 1 and cl not in clusters:
+                clusters.append(cl)
+    candidates += [complex(np.mean(cl)) for cl in clusters]
+    verified = [(lam, sv) for lam in candidates if (sv := smallest_singular_value(Pn + lam * Qn)) <= margin]
+    kept = [min(cl, key=lambda pair: pair[1])[0] for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0])]
+    kept.sort(key=lambda z: (z.real, z.imag))
+    return SingularSet(FINITE, kept)
 
 
 def reference_rank2_clash(ch, tol=DEFAULT_TOL):

@@ -132,17 +132,20 @@ def test_decide_rank2_wrong_rank():
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_two_block_pinchings_are_not_pr(field):
     # x = e + a and y = e - a, e in the first block and a in the second, have
-    # equal images.  The pencil A1 + lam A2 has a root whose multiplicity is
-    # the second block's size: up to 7 here, past the companion matrix's
-    # accuracy from 4 on.  Kraus mixing moves the root off 0.
+    # equal images.  The pencil A1 + lam A2 has a semisimple root whose
+    # multiplicity is the second block's size, up to 15 here; the determinant
+    # engine split it by about eps^(1/k) and lost it from k = 12 on.  Kraus
+    # mixing moves the root off 0.
     rng = np.random.default_rng([47, field == REAL])
-    for n in range(2, 9):
+    for n in range(2, 17):
         for a in range(1, n):
             ch = _conjugated_pinching(rng, (a, n - a), field)
             M = random_unitary(2, field, rng)
             for family in (ch, QuantumChannel(n, n, list(np.tensordot(M, np.array(ch.kraus), 1)), field)):
-                verdict = decide_rank2(family)
+                verdict = decide(family)
                 assert (verdict.status, verdict.method) == (NOT_PR, RANK2_EXACT), (n, a)
+                bound = DEFAULT_TOL.residual_abs * sum(np.linalg.norm(A) ** 2 for A in family.kraus)
+                assert verify_certificate(family, verdict)["tensor"] <= bound, (n, a)
                 assert_relative_certificate(family, verdict)
 
 
@@ -489,7 +492,7 @@ def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
     # The reference calls the point-by-point pencil engine on every
     # coordinate at every node; the engine skips the pencils whose ranks
     # already prove them singular on all of the plane, and settles one-column
-    # pencils far from singular without determinants.  The calls the engine
+    # pencils far from singular without eigenvalues.  The calls the engine
     # makes are counted.
     calls = []
 

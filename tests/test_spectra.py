@@ -13,9 +13,15 @@ from prchannels import (
     pencil_singular_set,
 )
 from prchannels.errors import ConstraintViolated, DimensionMismatch
-from prchannels.spectra import _pencil_points
+from prchannels.spectra import _pencil_points, _seeded_draws
 
-from helpers import rand_matrix, random_unitary, reference_pencil_singular_set, smallest_singular_value
+from helpers import (
+    interpolation_pencil_singular_set,
+    rand_matrix,
+    random_unitary,
+    reference_pencil_singular_set,
+    smallest_singular_value,
+)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -113,17 +119,84 @@ def _multiple_root(k, n, lam, field, rng):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_multiple_roots_are_kept(field):
-    # The companion eigenvalues of a k-fold root split by about eps^(1/k);
-    # none of them passes the margin test from k = 4 on, and the centroid of
-    # the cluster that holds them all does.  Two-block pinchings whose larger
-    # block has size 4 or more have such roots.
+    # The companion matrix of a determinant polynomial split a k-fold root by
+    # about eps^(1/k) even where the pencil's root is semisimple, and lost it
+    # from k = 12 on.  The generalized eigenvalues of a semisimple root stay
+    # within rounding of it, so it passes the margin test at every k.
+    # Two-block pinchings have such roots, of the larger block's size.
     rng = np.random.default_rng([13, field == "real"])
-    for k in range(1, 8):
+    for k in range(1, 15):
         for lam in (0.0, 0.3 - 0.2j if field == "complex" else -0.3):
             P, Q = _multiple_root(k, k + 1, lam, field, rng)
             got = pencil_singular_set(P, Q)
             assert got.kind == FINITE and len(got.roots) == 2, (k, lam)
             assert min(abs(z - lam) for z in got.roots) <= 1e-8 and min(abs(z - 1.0) for z in got.roots) <= 1e-8
+
+
+def _jordan_root(k, n, lam, field, rng):
+    """``P + mu Q = U ((mu - lam) I_k + N_k (+) (mu - 1) I) W`` with the nilpotent shift ``N_k``:
+    one Jordan block of size k at lam, the rest at 1."""
+    U, W = random_unitary(n, field, rng), random_unitary(n, field, rng)
+    D = np.diag(np.r_[[-lam] * k, [-1.0] * (n - k)]).astype(complex) + np.diag(np.r_[np.ones(k - 1), np.zeros(n - k)], 1)
+    return U @ D @ W, U @ W
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_defective_roots_are_kept(field):
+    # The eigenvalues of a Jordan block of size k split by about eps^(1/k),
+    # 1e-4 at k = 4, and each of them passes the margin test; the centroid
+    # of the loose cluster that holds them is the root to rounding.
+    rng = np.random.default_rng([14, field == "real"])
+    for k in range(2, 9):
+        for lam in (0.0, 0.3 - 0.2j if field == "complex" else -0.3):
+            P, Q = _jordan_root(k, k + 1, lam, field, rng)
+            got = pencil_singular_set(P, Q)
+            assert got.kind == FINITE, (k, lam)
+            assert min(abs(z - lam) for z in got.roots) <= 1e-8, (k, lam)
+            assert min(abs(z - 1.0) for z in got.roots) <= 1e-8, (k, lam)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_defective_roots_at_infinity_are_dropped(field):
+    # U (I_k + mu N_k (+) (mu - 1)) W with the nilpotent shift N_k has the one
+    # finite root 1 and a Jordan block of size k at infinity.  Its
+    # eigenvalues split around nu = 0 by about eps^(1/k) and sum to
+    # rounding; the margin test alone would keep the far roots they give,
+    # since ||(I + mu N_k)^-1|| grows like |mu|^(k - 1).
+    rng = np.random.default_rng([15, field == "real"])
+    for k in range(2, 9):
+        U, W = random_unitary(k + 1, field, rng), random_unitary(k + 1, field, rng)
+        N = np.diag(np.r_[np.ones(k - 1), 0.0], 1)
+        P = U @ np.diag(np.r_[np.ones(k), -1.0]) @ W
+        Q = U @ (N + np.diag(np.r_[np.zeros(k), 1.0])) @ W
+        got = pencil_singular_set(P, Q)
+        assert got.kind == FINITE and len(got.roots) == 1 and abs(got.roots[0] - 1.0) <= 1e-8, (k, got.roots)
+        got = pencil_singular_set(U[:k, :k] @ np.eye(k) @ W[:k, :k], U[:k, :k] @ N[:k, :k] @ W[:k, :k])
+        assert got.kind == FINITE and got.roots == [], (k, got.roots)
+
+
+def test_roots_match_the_determinant_engine():
+    # On generic square and tall pencils and on the reference cases without
+    # multiple or tiny-scale roots, where the two engines verify different
+    # points of one cluster, the eigenvalue engine keeps the roots of the
+    # earlier determinant engine to 1e-6.
+    rng = np.random.default_rng(16)
+    pencils = []
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        m = n + int(rng.integers(0, 3))
+        pencils.append((rand_matrix(rng, m, n, "complex"), rand_matrix(rng, m, n, "complex")))
+    for label, P, Q, _ in _reference_cases():
+        if not label.startswith(("noise", "multiple", "jordan")):
+            pencils.append((P, Q))
+    compared = 0
+    for P, Q in pencils:
+        got, want = pencil_singular_set(P, Q), interpolation_pencil_singular_set(P, Q)
+        assert got.kind == want.kind and len(got.roots) == len(want.roots)
+        for a, b in zip(got.roots, want.roots):
+            assert abs(a - b) <= 1e-6 * (1.0 + abs(b))
+            compared += 1
+    assert compared > 50
 
 
 def test_pencil_roots_verify_residual():
@@ -163,16 +236,16 @@ def _one_column_pencil(m, lam, delta, rng):
 def test_one_column_exit(monkeypatch, k):
     # A one-column pencil is singular only where P + lam Q vanishes, so a
     # distance from P to the line of Q beyond twice the margin settles it
-    # before any determinant, with the answer of the full computation.
+    # before any eigenvalue, with the answer of the full computation.
     # Within the margin the root is still found.
-    det_calls = []
-    det = np.linalg.det
+    eig_calls = []
+    eigvals = np.linalg.eigvals
 
     def counted(a):
-        det_calls.append(np.shape(a))
-        return det(a)
+        eig_calls.append(np.shape(a))
+        return eigvals(a)
 
-    monkeypatch.setattr(np.linalg, "det", counted)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
     rng = np.random.default_rng(41)
     lam = 0.3 + 0.4j
     margin = 1e-6 * (1.0 + abs(lam))  # ||Qn|| + ||Pn|| after normalization by ||Q|| = 1
@@ -181,23 +254,24 @@ def test_one_column_exit(monkeypatch, k):
             P, Q = _one_column_pencil(m, lam, delta, rng)
             P, Q = 10.0**k * P, 10.0**k * Q
             expected, _ = reference_pencil_singular_set(P, Q)
-            del det_calls[:]
+            del eig_calls[:]
             got = pencil_singular_set(P, Q)
             assert got.kind == expected.kind == FINITE
             assert [(z.real.hex(), z.imag.hex()) for z in got.roots] == [
                 (z.real.hex(), z.imag.hex()) for z in expected.roots
             ]
             if delta < margin:
-                # Off the exact root, the guard's root moves by about delta and
-                # stays the only candidate: one near-singular point, one root.
+                # Off the exact root, the compressed 1x1 pencil's root moves by
+                # about delta and is the only candidate: one near-singular
+                # point, one root.
                 assert len(got.roots) == 1 and abs(got.roots[0] - lam) <= 2.0 * margin
             else:
-                assert got.roots == [] and det_calls == []
+                assert got.roots == [] and eig_calls == []
     for m in (1, 3):
         Z0 = np.zeros((m, 1))
-        del det_calls[:]
+        del eig_calls[:]
         s = pencil_singular_set(10.0**k * rng.normal(size=(m, 1)), Z0)
-        assert s.kind == FINITE and s.roots == [] and det_calls == []
+        assert s.kind == FINITE and s.roots == [] and eig_calls == []
         assert pencil_singular_set(Z0, Z0).kind == ALL_OF_C
 
 
@@ -215,13 +289,23 @@ def _reference_cases():
         x = rand_matrix(rng, n, 1, C)
         x = x / np.linalg.norm(x)
         cases.append((f"tall-{m}x{n}", P0 - ((P0 + 0.5 * Q) @ x) @ x.conj().T, Q, 0))
+    for m, n in ((3, 2), (4, 3)):
+        # A planted singular point at the seeded shift itself: a probe takes over.
+        shift = _seeded_draws(0, n, m)[2]
+        Q = rand_matrix(rng, m, n, C)
+        P0 = rand_matrix(rng, m, n, C)
+        x = rand_matrix(rng, n, 1, C)
+        x = x / np.linalg.norm(x)
+        cases.append((f"at-shift-{m}x{n}", P0 - ((P0 + shift * Q) @ x) @ x.conj().T, Q, 0))
+    # A one-column pencil far from singular.
+    cases.append(("one-column", rand_matrix(rng, 4, 1, C), rand_matrix(rng, 4, 1, C), 0))
     for n in (2, 3, 5):
         # A shared column kernel makes every point singular.
         D = np.diag([1.0] * (n - 1) + [0.0])
         cases.append((f"all-{n}", rand_matrix(rng, n, n, C) @ D, rand_matrix(rng, n, n, C) @ D, 0))
     for n in (4, 5):
-        # Three singular values near 1e-5 push every minor below the noise
-        # floor, while the pencil itself stays injective at the probes.
+        # Three singular values near 1e-5 make every maximal minor tiny; the
+        # eigenvalues of the compressed pencil do not see that scale.
         U, W = random_unitary(n, C, rng), random_unitary(n, C, rng)
         tiny = 1e-5 * (1.0 + rng.random(n - 1))
         P = U @ np.diag(np.r_[1.0, tiny]) @ W
@@ -229,42 +313,47 @@ def _reference_cases():
         cases.append((f"noise-{n}", P, Q, 0))
     cases.append(("zero", np.zeros((3, 2)), np.zeros((3, 2)), 0))
     for n in (2, 4):
-        # det(I + lam N) = 1 for nilpotent N: no candidate root at all.
+        # det(I + lam N) = 1 for nilpotent N: every root is at infinity.
         N = np.triu(rand_matrix(rng, n, n, C), 1)
         cases.append((f"constant-{n}", np.eye(n), N, 0))
     for seed in (3, -3, 11):
         cases.append((f"seed{seed}", rand_matrix(rng, 4, 3, C), rand_matrix(rng, 4, 3, C), seed))
     for k in (4, 7):
-        # A k-fold root, kept only by the centroid of a loose cluster.
+        # A semisimple k-fold root, and a Jordan block of size k whose
+        # eigenvalues split around their centroid.
         cases.append((f"multiple-{k}", *_multiple_root(k, k + 2, 0.5j, C, rng), 0))
+        cases.append((f"jordan-{k}", *_jordan_root(k, k + 2, 0.5j, C, rng), 0))
     return cases
 
 
 def test_pencil_singular_set_matches_pointwise_reference(monkeypatch):
-    # Past the zero-scale exit, each pencil builds one determinant
-    # polynomial, the guard: one stacked det over its n + 1 nodes.
-    det_calls = []
-    det = np.linalg.det
+    # Past the zero-scale and one-column exits, each pencil makes one solve
+    # at the shift, and one more at a probe when it is singular at the
+    # shift; each verification is one stacked SVD, the same bits as one SVD
+    # per point.
+    solve_calls = []
+    solve = np.linalg.solve
 
-    def counted(a):
-        det_calls.append(np.shape(a))
-        return det(a)
+    def counted(a, b):
+        solve_calls.append(np.shape(a))
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "det", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     branches = set()
     for label, P, Q, seed in _reference_cases():
         expected, branch = reference_pencil_singular_set(P, Q, seed=seed)
         branches.add(branch)
-        del det_calls[:]
+        del solve_calls[:]
         got = pencil_singular_set(P, Q, seed=seed)
         n = P.shape[1]
-        assert det_calls == ([] if branch == "zero" else [(n + 1, n, n)]), label
+        calls = {"zero": 0, "one_column": 0, "singular_shift": 2}.get(branch, 1)
+        assert solve_calls == [(n, n)] * calls, label
         assert got.kind == expected.kind, label
         assert len(got.roots) == len(expected.roots), label
         for a, b in zip(got.roots, expected.roots):
             assert type(a) is complex, label
             assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex()), label
-    assert branches >= {"finite", "all_of_c", "noise_full_rank", "zero", "no_candidates"}
+    assert branches == {"finite", "all_of_c", "singular_shift", "zero", "one_column", "no_candidates", "centroid"}
 
 
 def test_pencil_points_match_scalar_evaluation():
