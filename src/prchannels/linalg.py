@@ -72,7 +72,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if a.size and not np.isfinite(a).all():
+    if a.size and not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
 

@@ -174,16 +174,20 @@ def _loose_centroids(roots: np.ndarray) -> list:
     return [complex(np.mean(cl)) for cl in clusters]
 
 
-def _shifted_roots(A: np.ndarray, B: np.ndarray, shift: complex) -> np.ndarray:
+def _shifted_roots(A: np.ndarray, B: np.ndarray, shift: complex, infinity_is_root) -> np.ndarray:
     """The finite roots of the square pencil ``A + lam B``, seen from ``shift``.
 
     ``A + lam B = (A + shift B)(I + (lam - shift) X)`` with ``X = (A + shift
     B)^-1 B``, so the roots are ``shift - 1/nu`` for the eigenvalues nu of X,
     from one ``solve`` and one ``eigvals``, and nu = 0 is a root at infinity.
-    A defective one of order k splits around 0 by about ``eps^(1/k)`` with a
-    sum at rounding level, so the longest run of smallest eigenvalues whose
-    sum is within 1e-12 ``||X||`` is dropped.  Empty when ``A + shift B`` is
-    exactly singular.
+    Eigenvalues within 1e-12 ``||X||_F`` of 0 go, as the determinant
+    engine's 1e-12 trim did.  A defective one of order k splits around 0 by
+    about ``eps^(1/k)``, so the longest run of smallest eigenvalues that is a
+    k-fold zero to rounding (:func:`_is_zero_block`) goes too, when
+    ``infinity_is_root()``.  Finite roots placed symmetrically around the
+    shift give nu that sum to zero too, but their product is not at rounding
+    level, and without a root at infinity the pencil there fails the margin
+    test.  Empty when ``A + shift B`` is exactly singular.
     """
     try:
         X = np.linalg.solve(A + shift * B, B)
@@ -191,10 +195,23 @@ def _shifted_roots(A: np.ndarray, B: np.ndarray, shift: complex) -> np.ndarray:
     except np.linalg.LinAlgError:
         return np.empty(0, dtype=complex)
     nu = nu[np.argsort(np.abs(nu), kind="stable")]
-    infinite = np.flatnonzero(np.abs(np.cumsum(nu)) <= 1e-12 * np.linalg.norm(X))
-    if infinite.size:
-        nu = nu[infinite[-1] + 1 :]
-    return shift - 1.0 / nu
+    rounding = 1e-12 * np.linalg.norm(X)
+    drop = np.count_nonzero(np.abs(nu) <= rounding)
+    # Past the eigenvalues at rounding level, a longer run needs a sum at
+    # rounding level, which almost never holds for finite roots.
+    cuts = np.flatnonzero(np.abs(np.cumsum(nu)) <= rounding) + 1
+    if cuts.size and cuts[-1] > drop and infinity_is_root():
+        scale = np.linalg.norm(X, 2)
+        drop = max(drop, next((k for k in cuts[::-1] if _is_zero_block(nu[:k] / scale)), 0))
+    return shift - 1.0 / nu[drop:]
+
+
+def _is_zero_block(w: np.ndarray) -> bool:
+    """Whether the characteristic polynomial of ``w`` (eigenvalues scaled by
+    ``||X||_2``) is ``z^k`` within 1e-12 in every coefficient: the split of a
+    k-fold zero by rounding, whose power sums all vanish, and not a set that
+    only sums to zero."""
+    return bool(np.all(np.abs(np.poly(w)[1:]) <= 1e-12))
 
 
 @lru_cache(maxsize=64)
@@ -255,9 +272,13 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
     R, probes, shift = _seeded_draws(abs(int(seed)), n, m)
     A, B = R @ Pn, R @ Qn
 
+    def infinity_is_root():
+        """The margin test at lam = infinity: that of the reversed pencil Qn + mu Pn at mu = 0."""
+        return bool(_singular_at(Qn, Pn, [0.0])[1][0])
+
     def points(shift):
         """The shift, the candidate roots seen from it and their loose centroids."""
-        lams = _shifted_roots(A, B, shift)
+        lams = _shifted_roots(A, B, shift, infinity_is_root)
         return np.concatenate(([shift], lams, _loose_centroids(lams)))
 
     pts = points(shift)

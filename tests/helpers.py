@@ -323,19 +323,26 @@ def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
     A, B = R @ Pn, R @ Qn
 
     def roots_from(shift):
+        """The candidate roots seen from ``shift``, and whether the rule at infinity cut any."""
         try:
             X = np.linalg.solve(A + shift * B, B)
             nu = np.linalg.eigvals(X)
         except np.linalg.LinAlgError:
-            return []
+            return [], False
         nu = nu[np.argsort(np.abs(nu), kind="stable")]
-        # The longest run of smallest eigenvalues with a negligible sum is at infinity.
-        total, cut = 0j, 0
-        for i, z in enumerate(nu):
-            total += z
-            if np.abs(total) <= 1e-12 * np.linalg.norm(X):
-                cut = i + 1
-        return list(shift - 1.0 / nu[cut:])
+        # Eigenvalues at rounding level are at infinity, and so is the
+        # longest run of smallest eigenvalues that is a k-fold zero to
+        # rounding, when Qn, the pencil at infinity, passes the margin test.
+        tiny = cut = int(np.count_nonzero(np.abs(nu) <= 1e-12 * np.linalg.norm(X)))
+        if smallest_singular_value(Qn) <= margin:
+            scale = np.linalg.norm(X, 2)
+            total, coeffs = 0j, np.ones(1, dtype=complex)
+            for i, z in enumerate(nu):
+                total += z
+                coeffs = np.append(coeffs, 0.0) - np.append(0.0, z / scale * coeffs)
+                if np.abs(total) <= 1e-12 * np.linalg.norm(X) and np.all(np.abs(coeffs[1:]) <= 1e-12):
+                    cut = max(cut, i + 1)
+        return list(shift - 1.0 / nu[cut:]), cut > tiny
 
     def sv(lam):
         return smallest_singular_value(Pn + lam * Qn)
@@ -347,7 +354,9 @@ def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
             return SingularSet(ALL_OF_C, []), "all_of_c"
         shift = probes[int(np.argmax(probe_svs))]
         branch = "singular_shift"
-    candidates = roots_from(shift)
+    candidates, cut = roots_from(shift)
+    if cut:
+        branch = "infinite"
     if not candidates:
         branch = "no_candidates"
     radii = (1e-4, 1e-3, 1e-2, 1e-1) if len(candidates) >= 4 else (1e-4,)

@@ -49,6 +49,7 @@ from prchannels.deciders import (
 from prchannels.errors import NotSquare, WrongField, WrongRank
 from prchannels.frames import _measurement_channel
 from prchannels.serialize import dumps, verdict_to_json
+from prchannels.spectra import _seeded_draws
 
 from helpers import (
     antisymmetric_kernel_channel,
@@ -147,6 +148,26 @@ def test_two_block_pinchings_are_not_pr(field):
                 bound = DEFAULT_TOL.residual_abs * sum(np.linalg.norm(A) ** 2 for A in family.kraus)
                 assert verify_certificate(family, verdict)["tensor"] <= bound, (n, a)
                 assert_relative_certificate(family, verdict)
+
+
+def test_two_dimensional_pinching_with_clash_roots_about_the_shift_is_not_pr():
+    # Mixing the two projectors of a pinching on C^2 by a unitary M puts the
+    # roots of A1 + lam A2 at -M[0, j] / M[1, j], a pair with r1 conj(r2) = -1
+    # that clashes.  With r = s +- s sqrt(1 + 1/|s|^2) about the engine's
+    # seeded shift s, their eigenvalues of X sum to zero; the pair must stay.
+    s = _seeded_draws(0, 2, 2)[2]
+    d = s * np.sqrt(1.0 + 1.0 / abs(s) ** 2)
+    M = np.column_stack([np.array([-r, 1.0]) / np.hypot(abs(r), 1.0) for r in (s + d, s - d)])
+    rng = np.random.default_rng(48)
+    for conjugated in (False, True):
+        U, W = (random_unitary(2, COMPLEX, rng), random_unitary(2, COMPLEX, rng)) if conjugated else (np.eye(2), np.eye(2))
+        kraus = [U @ np.diag(row) @ W for row in M]
+        family = QuantumChannel(2, 2, kraus, COMPLEX)
+        verdict = decide(family)
+        assert (verdict.status, verdict.method) == (NOT_PR, RANK2_EXACT), conjugated
+        bound = DEFAULT_TOL.residual_abs * sum(np.linalg.norm(A) ** 2 for A in kraus)
+        assert verify_certificate(family, verdict)["tensor"] <= bound
+        assert_relative_certificate(family, verdict)
 
 
 def _rank2_pairs():

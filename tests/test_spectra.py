@@ -175,6 +175,52 @@ def test_defective_roots_at_infinity_are_dropped(field):
         assert got.kind == FINITE and got.roots == [], (k, got.roots)
 
 
+def _planted_roots(roots, field, rng, kernel=0):
+    """``P + mu Q = U diag(mu - roots, 1 (kernel times)) W``: the given simple
+    roots, and ``kernel`` semisimple roots at infinity."""
+    n = len(roots) + kernel
+    U, W = random_unitary(n, field, rng), random_unitary(n, field, rng)
+    P = U @ np.diag(np.r_[-np.asarray(roots, dtype=complex), np.ones(kernel)]) @ W
+    return P, U @ np.diag(np.r_[np.ones(len(roots)), np.zeros(kernel)]) @ W
+
+
+def test_roots_symmetric_about_the_shift_are_kept():
+    # The roots s + d and s - d about the seeded shift s give the eigenvalues
+    # -1/d and 1/d of X, whose sum is at rounding level, like the split of a
+    # defective root at infinity.  Their product is not, so both stay finite,
+    # also beside semisimple roots at infinity, which go.
+    rng = np.random.default_rng(17)
+    for kernel in (0, 1, 2):
+        s = _seeded_draws(0, 2 + kernel, 2 + kernel)[2]
+        for d in (1e-2, 0.5, 1.0, 3.0, 1e3, 0.7 - 0.4j):
+            roots = [s + d, s - d]
+            pencils = [_planted_roots(roots, "complex", rng, kernel)]
+            if kernel == 0:
+                pencils.append((-np.diag(roots), np.eye(2)))
+            for P, Q in pencils:
+                got = pencil_singular_set(P, Q)
+                assert got.kind == FINITE and len(got.roots) == 2, (kernel, d, got.roots)
+                for lam in roots:
+                    assert min(abs(z - lam) for z in got.roots) <= 1e-8 * (1.0 + abs(lam)), (kernel, d)
+
+
+def test_roots_on_a_circle_about_the_shift_are_kept():
+    # k roots s + omega^i on the unit circle about the shift, omega a k-th
+    # root of unity, give eigenvalues of X whose characteristic polynomial
+    # is z^k + c: every power sum below k vanishes.  A root 1e-3 from the
+    # shift makes ||X|| about 1e3, so c / ||X||^k is below 1e-12 from k = 4
+    # on and they would pass for a k-fold zero; Q has no kernel, so infinity
+    # is no root and they stay.
+    rng = np.random.default_rng(18)
+    for k in range(2, 9):
+        s = _seeded_draws(0, k + 1, k + 1)[2]
+        roots = [s + 1e-3j] + [s + np.exp(2j * np.pi * i / k) for i in range(k)]
+        got = pencil_singular_set(*_planted_roots(roots, "complex", rng))
+        assert got.kind == FINITE and len(got.roots) == k + 1, (k, got.roots)
+        for lam in roots:
+            assert min(abs(z - lam) for z in got.roots) <= 1e-8, k
+
+
 def test_roots_match_the_determinant_engine():
     # On generic square and tall pencils and on the reference cases without
     # multiple or tiny-scale roots, where the two engines verify different
@@ -318,6 +364,15 @@ def _reference_cases():
         cases.append((f"constant-{n}", np.eye(n), N, 0))
     for seed in (3, -3, 11):
         cases.append((f"seed{seed}", rand_matrix(rng, 4, 3, C), rand_matrix(rng, 4, 3, C), seed))
+    for n in (2, 4):
+        # Roots symmetric about the seeded shift: their eigenvalues sum to zero.
+        s = _seeded_draws(0, n, n)[2]
+        cases.append((f"symmetric-{n}", *_planted_roots([s + 0.8, s - 0.8], C, rng, n - 2), 0))
+    for k in (2, 3):
+        # A Jordan block of size k at infinity beside the finite root 1.
+        U, W = random_unitary(k + 1, C, rng), random_unitary(k + 1, C, rng)
+        N = np.diag(np.r_[np.ones(k - 1), 0.0], 1)
+        cases.append((f"infinite-{k}", U @ np.diag(np.r_[np.ones(k), -1.0]) @ W, U @ (N + np.diag(np.r_[np.zeros(k), 1.0])) @ W, 0))
     for k in (4, 7):
         # A semisimple k-fold root, and a Jordan block of size k whose
         # eigenvalues split around their centroid.
@@ -353,7 +408,7 @@ def test_pencil_singular_set_matches_pointwise_reference(monkeypatch):
         for a, b in zip(got.roots, expected.roots):
             assert type(a) is complex, label
             assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex()), label
-    assert branches == {"finite", "all_of_c", "singular_shift", "zero", "one_column", "no_candidates", "centroid"}
+    assert branches == {"finite", "all_of_c", "singular_shift", "zero", "one_column", "no_candidates", "centroid", "infinite"}
 
 
 def test_pencil_points_match_scalar_evaluation():
