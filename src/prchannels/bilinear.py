@@ -20,8 +20,8 @@ Both engines read the channel through its natural representation
 every half-step matrix is one of the two slot contractions of ``K`` at the
 fixed vector (:func:`_slot_maps`), one matrix-vector product each, and never
 a sum of Kronecker products.  The restarts run one after another, each
-from a unit vector drawn once per seed and shape from
-``default_rng([seed, tag, r])`` (:func:`_starts`).  The search stops at the first witness-grade minimum and
+from a unit vector drawn from ``default_rng([seed, tag, r])``
+(:func:`_starts`).  The search stops at the first witness-grade minimum and
 reports the best pair seen (lowest restart index on ties).  No ``x`` a
 restart holds vanishes: the start is a unit vector, and each later one is a
 unit singular vector or a solution whose symmetric product with the
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -133,12 +132,9 @@ def _rand_unit(rng, n: int, field: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@lru_cache(maxsize=4096)
 def _starts(seed: int, tag: int, r: int, n: int, field: str) -> np.ndarray:
-    """Restart ``r``'s start, the first draw from ``default_rng([seed, tag, r])``, read-only."""
-    x = _rand_unit(np.random.default_rng([abs(int(seed)), tag, r]), n, field)
-    x.flags.writeable = False
-    return x
+    """Restart ``r``'s start, the first draw from ``default_rng([seed, tag, r])``."""
+    return _rand_unit(np.random.default_rng([abs(int(seed)), tag, r]), n, field)
 
 
 def _restarts(step, cfg: OracleConfig, tag: int, n: int, field: str):

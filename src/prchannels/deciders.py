@@ -42,14 +42,13 @@ the channel gives the verdict:
    no matrix of rank at most 2, which proves PR; past its size cap the
    matrix is built for a seeded compression of the span, which can only
    lower ranks.  Otherwise a witness from the kernel's first spanning
-   matrix, or from restart 0 of the bilinear search, gives NOT_PR; at
-   dimension 1 one eigenvalue test of that matrix may prove PR; the
-   real-field rank-one step runs here when it did not run first; last, a
-   Gauss-Newton search on the kernel's sphere gives NOT_PR or LIKELY_PR.  On
-   C^3 and R^3 a kernel of dimension 2 or more always holds some
+   matrix gives NOT_PR at dimension 1 and on C^2 and R^2; at dimension 1
+   one eigenvalue test of that matrix may prove PR; the real-field
+   rank-one step runs here when it did not run first; last, one
+   Gauss-Newton search on the kernel's sphere gives NOT_PR or LIKELY_PR.
+   On C^3 and R^3 a kernel of dimension 2 or more always holds some
    ``xx* - yy*`` (``det H(c)`` is an odd cubic form), so no proof is tried
-   there.  When the Kraus operators' ranks alone bound the kernel dimension
-   below by 2, restart 0 runs before the kernel is computed.
+   there.
 
 A witness gives NOT_PR only when it re-verifies relative to
 ``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
@@ -330,22 +329,16 @@ class _ChannelRecord:
         family, ``t`` the sum of each operator's largest ``s_i``; 0 for a zero operator.
         Cutting the rest, ``||E_i|| <= min(tau, s_i)``, moves ``M`` by at most
         ``sum_i (2 s_i + ||E_i||) ||E_i|| <= 0.75 rank_rel s^2``, below its cut
-        ``rank_rel sigma_max(M) >= rank_rel s^2``, so :attr:`kernel_floor` is a floor.
-        ``numerical_rank``'s cut ``rank_rel s_i`` is not: a singular value at it can
-        leave ``M``'s rank above the count."""
+        ``rank_rel sigma_max(M) >= rank_rel s^2``, so the numerical rank of ``M``
+        is at most ``sum_i k_i^2`` (``sum_i k_i (k_i + 1) / 2`` on the real field):
+        ``X -> A X A*`` maps Herm(n) into Herm of ``A``'s range, of dimension
+        ``rank(A)^2``, and Sym(n) into Sym of it.  ``numerical_rank``'s cut
+        ``rank_rel s_i`` gives no such bound: a singular value at it can leave
+        ``M``'s rank above the count."""
         s = self.kraus_values
         top = s[:, 0]
         tau = self.tol.rank_rel * top.max() ** 2 / (4.0 * top.sum()) if top.any() else 0.0
         return np.count_nonzero(s > tau, axis=1)
-
-    @property
-    def kernel_floor(self) -> int:
-        """``dim Herm(n) - sum_i k_i^2`` (``dim Sym(n) - sum_i k_i (k_i + 1) / 2`` on the
-        real field), at most :attr:`kernel_dim`: ``X -> A X A*`` maps Herm(n) into
-        Herm of ``A``'s range, of dimension ``rank(A)^2``, and Sym(n) into
-        Sym of it."""
-        n, k = self.ch.dim_in, self.kraus_ranks
-        return (n * n + n - int(k @ k + k.sum())) // 2 if self.ch.field == REAL else n * n - int(k @ k)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -783,13 +776,10 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       field :func:`_rank_one_verdict` (below), then on both fields
       :func:`_macaulay_verdict`, PR with floor None when the kernel's span
       holds no matrix of rank at most 2; past ``_MINORS_CAP`` it tests a
-      seeded compression of the span.  ``rec.kernel_floor`` is tested
-      first, so ``M`` stays unbuilt when it exceeds ``codim``.
+      seeded compression of the span.
     * At d = 1 or n = 2, the pair of :func:`_signature_verdict` on the first
       basis matrix ``H1``; at n = 2 it decides every d, since
       ``Phi(H) >= l_min(H) sum_i A_i A_i*`` leaves no kernel element definite.
-      At d >= 2 (n >= 3), restart 0 of the bilinear search on ``rec.K``; when
-      ``rec.kernel_floor`` already shows d >= 2, before ``M`` is built.
     * At d = 1 and n >= 3, ``gamma = g(H1) = max(l2, -l_{n-1})``, for the
       eigenvalues ``l1 >= ... >= ln`` of ``H1``, past ``residual_abs``
       proves PR with floor ``sigma_r gamma / sqrt(2)``.  A unit H of bad
@@ -816,13 +806,10 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
     """
     tol, n = rec.tol, rec.ch.dim_in
     codim = _rank2_codim(n, rec.ch.field == REAL)
-    early = codim >= 2 and rec.kernel_floor <= codim and 2 <= rec.kernel_dim <= codim
+    d = rec.kernel_dim
+    early = codim >= 2 and 2 <= d <= codim
     if early and (verdict := _rank_one_verdict(rec) or _macaulay_verdict(rec)):
         return verdict
-    # The floor goes first, so M stays unbuilt whenever it already shows d >= 2.
-    if n > 2 and (rec.kernel_floor >= 2 or rec.kernel_dim >= 2) and (verdict := _restart_zero(rec, cfg)):
-        return verdict
-    d = rec.kernel_dim
     if d == 0 or n == 1:
         floor = float(rec.singular_values[-1]) if d == 0 else None
         return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
@@ -995,24 +982,6 @@ def _macaulay_verdict(rec: _ChannelRecord) -> Optional[PRVerdict]:
     """
     found = _macaulay_degree(rec.kernel_basis, rec.tol)
     return None if found is None else PRVerdict(PR, MACAULAY, MacaulayCertificate(*found), residuals={})
-
-
-# Restart 0 stops on an absolute objective, so on a small-scale channel it
-# would run all of ``max_iters`` before the kernel search takes over.
-_RESTART_ZERO_ITERS = 40
-
-
-def _restart_zero(rec: _ChannelRecord, cfg: OracleConfig) -> Optional[PRVerdict]:
-    """Restart 0 of the bilinear search on ``rec.K``, at most ``_RESTART_ZERO_ITERS``
-    iterations: NOT_PR when its witness passes :func:`_accepted`."""
-    ch, one = rec.ch, replace(cfg, restarts=1, max_iters=min(cfg.max_iters, _RESTART_ZERO_ITERS))
-    if ch.field == REAL:
-        pair, kind = minimize_simple_pair(rec.K, ch.dim_in, REAL, one)[1:], SIMPLE
-    else:
-        pair, kind = minimize_symmetric_pair(rec.K, ch.dim_in, one)[1:], SYMMETRIC
-    x, y = (np.asarray(v, dtype=complex) for v in pair)
-    verdict = _not_pr(rec, ORACLE_WITNESS, TensorWitness(x, y, kind), kind)
-    return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
 
 
 # Witness search: steps per start, the F of an exact zero, the steps without

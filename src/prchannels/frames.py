@@ -93,7 +93,7 @@ class Frame:
         V = np.asarray(self.vectors, dtype=complex)
         if V.ndim != 2 or V.shape[1] != self.dim or V.shape[0] == 0:
             raise ValueError(f"expected a nonempty (N, {self.dim}) vector array")
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(V).all():
             raise ValueError("frame vectors must be finite")
         if not np.any(np.abs(V) > 0):
             raise ValueError("at least one frame vector must be nonzero")

@@ -92,7 +92,7 @@ def test_check_method_oracle_runs_kernel_stage():
 
 def test_check_method_oracle_reports_residuals(tmp_path):
     # The (1,1,1) pinching has a six-dimensional Hermitian kernel on Herm(3);
-    # restart 0 of the bilinear search finds the witness.
+    # the witness search on that kernel finds the witness.
     path = tmp_path / "pinching.json"
     path.write_text(dumps(channel_to_json(orthogonal_projection_channel([1, 1, 1]).channel)))
     res = run_cli("check", str(path), "--method", "oracle", "--restarts", "16", "--output", "json")
@@ -108,6 +108,20 @@ def test_check_method_oracle_reports_residuals(tmp_path):
         assert res.returncode == 1
         verdict = json.loads(res.stdout)["verdict"]
         assert verdict["status"] == "NOT_PR" and verdict["method"] == "HERMITIAN_KERNEL", name
+
+
+def test_check_method_oracle_settles_a_real_pinching_by_the_complement_property(tmp_path):
+    # On the real field the (1,1,1) pinching's Kraus operators have rank one,
+    # so the kernel stage reads the rank-one points off them, and their
+    # failing bipartition gives the pair ahead of the witness search.
+    ch = orthogonal_projection_channel([1, 1, 1]).channel
+    path = tmp_path / "pinching_real.json"
+    path.write_text(dumps(channel_to_json(QuantumChannel(ch.dim_in, ch.dim_out, ch.kraus, "real"))))
+    res = run_cli("check", str(path), "--method", "oracle", "--output", "json")
+    assert res.returncode == 1
+    verdict = json.loads(res.stdout)["verdict"]
+    assert verdict["status"] == "NOT_PR" and verdict["method"] == "COMPLEMENT_PROPERTY"
+    assert verdict["residuals"]["tensor"] <= 1e-7
 
 
 def test_check_labels_a_proved_floor():
@@ -150,8 +164,8 @@ def test_check_proves_a_three_dimensional_kernel(tmp_path):
     # A complex frame of 13 vectors in C^4 has a three-dimensional kernel on
     # Herm(4), below the codimension 4 of the rank-2 matrices: the Macaulay
     # matrix of its 3x3 minors has full column rank at degree 3, which
-    # proves PR before restart 0 runs.  The report names the degree and the
-    # sigma ratio, and gives no floor.
+    # proves PR before the witness search runs.  The report names the degree
+    # and the sigma ratio, and gives no floor.
     res = run_cli("check", str(_frame_channel_file(tmp_path, 4, 13, "complex")))
     assert res.returncode == 0
     assert "verdict: PR (method MACAULAY)" in res.stdout

@@ -7,8 +7,8 @@ unchanged.  So a proof by a trivial Hermitian kernel, the exact verdict at
 kernel dimension 1 and a proof by the Macaulay step at dimensions 2 and 3
 must survive them on both fields, and every NOT_PR certificate must
 re-verify relative to the moved channel's scale.  Past the kernel stage,
-:func:`decide` must stay sound at every scale: a NOT_PR of restart 0 or of
-the witness search re-verifies relative to the channel's scale, and no PR
+:func:`decide` must stay sound at every scale: a NOT_PR of the witness
+search re-verifies relative to the channel's scale, and no PR
 comes without a proof: an exact stage, the eigenvalue test at kernel
 dimension 1, the real-field rank-one step or the Macaulay step.
 """

@@ -5,6 +5,8 @@ from prchannels import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
+    Frame,
+    QuantumChannel,
     Tolerance,
     hermitian_eig,
     kernel_basis,
@@ -12,7 +14,7 @@ from prchannels import (
     numerical_rank,
 )
 from prchannels.errors import NotHermitian
-from prchannels.linalg import _rank_one_independent
+from prchannels.linalg import _rank_one_independent, as_matrix
 
 from helpers import ZERO_POLY, poly_roots, rand_matrix, random_unitary, smallest_singular_value
 
@@ -24,6 +26,23 @@ def test_tolerance_validation():
         Tolerance(rank_rel=1.5)
     with pytest.raises(ValueError):
         Tolerance(residual_abs=-1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
+def test_non_finite_entries_are_rejected(bad):
+    M = np.eye(2, dtype=complex)
+    M[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix(M)
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumChannel(2, 2, [np.eye(2), M])
+    with pytest.raises(ValueError, match="finite"):
+        Frame(dim=2, vectors=M)
+    # The same entries, finite, pass all three.
+    M[1, 0] = 0.5
+    as_matrix(M)
+    QuantumChannel(2, 2, [np.eye(2), M])
+    Frame(dim=2, vectors=M)
 
 
 def test_numerical_rank_basics():

@@ -137,16 +137,16 @@ def test_nothing_is_built_when_no_degree_fits(monkeypatch):
     assert _macaulay_degree(H, DEFAULT_TOL) is None
 
 
-def test_generic_wide_kernels_are_proved_before_restart_zero(monkeypatch):
+def test_generic_wide_kernels_are_proved_before_the_witness_search(monkeypatch):
     # Generic complex frames of 4n - 4 or more vectors in C^4 and C^5 with
     # d <= (n - 2)^2, the benchmark's former LIKELY_PR items among them.
     # Past them, frames with kernels of dimension 3 (C^9, R^10) and 2 (C^11,
     # R^12), the first sizes at which no degree fits under the cap: the
     # span compressed to C^8, R^9, C^10 or R^11 is proved at degree 3.
     def refuse(*args, **kwargs):
-        raise AssertionError("restart 0 ran")
+        raise AssertionError("the witness search ran")
 
-    monkeypatch.setattr(deciders, "_restart_zero", refuse)
+    monkeypatch.setattr(deciders, "_kernel_search", refuse)
     shapes = [(4, 12, COMPLEX, 5), (4, 13, COMPLEX, 3), (5, 19, COMPLEX, 3), (5, 22, COMPLEX, 3)]
     shapes += [(9, 78, COMPLEX, 3), (10, 52, REAL, 3), (11, 119, COMPLEX, 3), (12, 76, REAL, 3)]
     for n, N, field, D in shapes:
@@ -165,27 +165,14 @@ def test_generic_wide_kernels_are_proved_before_restart_zero(monkeypatch):
     ],
 )
 def test_not_pr_kernels_past_the_codimension_skip_the_step(monkeypatch, label, ch):
-    # Their Kraus-rank floor already exceeds the codimension, so restart 0
-    # runs first, with M unbuilt, and the Macaulay step never runs.
+    # Their kernel dimension exceeds the codimension, so the Macaulay step
+    # never runs: the rank-one step or the witness search settles them.
     def refuse(*args, **kwargs):
         raise AssertionError("the Macaulay step ran")
 
-    restart_zero, rank_one, ran = deciders._restart_zero, deciders._rank_one_verdict, []
-
-    def first(rec, cfg):
-        assert "M" not in vars(rec)
-        ran.append(1)
-        return restart_zero(rec, cfg)
-
-    def after(rec):
-        assert ran
-        return rank_one(rec)
-
     monkeypatch.setattr(deciders, "_macaulay_verdict", refuse)
-    monkeypatch.setattr(deciders, "_restart_zero", first)
-    monkeypatch.setattr(deciders, "_rank_one_verdict", after)
     rec = _ChannelRecord(ch, DEFAULT_TOL)
-    assert rec.kernel_floor > _codim(ch.dim_in, ch.field)
+    assert rec.kernel_dim > _codim(ch.dim_in, ch.field)
     assert deciders._kernel_stage(rec, OracleConfig()).status == NOT_PR, label
 
 

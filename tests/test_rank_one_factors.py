@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from prchannels import DEFAULT_TOL, NOT_PR, PR, REAL, Frame, QuantumChannel, complement_property, decide, deciders
+from prchannels import decide_method
 from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import COMPLEMENT_PROPERTY, _ChannelRecord
 from prchannels.frames import _measurement_channel
@@ -168,14 +169,18 @@ def test_the_factors_take_no_svd_of_M_with_vectors(monkeypatch):
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_long_short_frames_are_not_pr_when_restart_zero_misses(monkeypatch, n):
     # Real frames of 2n - 3 and 2n - 2 vectors never have the complement
-    # property.  With restart 0 finding no witness, decide still settles
-    # them by the failing bipartition of the factors, with a pair that
-    # re-verifies, and never answers LIKELY_PR.
-    monkeypatch.setattr(deciders, "_restart_zero", lambda rec, cfg: None)
+    # property.  decide settles them by the rank split, and the kernel stage
+    # alone by the failing bipartition of the factors, ahead of the witness
+    # search; each pair re-verifies, and neither answers LIKELY_PR.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search ran")
+
+    monkeypatch.setattr(deciders, "_kernel_search", refuse)
     for N in (2 * n - 3, 2 * n - 2):
         for seed in range(6):
             vectors = np.random.default_rng([27, 2, n, N, seed]).normal(size=(N, n))
             ch = projector_channel_from_frame(Frame(dim=n, vectors=vectors, field=REAL))
-            verdict = decide(ch)
-            assert (verdict.status, verdict.method) == (NOT_PR, COMPLEMENT_PROPERTY), (N, seed)
-            assert_relative_certificate(ch, verdict)
+            for method in ("full", "oracle"):
+                verdict = decide_method(ch, method)
+                assert (verdict.status, verdict.method) == (NOT_PR, COMPLEMENT_PROPERTY), (N, seed, method)
+                assert_relative_certificate(ch, verdict)

@@ -78,7 +78,7 @@ def test_status_holds_under_the_four_symmetries(label, ch):
 
 # Generic real frames of these lengths have the complement property, and the
 # rank-one step proves them at kernel dimension 6, 5 and 3; at 3 it runs
-# ahead of restart 0.
+# ahead of the Macaulay step.
 PR_FRAMES = {(5, 9): COMPLEMENT_PROPERTY, (5, 10): COMPLEMENT_PROPERTY, (4, 7): COMPLEMENT_PROPERTY}
 
 

@@ -79,8 +79,7 @@ def corpus():
     for n in (3, 4, 5):
         for instance in range(2):
             items.append((f"wide_kernel/real-{n}-N{2 * n - 1}#{instance}", _frame_channel(n, 2 * n - 1, REAL, rng)))
-    # Pinchings with three or more blocks: restart 0 or the witness search
-    # finds the witness.
+    # Pinchings with three or more blocks: the rank split settles them.
     rng = _rng(3)
     for field in (COMPLEX, REAL):
         for dims in ((1, 1, 1), (1, 2, 1), (2, 2, 2), (1, 1, 1, 1), (2, 1, 2)):

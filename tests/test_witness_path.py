@@ -1,9 +1,9 @@
-"""What the witness paths compute: the Kraus-rank floor never exceeds the
-kernel dimension, the rank split and restart 0 settle pinchings and short
-frames without the SVD of M, restart 0 still settles their Kraus-mixed copies,
-a certificate costs one channel image, read off the Kraus images ``A_i x`` in
-agreement with ``channels.apply``, and the one-image state witness agrees with
-the two-image reference."""
+"""What the witness paths compute: the Kraus ranks' cut bounds the rank of M,
+the rank split settles pinchings and short frames without the SVD of M, the
+kernel stage alone settles them and their Kraus-mixed copies too, ``decide``
+never runs the bilinear search, a certificate costs one channel image, read
+off the Kraus images ``A_i x`` in agreement with ``channels.apply``, and the
+one-image state witness agrees with the two-image reference."""
 
 import numpy as np
 import pytest
@@ -24,10 +24,11 @@ from prchannels import (
 from prchannels import channels, deciders
 from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import COMPLEMENT_PROPERTY, NECESSARY_VIOLATION, ORACLE_WITNESS, _ChannelRecord
-from prchannels.deciders import SYMMETRIC, _rank_split_stage, _restart_zero, _separation_sq, _state_image
+from prchannels.deciders import SYMMETRIC, _kernel_stage, _rank_split_stage, _separation_sq, _state_image
 from prchannels.deciders import _tensor_image, _to_state_witness
 
 from helpers import pinching, rand_matrix, random_unitary, reference_to_state_witness
+from test_verdict_corpus import corpus
 
 
 def _with_singular_values(sv, m, n, field, rng):
@@ -59,6 +60,14 @@ def _families(n, m, field, rng):
         yield f"singular value at {t}x the cut, among others", [edge, _with_singular_values(sv, m, n, field, rng)]
 
 
+def _kernel_floor(rec):
+    """``dim Herm(n) - sum_i k_i^2`` (``dim Sym(n) - sum_i k_i (k_i + 1) / 2`` on the
+    real field) for the Kraus ranks ``k_i`` of ``rec.kraus_ranks``: the kernel
+    dimension that their cut guarantees."""
+    n, k = rec.ch.dim_in, rec.kraus_ranks
+    return (n * n + n - int(k @ k + k.sum())) // 2 if rec.ch.field == REAL else n * n - int(k @ k)
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (3, 5), (4, 2), (2, 3)])
 def test_kernel_floor_never_exceeds_the_kernel_dimension(field, n, m):
@@ -70,16 +79,16 @@ def test_kernel_floor_never_exceeds_the_kernel_dimension(field, n, m):
                 if field == REAL:
                     ops = [A.real for A in ops]
                 rec = _ChannelRecord(QuantumChannel(n, m, ops, field), DEFAULT_TOL)
-                assert rec.kernel_floor <= rec.kernel_dim, (label, scale, trial)
+                assert _kernel_floor(rec) <= rec.kernel_dim, (label, scale, trial)
 
 
 def test_kernel_floor_counts_exact_ranks():
     # Rank-one operators and a zero one: dim Herm(3) - 2 and dim Sym(3) - 2.
     ops = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.zeros((3, 3))]
-    assert _ChannelRecord(QuantumChannel(3, 3, ops, COMPLEX), DEFAULT_TOL).kernel_floor == 9 - 2
-    assert _ChannelRecord(QuantumChannel(3, 3, ops, REAL), DEFAULT_TOL).kernel_floor == 6 - 2
+    assert _kernel_floor(_ChannelRecord(QuantumChannel(3, 3, ops, COMPLEX), DEFAULT_TOL)) == 9 - 2
+    assert _kernel_floor(_ChannelRecord(QuantumChannel(3, 3, ops, REAL), DEFAULT_TOL)) == 6 - 2
     zero = _ChannelRecord(QuantumChannel(2, 2, [np.zeros((2, 2))], COMPLEX), DEFAULT_TOL)
-    assert list(zero.kraus_ranks) == [0] and zero.kernel_floor == zero.kernel_dim == 4
+    assert list(zero.kraus_ranks) == [0] and _kernel_floor(zero) == zero.kernel_dim == 4
 
 
 def _witness_channels():
@@ -104,8 +113,10 @@ def _mixed(ch, seed):
 
 @pytest.mark.parametrize("label,ch", list(_witness_channels()))
 def test_restart_zero_witness_skips_the_svd_of_m(monkeypatch, label, ch):
-    # decide settles the channel by the rank split, and the kernel stage alone
-    # by restart 0, each without the SVD of M.
+    # decide settles the channel by the rank split, without the SVD of M.  The
+    # kernel stage alone, which builds M, settles it too: on the real field by
+    # the rank-one points read off operators of rank at most 1, and otherwise
+    # by the witness search.
     shapes = []
     svd = np.linalg.svd
 
@@ -114,27 +125,52 @@ def test_restart_zero_witness_skips_the_svd_of_m(monkeypatch, label, ch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for method, want in (("full", COMPLEMENT_PROPERTY), ("oracle", ORACLE_WITNESS)):
-        verdict = decide_method(ch, method)
-        assert (verdict.status, verdict.method) == (NOT_PR, want)
-        assert _m_shape(ch) not in shapes
-    assert _ChannelRecord(ch, DEFAULT_TOL).kernel_floor >= 2
+    verdict = decide(ch)
+    assert (verdict.status, verdict.method) == (NOT_PR, COMPLEMENT_PROPERTY)
+    assert _m_shape(ch) not in shapes
+    verdict = decide_method(ch, "oracle")
+    rec = _ChannelRecord(ch, DEFAULT_TOL)
+    want = COMPLEMENT_PROPERTY if ch.field == REAL and rec.kraus_ranks.max() <= 1 else ORACLE_WITNESS
+    assert (verdict.status, verdict.method) == (NOT_PR, want)
+    assert verify_certificate(ch, verdict)["tensor"] <= DEFAULT_TOL.residual_abs * rec.choi_trace
 
 
 @pytest.mark.parametrize("label,ch", list(_witness_channels()))
 def test_kraus_mixed_copies_are_settled_by_restart_zero(label, ch):
-    # Mixing leaves every operator of full rank, so no rank split exists; K is
-    # unchanged, and so is restart 0's witness.  The screen settles the mixed
-    # pinchings first.
+    # Mixing leaves every operator of full rank, so no rank split exists; the
+    # kernel is unchanged.  The screen settles the mixed pinchings first; on
+    # the real field the rank-one points of the kernel's complement settle
+    # the short frames, and on the complex field the witness search does.
     mixed = _mixed(ch, 7)
     rec = _ChannelRecord(mixed, DEFAULT_TOL)
     assert np.all(rec.kraus_ranks == ch.dim_in) and _rank_split_stage(rec) is None
     verdict = decide(mixed)
-    want = NECESSARY_VIOLATION if label.startswith("pinching") else ORACLE_WITNESS
+    if label.startswith("pinching"):
+        want = NECESSARY_VIOLATION
+    else:
+        want = COMPLEMENT_PROPERTY if ch.field == REAL else ORACLE_WITNESS
     assert (verdict.status, verdict.method) == (NOT_PR, want)
-    verdict = _restart_zero(rec, OracleConfig())
-    assert verdict is not None and verdict.method == ORACLE_WITNESS
     assert verify_certificate(mixed, verdict)["tensor"] <= DEFAULT_TOL.residual_abs * rec.choi_trace
+
+
+def _guard_channels():
+    yield from corpus()
+    for seed in range(6):
+        yield f"complex-3-N5#{seed}", projector_channel_from_frame(random_generic_frame(3, 5, COMPLEX, seed))
+
+
+@pytest.mark.parametrize("label,ch", list(_guard_channels()))
+def test_decide_never_runs_the_bilinear_search(monkeypatch, label, ch):
+    # The kernel stage runs one witness search, on the kernel itself; the
+    # bilinear engines serve only the public one-sided oracles.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bilinear search ran")
+
+    monkeypatch.setattr(deciders, "minimize_simple_pair", refuse)
+    monkeypatch.setattr(deciders, "minimize_symmetric_pair", refuse)
+    cfg = OracleConfig(restarts=16, seed=3)
+    decide(ch, cfg)
+    decide_method(ch, "oracle", cfg)
 
 
 @pytest.mark.parametrize("label,ch", list(_witness_channels()))
@@ -148,7 +184,7 @@ def test_one_channel_image_per_certificate(monkeypatch, label, ch):
         monkeypatch.setattr(deciders, name, lambda *args, _h=helper, _n=name: images.append(_n) or _h(*args))
     monkeypatch.setattr(channels, "_image", lambda *args: images.append("_image"))
     scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
-    for stage in (_rank_split_stage, _restart_zero):
+    for stage in (_rank_split_stage, _kernel_stage):
         images.clear()
         verdict = stage(_ChannelRecord(ch, DEFAULT_TOL), OracleConfig())
         assert verdict is not None and verdict.state_witness is not None
