@@ -31,6 +31,7 @@ previous, nonzero ``x`` has unit norm.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Multistart search budget and decision threshold for the numeric oracles."""
+    """Multistart search budget and decision threshold for the numeric oracles.
+
+    ``restarts`` and ``max_iters`` are positive integers (not bools) and
+    ``decision_floor`` is finite and positive.
+    """
 
     restarts: int = 64
     max_iters: int = 500
@@ -73,8 +78,12 @@ class OracleConfig:
     decision_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.restarts <= 0 or self.max_iters <= 0 or self.decision_floor <= 0:
-            raise ValueError("oracle configuration values must be positive")
+        for name in ("restarts", "max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not 0.0 < self.decision_floor < math.inf:
+            raise ValueError(f"decision_floor must be finite and positive, got {self.decision_floor!r}")
 
 
 def _symmetric_whitener(x: np.ndarray) -> np.ndarray:

@@ -87,10 +87,9 @@ def _print_validation(report) -> None:
 def run_check(args) -> int:
     try:
         ch = serialize.channel_from_json(_load_json(args.input))
+        tol, cfg = _tolerance(args), _oracle_config(args)
     except ValueError as exc:
         return _fail_input(str(exc))
-    tol = _tolerance(args)
-    cfg = _oracle_config(args)
     try:
         verdict = decide_method(ch, args.method, cfg, tol)
     except (ChannelAnalysisError, ValueError) as exc:
@@ -129,9 +128,8 @@ def _verify_claim(result, cfg, tol):
 
 
 def run_construct(args) -> int:
-    tol = _tolerance(args)
-    cfg = _oracle_config(args)
     try:
+        tol, cfg = _tolerance(args), _oracle_config(args)
         if args.recipe == "rank2":
             if args.n is None:
                 raise ValueError("--recipe rank2 needs --n")
@@ -175,10 +173,9 @@ def run_construct(args) -> int:
 def run_frame(args) -> int:
     try:
         frame = serialize.frame_from_json(_load_json(args.input))
+        tol, cfg = _tolerance(args), _oracle_config(args)
     except ValueError as exc:
         return _fail_input(str(exc))
-    tol = _tolerance(args)
-    cfg = _oracle_config(args)
     try:
         report = is_phase_retrievable_frame(frame, cfg, tol)
     except (ChannelAnalysisError, ValueError) as exc:
@@ -210,9 +207,9 @@ def run_frame(args) -> int:
 def run_spectrum(args) -> int:
     try:
         ch = serialize.channel_from_json(_load_json(args.input))
+        tol = _tolerance(args)
     except ValueError as exc:
         return _fail_input(str(exc))
-    tol = _tolerance(args)
     j = args.j - 1  # flag is 1-based
     if not 0 <= j < len(ch.kraus):
         return _fail_input(f"--j must lie in [1, {len(ch.kraus)}]")

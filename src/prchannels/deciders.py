@@ -44,11 +44,14 @@ the channel gives the verdict:
    lower ranks.  Otherwise a witness from the kernel's first spanning
    matrix gives NOT_PR at dimension 1 and on C^2 and R^2; at dimension 1
    one eigenvalue test of that matrix may prove PR; the real-field
-   rank-one step runs here when it did not run first; last, one
-   Gauss-Newton search on the kernel's sphere gives NOT_PR or LIKELY_PR.
-   On C^3 and R^3 a kernel of dimension 2 or more always holds some
-   ``xx* - yy*`` (``det H(c)`` is an odd cubic form), so no proof is tried
-   there.
+   rank-one step runs here when it did not run first.  Then, on C^3 and
+   R^3 at dimension 2 or more and at dimension 2 on every larger space,
+   the real roots of one cubic, ``det`` of the first two spanning matrices'
+   pencil compressed to 3x3, hold every matrix of rank at most 2 in their
+   span: on C^3 and R^3 one always exists (the cubic is odd) and gives
+   NOT_PR, and at dimension 2, where the span is the kernel, none proves
+   PR.  Last, one Gauss-Newton search on the kernel's sphere gives NOT_PR
+   or LIKELY_PR.
 
 A witness gives NOT_PR only when it re-verifies relative to
 ``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
@@ -79,7 +82,8 @@ from .bilinear import OracleConfig, minimize_simple_pair, minimize_symmetric_pai
 from .channels import QuantumChannel, _choi_rank
 from .errors import DimensionMismatch, NotFinite, NotSquare, TooManyVectors, WrongField, WrongRank
 from .linalg import _MINORS_CAP, COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank, _rank2_codim
-from .linalg import _equal_image_pair, _failing_bipartition, _macaulay_degree, _rank_one_independent
+from .linalg import _cubic_candidates, _equal_image_pair, _failing_bipartition, _macaulay_degree
+from .linalg import _rank_one_independent
 from .spectra import SpectrumPoint, _pencil_points, _singular_at, pencil_singular_set
 
 PR = "PR"
@@ -98,6 +102,9 @@ MACAULAY = "MACAULAY"
 
 SIMPLE = "simple"
 SYMMETRIC = "symmetric"
+
+# The search budget of a call without one; frozen, so every call shares it.
+_DEFAULT_CFG = OracleConfig()
 
 
 class _NotFiniteSentinel:
@@ -680,7 +687,7 @@ def simple_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, to
     of :func:`decide`, ahead of this search.
     """
     rec = _ChannelRecord(ch, tol)
-    return _witness_or_floor(rec, *minimize_simple_pair(rec.K, ch.dim_in, ch.field, cfg or OracleConfig()), SIMPLE)
+    return _witness_or_floor(rec, *minimize_simple_pair(rec.K, ch.dim_in, ch.field, cfg or _DEFAULT_CFG), SIMPLE)
 
 
 def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None, tol: Tolerance = DEFAULT_TOL):
@@ -694,7 +701,7 @@ def symmetric_tensor_oracle(ch: QuantumChannel, cfg: OracleConfig | None = None,
     if ch.field != COMPLEX:
         raise WrongField("the symmetric-product oracle is a complex-field test")
     rec = _ChannelRecord(ch, tol)
-    return _witness_or_floor(rec, *minimize_symmetric_pair(rec.K, ch.dim_in, cfg or OracleConfig()), SYMMETRIC)
+    return _witness_or_floor(rec, *minimize_symmetric_pair(rec.K, ch.dim_in, cfg or _DEFAULT_CFG), SYMMETRIC)
 
 
 def is_skew_commutative(u_list, v_list, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -787,11 +794,6 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       ``Hp`` orthogonal to the kernel.  By Weyl, ``|c| gamma <= ||Hp||_F``,
       and ``c^2 + ||Hp||_F^2 = 1``, so
       ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
-    * At n = 3 and d >= 2 the channel is never PR: ``det H(c)`` is an odd
-      real cubic form, so it vanishes at some unit c, where ``H(c)`` has
-      rank at most 2 and is either some ``xx* - yy*`` or semidefinite; and
-      a semidefinite kernel element puts ``uu*`` in the kernel for every u
-      in its range, which every ``A_i`` kills.  No proof is tried there.
     * On the real field, when it did not run in the first step,
       :func:`_rank_one_verdict`: PR (floor None) or NOT_PR by the
       complement property of the rank-one points of the kernel's complement,
@@ -801,6 +803,15 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       below n - 1 leaves infinitely many), past the bipartition cap, and
       when its NOT_PR pair fails :func:`_accepted`.  Read off the
       operators, the points need neither the kernel basis nor the minors.
+    * At n = 3 with d >= 2, and at d = 2 for n >= 4, :func:`_cubic_verdict`
+      on ``H1, H2``: the real roots of ``det(U* H(c) U)`` hold every point
+      of rank at most 2 in their span.  At n = 3 (``U = I``) that odd cubic
+      form has a real root, so the channel is never PR: ``H(c)`` there is
+      some ``xx* - yy*`` or semidefinite, and a semidefinite kernel element
+      puts ``uu*`` in the kernel for every u in its range, which every
+      ``A_i`` kills.  At d = 2 the span is the kernel, and PR (floor None)
+      comes when no root holds such a point.  It declines when a candidate
+      lies within its margin of rank 2 and its pair fails :func:`_accepted`.
     * Last, the pair of :func:`_kernel_search`'s best ``H(c)``: NOT_PR, or
       LIKELY_PR with its relative residual as the floor.
     """
@@ -823,6 +834,8 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
             return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
     if not early and (verdict := _rank_one_verdict(rec)):
         return verdict
+    if n > 2 and d > 1 and (n == 3 or d == 2) and (verdict := _cubic_verdict(rec, H)):
+        return verdict
     verdict, floor = _signature_verdict(rec, np.tensordot(_kernel_search(H, cfg), H, 1), ORACLE_WITNESS)
     return verdict or PRVerdict(LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=floor), floor=floor, residuals={})
 
@@ -837,10 +850,15 @@ def _signature_verdict(rec: _ChannelRecord, H: np.ndarray, method: str):
 
     ``xx* - yy*``, H without its middle eigenvalues, is the symmetric product
     of the certificate ``((x + y)/sqrt2, (x - y)/sqrt2)``; the floor is
-    ``||Phi(xx* - yy*)|| / ||xx* - yy*||_F``.
+    ``||Phi(xx* - yy*)|| / ||xx* - yy*||_F``.  An extreme eigenvalue under the
+    rank rule's cut of the other counts as zero, so a semidefinite H gives
+    the pair of a ray, which :func:`_to_state_witness` turns into two scalings.
     """
     w, v = np.linalg.eigh(H)
-    x, y = np.sqrt(abs(w[-1])) * v[:, -1].astype(complex), np.sqrt(abs(w[0])) * v[:, 0].astype(complex)
+    top, bottom = abs(w[-1]), abs(w[0])
+    cut = rec.tol.rank_rel * max(top, bottom)
+    x = np.sqrt(top if top > cut else 0.0) * v[:, -1].astype(complex)
+    y = np.sqrt(bottom if bottom > cut else 0.0) * v[:, 0].astype(complex)
     verdict = _not_pr(rec, method, TensorWitness((x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0), SYMMETRIC), SYMMETRIC)
     res = verdict.residuals["tensor"]
     if not _accepted(rec, res):
@@ -984,6 +1002,32 @@ def _macaulay_verdict(rec: _ChannelRecord) -> Optional[PRVerdict]:
     return None if found is None else PRVerdict(PR, MACAULAY, MacaulayCertificate(*found), residuals={})
 
 
+# A candidate of :func:`_cubic_verdict` keeps its third eigenvalue clear of
+# rank 2 past this many times the rank rule's cut.
+_CUBIC_MARGIN = 1e4
+
+
+def _cubic_verdict(rec: _ChannelRecord, H: np.ndarray) -> Optional[PRVerdict]:
+    """The rank-at-most-2 points of the span of ``H1, H2`` from one cubic
+    (``linalg._cubic_candidates``): NOT_PR, PR at d = 2, or None.
+
+    When the least ``g`` is not clear of the rank rule, :func:`_signature_verdict`
+    on that candidate gives NOT_PR under :func:`_accepted`; a semidefinite
+    candidate puts the ray of its top eigenvector in the kernel.  When every
+    ``g`` is clear, the span holds no matrix of rank at most 2, which at
+    d = 2 is the kernel and proves PR (floor None); at n = 3 an odd cubic
+    always has a real root, so that outcome is rounding, and declines.  None
+    too when the cubic vanishes and when the pair fails the test.
+    """
+    if (found := _cubic_candidates(H)) is None:
+        return None
+    Hc, g = found
+    best = int(np.argmin(g))
+    if g[best] <= _CUBIC_MARGIN * rec.tol.rank_rel:
+        return _signature_verdict(rec, Hc[best], HERMITIAN_KERNEL)[0]
+    return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(), residuals={}) if len(H) == 2 and H.shape[1] > 3 else None
+
+
 # Witness search: steps per start, the F of an exact zero, the steps without
 # halving F after which a start is dropped, the most starts in one stacked
 # batch, which keeps its arrays small however many starts are asked for, and
@@ -1096,9 +1140,12 @@ def decide_method(
 
     ``exact`` raises :class:`WrongRank` when its stages do not settle the
     channel; ``necessary`` reports a pass of the screen as
-    LIKELY_PR with method NECESSARY_PASS.
+    LIKELY_PR with method NECESSARY_PASS.  An unknown ``method`` raises
+    ``ValueError``.
     """
-    rec, cfg = _ChannelRecord(ch, tol), cfg or OracleConfig()
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}: expected one of {', '.join(METHODS)}")
+    rec, cfg = _ChannelRecord(ch, tol), cfg or _DEFAULT_CFG
     verdict = next((v for stage in METHODS[method] if (v := stage(rec, cfg)) is not None), None)
     if verdict is None and method == "exact":
         raise WrongRank(f"the exact stages did not settle the channel (Choi rank {rec.rank})")

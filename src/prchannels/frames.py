@@ -19,10 +19,13 @@ or more generic vectors), in C^2 at every kernel dimension, and for generic
 frames whose kernel the Macaulay step proves (12 or more vectors in C^4, 18
 or more in C^5, and ``n^2 - 3`` or more from C^4 on, past the step's size
 cap on a compression of the kernel).  In C^3 a kernel of dimension 2 or
-more always holds a colliding pair.  Beyond that the test is one sided: a
-search on the unit sphere of the kernel certifies a failure by an explicit
-pair of vectors with identical phaseless measurements, while success is
-only reported as "likely".
+more always holds a colliding pair, which :func:`decide` reads off the real
+roots of one cubic, and the same cubic decides a kernel of dimension 2
+(``n^2 - 2`` independent vectors) unless it comes within its margin of a
+colliding pair.  Beyond that the test is one sided: a search on the unit
+sphere of the kernel certifies a failure by an explicit pair of vectors
+with identical phaseless measurements, while success is only reported as
+"likely".
 """
 
 from __future__ import annotations

@@ -8,13 +8,15 @@ single :class:`Tolerance` record that the higher-level modules thread through
 unchanged, so that verdicts are reproducible.  The kernel stage's tests on
 matrix spans live here too: the complement property of a vector family
 (:func:`_failing_bipartition`), the independence of its rank-one matrices
-(:func:`_rank_one_independent`, which the frame module shares) and the
+(:func:`_rank_one_independent`, which the frame module shares), the
 Macaulay rank test that a span holds no matrix of rank at most 2
-(:func:`_macaulay_degree`).
+(:func:`_macaulay_degree`) and the cubic whose real roots hold every real
+matrix of rank at most 2 in a span of two (:func:`_cubic_candidates`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -51,6 +53,8 @@ class Tolerance:
         Absolute cutoff for residual tests on normalized inputs.
     root_cluster
         Matching radius when clustering or comparing pencil roots.
+
+    Each must be finite and strictly positive, and ``rank_rel`` below 1.
     """
 
     rank_rel: float = 1e-10
@@ -60,8 +64,10 @@ class Tolerance:
     def __post_init__(self):
         if not 0.0 < self.rank_rel < 1.0:
             raise ValueError("rank_rel must lie in (0, 1)")
-        if self.residual_abs <= 0.0 or self.root_cluster <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("residual_abs", "root_cluster"):
+            # NaN fails both comparisons.
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -369,3 +375,55 @@ def _macaulay_degree(H: np.ndarray, tol: Tolerance) -> Optional[tuple[int, float
         if _rank(s, tol) == len(Ea):
             return D, float(s[-1] / s[0])
     return None
+
+
+# The kernel cubic of :func:`_cubic_candidates`: a root ``r`` of ``p(1, t)`` is
+# tested as real when ``|Im r| <= _CUBIC_LOOSE (1 + |r|)^2``, about the
+# imaginary part of its angle, and ``p`` vanishes when no coefficient
+# passes ``_CUBIC_ZERO``.
+_CUBIC_LOOSE = 1e-3
+_CUBIC_ZERO = 1e-9
+
+
+@lru_cache(maxsize=16)
+def _cubic_isometry(n: int) -> np.ndarray:
+    """The ``n x 3`` isometry ``U`` of the kernel cubic, read-only: ``I`` at n = 3,
+    else the Q factor of a complex Gaussian matrix from ``default_rng([0xC3, n])``."""
+    if n == 3:
+        U = np.eye(3)
+    else:
+        rng = np.random.default_rng([0xC3, n])
+        U = np.linalg.qr(rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))[0]
+    U.flags.writeable = False
+    return U
+
+
+def _cubic_candidates(H: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``(Hc, g)``: unit matrices of the span of ``H1, H2`` (Frobenius-orthonormal
+    Hermitian, the first two of the stack ``H``) that hold every real one of
+    rank at most 2, stacked, and each one's third eigenvalue by modulus over
+    its first; None when the cubic below vanishes.
+
+    ``p(s, t) = det(U* (s H1 + t H2) U)`` is a real cubic form, and by
+    Cauchy-Binet it vanishes wherever ``s H1 + t H2`` has rank at most 2, so
+    those points sit at its real roots.  One stacked ``det`` at the nodes
+    ``(1, 0), (0, 1), (1, 1), (1, -1)`` gives its coefficients.  The
+    candidates are the real parts of the near-real roots of ``p(1, t)`` and of
+    its derivative, which keeps a multiple root that rounding split, and
+    ``H2`` for ``t = infinity``; one stacked ``eigvalsh`` gives ``g``.
+    """
+    n = H.shape[1]
+    U = _cubic_isometry(n)
+    C = H[:2] if n == 3 else U.conj().T @ H[:2] @ U
+    v = np.linalg.det(np.tensordot(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)), C, 1)).real
+    # p(1, t) = a + b t + c t^2 + e t^3 from its values at t = 0, infinity, 1 and -1.
+    a, e = v[0], v[1]
+    b, c = (v[2] - v[3]) / 2.0 - e, (v[2] + v[3]) / 2.0 - a
+    if max(abs(a), abs(b), abs(c), abs(e)) <= _CUBIC_ZERO:
+        return None
+    r = np.concatenate((np.roots([e, c, b, a]), np.roots([3.0 * e, 2.0 * c, b]))).astype(complex)
+    near = np.abs(r.imag) / (1.0 + np.abs(r)) <= _CUBIC_LOOSE * (1.0 + np.abs(r))
+    theta = np.append(np.arctan(r.real[near]), np.pi / 2.0)
+    Hc = (np.column_stack((np.cos(theta), np.sin(theta))) @ H[:2].reshape(2, -1)).reshape(-1, n, n)
+    w = np.sort(np.abs(np.linalg.eigvalsh(Hc)), axis=1)
+    return Hc, w[:, -3] / w[:, -1]

@@ -9,6 +9,7 @@ references use: companion-matrix roots, the smallest singular value and the
 inverse square root."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from prchannels import (
     hermitian_eig,
     verify_certificate,
 )
+from prchannels.frames import _measurement_channel
 from prchannels.linalg import _svdvals, as_matrix
 from prchannels.spectra import SingularSet, _cluster_roots
 
@@ -266,15 +268,22 @@ def rotation_pairs(field):
 
 
 def perfbench_decide_items(workloads, seeds=(1, 101, 202, 4242)):
-    """``(key, item)`` for every decide item of the benchmark's ``workloads`` at ``seeds``."""
-    root = str(Path(__file__).resolve().parent.parent)
-    if root not in sys.path:
-        sys.path.insert(0, root)
+    """``(key, item)`` for every decide item of the benchmark's ``workloads`` at ``seeds``.
+
+    A complex frame report of synthesis_cli counts as a decide item on the
+    frame's measurement channel, which the report decides."""
+    root = Path(__file__).resolve().parent.parent
+    if str(root) not in sys.path:
+        sys.path.insert(0, str(root))
     from perfbench import corpus
 
     for workload in workloads:
         for seed in seeds:
-            for item in corpus.GENERATORS[workload](prchannels, seed):
+            # synthesis_cli's generator also builds CLI argument lists, which need the paths.
+            paths = (root, root / "unused") if workload == "synthesis_cli" else ()
+            for item in corpus.GENERATORS[workload](prchannels, seed, *paths):
+                if item.op == "frame" and item.payload.field == COMPLEX:
+                    item = replace(item, op="decide", payload=_measurement_channel(item.payload))
                 if item.op in ("decide", "decide_verify"):
                     yield f"{workload}/{seed}/{item.key}", item
 

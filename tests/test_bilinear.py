@@ -348,3 +348,27 @@ def test_lockstep_witness_matches_sequential(seed, m, n, r, field, hit):
         cfg = OracleConfig(restarts=restarts)
         got = _run_both_simple(kraus, field, cfg) if field == REAL else _run_both_symmetric(kraus, cfg)
         assert got[0] < _SUCCESS
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"restarts": 2.5},
+        {"restarts": True},
+        {"restarts": 0},
+        {"max_iters": 10.0},
+        {"max_iters": False},
+        {"decision_floor": np.nan},
+        {"decision_floor": np.inf},
+        {"decision_floor": 0.0},
+    ],
+)
+def test_oracle_config_rejects_bad_values(kwargs):
+    # A float or bool budget would fail later, inside the search.
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        OracleConfig(**kwargs)
+
+
+def test_oracle_config_accepts_numpy_integers():
+    cfg = OracleConfig(restarts=np.int64(3), max_iters=np.int32(7))
+    assert (cfg.restarts, cfg.max_iters) == (3, 7)

@@ -280,6 +280,39 @@ def test_construct_precondition_errors(tmp_path):
     assert "SpanConditionFailed" in res.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8", "0"])
+def test_a_non_finite_or_non_positive_tolerance_is_an_input_error(tmp_path, capsys, tol):
+    from prchannels import cli
+
+    calls = [
+        ["check", str(FIXTURES / "example_2_6.json")],
+        ["frame", str(FIXTURES / "f3_real.json")],
+        ["spectrum", str(FIXTURES / "example_2_11.json"), "--j", "1"],
+        ["construct", "--recipe", "projection", "--dims", "1,1", "--out", str(tmp_path / "x")],
+    ]
+    for argv in calls:
+        assert cli.main([*argv, f"--tol={tol}"]) == 3, argv
+        assert "residual_abs must be finite and strictly positive" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_check_with_a_nan_tolerance_exits_on_input():
+    # NaN compares false with everything, so a bare ``<= 0`` test would let it
+    # through, and example_2_6, which is NOT_PR, would come out LIKELY_PR.
+    res = run_cli("check", str(FIXTURES / "example_2_6.json"), "--tol", "nan")
+    assert res.returncode == 3 and res.stdout == ""
+    assert "error: residual_abs must be finite and strictly positive" in res.stderr
+
+
+def test_a_non_positive_restart_count_is_an_input_error(capsys):
+    # Outside the input guard the error would escape as a traceback with exit 1, the code of NOT_PR.
+    from prchannels import cli
+
+    for argv in (["check", str(FIXTURES / "identity2.json")], ["frame", str(FIXTURES / "f3_real.json")]):
+        assert cli.main([*argv, "--restarts", "0"]) == 3, argv
+        assert "restarts must be a positive integer, got 0" in capsys.readouterr().err
+
+
 def test_shipped_fixtures_reverify():
     expected = {
         "identity2.json": 0,

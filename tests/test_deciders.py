@@ -941,3 +941,8 @@ def test_zero_channel_on_one_dimensional_input_is_pr():
     for verdict in (decide(ch), decide_method(ch, "oracle")):
         assert verdict.status == PR
         assert verdict.state_witness is None
+
+
+def test_decide_method_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'bogus': expected one of full, exact, necessary, oracle"):
+        decide_method(fixture("identity"), "bogus")

@@ -4,13 +4,15 @@ Scaling the Kraus family by ``10**k`` with ``|k| <= 6``, unitary pre- and
 post-conjugation, unitary mixing of the Kraus operators and splitting one
 operator into two scaled copies all leave the channel's phase retrievability
 unchanged.  So a proof by a trivial Hermitian kernel, the exact verdict at
-kernel dimension 1 and a proof by the Macaulay step at dimensions 2 and 3
-must survive them on both fields, and every NOT_PR certificate must
-re-verify relative to the moved channel's scale.  Past the kernel stage,
-:func:`decide` must stay sound at every scale: a NOT_PR of the witness
-search re-verifies relative to the channel's scale, and no PR
-comes without a proof: an exact stage, the eigenvalue test at kernel
-dimension 1, the real-field rank-one step or the Macaulay step.
+kernel dimension 1, a proof by the Macaulay step at dimensions 2 and 3 and
+the cubic step's verdict on C^3 and R^3 kernels of dimension 2 or more and
+on kernels of dimension 2 must survive them on both fields, and every
+NOT_PR certificate must re-verify relative to the moved channel's scale.
+Past the kernel stage, :func:`decide` must stay sound at every scale: a
+NOT_PR of the witness search re-verifies relative to the channel's scale,
+and no PR comes without a proof: an exact stage, the eigenvalue test at
+kernel dimension 1, the real-field rank-one step, the Macaulay step or the
+cubic step.
 """
 
 import numpy as np
@@ -36,7 +38,8 @@ from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL, MACAULAY, RANK1, RANK2_EXACT
 from prchannels.frames import _measurement_channel
 
-from helpers import assert_relative_certificate, rand_matrix, random_cptp, random_unitary
+from helpers import assert_relative_certificate, channel_with_kernel, rand_matrix, random_cptp, random_unitary
+from helpers import traceless_family
 
 
 def _kernel_verdict(ch):
@@ -257,3 +260,38 @@ def test_rank_one_step_declines_random_real_channels(n, narrow, r, seed):
     rec = deciders._ChannelRecord(ch, DEFAULT_TOL)
     assume(rec.kernel_dim >= 2)
     assert deciders._rank_one_verdict(rec) is None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(("three", "planted", "generic")),
+    field=st.sampled_from((REAL, COMPLEX)),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+)
+def test_cubic_step_verdict_is_invariant(kind, field, seed, k):
+    # Random channels from C^3 or R^3 into two dimensions (kernel dimension
+    # 5 or 3, NOT_PR), and kernels of dimension 2 on C^4 or R^4 through some
+    # xx* - yy* (NOT_PR) or generic (PR).  The cubic step reads the kernel
+    # alone, so every move keeps its verdict and the kernel stage's status,
+    # and a NOT_PR re-verifies relative to the moved channel's scale.
+    rng = np.random.default_rng(seed)
+    if kind == "three":
+        kraus = [rand_matrix(rng, 2, 3, field) for _ in range(3)]
+    else:
+        x, y = rand_matrix(rng, 2, 4, field)
+        first = np.outer(x, x.conj()) / (x.conj() @ x) - np.outer(y, y.conj()) / (y.conj() @ y)
+        H = traceless_family(rng, 2, 4, field, first if kind == "planted" else None)
+        kraus = channel_with_kernel(H.real if field == REAL else H, field, rng).kraus
+    m, n = kraus[0].shape
+    rec = deciders._ChannelRecord(QuantumChannel(n, m, kraus, field), DEFAULT_TOL)
+    before = deciders._cubic_verdict(rec, rec.kernel_basis)
+    assert (before.status, before.method) == (PR if kind == "generic" else NOT_PR, HERMITIAN_KERNEL)
+
+    for name, moved in _moved(kraus, field, rng, k):
+        rec = deciders._ChannelRecord(moved, DEFAULT_TOL)
+        after = deciders._cubic_verdict(rec, rec.kernel_basis)
+        assert (after.status, after.method) == (before.status, HERMITIAN_KERNEL), name
+        assert _kernel_verdict(moved).status == before.status, name
+        if after.status == NOT_PR:
+            assert_relative_certificate(moved, after)

@@ -28,6 +28,15 @@ def test_tolerance_validation():
         Tolerance(residual_abs=-1e-8)
 
 
+@pytest.mark.parametrize("name", ["residual_abs", "root_cluster"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+def test_tolerance_rejects_non_finite_and_non_positive_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+        Tolerance(**{name: value})
+    with pytest.raises(ValueError, match="rank_rel"):
+        Tolerance(rank_rel=value)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
 def test_non_finite_entries_are_rejected(bad):
     M = np.eye(2, dtype=complex)

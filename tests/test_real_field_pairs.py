@@ -12,7 +12,7 @@ benchmark corpora and of the frozen verdict corpus is checked.
 import numpy as np
 import pytest
 
-from prchannels import COMPLEX, DEFAULT_TOL, LIKELY_PR, NOT_PR, REAL, QuantumChannel, decide, decide_method
+from prchannels import COMPLEX, DEFAULT_TOL, LIKELY_PR, NOT_PR, PR, REAL, QuantumChannel, decide, decide_method
 from prchannels import decide_rank2, verify_certificate
 from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL, NECESSARY_PASS, NECESSARY_VIOLATION, RANK2_EXACT
 from prchannels.errors import WrongRank
@@ -24,12 +24,15 @@ from helpers import perfbench_decide_items, real_up_to_phase, rotation_pairs
 def test_the_screen_issues_no_real_verdict_from_a_complex_pair():
     # On C^4 the screen's pair is a genuine witness; on R^4 the channel is PR
     # (its Sym(4) kernel has dimension 2 and only elements of rank 4), so no
-    # stage may certify NOT_PR, and the screen alone passes it.
+    # stage may certify NOT_PR, and the screen alone passes it.  The kernel's
+    # cubic proves it: its rank-2 points sit at non-real roots, which also
+    # keep the Macaulay step, a test over C, from proving it.
     verdict = decide(rotation_pairs(COMPLEX))
     assert (verdict.status, verdict.method) == (NOT_PR, NECESSARY_VIOLATION)
     assert not real_up_to_phase(verdict.certificate.x) or not real_up_to_phase(verdict.certificate.y)
     real = rotation_pairs(REAL)
-    assert decide(real).status != NOT_PR
+    verdict = decide(real)
+    assert (verdict.status, verdict.method, verdict.floor) == (PR, HERMITIAN_KERNEL, None)
     verdict = decide_method(real, "necessary")
     assert (verdict.status, verdict.method) == (LIKELY_PR, NECESSARY_PASS)
 
