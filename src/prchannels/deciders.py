@@ -24,10 +24,12 @@ the channel gives the verdict:
    kernel is singular on all of C by rank subadditivity, and is passed over
    without a pencil computation; the channels of frames of more than
    ``2n - 2`` vectors leave the screen that way.  Past the first coordinate
-   of a generic family the joint kernel is one column, and the pencil engine
-   settles such a pencil without eigenvalues when its first vector lies
-   beyond twice its margin from the line of the second, since then no point
-   makes it vanish.
+   of a generic family the joint kernel is one column, and no point makes
+   such a pencil vanish when its first vector lies far from the line of the
+   second.  Once a node's root kernels are known, one stacked test over all
+   of its one-column children measures that distance for each child's next
+   pencil and drops the children beyond four margins; the pencil engine
+   settles the rest without eigenvalues beyond twice its margin.
 5. Hermitian kernel, on both fields, last: the channel fails precisely when
    some nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on
    the real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA
@@ -538,7 +540,8 @@ def _refine_spectrum(Aj, rank_j, coords_done, remaining, V, tol):
     a continuum.  With ``k`` columns in ``V``, a coordinate with
     ``min(r_i, k) + min(r_j, k) < k`` is the whole plane without a pencil
     computation: ``rank((Ai - lam Aj) V) <= rank(Ai V) + rank(Aj V) < k`` for
-    every ``lam``.
+    every ``lam``.  The one-column children of a node that
+    :func:`_cleared_columns` clears yield nothing and are not visited.
     """
     k = V.shape[1]
     if k == 0:
@@ -553,11 +556,41 @@ def _refine_spectrum(Aj, rank_j, coords_done, remaining, V, tol):
         if ss.is_all:
             continue
         rest = remaining[:pos] + remaining[pos + 1 :]
-        for root, W in zip(ss.roots, _root_kernels(Ai, Aj, V, ss.roots, tol)):
-            yield from _refine_spectrum(Aj, rank_j, {**coords_done, idx: root}, rest, V @ W, tol)
+        kids = [V @ W for W in _root_kernels(Ai, Aj, V, ss.roots, tol)]
+        cleared = _cleared_columns(Aj, rank_j, kids, rest)
+        for c, (root, Vc) in enumerate(zip(ss.roots, kids)):
+            if c not in cleared:
+                yield from _refine_spectrum(Aj, rank_j, {**coords_done, idx: root}, rest, Vc, tol)
         return
     # Every remaining coordinate pencil is singular on all of the plane.
     raise _Continuum
+
+
+def _cleared_columns(Aj, rank_j, kids, rest):
+    """The children whose next pencil certainly has no root, by one stacked
+    distance test over the one-column children of a node.
+
+    A one-column child's first coordinate past the rank skip is ``P = Ai c``,
+    ``Q = Aj c``, and ``||P + lam Q||`` is at least the distance from P to the
+    line of Q.  Beyond four margins ``1e-6 (||P|| + ||Q||)`` the engine's own
+    test (twice the margin, in its normalized terms) returns the empty set,
+    so the child yields nothing; the slack covers rounding of
+    ``|P|^2 - |<Q, P>|^2 / |Q|^2``.  Every other child, and every node with
+    fewer than two one-column children, goes through the engine.
+    """
+    ones = [c for c, Vc in enumerate(kids) if Vc.shape[1] == 1]
+    Ai = next((Ai for _, Ai, rank_i in rest if rank_i or rank_j), None)
+    if len(ones) < 2 or Ai is None:
+        return set()
+    C = np.concatenate([kids[c] for c in ones], axis=1)
+    P, Q = Ai @ C, Aj @ C
+    pp = np.einsum("ik,ik->k", P.conj(), P).real
+    qq = np.einsum("ik,ik->k", Q.conj(), Q).real
+    qp = np.einsum("ik,ik->k", Q.conj(), P)
+    # Where Q vanishes so does <Q, P>, and the distance is ||P||.
+    dist_sq = pp - np.abs(qp) ** 2 / np.where(qq > 0.0, qq, 1.0)
+    far = dist_sq > (4e-6 * (np.sqrt(pp) + np.sqrt(qq))) ** 2
+    return {c for c, f in zip(ones, far.tolist()) if f}
 
 
 def _root_kernels(Ai, Aj, V, roots, tol):
@@ -812,6 +845,8 @@ def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
       ``A_i`` kills.  At d = 2 the span is the kernel, and PR (floor None)
       comes when no root holds such a point.  It declines when a candidate
       lies within its margin of rank 2 and its pair fails :func:`_accepted`.
+      When the cubic vanishes at n = 3, ``H1`` has rank at most 2, and its
+      pair gives NOT_PR.
     * Last, the pair of :func:`_kernel_search`'s best ``H(c)``: NOT_PR, or
       LIKELY_PR with its relative residual as the floor.
     """
@@ -1016,11 +1051,14 @@ def _cubic_verdict(rec: _ChannelRecord, H: np.ndarray) -> Optional[PRVerdict]:
     candidate puts the ray of its top eigenvector in the kernel.  When every
     ``g`` is clear, the span holds no matrix of rank at most 2, which at
     d = 2 is the kernel and proves PR (floor None); at n = 3 an odd cubic
-    always has a real root, so that outcome is rounding, and declines.  None
-    too when the cubic vanishes and when the pair fails the test.
+    always has a real root, so that outcome is rounding, and declines.  When
+    the cubic vanishes at n = 3, ``det H1 = 0``, so ``H1`` itself has rank at
+    most 2 and its pair decides; past n = 3 a vanishing compressed cubic
+    proves nothing, and the step declines.  None too when the pair fails
+    the test.
     """
     if (found := _cubic_candidates(H)) is None:
-        return None
+        return _signature_verdict(rec, H[0], HERMITIAN_KERNEL)[0] if H.shape[1] == 3 else None
     Hc, g = found
     best = int(np.argmin(g))
     if g[best] <= _CUBIC_MARGIN * rec.tol.rank_rel:

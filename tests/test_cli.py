@@ -91,10 +91,21 @@ def test_check_method_oracle_runs_kernel_stage():
 
 
 def test_check_method_oracle_reports_residuals(tmp_path):
-    # The (1,1,1) pinching has a six-dimensional Hermitian kernel on Herm(3);
-    # the witness search on that kernel finds the witness.
+    # The (1,1,1) pinching has a six-dimensional Hermitian kernel on Herm(3)
+    # whose first two spanning matrices have rank 2 throughout their span:
+    # the kernel cubic vanishes, and the first spanning matrix is the witness.
     path = tmp_path / "pinching.json"
     path.write_text(dumps(channel_to_json(orthogonal_projection_channel([1, 1, 1]).channel)))
+    res = run_cli("check", str(path), "--method", "oracle", "--restarts", "16", "--output", "json")
+    assert res.returncode == 1
+    verdict = json.loads(res.stdout)["verdict"]
+    assert verdict["status"] == "NOT_PR" and verdict["method"] == "HERMITIAN_KERNEL"
+    assert verdict["residuals"]["tensor"] <= 1e-7
+    # Six vectors in C^4 leave a ten-dimensional kernel on Herm(4), past
+    # every exact step: the witness search on that kernel finds the witness.
+    path = tmp_path / "short_frame.json"
+    ch = _measurement_channel(random_generic_frame(4, 6, "complex", seed=1))
+    path.write_text(dumps(channel_to_json(ch)))
     res = run_cli("check", str(path), "--method", "oracle", "--restarts", "16", "--output", "json")
     assert res.returncode == 1
     verdict = json.loads(res.stdout)["verdict"]

@@ -493,11 +493,13 @@ def _conjugated_pinching(rng, dims, field):
     return QuantumChannel(n, n, [U @ np.diag(ind).astype(complex) @ W for ind in np.repeat(np.eye(len(dims)), dims, axis=1)], field)
 
 
-def _planted_family(rng, n, lams, field):
+def _planted_family(rng, n, lams, field, margins=0.0):
     """``A_0`` and ``A_i = B_i + (lam_i A_0 x - B_i x) x*`` for generic ``B_i`` and a unit ``x``.
 
     Then ``A_i x = lam_i A_0 x``: the spectrum relative to ``A_0`` holds
     ``lams``, reached through one-column nodes past the first coordinate.
+    With ``margins`` > 0 the last ``A_i x`` moves off the line of ``A_0 x``
+    by that many of the pencil engine's margins ``1e-6 (||P|| + ||Q||)``.
     """
     x = rand_matrix(rng, n, 1, field)
     x /= np.linalg.norm(x)
@@ -506,15 +508,22 @@ def _planted_family(rng, n, lams, field):
     for lam in lams:
         B = rand_matrix(rng, n, n, field)
         kraus.append(B + (lam * A0 @ x - B @ x) @ x.conj().T)
+    if margins:
+        q = A0 @ x
+        w = rand_matrix(rng, n, 1, field)
+        w -= q @ (q.conj().T @ w) / np.vdot(q, q)
+        shift = margins * 1e-6 * (abs(lams[-1]) + 1.0) * np.linalg.norm(q)
+        kraus[-1] = kraus[-1] + shift * (w / np.linalg.norm(w)) @ x.conj().T
     return QuantumChannel(n, n, kraus, field)
 
 
 def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
     # The reference calls the point-by-point pencil engine on every
     # coordinate at every node; the engine skips the pencils whose ranks
-    # already prove them singular on all of the plane, and settles one-column
-    # pencils far from singular without eigenvalues.  The calls the engine
-    # makes are counted.
+    # already prove them singular on all of the plane, clears the one-column
+    # children of a node far from singular in one stacked test, and settles
+    # the other one-column pencils without eigenvalues when they are far
+    # from singular.  The calls the engine makes are counted.
     calls = []
 
     def counted(*args, **kwargs):
@@ -554,6 +563,21 @@ def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
             channels.append(QuantumChannel(n, n, [rand_matrix(rng, n, n, field) for _ in range(r)], field))
         for lams in ((0.5, -1.5), (0.5, -1.5, 2.0)):
             planted.append((_planted_family(rng, 3, lams, field), lams))
+    # The one-column pencils that reach the engine relative to A_0: none
+    # past the first coordinate of a generic family, where the stacked test
+    # clears every child; one per later coordinate along the planted
+    # direction; and the child placed 3 margins off the line, inside the
+    # 2-4 margin band that the stacked test leaves to the engine.
+    engine_columns = {}
+    for field in (COMPLEX, REAL):
+        for n, r in ((6, 3), (6, 4), (8, 3), (8, 4)):
+            channels.append(QuantumChannel(n, n, [rand_matrix(rng, n, n, field) for _ in range(r)], field))
+            engine_columns[id(channels[-1])] = 0
+        for lams in ((0.5, -1.5, 2.0), (-0.25, 1.0)):
+            planted.append((_planted_family(rng, 6, lams, field), lams))
+            engine_columns[id(planted[-1][0])] = len(lams) - 1
+        channels.append(_planted_family(rng, 4, (0.5, -1.5), field, margins=3.0))
+        engine_columns[id(channels[-1])] = 1
     channels += [ch for ch, _ in planted]
     exit_only = {id(ch) for ch in low_rank}
     branches = set()
@@ -563,9 +587,12 @@ def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
             expected = _reference_spectrum(ch, j, branches)
             del calls[:]
             got = scalar_relative_spectrum(ch, j)
-            one_column += sum(shape[1] == 1 for shape in calls)
+            columns = sum(shape[1] == 1 for shape in calls)
+            one_column += columns
             if id(ch) in exit_only:
                 assert calls == []
+            if id(ch) in engine_columns and j == 0:
+                assert columns == engine_columns[id(ch)]
             if expected is NOT_FINITE:
                 assert got is NOT_FINITE
                 continue

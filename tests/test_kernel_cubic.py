@@ -104,6 +104,30 @@ def test_a_kernel_within_the_margin_of_rank_two_declines():
 
 
 @pytest.mark.parametrize("field", [COMPLEX, REAL])
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_vanishing_cubic_gives_the_first_matrix_at_n_three(field, n):
+    # Every matrix of the span of e1 v* + v e1* and e1 w* + w e1* (v, w
+    # orthogonal to e1) has rank at most 2, and so has every compression of
+    # one: the cubic vanishes.  At n = 3 then det H1 = 0, and H1's pair is
+    # the witness; past n = 3 the compressed cubic proves nothing, and the
+    # step declines.
+    rng = np.random.default_rng([n, 0x0C])
+    e1 = np.eye(n)[0]
+    V = rand_matrix(rng, 2, n, field)
+    V[:, 0] = 0.0
+    H = _orthonormalized(np.array([np.outer(e1, v.conj()) + np.outer(v, e1) for v in V]))
+    H = H.real if field == REAL else H
+    assert _cubic_candidates(H) is None
+    ch = channel_with_kernel(H, field, rng)
+    verdict = _cubic_verdict(_ChannelRecord(ch, DEFAULT_TOL), H)
+    if n == 3:
+        assert (verdict.status, verdict.method) == (NOT_PR, HERMITIAN_KERNEL)
+        assert_relative_certificate(ch, verdict)
+    else:
+        assert verdict is None
+
+
+@pytest.mark.parametrize("field", [COMPLEX, REAL])
 def test_a_semidefinite_root_gives_the_pair_of_a_ray(field):
     # Every Kraus operator kills u, so uu* lies in the kernel, next to G, of
     # rank 3 on the complement of u: the only element of rank at most 2 in

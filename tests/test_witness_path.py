@@ -23,8 +23,8 @@ from prchannels import (
 )
 from prchannels import channels, deciders
 from prchannels.constructors import projector_channel_from_frame
-from prchannels.deciders import COMPLEMENT_PROPERTY, NECESSARY_VIOLATION, ORACLE_WITNESS, _ChannelRecord
-from prchannels.deciders import SYMMETRIC, _kernel_stage, _rank_split_stage, _separation_sq, _state_image
+from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL, NECESSARY_VIOLATION, ORACLE_WITNESS
+from prchannels.deciders import SYMMETRIC, _ChannelRecord, _kernel_stage, _rank_split_stage, _separation_sq, _state_image
 from prchannels.deciders import _tensor_image, _to_state_witness
 
 from helpers import pinching, rand_matrix, random_unitary, reference_to_state_witness
@@ -115,8 +115,9 @@ def _mixed(ch, seed):
 def test_restart_zero_witness_skips_the_svd_of_m(monkeypatch, label, ch):
     # decide settles the channel by the rank split, without the SVD of M.  The
     # kernel stage alone, which builds M, settles it too: on the real field by
-    # the rank-one points read off operators of rank at most 1, and otherwise
-    # by the witness search.
+    # the rank-one points read off operators of rank at most 1, on C^3 by the
+    # first spanning matrix once the kernel cubic vanishes, and otherwise by
+    # the witness search.
     shapes = []
     svd = np.linalg.svd
 
@@ -130,7 +131,10 @@ def test_restart_zero_witness_skips_the_svd_of_m(monkeypatch, label, ch):
     assert _m_shape(ch) not in shapes
     verdict = decide_method(ch, "oracle")
     rec = _ChannelRecord(ch, DEFAULT_TOL)
-    want = COMPLEMENT_PROPERTY if ch.field == REAL and rec.kraus_ranks.max() <= 1 else ORACLE_WITNESS
+    if ch.field == REAL and rec.kraus_ranks.max() <= 1:
+        want = COMPLEMENT_PROPERTY
+    else:
+        want = HERMITIAN_KERNEL if ch.dim_in == 3 else ORACLE_WITNESS
     assert (verdict.status, verdict.method) == (NOT_PR, want)
     assert verify_certificate(ch, verdict)["tensor"] <= DEFAULT_TOL.residual_abs * rec.choi_trace
 
