@@ -19,17 +19,9 @@ the channel gives the verdict:
 4. Necessary screen, after every exact stage: two points ``lam, mu`` of a
    scalar relative joint spectrum with ``1 + <lam, mu> = 0`` certify NOT_PR,
    on the real field only when the witnesses are real up to a phase.  The
-   spectrum is refined one coordinate pencil at a time.  A pencil whose two
-   operators have ranks summing below the dimension of the current joint
-   kernel is singular on all of C by rank subadditivity, and is passed over
-   without a pencil computation; the channels of frames of more than
-   ``2n - 2`` vectors leave the screen that way.  Past the first coordinate
-   of a generic family the joint kernel is one column, and no point makes
-   such a pencil vanish when its first vector lies far from the line of the
-   second.  Once a node's root kernels are known, one stacked test over all
-   of its one-column children measures that distance for each child's next
-   pencil and drops the children beyond four margins; the pencil engine
-   settles the rest without eigenvalues beyond twice its margin.
+   spectrum, with the one one-column rule it shares with the pencil engine,
+   lives in :mod:`spectra`; the channels of frames of more than ``2n - 2``
+   vectors leave it by rank subadditivity, without a pencil computation.
 5. Hermitian kernel, on both fields, last: the channel fails precisely when
    some nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on
    the real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA
@@ -86,7 +78,7 @@ from .errors import DimensionMismatch, NotFinite, NotSquare, TooManyVectors, Wro
 from .linalg import _MINORS_CAP, COMPLEX, DEFAULT_TOL, REAL, Tolerance, _rank, _rank2_codim
 from .linalg import _cubic_candidates, _equal_image_pair, _failing_bipartition, _macaulay_degree
 from .linalg import _rank_one_independent
-from .spectra import SpectrumPoint, _pencil_points, _singular_at, pencil_singular_set
+from .spectra import _relative_spectrum, _singular_at, pencil_singular_set
 
 PR = "PR"
 NOT_PR = "NOT_PR"
@@ -527,136 +519,26 @@ def _rank_split_stage(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
 
 
-class _Continuum(Exception):
-    pass
-
-
-def _refine_spectrum(Aj, rank_j, coords_done, remaining, V, tol):
-    """Depth-first refinement of the joint kernel across coordinate pencils.
-
-    ``remaining`` holds ``(i, Ai, rank of Ai)``.  Coordinates whose restricted
-    pencil has a finite singular set are consumed first; if at some node every
-    remaining coordinate degenerates to the whole plane, the spectrum contains
-    a continuum.  With ``k`` columns in ``V``, a coordinate with
-    ``min(r_i, k) + min(r_j, k) < k`` is the whole plane without a pencil
-    computation: ``rank((Ai - lam Aj) V) <= rank(Ai V) + rank(Aj V) < k`` for
-    every ``lam``.  The one-column children of a node that
-    :func:`_cleared_columns` clears yield nothing and are not visited.
-    """
-    k = V.shape[1]
-    if k == 0:
-        return
-    if not remaining:
-        yield coords_done, V
-        return
-    for pos, (idx, Ai, rank_i) in enumerate(remaining):
-        if min(rank_i, k) + min(rank_j, k) < k:
-            continue
-        ss = pencil_singular_set(Ai @ V, -(Aj @ V), tol)
-        if ss.is_all:
-            continue
-        rest = remaining[:pos] + remaining[pos + 1 :]
-        kids = [V @ W for W in _root_kernels(Ai, Aj, V, ss.roots, tol)]
-        cleared = _cleared_columns(Aj, rank_j, kids, rest)
-        for c, (root, Vc) in enumerate(zip(ss.roots, kids)):
-            if c not in cleared:
-                yield from _refine_spectrum(Aj, rank_j, {**coords_done, idx: root}, rest, Vc, tol)
-        return
-    # Every remaining coordinate pencil is singular on all of the plane.
-    raise _Continuum
-
-
-def _cleared_columns(Aj, rank_j, kids, rest):
-    """The children whose next pencil certainly has no root, by one stacked
-    distance test over the one-column children of a node.
-
-    A one-column child's first coordinate past the rank skip is ``P = Ai c``,
-    ``Q = Aj c``, and ``||P + lam Q||`` is at least the distance from P to the
-    line of Q.  Beyond four margins ``1e-6 (||P|| + ||Q||)`` the engine's own
-    test (twice the margin, in its normalized terms) returns the empty set,
-    so the child yields nothing; the slack covers rounding of
-    ``|P|^2 - |<Q, P>|^2 / |Q|^2``.  Every other child, and every node with
-    fewer than two one-column children, goes through the engine.
-    """
-    ones = [c for c, Vc in enumerate(kids) if Vc.shape[1] == 1]
-    Ai = next((Ai for _, Ai, rank_i in rest if rank_i or rank_j), None)
-    if len(ones) < 2 or Ai is None:
-        return set()
-    C = np.concatenate([kids[c] for c in ones], axis=1)
-    P, Q = Ai @ C, Aj @ C
-    pp = np.einsum("ik,ik->k", P.conj(), P).real
-    qq = np.einsum("ik,ik->k", Q.conj(), Q).real
-    qp = np.einsum("ik,ik->k", Q.conj(), P)
-    # Where Q vanishes so does <Q, P>, and the distance is ||P||.
-    dist_sq = pp - np.abs(qp) ** 2 / np.where(qq > 0.0, qq, 1.0)
-    far = dist_sq > (4e-6 * (np.sqrt(pp) + np.sqrt(qq))) ** 2
-    return {c for c, f in zip(ones, far.tolist()) if f}
-
-
-def _root_kernels(Ai, Aj, V, roots, tol):
-    """For each root, the kernel of ``(Ai - root Aj) V`` as orthonormal columns.
-
-    One stacked SVD; per root the same columns as :func:`kernel_basis`, or the
-    smallest right singular vector when that kernel is numerically trivial.
-    """
-    if not roots:
-        return
-    _, s, vh = np.linalg.svd(_pencil_points(Ai, -Aj, roots) @ V)
-    for sk, vhk in zip(s, vh):
-        kern = vhk[sk <= tol.rank_rel * sk[0]]
-        yield np.ascontiguousarray((kern if kern.size else vhk[-1:]).conj().T)
-
-
 def scalar_relative_spectrum(ch: QuantumChannel, j: int, tol: Tolerance = DEFAULT_TOL, *, _rec=None):
     """All lam vectors with a nonzero x satisfying ``A_i x = lam_i A_j x`` for i != j.
 
     Requires square Kraus operators.  Returns a sorted list of
-    :class:`SpectrumPoint` or :data:`NOT_FINITE` when the set is a continuum.
-    The ranks come from ``_rec``, the calling screen's record, or a new one.
+    :class:`SpectrumPoint` or :data:`NOT_FINITE` when the set is a continuum;
+    ``spectra._relative_spectrum`` computes it.  The ranks come from ``_rec``,
+    the calling screen's record, or a new one.
     """
     if ch.dim_in != ch.dim_out:
         raise NotSquare("scalar relative spectra need square Kraus operators")
-    ops = ch.kraus
-    if not 0 <= j < len(ops):
+    if not 0 <= j < len(ch.kraus):
         raise IndexError(f"operator index {j} out of range")
-    Aj = ops[j]
-    others = [(i, ops[i]) for i in range(len(ops)) if i != j]
-    n = ch.dim_in
-    if not others:
+    if len(ch.kraus) == 1:
         return []
     # The numerical rank of every operator, by numerical_rank's rule, from the
     # record's stacked singular values: a zero matrix has all of them 0, rank 0.
     s = (_rec or _ChannelRecord(ch, tol)).kraus_values
     ranks = np.count_nonzero(s > tol.rank_rel * s[:, :1], axis=1).tolist()
-    remaining = [(i, Ai, ranks[i]) for i, Ai in others]
-    try:
-        found = list(_refine_spectrum(Aj, ranks[j], {}, remaining, np.eye(n, dtype=complex), tol))
-    except _Continuum:
-        return NOT_FINITE
-
-    if not found:
-        return []
-    # One witness candidate per point from one stacked SVD: the smallest right
-    # singular vector of the stacked residual operators.
-    stacks = np.array([np.vstack([Ai - coords[i] * Aj for i, Ai in others]) for coords, _ in found])
-    _, _, vh = np.linalg.svd(stacks)
-    scale = max(1.0, max(np.linalg.norm(Ai) for _, Ai in others))
-    points = []
-    for (coords, V), stack, vhp in zip(found, stacks, vh):
-        lam = np.array([coords[i] for i, _ in others], dtype=complex)
-        witness = vhp[-1].conj()
-        if np.linalg.norm(stack @ witness) > tol.residual_abs * scale:
-            witness = V[:, 0] / np.linalg.norm(V[:, 0])
-            if np.linalg.norm(stack @ witness) > tol.residual_abs * scale:
-                continue
-        points.append(SpectrumPoint(lam=lam, witness=witness))
-
-    deduped: list[SpectrumPoint] = []
-    for p in points:
-        if not any(np.all(np.abs(p.lam - q.lam) <= tol.root_cluster) for q in deduped):
-            deduped.append(p)
-    deduped.sort(key=lambda p: tuple((z.real, z.imag) for z in p.lam))
-    return deduped
+    points = _relative_spectrum(ch.kraus, j, ranks, tol)
+    return NOT_FINITE if points is None else points
 
 
 def necessary_inner_product_check(ch: QuantumChannel, tol: Tolerance = DEFAULT_TOL, *, _rec=None):

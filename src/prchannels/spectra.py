@@ -24,10 +24,18 @@ shape and shared read-only.
 
 A one-column pencil (``n = 1``) is singular only where ``P + lam Q`` vanishes,
 and ``||P + lam Q||`` is at least the distance from ``P`` to the line spanned
-by ``Q`` for every ``lam``.  When that distance exceeds twice the verification
-margin, every candidate and every probe fails the margin test, so the full
-computation keeps no root and never answers all of C: the engine returns the
-empty finite set at once, the same answer without an eigenvalue.
+by ``Q`` for every ``lam``.  One rule, :func:`_far_columns`, measures it for a
+stack of such pencils, each divided by its own scale.  Beyond twice the
+verification margin every candidate and every probe fails the margin test, so
+the full computation keeps no root and never answers all of C: the empty
+finite set comes at once, without an eigenvalue.  The engine applies the rule
+to its own one-column pencils, and the relative joint spectrum to the
+one-column children of each refinement node.
+
+The scalar relative joint spectrum of a square family, which the paper's
+necessary condition reads, is refined here one coordinate pencil at a time
+(:func:`_relative_spectrum`); ``deciders.scalar_relative_spectrum`` reads the
+operators' ranks and calls it.
 """
 
 from __future__ import annotations
@@ -127,9 +135,27 @@ def _pencil_points(P: np.ndarray, Q: np.ndarray, lams) -> np.ndarray:
     return P + lams[:, None, None] * Q
 
 
-def _margin(Pn: np.ndarray, Qn: np.ndarray) -> float:
-    """The margin ``1e-6 (||Pn|| + ||Qn||)`` of a pencil normalized to unit scale."""
-    return 1e-6 * (np.linalg.norm(Pn) + np.linalg.norm(Qn))
+def _margin(p, q):
+    """The margin ``1e-6 (||Pn|| + ||Qn||)`` of a pencil normalized to unit scale, from the norms ``p`` and ``q``."""
+    return 1e-6 * (p + q)
+
+
+def _far_columns(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Whether each one-column pencil ``P[:, k] + lam Q[:, k]`` stays injective
+    for every ``lam`` by a clear margin, in one stacked test.  Each pair is
+    divided by its own scale, its largest entry modulus, so no product below
+    underflows or overflows.  The distance ``||p - (<q, p> / ||q||^2) q||``
+    from ``p`` to the line of ``q`` bounds ``||p + lam q||`` below; past twice
+    :func:`_margin` (the factor 2 covers rounding) no point passes the
+    engine's margin test.  A zero pair is never far.
+    """
+    X = np.concatenate((P, Q))
+    scale = np.maximum.reduce(np.abs(X), axis=0)
+    X = X / np.where(scale > 0.0, scale, 1.0)
+    Pn, Qn = X[: len(P)], X[len(P) :]
+    pp, qq = np.add.reduceat((X.conj() * X).real, [0, len(P)], axis=0)
+    R = Pn - np.add.reduce(Qn.conj() * Pn, axis=0) / np.where(qq > 0.0, qq, 1.0) * Qn
+    return np.add.reduce((R.conj() * R).real, axis=0) > (2.0 * _margin(np.sqrt(pp), np.sqrt(qq))) ** 2
 
 
 def _singular_at(Pn: np.ndarray, Qn: np.ndarray, lams):
@@ -137,7 +163,7 @@ def _singular_at(Pn: np.ndarray, Qn: np.ndarray, lams):
     rows as columns) at every ``lam``: its smallest singular value there, from one
     stacked values-only SVD, and whether that is at most :func:`_margin`."""
     svs = np.linalg.svd(_pencil_points(Pn, Qn, lams), compute_uv=False)[:, -1]
-    return svs, svs <= _margin(Pn, Qn)
+    return svs, svs <= _margin(np.linalg.norm(Pn), np.linalg.norm(Qn))
 
 
 def _cluster_roots(items, radius, root=lambda z: z):
@@ -245,10 +271,8 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
     farthest from singular is then the shift.  The eigenvalues of a
     defective multiple root split around it, so the centroids of close
     candidates (:func:`_loose_centroids`) are tested with them.
-    A one-column pencil whose ``Pn`` lies farther than twice the margin from
-    the line of ``Qn`` has no such root (``||Pn + lam Qn||`` never drops
-    below that distance; the factor 2 covers rounding) and returns the empty
-    finite set before any eigenvalue.
+    A one-column pencil that :func:`_far_columns` finds far from singular
+    returns the empty finite set before any eigenvalue.
     """
     Pm = as_matrix(P)
     Qm = as_matrix(Q)
@@ -260,15 +284,10 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
     scale = max(np.linalg.norm(Pm), np.linalg.norm(Qm))
     if scale == 0.0:
         return SingularSet(ALL_OF_C, [])
+    if n == 1 and _far_columns(Pm, Qm)[0]:
+        return SingularSet(FINITE, [])
     Pn = Pm / scale
     Qn = Qm / scale
-    if n == 1:
-        # ||Pn + lam Qn|| is at least the distance from Pn to the line of Qn,
-        # so beyond twice the margin no candidate or probe below passes it.
-        q = np.linalg.norm(Qn)
-        u = Qn / q if q > 0.0 else Qn
-        if np.linalg.norm(Pn - np.vdot(u, Pn) * u) > 2.0 * _margin(Pn, Qn):
-            return SingularSet(FINITE, [])
     R, probes, shift = _seeded_draws(abs(int(seed)), n, m)
     A, B = R @ Pn, R @ Qn
 
@@ -296,6 +315,105 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         kept.append(lam_best)
     kept.sort(key=lambda z: (z.real, z.imag))
     return SingularSet(FINITE, kept)
+
+
+class _Continuum(Exception):
+    """Every remaining coordinate pencil of a refinement node is singular on all of C."""
+
+
+def _refine_spectrum(Aj, rank_j, coords_done, remaining, V, tol):
+    """Depth-first refinement of the joint kernel across coordinate pencils.
+
+    ``remaining`` holds ``(i, Ai, rank of Ai)``.  Coordinates whose restricted
+    pencil has a finite singular set are consumed first; if at some node every
+    remaining coordinate degenerates to the whole plane, the spectrum contains
+    a continuum.  With ``k`` columns in ``V``, a coordinate with
+    ``min(r_i, k) + min(r_j, k) < k`` is the whole plane without a pencil
+    computation: ``rank((Ai - lam Aj) V) <= rank(Ai V) + rank(Aj V) < k`` for
+    every ``lam``.  The one-column children whose next pencil, the first
+    left past that skip, :func:`_far_columns` clears in one stacked test per
+    node would get the empty set from the engine, and are not visited.
+    """
+    k = V.shape[1]
+    if k == 0:
+        return
+    if not remaining:
+        yield coords_done, V
+        return
+    for pos, (idx, Ai, rank_i) in enumerate(remaining):
+        if min(rank_i, k) + min(rank_j, k) < k:
+            continue
+        ss = pencil_singular_set(Ai @ V, -(Aj @ V), tol)
+        if ss.is_all:
+            continue
+        rest = remaining[:pos] + remaining[pos + 1 :]
+        kernels = list(_root_kernels(Ai, Aj, V, ss.roots, tol))
+        ones = [c for c, W in enumerate(kernels) if W.shape[1] == 1]
+        nxt = next((Ak for _, Ak, rank_k in rest if rank_k or rank_j), None)
+        if ones and nxt is not None:
+            C = V @ np.concatenate([kernels[c] for c in ones], axis=1)
+            for c, far in zip(ones, _far_columns(nxt @ C, Aj @ C).tolist()):
+                if far:
+                    kernels[c] = None
+        for root, W in zip(ss.roots, kernels):
+            if W is not None:
+                yield from _refine_spectrum(Aj, rank_j, {**coords_done, idx: root}, rest, V @ W, tol)
+        return
+    # Every remaining coordinate pencil is singular on all of the plane.
+    raise _Continuum
+
+
+def _root_kernels(Ai, Aj, V, roots, tol):
+    """For each root, the kernel of ``(Ai - root Aj) V`` as orthonormal columns.
+
+    One stacked SVD; per root the same columns as :func:`kernel_basis`, or the
+    smallest right singular vector when that kernel is numerically trivial.
+    """
+    if not roots:
+        return
+    _, s, vh = np.linalg.svd(_pencil_points(Ai, -Aj, roots) @ V)
+    for sk, vhk in zip(s, vh):
+        kern = vhk[sk <= tol.rank_rel * sk[0]]
+        yield np.ascontiguousarray((kern if kern.size else vhk[-1:]).conj().T)
+
+
+def _relative_spectrum(ops, j, ranks, tol: Tolerance):
+    """The scalar relative joint spectrum of two or more square ``ops`` relative
+    to ``ops[j]``, given every operator's rank: a sorted list of
+    :class:`SpectrumPoint`, or None when it is a continuum.
+
+    One witness candidate per point comes from one stacked SVD: the smallest
+    right singular vector of the stacked residual operators, and else the
+    point's first joint-kernel column; a point whose candidates both fail the
+    residual test is dropped, and points within ``root_cluster`` merge.
+    """
+    Aj = ops[j]
+    others = [(i, Ai) for i, Ai in enumerate(ops) if i != j]
+    remaining = [(i, Ai, ranks[i]) for i, Ai in others]
+    try:
+        found = list(_refine_spectrum(Aj, ranks[j], {}, remaining, np.eye(Aj.shape[1], dtype=complex), tol))
+    except _Continuum:
+        return None
+    if not found:
+        return []
+    stacks = np.array([np.vstack([Ai - coords[i] * Aj for i, Ai in others]) for coords, _ in found])
+    _, _, vh = np.linalg.svd(stacks)
+    scale = max(1.0, max(np.linalg.norm(Ai) for _, Ai in others))
+    points = []
+    for (coords, V), stack, vhp in zip(found, stacks, vh):
+        lam = np.array([coords[i] for i, _ in others], dtype=complex)
+        witness = vhp[-1].conj()
+        if np.linalg.norm(stack @ witness) > tol.residual_abs * scale:
+            witness = V[:, 0] / np.linalg.norm(V[:, 0])
+            if np.linalg.norm(stack @ witness) > tol.residual_abs * scale:
+                continue
+        points.append(SpectrumPoint(lam=lam, witness=witness))
+    deduped: list[SpectrumPoint] = []
+    for p in points:
+        if not any(np.all(np.abs(p.lam - q.lam) <= tol.root_cluster) for q in deduped):
+            deduped.append(p)
+    deduped.sort(key=lambda p: tuple((z.real, z.imag) for z in p.lam))
+    return deduped
 
 
 def constrained_2x2_eigenpair(A, tol: Tolerance = DEFAULT_TOL):

@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -36,7 +37,7 @@ from prchannels import (
     symmetric_tensor_oracle,
     verify_certificate,
 )
-from prchannels import channels, deciders
+from prchannels import channels, deciders, spectra
 from prchannels.deciders import (
     COMPLEMENT_PROPERTY,
     HERMITIAN_KERNEL,
@@ -44,12 +45,11 @@ from prchannels.deciders import (
     ORACLE_NO_WITNESS,
     RANK1,
     RANK2_EXACT,
-    _root_kernels,
 )
 from prchannels.errors import NotSquare, WrongField, WrongRank
 from prchannels.frames import _measurement_channel
 from prchannels.serialize import dumps, verdict_to_json
-from prchannels.spectra import _seeded_draws
+from prchannels.spectra import _root_kernels, _seeded_draws
 
 from helpers import (
     antisymmetric_kernel_channel,
@@ -519,18 +519,18 @@ def _planted_family(rng, n, lams, field, margins=0.0):
 
 def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
     # The reference calls the point-by-point pencil engine on every
-    # coordinate at every node; the engine skips the pencils whose ranks
-    # already prove them singular on all of the plane, clears the one-column
-    # children of a node far from singular in one stacked test, and settles
-    # the other one-column pencils without eigenvalues when they are far
-    # from singular.  The calls the engine makes are counted.
+    # coordinate at every node; the refinement skips the pencils whose ranks
+    # already prove them singular on all of the plane and clears the
+    # one-column children of a node far from singular in one stacked test,
+    # and the engine settles the other one-column pencils by the same rule.
+    # The calls the refinement makes to the engine are counted.
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return pencil_singular_set(*args, **kwargs)
 
-    monkeypatch.setattr(deciders, "pencil_singular_set", counted)
+    monkeypatch.setattr(spectra, "pencil_singular_set", counted)
     rng = np.random.default_rng(31)
     channels = [fixture("example_2_11"), QuantumChannel(2, 2, [np.diag([1.0, 0.0])] * 2, COMPLEX)]
     low_rank = []
@@ -566,18 +566,30 @@ def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
     # The one-column pencils that reach the engine relative to A_0: none
     # past the first coordinate of a generic family, where the stacked test
     # clears every child; one per later coordinate along the planted
-    # direction; and the child placed 3 margins off the line, inside the
-    # 2-4 margin band that the stacked test leaves to the engine.
+    # direction; and the child placed 1.5 margins off the line, inside the
+    # 1-2 margin band where the rule clears nothing and the engine's full
+    # computation finds no root.
     engine_columns = {}
     for field in (COMPLEX, REAL):
         for n, r in ((6, 3), (6, 4), (8, 3), (8, 4)):
             channels.append(QuantumChannel(n, n, [rand_matrix(rng, n, n, field) for _ in range(r)], field))
-            engine_columns[id(channels[-1])] = 0
+            engine_columns[id(channels[-1]), 0] = 0
         for lams in ((0.5, -1.5, 2.0), (-0.25, 1.0)):
             planted.append((_planted_family(rng, 6, lams, field), lams))
-            engine_columns[id(planted[-1][0])] = len(lams) - 1
-        channels.append(_planted_family(rng, 4, (0.5, -1.5), field, margins=3.0))
-        engine_columns[id(channels[-1])] = 1
+            engine_columns[id(planted[-1][0]), 0] = len(lams) - 1
+        channels.append(_planted_family(rng, 4, (0.5, -1.5), field, margins=1.5))
+        # Relative to A_1 the same child reaches the engine; relative to A_2
+        # its next pencil lies more than 2 margins off singular, and the
+        # stacked test clears it.
+        for j, count in enumerate((1, 1, 0)):
+            engine_columns[id(channels[-1]), j] = count
+    # A child 0.75 margins off the line, on a family scaled below the unit
+    # floor of the witness test: the engine keeps its root and the point
+    # passes, so a rule clearing below one margin would lose it.
+    near = _planted_family(rng, 4, (0.5, -1.5), REAL, margins=0.75)
+    near = QuantumChannel(4, 4, [A * 1e-3 for A in near.kraus], REAL)
+    assert len(_reference_spectrum(near, 0, set())) == 1
+    channels.append(near)
     channels += [ch for ch, _ in planted]
     exit_only = {id(ch) for ch in low_rank}
     branches = set()
@@ -591,8 +603,8 @@ def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
             one_column += columns
             if id(ch) in exit_only:
                 assert calls == []
-            if id(ch) in engine_columns and j == 0:
-                assert columns == engine_columns[id(ch)]
+            if (id(ch), j) in engine_columns:
+                assert columns == engine_columns[id(ch), j]
             if expected is NOT_FINITE:
                 assert got is NOT_FINITE
                 continue
@@ -607,6 +619,31 @@ def test_scalar_relative_spectrum_matches_pointwise_reference(monkeypatch):
         assert got is not NOT_FINITE and any(np.allclose(p.lam, lams, atol=1e-8) for p in got)
     assert one_column > 0
     assert branches >= {"kernel_fallback", "kernel_dim_1", "kernel_dim_2"}
+
+
+def test_scalar_relative_spectrum_is_scale_invariant():
+    # Scaling the Kraus family is a symmetry of phase retrievability.  The
+    # one-column rule divides each column pair by its own scale, as the
+    # pencil engine divides a pencil, so no product underflows or overflows:
+    # the points stay, and no RuntimeWarning is raised.  The planted
+    # families have points past the first coordinate, reached through
+    # one-column children.
+    rng = np.random.default_rng(36)
+    families = [fixture("example_2_11")]
+    families += [_planted_family(rng, n, lams, COMPLEX) for n, lams in ((3, (0.5, -1.5)), (4, (0.5, -1.5, 2.0)), (6, (-0.25, 1.0)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for ch in families:
+            for j in range(len(ch.kraus)):
+                want = scalar_relative_spectrum(ch, j)
+                for k in (-120, -100, -80, -40, 40, 80, 100, 120):
+                    scaled = QuantumChannel(ch.dim_in, ch.dim_out, [A * 10.0**k for A in ch.kraus], ch.field)
+                    got = scalar_relative_spectrum(scaled, j)
+                    assert len(got) == len(want), (ch.dim_in, j, k)
+                    assert all(np.allclose(p.lam, q.lam, atol=1e-6) for p, q in zip(got, want)), (ch.dim_in, j, k)
+        ch = fixture("example_2_11")
+        verdict = decide_method(QuantumChannel(2, 2, [A * 1e-100 for A in ch.kraus], ch.field), "necessary")
+    assert (verdict.status, verdict.method) == (NOT_PR, NECESSARY_VIOLATION)
 
 
 def test_root_kernels_match_kernel_basis():
