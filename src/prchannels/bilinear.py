@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,6 +48,8 @@ _SUCCESS = 1e-26
 # a rate bounded away from one and survive the projection.
 _TARGET = 1e-18
 _LOG_TARGET = np.log(_TARGET)
+# The iteration budget of one restart.
+_MAX_ITERS = 500
 
 
 def _hopeless(val: float, prev: float, iters_left: int) -> bool:
@@ -66,24 +69,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Multistart search budget and decision threshold for the numeric oracles.
+    """Multistart search budget of the numeric oracles, and their decision floor.
 
-    ``restarts`` and ``max_iters`` are positive integers (not bools) and
-    ``decision_floor`` is finite and positive.
+    ``restarts`` is a positive integer (not a bool).  A LIKELY_PR floor above
+    the constant ``decision_floor`` confirms a construction claimed PR.
     """
 
     restarts: int = 64
-    max_iters: int = 500
     seed: int = 0
-    decision_floor: float = 1e-6
+    decision_floor: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not 0.0 < self.decision_floor < math.inf:
-            raise ValueError(f"decision_floor must be finite and positive, got {self.decision_floor!r}")
+        if not isinstance(self.restarts, numbers.Integral) or isinstance(self.restarts, bool) or self.restarts <= 0:
+            raise ValueError(f"restarts must be a positive integer, got {self.restarts!r}")
 
 
 def _symmetric_whitener(x: np.ndarray) -> np.ndarray:
@@ -157,9 +155,9 @@ def _restarts(step, cfg: OracleConfig, tag: int, n: int, field: str):
     best = None
     for r in range(cfg.restarts):
         x, prev = _starts(cfg.seed, tag, r, n, field), np.inf
-        for it in range(cfg.max_iters):
+        for it in range(_MAX_ITERS):
             val, x, other = step(x)
-            if val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, cfg.max_iters - it):
+            if val < _SUCCESS or prev - val <= 0.0 or _hopeless(val, prev, _MAX_ITERS - it):
                 break
             prev = val
         if best is None or val < best[0]:

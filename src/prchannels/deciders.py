@@ -25,27 +25,25 @@ the channel gives the verdict:
 5. Hermitian kernel, on both fields, last: the channel fails precisely when
    some nonzero ``H = xx* - yy*`` lies in its kernel on Herm(n) (Sym(n) on
    the real field; Bandeira, Cahill, Mixon, Nelson, "Saving phase", ACHA
-   2014).  A trivial kernel proves PR.  At dimensions 2 up to the
-   codimension of the matrices of rank at most 2, exact steps run first: on
-   the real field, the rank-one points ``b_j b_j^T`` of the kernel's
-   complement decide by the complement property of ``{b_j}`` when they span
-   it, read off the operators ``A_j = u_j b_j^T`` when every one has rank at
-   most one and the ``u_j u_j^T`` are independent, and otherwise found by
-   linear algebra alone from the complement; then, on both fields, a
-   Macaulay matrix of full column rank shows that the kernel's span holds
-   no matrix of rank at most 2, which proves PR; past its size cap the
-   matrix is built for a seeded compression of the span, which can only
-   lower ranks.  Otherwise a witness from the kernel's first spanning
-   matrix gives NOT_PR at dimension 1 and on C^2 and R^2; at dimension 1
-   one eigenvalue test of that matrix may prove PR; the real-field
-   rank-one step runs here when it did not run first.  Then, on C^3 and
-   R^3 at dimension 2 or more and at dimension 2 on every larger space,
-   the real roots of one cubic, ``det`` of the first two spanning matrices'
-   pencil compressed to 3x3, hold every matrix of rank at most 2 in their
-   span: on C^3 and R^3 one always exists (the cubic is odd) and gives
-   NOT_PR, and at dimension 2, where the span is the kernel, none proves
-   PR.  Last, one Gauss-Newton search on the kernel's sphere gives NOT_PR
-   or LIKELY_PR.
+   2014).  Its steps, in the order of ``_KERNEL_STEPS``: a trivial kernel
+   proves PR.  At dimension 1 and on C^2 and R^2 a witness from the kernel's
+   first spanning matrix gives NOT_PR, and at dimension 1 one eigenvalue test
+   of that matrix may prove PR.  On the real field, the rank-one points
+   ``b_j b_j^T`` of the kernel's complement decide by the complement property
+   of ``{b_j}`` when they span it, read off the operators ``A_j = u_j b_j^T``
+   when every one has rank at most one and the ``u_j u_j^T`` are independent,
+   and otherwise found by linear algebra alone from the complement.  At
+   dimensions 2 up to the codimension of the matrices of rank at most 2, a
+   Macaulay matrix of full column rank shows that the kernel's span holds no
+   matrix of rank at most 2, which proves PR; past its size cap the matrix is
+   built for a seeded compression of the span, which can only lower ranks.
+   On C^3 and R^3 at dimension 2 or more and at dimension 2 on every larger
+   space, the real roots of one cubic, ``det`` of the first two spanning
+   matrices' pencil compressed to 3x3, hold every matrix of rank at most 2 in
+   their span: on C^3 and R^3 one always exists (the cubic is odd) and gives
+   NOT_PR, and at dimension 2, where the span is the kernel, none proves PR.
+   Last, one Gauss-Newton search on the kernel's sphere gives NOT_PR or
+   LIKELY_PR.
 
 A witness gives NOT_PR only when it re-verifies relative to
 ``sum_i ||A_i||_F^2``.  ``check --method`` runs named sub-lists of the table
@@ -684,77 +682,39 @@ def _hermitian_basis(n: int, field: str) -> np.ndarray:
     return T
 
 
-def _kernel_stage(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
-    """Kernel of the channel on Herm(n) (complex field) or Sym(n) (real field), the last stage.
+def _trivial_kernel_step(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """PR when the kernel is trivial, with floor ``sigma_min``, and on C^1 (one pure state); else None."""
+    if (d := rec.kernel_dim) and rec.ch.dim_in > 1:
+        return None
+    floor = float(rec.singular_values[-1]) if d == 0 else None
+    return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
 
-    The channel fails precisely when a nonzero ``H = xx* - yy*`` lies in this
-    kernel, of dimension d; ``sigma_r`` is the smallest singular value kept.
-    d = 0 proves PR with floor ``sigma_min``, and so does n = 1 (one pure
-    state).  Otherwise, in order, each witness under :func:`_accepted`:
 
-    * At ``2 <= d <= codim``, the codimension of the matrices of rank at most 2
-      (``(n - 2)^2`` in M_n(C), ``C(n - 1, 2)`` in the complex symmetric
-      ones), which a generic kernel of that dimension misses: on the real
-      field :func:`_rank_one_verdict` (below), then on both fields
-      :func:`_macaulay_verdict`, PR with floor None when the kernel's span
-      holds no matrix of rank at most 2; past ``_MINORS_CAP`` it tests a
-      seeded compression of the span.
-    * At d = 1 or n = 2, the pair of :func:`_signature_verdict` on the first
-      basis matrix ``H1``; at n = 2 it decides every d, since
-      ``Phi(H) >= l_min(H) sum_i A_i A_i*`` leaves no kernel element definite.
-    * At d = 1 and n >= 3, ``gamma = g(H1) = max(l2, -l_{n-1})``, for the
-      eigenvalues ``l1 >= ... >= ln`` of ``H1``, past ``residual_abs``
-      proves PR with floor ``sigma_r gamma / sqrt(2)``.  A unit H of bad
-      signature has ``l2 <= 0 <= l_{n-1}``; write ``H = c H1 + Hp`` with
-      ``Hp`` orthogonal to the kernel.  By Weyl, ``|c| gamma <= ||Hp||_F``,
-      and ``c^2 + ||Hp||_F^2 = 1``, so
-      ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
-    * On the real field, when it did not run in the first step,
-      :func:`_rank_one_verdict`: PR (floor None) or NOT_PR by the
-      complement property of the rank-one points of the kernel's complement,
-      read off the operators when each has ``rec.kraus_ranks`` at most 1,
-      and otherwise recovered from the complement basis.  It declines when
-      those points are not found or do not span it (a kernel of dimension
-      below n - 1 leaves infinitely many), past the bipartition cap, and
-      when its NOT_PR pair fails :func:`_accepted`.  Read off the
-      operators, the points need neither the kernel basis nor the minors.
-    * At n = 3 with d >= 2, and at d = 2 for n >= 4, :func:`_cubic_verdict`
-      on ``H1, H2``: the real roots of ``det(U* H(c) U)`` hold every point
-      of rank at most 2 in their span.  At n = 3 (``U = I``) that odd cubic
-      form has a real root, so the channel is never PR: ``H(c)`` there is
-      some ``xx* - yy*`` or semidefinite, and a semidefinite kernel element
-      puts ``uu*`` in the kernel for every u in its range, which every
-      ``A_i`` kills.  At d = 2 the span is the kernel, and PR (floor None)
-      comes when no root holds such a point.  It declines when a candidate
-      lies within its margin of rank 2 and its pair fails :func:`_accepted`.
-      When the cubic vanishes at n = 3, ``H1`` has rank at most 2, and its
-      pair gives NOT_PR.
-    * Last, the pair of :func:`_kernel_search`'s best ``H(c)``: NOT_PR, or
-      LIKELY_PR with its relative residual as the floor.
+def _dimension_one_step(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """At d = 1 and on C^2 and R^2: NOT_PR by the pair of :func:`_signature_verdict`
+    on the kernel's first spanning matrix ``H1``, or at d = 1 PR by its eigenvalues; else None.
+
+    On C^2 and R^2 the pair decides every d, since
+    ``Phi(H) >= l_min(H) sum_i A_i A_i*`` leaves no kernel element definite.
+    At d = 1 and n >= 3, ``gamma = g(H1) = max(l2, -l_{n-1})``, for the
+    eigenvalues ``l1 >= ... >= ln`` of ``H1``, past ``residual_abs`` proves PR
+    with floor ``sigma_r gamma / sqrt(2)``, ``sigma_r`` the smallest singular
+    value kept.  A unit H of bad signature has ``l2 <= 0 <= l_{n-1}``; write
+    ``H = c H1 + Hp`` with ``Hp`` orthogonal to the kernel.  By Weyl,
+    ``|c| gamma <= ||Hp||_F``, and ``c^2 + ||Hp||_F^2 = 1``, so
+    ``||Phi(H)|| = ||Phi(Hp)|| >= sigma_r gamma / sqrt(1 + gamma^2)``.
     """
-    tol, n = rec.tol, rec.ch.dim_in
-    codim = _rank2_codim(n, rec.ch.field == REAL)
-    d = rec.kernel_dim
-    early = codim >= 2 and 2 <= d <= codim
-    if early and (verdict := _rank_one_verdict(rec) or _macaulay_verdict(rec)):
+    n = rec.ch.dim_in
+    if rec.kernel_dim != 1 and n != 2:
+        return None
+    H1 = rec.kernel_basis[0]
+    if (verdict := _signature_verdict(rec, H1, HERMITIAN_KERNEL)[0]) or n == 2:
         return verdict
-    if d == 0 or n == 1:
-        floor = float(rec.singular_values[-1]) if d == 0 else None
-        return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    H = rec.kernel_basis
-    if (d == 1 or n == 2) and (verdict := _signature_verdict(rec, H[0], HERMITIAN_KERNEL)[0]):
-        return verdict
-    if d == 1 and n > 2:
-        w = np.linalg.eigvalsh(H[0])
-        if (gamma := max(w[-2], -w[1])) > tol.residual_abs:
-            floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
-            return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
-    if not early and (verdict := _rank_one_verdict(rec)):
-        return verdict
-    if n > 2 and d > 1 and (n == 3 or d == 2) and (verdict := _cubic_verdict(rec, H)):
-        return verdict
-    verdict, floor = _signature_verdict(rec, np.tensordot(_kernel_search(H, cfg), H, 1), ORACLE_WITNESS)
-    return verdict or PRVerdict(LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=floor), floor=floor, residuals={})
+    w = np.linalg.eigvalsh(H1)
+    if (gamma := max(w[-2], -w[1])) <= rec.tol.residual_abs:
+        return None
+    floor = float(rec.singular_values[rec.herm_rank - 1] * gamma / np.sqrt(2.0))
+    return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(floor=floor), floor=floor, residuals={})
 
 
 def _accepted(rec: _ChannelRecord, res: float) -> bool:
@@ -851,9 +811,9 @@ def _rank_one_points(S: np.ndarray, tol: Tolerance, again: bool = True) -> Optio
     return np.sqrt(top)[:, None] * v[np.arange(len(v)), :, np.argmax(abs(w), axis=1)]
 
 
-def _rank_one_verdict(rec: _ChannelRecord) -> Optional[PRVerdict]:
-    """The real-field step of :func:`_kernel_stage`: the complement property of
-    the rank-one points of the kernel's complement, or None.
+def _rank_one_verdict(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """The real-field rank-one kernel step: the complement property of the
+    rank-one points of the kernel's complement, or None.
 
     When ``b_j b_j^T`` span the complement, the kernel is exactly
     ``{X : b_j^T X b_j = 0 for all j}``, so ``xx^T - yy^T`` lies in it exactly
@@ -907,14 +867,19 @@ def _complement_verdict(rec: _ChannelRecord, B: np.ndarray, U: Optional[np.ndarr
     return verdict if _accepted(rec, verdict.residuals["tensor"]) else None
 
 
-def _macaulay_verdict(rec: _ChannelRecord) -> Optional[PRVerdict]:
+def _macaulay_verdict(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
     """PR by :func:`_macaulay_degree` on the kernel, floor None, or None.
 
-    A real ``c`` with ``H(c) = xx* - yy*`` would give a matrix of rank at
-    most 2 in the kernel's span, so full column rank proves the channel PR.
-    The test reads the kernel alone, and unitary conjugation moves the minors
-    by a unitary map, so the symmetries of phase retrieval keep the verdict.
+    It runs at ``2 <= d <= codim``, the codimension of the matrices of rank
+    at most 2 (``(n - 2)^2`` in M_n(C), ``C(n - 1, 2)`` in the real symmetric
+    ones), which a generic kernel of that dimension misses.  A real ``c`` with
+    ``H(c) = xx* - yy*`` would give a matrix of rank at most 2 in the kernel's
+    span, so full column rank proves the channel PR.  The test reads the
+    kernel alone, and unitary conjugation moves the minors by a unitary map,
+    so the symmetries of phase retrieval keep the verdict.
     """
+    if not 2 <= rec.kernel_dim <= _rank2_codim(rec.ch.dim_in, rec.ch.field == REAL):
+        return None
     found = _macaulay_degree(rec.kernel_basis, rec.tol)
     return None if found is None else PRVerdict(PR, MACAULAY, MacaulayCertificate(*found), residuals={})
 
@@ -946,6 +911,12 @@ def _cubic_verdict(rec: _ChannelRecord, H: np.ndarray) -> Optional[PRVerdict]:
     if g[best] <= _CUBIC_MARGIN * rec.tol.rank_rel:
         return _signature_verdict(rec, Hc[best], HERMITIAN_KERNEL)[0]
     return PRVerdict(PR, HERMITIAN_KERNEL, EmptyCertificate(), residuals={}) if len(H) == 2 and H.shape[1] > 3 else None
+
+
+def _cubic_step(rec: _ChannelRecord, cfg=None) -> Optional[PRVerdict]:
+    """:func:`_cubic_verdict` on the kernel on C^3 and R^3 at d >= 2, and at d = 2 on every larger space; else None."""
+    n, d = rec.ch.dim_in, rec.kernel_dim
+    return _cubic_verdict(rec, rec.kernel_basis) if n > 2 and d > 1 and (n == 3 or d == 2) else None
 
 
 # Witness search: steps per start, the F of an exact zero, the steps without
@@ -1031,16 +1002,29 @@ def _kernel_search(H: np.ndarray, cfg: OracleConfig) -> np.ndarray:
     return best_c[np.argmin(best_f)]
 
 
+def _search_step(rec: _ChannelRecord, cfg: OracleConfig) -> PRVerdict:
+    """The pair of :func:`_kernel_search`'s best ``H(c)``: NOT_PR, or LIKELY_PR with its relative residual as floor."""
+    H = rec.kernel_basis
+    verdict, floor = _signature_verdict(rec, np.tensordot(_kernel_search(H, cfg), H, 1), ORACLE_WITNESS)
+    return verdict or PRVerdict(LIKELY_PR, ORACLE_NO_WITNESS, EmptyCertificate(floor=floor), floor=floor, residuals={})
+
+
+# The kernel steps, in order: each one that declines leaves the channel to the
+# next, and the search, last, settles every channel.
+_KERNEL_STEPS = (
+    _trivial_kernel_step, _dimension_one_step, _rank_one_verdict, _macaulay_verdict, _cubic_step, _search_step
+)
+
 # The stage table: ``decide`` runs "full", ``check --method`` any entry.  A
 # stage returns a verdict, or None to pass the channel on.  In "full" every
 # exact stage runs ahead of the screen, which is only a necessary condition;
-# the kernel stage, last, settles whatever is left.
+# the kernel steps, last, settle whatever is left, and "oracle" runs them alone.
 METHODS = {
-    "full": (_low_rank_stage, _rank2_stage, _rank_split_stage, _screen_stage, _kernel_stage),
+    "full": (_low_rank_stage, _rank2_stage, _rank_split_stage, _screen_stage, *_KERNEL_STEPS),
     "exact": (_low_rank_stage, _rank2_stage),
     # Alone, the screen runs on any square family and its errors propagate.
     "necessary": (_screen_verdict,),
-    "oracle": (_kernel_stage,),
+    "oracle": _KERNEL_STEPS,
 }
 
 
@@ -1058,8 +1042,9 @@ def decide_method(
 ) -> PRVerdict:
     """Verdict of the first stage of ``METHODS[method]`` that settles ``ch`` (``check --method``).
 
-    ``exact`` raises :class:`WrongRank` when its stages do not settle the
-    channel; ``necessary`` reports a pass of the screen as
+    ``full`` and ``oracle`` end with the kernel steps, whose search settles
+    every channel; ``exact`` raises :class:`WrongRank` when its stages do not
+    settle the channel; ``necessary`` reports a pass of the screen as
     LIKELY_PR with method NECESSARY_PASS.  An unknown ``method`` raises
     ``ValueError``.
     """

@@ -51,23 +51,19 @@ class Tolerance:
         Relative singular-value cutoff for rank and kernel decisions.
     residual_abs
         Absolute cutoff for residual tests on normalized inputs.
-    root_cluster
-        Matching radius when clustering or comparing pencil roots.
 
     Each must be finite and strictly positive, and ``rank_rel`` below 1.
     """
 
     rank_rel: float = 1e-10
     residual_abs: float = 1e-8
-    root_cluster: float = 1e-7
 
     def __post_init__(self):
         if not 0.0 < self.rank_rel < 1.0:
             raise ValueError("rank_rel must lie in (0, 1)")
-        for name in ("residual_abs", "root_cluster"):
-            # NaN fails both comparisons.
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive")
+        # NaN fails both comparisons.
+        if not 0.0 < self.residual_abs < math.inf:
+            raise ValueError("residual_abs must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -308,6 +304,13 @@ def _monomial_index(E: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return order[np.searchsorted(keys, rows @ base, sorter=order)]
 
 
+def _seeded_isometry(key: list, n: int, m: int, real: bool = False) -> np.ndarray:
+    """An ``n x m`` isometry: the Q factor of ``G[0]`` (real) or ``G[0] + i G[1]``
+    for ``G``, a ``(2, n, m)`` normal draw from ``default_rng(key)``."""
+    G = np.random.default_rng(key).normal(size=(2, n, m))
+    return np.linalg.qr(G[0] if real else G[0] + 1j * G[1])[0]
+
+
 def _macaulay_degree(H: np.ndarray, tol: Tolerance) -> Optional[tuple[int, float]]:
     """``(D, sigma_min / sigma_max)`` of the first Macaulay matrix of full column
     rank, or None: then the span of ``H_1..H_d``, even over C, holds no
@@ -341,8 +344,7 @@ def _macaulay_degree(H: np.ndarray, tol: Tolerance) -> Optional[tuple[int, float
         fits = (m for m in range(n - 1, 2, -1) if d <= _rank2_codim(m, real) and _macaulay_degrees(d, m, real))
         if (m := next(fits, None)) is None:
             return None
-        G = np.random.default_rng([0x4D, n, m]).normal(size=(2, n, m))
-        V = np.linalg.qr(G[0] if real else G[0] + 1j * G[1])[0]
+        V = _seeded_isometry([0x4D, n, m], n, m, real)
         H, n, degrees = V.conj().T @ H @ V, m, _macaulay_degrees(d, m, real)
     triples = comb(n, 3)
     I = np.array(list(combinations(range(n), 3)))
@@ -388,12 +390,8 @@ _CUBIC_ZERO = 1e-9
 @lru_cache(maxsize=16)
 def _cubic_isometry(n: int) -> np.ndarray:
     """The ``n x 3`` isometry ``U`` of the kernel cubic, read-only: ``I`` at n = 3,
-    else the Q factor of a complex Gaussian matrix from ``default_rng([0xC3, n])``."""
-    if n == 3:
-        U = np.eye(3)
-    else:
-        rng = np.random.default_rng([0xC3, n])
-        U = np.linalg.qr(rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))[0]
+    else a complex one of :func:`_seeded_isometry` from the key ``[0xC3, n]``."""
+    U = np.eye(3) if n == 3 else _seeded_isometry([0xC3, n], n, 3)
     U.flags.writeable = False
     return U
 

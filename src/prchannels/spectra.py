@@ -166,6 +166,10 @@ def _singular_at(Pn: np.ndarray, Qn: np.ndarray, lams):
     return svs, svs <= _margin(np.linalg.norm(Pn), np.linalg.norm(Qn))
 
 
+# The radius within which two pencil roots, or two spectrum points, are one.
+_ROOT_CLUSTER = 1e-7
+
+
 def _cluster_roots(items, radius, root=lambda z: z):
     """Greedy clusters: each item joins the first cluster whose first root lies within ``radius``."""
     clusters = []
@@ -310,7 +314,7 @@ def pencil_singular_set(P, Q, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Si
         svs, passed = _singular_at(Pn, Qn, pts)
     verified = zip(pts[1:][passed[1:]].tolist(), svs[1:][passed[1:]].tolist())
     kept = []
-    for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
+    for cl in _cluster_roots(verified, _ROOT_CLUSTER, root=lambda pair: pair[0]):
         lam_best, _ = min(cl, key=lambda pair: pair[1])
         kept.append(lam_best)
     kept.sort(key=lambda z: (z.real, z.imag))
@@ -385,7 +389,7 @@ def _relative_spectrum(ops, j, ranks, tol: Tolerance):
     One witness candidate per point comes from one stacked SVD: the smallest
     right singular vector of the stacked residual operators, and else the
     point's first joint-kernel column; a point whose candidates both fail the
-    residual test is dropped, and points within ``root_cluster`` merge.
+    residual test is dropped, and points within ``_ROOT_CLUSTER`` merge.
     """
     Aj = ops[j]
     others = [(i, Ai) for i, Ai in enumerate(ops) if i != j]
@@ -410,7 +414,7 @@ def _relative_spectrum(ops, j, ranks, tol: Tolerance):
         points.append(SpectrumPoint(lam=lam, witness=witness))
     deduped: list[SpectrumPoint] = []
     for p in points:
-        if not any(np.all(np.abs(p.lam - q.lam) <= tol.root_cluster) for q in deduped):
+        if not any(np.all(np.abs(p.lam - q.lam) <= _ROOT_CLUSTER) for q in deduped):
             deduped.append(p)
     deduped.sort(key=lambda p: tuple((z.real, z.imag) for z in p.lam))
     return deduped

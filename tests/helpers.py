@@ -29,7 +29,7 @@ from prchannels import (
 )
 from prchannels.frames import _measurement_channel
 from prchannels.linalg import _svdvals, as_matrix
-from prchannels.spectra import SingularSet, _cluster_roots
+from prchannels.spectra import _ROOT_CLUSTER, SingularSet, _cluster_roots
 
 
 class _ZeroPoly:
@@ -379,7 +379,7 @@ def reference_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
         branch = "centroid"
     verified = [(lam, s) for lam in candidates if (s := sv(lam)) <= margin]
     kept = []
-    for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0]):
+    for cl in _cluster_roots(verified, _ROOT_CLUSTER, root=lambda pair: pair[0]):
         lam_best, _ = min(cl, key=lambda pair: pair[1])
         kept.append(lam_best)
     kept.sort(key=lambda z: (z.real, z.imag))
@@ -420,7 +420,7 @@ def interpolation_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
                 clusters.append(cl)
     candidates += [complex(np.mean(cl)) for cl in clusters]
     verified = [(lam, sv) for lam in candidates if (sv := smallest_singular_value(Pn + lam * Qn)) <= margin]
-    kept = [min(cl, key=lambda pair: pair[1])[0] for cl in _cluster_roots(verified, tol.root_cluster, root=lambda pair: pair[0])]
+    kept = [min(cl, key=lambda pair: pair[1])[0] for cl in _cluster_roots(verified, _ROOT_CLUSTER, root=lambda pair: pair[0])]
     kept.sort(key=lambda z: (z.real, z.imag))
     return SingularSet(FINITE, kept)
 
@@ -428,7 +428,7 @@ def interpolation_pencil_singular_set(P, Q, tol=DEFAULT_TOL, seed=0):
 def reference_rank2_clash(ch, tol=DEFAULT_TOL):
     """The rank-2 clash by intersecting two singular sets, point by point: the
     ``lam`` of the set of ``A1 + lam A2`` whose reflection matches, within
-    ``root_cluster``, some ``-conj(mu)`` of the set of ``A2 + mu A1``; None
+    ``_ROOT_CLUSTER``, some ``-conj(mu)`` of the set of ``A2 + mu A1``; None
     when the sets miss each other.  ``(A1, A2)`` is the listed pair, or a
     longer family mixed by the two leading left singular vectors of its stack
     as in ``deciders``; ``dim_out >= dim_in``.  The reference for the
@@ -447,7 +447,7 @@ def reference_rank2_clash(ch, tol=DEFAULT_TOL):
         return reflected[0] if reflected else None
     if t.is_all:
         return s1.roots[0] if s1.roots else None
-    return next((lam for lam in s1.roots if any(abs(lam - r) <= tol.root_cluster for r in reflected)), None)
+    return next((lam for lam in s1.roots if any(abs(lam - r) <= _ROOT_CLUSTER for r in reflected)), None)
 
 
 def reference_to_state_witness(ch, x, y, tol=DEFAULT_TOL):

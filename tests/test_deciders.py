@@ -362,7 +362,7 @@ def test_rank2_one_set_matches_the_two_set_intersection():
     # Testing the roots of one singular set on the reflected pencil gives the
     # verdict of intersecting the two sets, and bit for bit its clash, or an
     # earlier root far from 0 whose reflection the intersection's absolute
-    # root_cluster match misses, when it falls back on the partner
+    # _ROOT_CLUSTER match misses, when it falls back on the partner
     # -1/conj(lam) of that root.
     seen = set()
     for label, ch, clashes in _rank2_reference_cases():
@@ -843,7 +843,8 @@ def test_oracle_witness_must_reverify_relative_to_the_channel_scale(monkeypatch,
     assert isinstance(simple_tensor_oracle(ch), NoWitness)
     verdict = decide(ch)
     assert (verdict.status, verdict.method, verdict.floor) == (PR, COMPLEMENT_PROPERTY, None)
-    monkeypatch.setattr(deciders, "_rank_one_verdict", lambda rec: None)
+    without = tuple(step for step in deciders.METHODS["full"] if step is not deciders._rank_one_verdict)
+    monkeypatch.setitem(deciders.METHODS, "full", without)
     verdict = decide(ch)
     assert (verdict.status, verdict.method) == (LIKELY_PR, ORACLE_NO_WITNESS)
     # The floor, the residual of the search's best pair, is far above the
@@ -1010,3 +1011,13 @@ def test_zero_channel_on_one_dimensional_input_is_pr():
 def test_decide_method_rejects_an_unknown_method():
     with pytest.raises(ValueError, match="unknown method 'bogus': expected one of full, exact, necessary, oracle"):
         decide_method(fixture("identity"), "bogus")
+
+
+def test_oracle_method_is_the_tail_of_the_full_table():
+    # The kernel steps are listed once: "oracle" runs them alone, and "full"
+    # runs them after its other stages, with no kernel stage around them.
+    full, oracle = deciders.METHODS["full"], deciders.METHODS["oracle"]
+    exact = (deciders._low_rank_stage, deciders._rank2_stage, deciders._rank_split_stage)
+    assert full == (*exact, deciders._screen_stage, *oracle)
+    assert oracle[-1] is deciders._search_step
+    assert not hasattr(deciders, "_kernel_stage")

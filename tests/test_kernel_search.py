@@ -93,8 +93,8 @@ def test_likely_pr_floor_is_the_relative_residual_of_the_search_pair(monkeypatch
     # and 4, so the search runs and finds no witness.  The
     # rank-one step (real field) and the Macaulay step (complex field) would
     # prove PR first, so they are left out.
-    monkeypatch.setattr(deciders, "_rank_one_verdict", lambda rec: None)
-    monkeypatch.setattr(deciders, "_macaulay_verdict", lambda rec: None)
+    skipped = (deciders._rank_one_verdict, deciders._macaulay_verdict)
+    monkeypatch.setitem(deciders.METHODS, "full", tuple(s for s in deciders.METHODS["full"] if s not in skipped))
     ch = projector_channel_from_frame(random_generic_frame(n, N, field, seed=0))
     cfg = OracleConfig(restarts=8)
     verdict = decide(ch, cfg)

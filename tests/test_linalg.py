@@ -28,13 +28,19 @@ def test_tolerance_validation():
         Tolerance(residual_abs=-1e-8)
 
 
-@pytest.mark.parametrize("name", ["residual_abs", "root_cluster"])
+@pytest.mark.parametrize("name", ["residual_abs"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
 def test_tolerance_rejects_non_finite_and_non_positive_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
         Tolerance(**{name: value})
     with pytest.raises(ValueError, match="rank_rel"):
         Tolerance(rank_rel=value)
+
+
+def test_tolerance_has_no_root_cluster_field():
+    # The root-matching radius is the constant spectra._ROOT_CLUSTER.
+    with pytest.raises(TypeError):
+        Tolerance(root_cluster=1e-7)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from prchannels import COMPLEX, DEFAULT_TOL, NOT_PR, PR, REAL, OracleConfig, decide, random_generic_frame
+from prchannels import COMPLEX, DEFAULT_TOL, NOT_PR, PR, REAL, decide, decide_method, random_generic_frame
 from prchannels import deciders, linalg
 from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import MACAULAY, _ChannelRecord, _rank_one_points
@@ -166,14 +166,13 @@ def test_generic_wide_kernels_are_proved_before_the_witness_search(monkeypatch):
 )
 def test_not_pr_kernels_past_the_codimension_skip_the_step(monkeypatch, label, ch):
     # Their kernel dimension exceeds the codimension, so the Macaulay step
-    # never runs: the rank-one step or the witness search settles them.
+    # builds no matrix: the rank-one step or the witness search settles them.
     def refuse(*args, **kwargs):
         raise AssertionError("the Macaulay step ran")
 
-    monkeypatch.setattr(deciders, "_macaulay_verdict", refuse)
-    rec = _ChannelRecord(ch, DEFAULT_TOL)
-    assert rec.kernel_dim > _codim(ch.dim_in, ch.field)
-    assert deciders._kernel_stage(rec, OracleConfig()).status == NOT_PR, label
+    monkeypatch.setattr(deciders, "_macaulay_degree", refuse)
+    assert _ChannelRecord(ch, DEFAULT_TOL).kernel_dim > _codim(ch.dim_in, ch.field)
+    assert decide_method(ch, "oracle").status == NOT_PR, label
 
 
 def test_rank_one_step_declines_a_wide_null_space_without_an_svd(monkeypatch):
@@ -187,7 +186,7 @@ def test_rank_one_step_declines_a_wide_null_space_without_an_svd(monkeypatch):
     S = rec.complement_basis
     assert (len(S), rec.kernel_dim) == (21, 7)
     # The Kraus ranks come from the record's one values-only SVD of the
-    # stack, which _kernel_stage reads for its floor before this step.
+    # stack, which the rank split reads ahead of the kernel steps.
     assert rec.kraus_ranks.max() > 1
     svd, calls = np.linalg.svd, []
 

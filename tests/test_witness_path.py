@@ -24,7 +24,7 @@ from prchannels import (
 from prchannels import channels, deciders
 from prchannels.constructors import projector_channel_from_frame
 from prchannels.deciders import COMPLEMENT_PROPERTY, HERMITIAN_KERNEL, NECESSARY_VIOLATION, ORACLE_WITNESS
-from prchannels.deciders import SYMMETRIC, _ChannelRecord, _kernel_stage, _rank_split_stage, _separation_sq, _state_image
+from prchannels.deciders import SYMMETRIC, _ChannelRecord, _rank_split_stage, _separation_sq, _state_image
 from prchannels.deciders import _tensor_image, _to_state_witness
 
 from helpers import pinching, rand_matrix, random_unitary, reference_to_state_witness
@@ -188,9 +188,9 @@ def test_one_channel_image_per_certificate(monkeypatch, label, ch):
         monkeypatch.setattr(deciders, name, lambda *args, _h=helper, _n=name: images.append(_n) or _h(*args))
     monkeypatch.setattr(channels, "_image", lambda *args: images.append("_image"))
     scale = sum(np.linalg.norm(A) ** 2 for A in ch.kraus)
-    for stage in (_rank_split_stage, _kernel_stage):
+    for run in (lambda: _rank_split_stage(_ChannelRecord(ch, DEFAULT_TOL)), lambda: decide_method(ch, "oracle")):
         images.clear()
-        verdict = stage(_ChannelRecord(ch, DEFAULT_TOL), OracleConfig())
+        verdict = run()
         assert verdict is not None and verdict.state_witness is not None
         assert images == ["_tensor_image"]
         images.clear()
